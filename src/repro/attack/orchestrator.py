@@ -685,9 +685,8 @@ class CampaignResult:
     """Outcome of an N-attempt campaign.
 
     ``digest()`` hashes every attempt's canonical report JSON, in order —
-    the equality witness that the fork and rebuild strategies, the
-    event-driven and polled cores, and every worker count produce
-    literally the same attacks.  ``metrics`` (the per-attempt registries
+    the equality witness that the fork and rebuild strategies and every
+    worker count produce literally the same attacks.  ``metrics`` (the per-attempt registries
     merged with :func:`~repro.obs.metrics.merge_metric_states`), ``pool``
     (worker-pool stats: wall times, pids) and ``service`` (checkpoint
     journal stats) ride outside the digest — the first is

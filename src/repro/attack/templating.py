@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.attack.hammer import Hammerer
 from repro.core.results import FlipTemplate, TemplatingResult
 from repro.os.kernel import Kernel
@@ -111,13 +113,18 @@ class Templator:
             data = self.kernel.mem_read(self.pid, page_va, PAGE_SIZE)
             if data == expected:
                 continue
-            for offset, (got, want) in enumerate(zip(data, expected)):
-                if got == want:
-                    continue
-                changed = got ^ want
-                for bit in range(8):
-                    if changed & (1 << bit):
-                        found.append((page_va, offset, bit, bool(got & (1 << bit))))
+            got = np.frombuffer(data, dtype=np.uint8)
+            diff = got ^ pattern
+            offsets = np.flatnonzero(diff)
+            # One row of 8 little-endian bit flags per changed byte; nonzero
+            # walks it row-major, so the output stays (offset, bit) ascending.
+            rows, bits = np.nonzero(
+                np.unpackbits(diff[offsets, None], axis=1, bitorder="little")
+            )
+            changed = offsets[rows]
+            ones = (got[changed] >> bits) & 1
+            for offset, bit, one in zip(changed.tolist(), bits.tolist(), ones.tolist()):
+                found.append((page_va, offset, bit, bool(one)))
         return found
 
     def _restore(self, page_va: int, offset: int, pattern: int) -> None:

@@ -57,6 +57,15 @@ class Bank:
         self._count(row, 1)
         return True
 
+    def access_run(self, row: int, count: int) -> bool:
+        """``count`` back-to-back accesses to ``row``; True if the first activated it.
+
+        Only the first access can miss the row buffer; the rest are row hits.
+        """
+        activated = self.access(row)
+        self.total_row_hits += count - 1
+        return activated
+
     def _count(self, row: int, added: int) -> None:
         """Add ``added`` raw activations, applying TRR clamping if present."""
         new_count = self.activations.get(row, 0) + added

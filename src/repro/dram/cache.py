@@ -94,6 +94,40 @@ class CpuCache:
             self.evictions += 1
         return False
 
+    def access_run(self, first: int, count: int) -> list[bool]:
+        """Access ``count`` consecutive lines from ``first``; per-line hit flags.
+
+        With ``count <= sets`` consecutive lines fall in distinct sets, so
+        each set sees exactly one access and the LRU updates cannot interact:
+        the flags, the counters and every set's order equal those of
+        ``count`` calls of :meth:`access` in address order.
+        """
+        sets = self.config.sets
+        if not 0 < count <= sets:
+            raise ConfigError(f"run of {count} lines needs 1..{sets} distinct sets")
+        set_index, start = self._locate(first)
+        run_sets = self._sets[set_index:set_index + count]
+        if len(run_sets) < count:  # the run wraps past the last set
+            run_sets += self._sets[:count - len(run_sets)]
+        ways_limit = self.config.ways
+        flags: list[bool] = []
+        evictions = 0
+        for ways, tag in zip(run_sets, range(start, start + count)):
+            if tag in ways:
+                ways.move_to_end(tag)
+                flags.append(True)
+            else:
+                ways[tag] = None
+                if len(ways) > ways_limit:
+                    ways.popitem(False)
+                    evictions += 1
+                flags.append(False)
+        hits = flags.count(True)
+        self.hits += hits
+        self.misses += count - hits
+        self.evictions += evictions
+        return flags
+
     def flush(self, phys: int) -> bool:
         """``clflush``: evict the line containing ``phys``; True if present."""
         set_index, tag = self._locate(phys)

@@ -14,12 +14,19 @@ The controller is the single entry point for DRAM traffic.  It
   flips directly to :class:`~repro.dram.memory.PhysicalMemory`, logging a
   :class:`FlipEvent` for each.
 
-Besides the single-access path there is a **hammer fast path**
-(:meth:`MemoryController.hammer`) that applies ``rounds`` iterations of an
-alternating flush+access loop in O(banks) instead of O(rounds) Python work.
-It preserves the two properties that make hammering subtle: aggressor pairs
-must share a bank to force activations, and activation counts are clipped
-to what fits in each refresh window.
+Besides the single-access path there are two closed-form paths:
+
+* the **hammer fast path** (:meth:`MemoryController.hammer`) applies
+  ``rounds`` iterations of an alternating flush+access loop in O(banks)
+  instead of O(rounds) Python work.  It preserves the two properties that
+  make hammering subtle: aggressor pairs must share a bank to force
+  activations, and activation counts are clipped to what fits in each
+  refresh window;
+* the **row run** (:meth:`MemoryController.access_row_run`) serves the
+  cache misses of one page as back-to-back accesses to one row: at most
+  one activation, then row hits.  The kernel uses it only while
+  :meth:`MemoryController.is_quiet_until` rules out a refresh inside the
+  run, which makes it exactly equal to one :meth:`access` per line.
 """
 
 from __future__ import annotations
@@ -528,15 +535,45 @@ class MemoryController:
         """
         del write
         self._pump_timed()
+        return self.access_row_run(phys, 1)
+
+    def is_quiet_until(self, end_ns: int) -> bool:
+        """True if no timed DRAM behaviour can fire before ``end_ns``.
+
+        Timed behaviour is what :meth:`_pump_timed` runs at an access
+        boundary: the "dram" scheduler queue (the refresh tick), or for a
+        bare controller the inline epoch roll.  Accesses that all start
+        before ``end_ns`` may then skip the pump without changing anything.
+        """
+        if self._events is not None:
+            due = self._events.next_due_ns("dram")
+            return due is None or end_ns <= due
+        refw = self.effective_refw_ns()
+        epoch = self._refresh_epoch
+        return self.clock.now_ns // refw == epoch and end_ns <= (epoch + 1) * refw
+
+    def access_row_run(self, phys: int, count: int) -> bool:
+        """``count`` back-to-back DRAM accesses to the row holding ``phys``.
+
+        Returns True if the first access activated the row.  Timed behaviour
+        is not pumped: :meth:`access` pumps before its single access, and a
+        run of more than one access needs :meth:`is_quiet_until` to hold for
+        its whole span.  The run is then exact in closed form.  The first
+        access is a normal row-buffer access; if it activates, the clock
+        reads ``now + t_rc`` when the neighbours' flips are evaluated, as on
+        the per-access path.  Every later access is a row hit on the row the
+        first one opened, reads no clock and changes no activation count, so
+        they are booked together as ``count - 1`` hits of ``t_cas`` each.
+        """
         addr = self.mapping.to_dram(phys)
         key = addr.bank_key()
-        bank = self.bank(key)
-        activated = bank.access(addr.row)
+        activated = self.bank(key).access_run(addr.row, count)
         if activated:
             self.clock.advance(self.timing.t_rc_ns)
             self._evaluate_around(key, {addr.row})
+            self.clock.advance((count - 1) * self.timing.t_cas_ns)
         else:
-            self.clock.advance(self.timing.t_cas_ns)
+            self.clock.advance(count * self.timing.t_cas_ns)
         return activated
 
     def hammer(self, phys_addrs: list[int], rounds: int) -> HammerResult:

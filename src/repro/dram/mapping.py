@@ -31,6 +31,9 @@ class AddressMapping(ABC):
 
     def __init__(self, geometry: DRAMGeometry):
         self.geometry = geometry
+        # ``total_bytes`` is a derived property; the bounds check runs on
+        # every DRAM access, so the product is taken once here.
+        self._total_bytes = geometry.total_bytes
         self._col_bits = (geometry.row_bytes - 1).bit_length()
         self._bank_bits = (geometry.banks_per_rank - 1).bit_length()
         self._row_bits = (geometry.rows_per_bank - 1).bit_length()
@@ -47,10 +50,10 @@ class AddressMapping(ABC):
     # -- shared helpers ------------------------------------------------------
 
     def _check_phys(self, phys: int) -> None:
-        if not 0 <= phys < self.geometry.total_bytes:
+        if not 0 <= phys < self._total_bytes:
             raise ConfigError(
                 f"physical address {phys:#x} outside module "
-                f"[0, {self.geometry.total_bytes:#x})"
+                f"[0, {self._total_bytes:#x})"
             )
 
     def _split_fields(self, phys: int) -> tuple[int, int, int, int, int]:
@@ -108,7 +111,7 @@ class AddressMapping(ABC):
         way_stride = line_size * sets
         base = phys % way_stride
         out: list[int] = []
-        for candidate in range(base, self.geometry.total_bytes, way_stride):
+        for candidate in range(base, self._total_bytes, way_stride):
             out.append(candidate)
             if max_count is not None and len(out) >= max_count:
                 break

@@ -93,6 +93,9 @@ class KernelStats:
     munmap_calls: int = 0
     frames_faulted_in: int = 0
     frames_freed: int = 0
+    # Load/store ranges served as one page run, and the lines they covered.
+    page_runs: int = 0
+    page_run_lines: int = 0
 
 
 class Kernel:
@@ -180,9 +183,20 @@ class Kernel:
             "os.syscalls_total", unit="calls", help="syscalls across all call names"
         )
 
+        page_runs = metrics.gauge(
+            "sim.shortcut.page_runs", unit="runs",
+            help="load/store ranges served as one closed-form page run",
+        )
+        page_run_lines = metrics.gauge(
+            "sim.shortcut.page_run_lines", unit="lines",
+            help="cache lines accounted inside page runs",
+        )
+
         def _collect() -> None:
             frames_freed.set(self.stats.frames_freed)
             syscalls_total.set(self.stats.syscalls)
+            page_runs.set(self.stats.page_runs)
+            page_run_lines.set(self.stats.page_run_lines)
 
         metrics.add_collector(_collect)
 
@@ -421,7 +435,62 @@ class Kernel:
     # -- the load/store path -----------------------------------------------------
 
     def _touch_lines(self, pa: int, length: int, pid: int | None = None) -> None:
-        """Run the cache-line accesses for a physical byte range."""
+        """Run the cache-line accesses for a physical byte range.
+
+        A range of ``count`` lines is served as one page run, exactly equal
+        to :meth:`_touch_lines_each`, when all of these hold:
+
+        * ``count >= 2`` (a single line gains nothing);
+        * ``count <= sets``, so every line lands in its own cache set;
+        * the range sits inside one ``row_bytes``-aligned block, which is
+          one (bank, row) under every mapping (the column field holds the
+          low address bits);
+        * no timed DRAM behaviour is due before ``now + count * step``,
+          where ``step`` bounds one line's cost, so no refresh can fire
+          between the lines.
+
+        The cache updates the distinct sets in one pass; the lines that
+        missed then reach DRAM as one row run
+        (:meth:`~repro.dram.controller.MemoryController.access_row_run`).
+        Cache hits before the first miss are timed first, so a row
+        activation evaluates flips at the same instant as on the per-line
+        path; the remaining hit time follows.  Other shapes take the
+        per-line loop, which also serves as the oracle in the tests.
+        """
+        line = self.cache.config.line_size
+        first = pa - pa % line
+        count = (pa + length - 1) // line - first // line + 1
+        if not 2 <= count <= self.cache.config.sets or not self._page_run_fits(first, count):
+            self._touch_lines_each(pa, length, pid)
+            return
+        hit_flags = self.cache.access_run(first, count)
+        misses = hit_flags.count(False)
+        activated = False
+        if misses:
+            lead = hit_flags.index(False)
+            self.clock.advance(lead * CACHE_HIT_NS)
+            activated = self.controller.access_row_run(first + lead * line, misses)
+            self.clock.advance((count - misses - lead) * CACHE_HIT_NS)
+        else:
+            self.clock.advance(count * CACHE_HIT_NS)
+        self.stats.page_runs += 1
+        self.stats.page_run_lines += count
+        if pid is not None:
+            self._account_activations(pid, int(activated))
+
+    def _page_run_fits(self, first: int, count: int) -> bool:
+        """The row and refresh conditions of a page run (see :meth:`_touch_lines`)."""
+        controller = self.controller
+        row_bytes = controller.geometry.row_bytes
+        last = first + (count - 1) * self.cache.config.line_size
+        if first // row_bytes != last // row_bytes:
+            return False
+        timing = controller.timing
+        step = max(timing.t_rc_ns, timing.t_cas_ns, CACHE_HIT_NS)
+        return controller.is_quiet_until(self.clock.now_ns + count * step)
+
+    def _touch_lines_each(self, pa: int, length: int, pid: int | None = None) -> None:
+        """The per-line load/store loop: one cache and DRAM access per line."""
         line = self.cache.config.line_size
         first = (pa // line) * line
         last = ((pa + length - 1) // line) * line

@@ -28,6 +28,38 @@ class TestConfig:
             TemplatorConfig(patterns=(0x100,))
 
 
+class TestScanForFlips:
+    """The numpy page scan lists exactly what a byte-by-byte loop lists."""
+
+    @staticmethod
+    def _bytewise(kernel, pid, buffer_va, pages, pattern):
+        found = []
+        for index in range(pages):
+            page_va = buffer_va + index * PAGE_SIZE
+            data = kernel.mem_read(pid, page_va, PAGE_SIZE)
+            for offset, got in enumerate(data):
+                for bit in range(8):
+                    if (got ^ pattern) & (1 << bit):
+                        found.append((page_va, offset, bit, bool(got & (1 << bit))))
+        return found
+
+    @pytest.mark.parametrize("pattern", [0x00, 0xFF, 0x5A])
+    def test_matches_bytewise_loop(self, small_machine, pattern):
+        kernel = small_machine.kernel
+        pid = kernel.spawn("attacker", cpu=0).pid
+        templator = Templator(kernel, pid, TemplatorConfig(buffer_bytes=4 * PAGE_SIZE))
+        va = templator.prepare_buffer()
+        kernel.mem_write(pid, va, bytes([pattern]) * 4 * PAGE_SIZE)
+        # Page edges, multi-bit bytes and an untouched page.
+        for offset, value in [(0, pattern ^ 0x81), (PAGE_SIZE - 1, pattern ^ 0xFF),
+                              (PAGE_SIZE + 7, pattern ^ 0x10), (PAGE_SIZE + 8, pattern ^ 0x06),
+                              (3 * PAGE_SIZE + 2048, pattern ^ 0x01)]:
+            kernel.mem_write(pid, va + offset, bytes([value]))
+        found = templator._scan_for_flips(pattern)
+        assert found == self._bytewise(kernel, pid, va, 4, pattern)
+        assert len(found) == 2 + 8 + 1 + 2 + 1
+
+
 class TestCampaign:
     def test_finds_flips_on_vulnerable_module(self, vulnerable_templator):
         result = vulnerable_templator.run()

@@ -57,6 +57,23 @@ class TestLRU:
         assert not cache.contains(256)
 
 
+class TestAccessRun:
+    def test_equals_per_line_accesses(self):
+        """Runs that start mid-cycle wrap past the last set; each must leave
+        the flags, counters and per-set LRU order of the per-line loop."""
+        config = CpuCacheConfig(sets=4, ways=2)
+        run, loop = CpuCache(config), CpuCache(config)
+        for first, count in [(0, 4), (128, 4), (192, 3), (256, 2), (64, 4), (512, 1), (0, 4)]:
+            expected = [loop.access(first + 64 * i) for i in range(count)]
+            assert run.access_run(first, count) == expected
+        assert (run.hits, run.misses, run.evictions) == (loop.hits, loop.misses, loop.evictions)
+        assert [list(ways) for ways in run._sets] == [list(ways) for ways in loop._sets]
+
+    def test_rejects_more_lines_than_sets(self, cache):
+        with pytest.raises(ConfigError):
+            cache.access_run(0, 5)
+
+
 class TestFlush:
     def test_flush_evicts(self, cache):
         cache.access(0)
