@@ -106,10 +106,8 @@ def analysis_units(reports) -> int:
 
 def digest_parity() -> dict:
     """Faultprobe duet campaign digest: serial vs a 2-worker ship pool."""
-    from repro.parallel.pool import run_campaign
-
     serial = _campaign("faultprobe").run()
-    pooled = run_campaign(_campaign("faultprobe", workers=2))
+    pooled = _campaign("faultprobe", workers=2).run()
     return {"serial": serial.digest(), "workers x2": pooled.digest()}
 
 

@@ -130,10 +130,8 @@ def eviction_overheads(metrics: dict) -> dict:
 
 def digest_parity() -> dict:
     """Evictframe duet campaign digest: serial vs a 2-worker ship pool."""
-    from repro.parallel.pool import run_campaign
-
     serial = _campaign("evictframe").run()
-    pooled = run_campaign(_campaign("evictframe", workers=2))
+    pooled = _campaign("evictframe", workers=2).run()
     return {"serial": serial.digest(), "workers x2": pooled.digest()}
 
 

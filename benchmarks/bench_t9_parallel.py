@@ -2,17 +2,16 @@
 
 PR 5's claim: dispatching campaign attempts across worker processes is
 an *engine* choice with zero *result* consequences.  One table: the same
-24-attempt campaign run four ways —
+24-attempt campaign run three ways —
 
 * serial / fork — workers=1, template once and fork per attempt (the T8
   winner, the baseline here);
 * pool4 / ship — 4 workers, the warm snapshot pickled once and shipped
   to each worker's initializer;
-* pool4 / rewarm — 4 workers, each re-warming from the template config;
 * pool4 / rebuild — 4 workers, ``fork_from_template=False`` (each
   attempt rebuilds inside its worker).
 
-Acceptance: all four digests are **bit-identical** (always asserted),
+Acceptance: all three digests are **bit-identical** (always asserted),
 and on a host with ≥4 CPUs the ship mode is ≥2x faster in wall-clock
 than the serial baseline.  The speedup assertion is gated on
 ``os.cpu_count()`` so single-core hosts still verify determinism.
@@ -36,16 +35,15 @@ ATTEMPTS = 24
 WORKERS = 4
 MIN_SPEEDUP = 2.0
 
-#: label -> (fork_from_template, workers, pool_mode)
+#: label -> (fork_from_template, workers)
 MODES = {
-    "serial / fork": (True, 1, "ship"),
-    "pool4 / ship": (True, WORKERS, "ship"),
-    "pool4 / rewarm": (True, WORKERS, "rewarm"),
-    "pool4 / rebuild": (False, WORKERS, "ship"),
+    "serial / fork": (True, 1),
+    "pool4 / ship": (True, WORKERS),
+    "pool4 / rebuild": (False, WORKERS),
 }
 
 
-def run_campaign(fork: bool, workers: int, pool_mode: str) -> dict:
+def run_campaign(fork: bool, workers: int) -> dict:
     """One full campaign in the current process; plain-data outcome."""
     from repro.attack.explframe import ExplFrameConfig
     from repro.attack.orchestrator import AttackCampaign, OrchestratorConfig
@@ -71,7 +69,6 @@ def run_campaign(fork: bool, workers: int, pool_mode: str) -> dict:
         orchestrator_config=OrchestratorConfig(deadline_ns=600 * SECOND),
         fork_from_template=fork,
         workers=workers,
-        pool_mode=pool_mode,
     )
     begin = time.perf_counter()
     result = campaign.run()
@@ -84,13 +81,13 @@ def run_campaign(fork: bool, workers: int, pool_mode: str) -> dict:
     }
 
 
-def run_campaign_subprocess(fork: bool, workers: int, pool_mode: str) -> dict:
+def run_campaign_subprocess(fork: bool, workers: int) -> dict:
     """``run_campaign`` in a pristine interpreter; parses its JSON result."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, __file__, "1" if fork else "0", str(workers), pool_mode],
+        [sys.executable, __file__, "1" if fork else "0", str(workers)],
         capture_output=True,
         text=True,
         env=env,
@@ -113,7 +110,7 @@ def test_t9_parallel_campaign(benchmark):
     # activity the fork modes pay before the snapshot.)
     metrics = [
         json.dumps(outcomes[label]["metrics"], sort_keys=True)
-        for label in ("serial / fork", "pool4 / ship", "pool4 / rewarm")
+        for label in ("serial / fork", "pool4 / ship")
     ]
     assert len(set(metrics)) == 1, "merged campaign metrics diverged across modes"
     successes = outcomes["pool4 / ship"]["successes"]
@@ -152,7 +149,7 @@ def test_t9_parallel_campaign(benchmark):
         )
 
     benchmark.pedantic(
-        lambda: run_campaign_subprocess(True, WORKERS, "ship"),
+        lambda: run_campaign_subprocess(True, WORKERS),
         rounds=1,
         iterations=1,
     )
@@ -161,6 +158,6 @@ def test_t9_parallel_campaign(benchmark):
 if __name__ == "__main__":
     print(
         json.dumps(
-            run_campaign(sys.argv[1] == "1", int(sys.argv[2]), sys.argv[3])
+            run_campaign(sys.argv[1] == "1", int(sys.argv[2]))
         )
     )

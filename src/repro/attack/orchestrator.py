@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import time
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -771,12 +773,12 @@ class AttackCampaign:
     reaches bit-identical post-templating state, so reseeding it matches
     reseeding a fork, and :meth:`CampaignResult.digest` comes out equal.
 
-    With ``workers > 1`` the attempts are dispatched across a process
-    pool (see :mod:`repro.parallel.pool`); ``pool_mode`` picks whether
-    the warm snapshot is pickled once and shipped to every worker
-    (``"ship"``) or each worker re-warms from the config (``"rewarm"``).
-    The digest is identical for every ``workers`` value by construction:
-    attempt ``i`` always runs on a fork re-keyed with
+    Every run — in memory, pooled or checkpointed — consumes the one
+    attempt stream :meth:`iter_attempts`.  With ``workers > 1`` the stream
+    is served by a process pool (see :mod:`repro.parallel.pool`) that
+    ships the pickled warm snapshot to every worker.  The digest is
+    identical for every ``workers`` value by construction: attempt ``i``
+    always runs on a fork re-keyed with
     ``derive_seed(base_seed, "campaign/i")``, and reports are ordered by
     attempt index before hashing (docs/CAMPAIGNS.md).
 
@@ -786,8 +788,6 @@ class AttackCampaign:
     machine after the reseed, so adversity varies across attempts but is
     a pure function of (profile, attempt seed, intensity).
     """
-
-    POOL_MODES = ("ship", "rewarm")
 
     def __init__(
         self,
@@ -801,7 +801,6 @@ class AttackCampaign:
         chaos_profile: str = "none",
         chaos_intensity: float = 1.0,
         workers: int = 1,
-        pool_mode: str = "ship",
         scenario=None,
     ):
         from repro.attack.registry import get_modality
@@ -810,10 +809,6 @@ class AttackCampaign:
             raise ConfigError(f"attempts must be positive, got {attempts}")
         if workers < 1:
             raise ConfigError(f"workers must be at least 1, got {workers}")
-        if pool_mode not in self.POOL_MODES:
-            raise ConfigError(
-                f"unknown pool_mode {pool_mode!r}; expected one of {self.POOL_MODES}"
-            )
         # Resolved eagerly so an unknown name fails at construction (CLI
         # exit 2), not in a worker process mid-campaign.
         modality_impl = get_modality(modality)
@@ -826,7 +821,6 @@ class AttackCampaign:
         self.chaos_profile = chaos_profile
         self.chaos_intensity = chaos_intensity
         self.workers = workers
-        self.pool_mode = pool_mode
         # A repro.workload Scenario (or None): attempts run against a
         # multi-tenant machine, steering at the target tenant amid
         # background traffic.  Plain frozen data — it pickles to workers,
@@ -874,14 +868,22 @@ class AttackCampaign:
             extras={"attack": attack, "candidates": candidates}
         )
 
-    def _run_attempt(self, machine, attack, candidates, index: int):
-        """Run attempt ``index`` on its machine; (report, metrics dump).
+    def _run_attempt(self, snapshot, index: int):
+        """Run attempt ``index``: the campaign's one unit of work.
 
-        The reseed happens first, then the per-attempt chaos plan (if
-        any) attaches — identical ordering in serial, pooled, fork and
-        rebuild execution, which is what keeps the digest mode- and
-        worker-count-independent.
+        Forks ``snapshot`` (or, without one, builds and warms a fresh
+        machine — the rebuild strategy), reseeds, attaches the
+        per-attempt chaos plan (if any) and orchestrates.  The ordering
+        is identical in every engine, which is what keeps the digest
+        mode- and worker-count-independent.  Returns ``(index, report,
+        metrics_state, pid, wall_ns)``; the last two are host telemetry.
         """
+        start = time.perf_counter_ns()
+        if snapshot is None:
+            machine, attack, candidates = self._warm()
+        else:
+            machine, extras = snapshot.fork()
+            attack, candidates = extras["attack"], extras["candidates"]
         seed = self._attempt_seed(index)
         machine.rng.reseed(seed)
         if self.chaos_profile != "none":
@@ -895,49 +897,95 @@ class AttackCampaign:
             attack, self.orchestrator_config, candidates=candidates
         )
         report = orchestrator.run()
-        return report, machine.obs.metrics.export_state()
+        state = machine.obs.metrics.export_state()
+        return index, report, state, os.getpid(), time.perf_counter_ns() - start
 
-    def _run_attempt_fresh(self, index: int):
-        """Attempt ``index`` on its own machine (rebuild-mode unit of work)."""
-        machine, attack, candidates = self._warm()
-        return self._run_attempt(machine, attack, candidates, index)
+    def iter_attempts(
+        self, indices, *, snapshot_blob: bytes | None = None, window: int = 0
+    ):
+        """Yield ``(index, report, metrics_state, pid, wall_ns)`` per attempt.
 
-    def _finish(self, outcomes, pool: dict | None) -> CampaignResult:
-        """Assemble the result from ordered (report, metrics dump) pairs."""
-        from repro.obs.metrics import merge_metric_states
+        The one attempt stream behind every campaign run: :meth:`run`
+        collects it in memory, the campaign service
+        (:mod:`repro.parallel.service`) journals it.  With ``workers ==
+        1`` the attempts run here, in ``indices`` order, forking one warm
+        snapshot (or rebuilding per attempt when ``fork_from_template``
+        is off).  With ``workers > 1`` they run on a process pool with at
+        most ``window`` (default ``2 * workers``) in flight, yielded in
+        completion order; a died worker raises
+        :class:`~repro.sim.errors.WorkerLostError`.
 
-        reports = tuple(report for report, _ in outcomes)
-        merged = merge_metric_states([state for _, state in outcomes])
-        return CampaignResult(
-            reports=reports, mode=self.mode, metrics=merged, pool=pool
+        ``snapshot_blob`` is warm state the caller already pickled with
+        :meth:`~repro.core.machine.MachineSnapshot.to_bytes`; without it
+        a fork campaign warms here, once.
+        """
+        indices = list(indices)
+        if not indices:
+            return
+        if self.workers > 1:
+            from repro.parallel.pool import iter_pooled
+
+            if self.fork_from_template and snapshot_blob is None:
+                snapshot_blob = self._warm_snapshot().to_bytes()
+            yield from iter_pooled(
+                self, indices, snapshot_blob=snapshot_blob, window=window
+            )
+            return
+        if snapshot_blob is not None:
+            from repro.core.machine import MachineSnapshot
+
+            snapshot = MachineSnapshot.from_bytes(snapshot_blob)
+        elif self.fork_from_template:
+            snapshot = self._warm_snapshot()
+        else:
+            snapshot = None
+        for index in indices:
+            yield self._run_attempt(snapshot, index)
+
+    def _pool_block(
+        self, *, owned: int, dispatched: int, completed: int, wall_by_pid: dict
+    ) -> dict:
+        """The ``campaign.pool.*`` block of a run over ``owned`` attempts.
+
+        ``wall_by_pid`` sums each process's attempt wall time; workers
+        are numbered 0..N-1 in pid order.
+        """
+        from repro.parallel.pool import make_pool_block
+
+        if self.workers == 1:
+            mode = "serial"
+        else:
+            mode = "ship" if self.fork_from_template else "rebuild"
+        return make_pool_block(
+            workers=min(self.workers, max(1, owned)),
+            mode=mode,
+            dispatched=dispatched,
+            completed=completed,
+            worker_wall_ns={
+                worker: wall_by_pid[pid]
+                for worker, pid in enumerate(sorted(wall_by_pid))
+            },
         )
 
     def run(self) -> CampaignResult:
-        """Execute every attempt; returns the ordered results."""
-        if self.workers > 1:
-            from repro.parallel.pool import run_campaign
+        """Execute every attempt; returns the ordered, in-memory result."""
+        from repro.obs.metrics import merge_metric_states
 
-            return run_campaign(self)
-        outcomes = []
-        if not self.fork_from_template:
-            for index in range(self.attempts):
-                outcomes.append(self._run_attempt_fresh(index))
-        else:
-            snapshot = self._warm_snapshot()
-            for index in range(self.attempts):
-                forked, extras = snapshot.fork()
-                outcomes.append(
-                    self._run_attempt(
-                        forked, extras["attack"], extras["candidates"], index
-                    )
-                )
-        from repro.parallel.pool import make_pool_block
-
-        pool = make_pool_block(
-            workers=1,
-            mode="serial",
-            dispatched=self.attempts,
-            completed=self.attempts,
-            worker_wall_ns={},
+        outcomes: list = [None] * self.attempts
+        wall_by_pid: dict[int, int] = {}
+        for index, report, state, pid, wall_ns in self.iter_attempts(
+            range(self.attempts)
+        ):
+            outcomes[index] = (report, state)
+            wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
+        return CampaignResult(
+            reports=tuple(report for report, _ in outcomes),
+            mode=self.mode,
+            metrics=merge_metric_states([state for _, state in outcomes]),
+            pool=self._pool_block(
+                owned=self.attempts,
+                dispatched=self.attempts,
+                completed=self.attempts,
+                wall_by_pid=wall_by_pid,
+            ),
         )
-        return self._finish(outcomes, pool)

@@ -313,6 +313,17 @@ def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
     from repro.sim.errors import ConfigError
     from repro.sim.units import SECOND
 
+    if args.checkpoint is None:
+        for flag, name in (
+            (args.resume, "--resume"),
+            (args.shard != "0/1", "--shard"),
+            (args.merge_shards, "--merge-shards"),
+            (args.stream_out, "--stream-out"),
+            (args.window != 0, "--window"),
+            (args.worker_retries != 2, "--worker-retries"),
+        ):
+            if flag:
+                raise ConfigError(f"{name} requires --checkpoint DIR")
     cipher, cpu = _scenario_attack_knobs(args, scenario)
     campaign = AttackCampaign(
         _vulnerable_config(args.seed, args.density),
@@ -336,18 +347,9 @@ def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
         chaos_profile=args.chaos,
         chaos_intensity=args.chaos_intensity,
         workers=args.workers,
-        pool_mode=args.pool_mode,
         scenario=scenario,
     )
     if args.checkpoint is None:
-        for flag, name in (
-            (args.resume, "--resume"),
-            (args.shard != "0/1", "--shard"),
-            (args.merge_shards, "--merge-shards"),
-            (args.stream_out, "--stream-out"),
-        ):
-            if flag:
-                raise ConfigError(f"{name} requires --checkpoint DIR")
         result = campaign.run()
     else:
         from repro.parallel.service import CampaignService, Shard, merge_shards
@@ -608,13 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --campaign: run attempts on N worker processes "
         "(default 1 = in-process; the report digest is identical either way)",
-    )
-    attack.add_argument(
-        "--pool-mode",
-        choices=["ship", "rewarm"],
-        default="ship",
-        help="with --workers > 1 and --fork-from-template: ship the pickled "
-        "warm snapshot to workers (default) or re-warm in each worker",
     )
     attack.add_argument(
         "--checkpoint",

@@ -1,17 +1,17 @@
 """Multiprocess execution backends for campaigns and sweeps.
 
-:mod:`repro.parallel.pool` is the worker-pool layer (one-shot,
-in-memory); :mod:`repro.parallel.service` is the checkpointed campaign
-service built on top of it (resumable, shardable, streaming).  Both
-implement the execution contract in ``docs/CAMPAIGNS.md``.
+:mod:`repro.parallel.pool` serves a campaign's attempt stream
+(:meth:`~repro.attack.orchestrator.AttackCampaign.iter_attempts`) from a
+process pool when ``workers > 1``; :mod:`repro.parallel.service` is the
+checkpointed campaign service that journals that stream (resumable,
+shardable, streaming).  Both implement the execution contract in
+``docs/CAMPAIGNS.md``.
 """
 
 from repro.parallel.pool import (
-    dispatch_mode,
-    iter_campaign,
+    iter_pooled,
     make_pool_block,
     register_pool_metrics,
-    run_campaign,
     run_sweep,
 )
 from repro.parallel.service import (
@@ -27,13 +27,11 @@ __all__ = [
     "CampaignService",
     "Shard",
     "campaign_config_hash",
-    "dispatch_mode",
-    "iter_campaign",
+    "iter_pooled",
     "make_pool_block",
     "make_service_block",
     "merge_shards",
     "register_pool_metrics",
     "register_service_metrics",
-    "run_campaign",
     "run_sweep",
 ]

@@ -9,25 +9,18 @@ byte-identical whether the attempts run serially, on 2 workers or on
 16, and regardless of completion order (reports are re-ordered by
 attempt index before merging).
 
-Two ways to get the warm state into a worker:
-
-* **ship** — the parent warms once, pickles the
-  :class:`~repro.core.machine.MachineSnapshot` with
-  :meth:`~repro.core.machine.MachineSnapshot.to_bytes`, and every worker
-  rehydrates it in its initializer.  One templating pass total; the blob
-  crosses the process boundary once per worker.  The CoW frame store
-  serialises compactly — a small object-graph pickle plus one packed
-  payload of the materialised frames — and the rehydrated snapshot's
-  forks share those frames copy-on-write, so per-attempt fork cost in
-  the worker is O(1) in module size.
-* **rewarm** — each worker builds + templates from the pickled template
-  config in its initializer.  No big blob, but the warm cost is paid
-  once per worker; useful when the snapshot is large relative to the
-  warm time or the start method cannot share parent memory.
-
-``fork_from_template=False`` campaigns skip the snapshot entirely: each
-attempt rebuilds its own machine inside the worker (**rebuild**), which
-is the unit of work the serial rebuild path runs too.
+Warm state reaches the workers one way, **ship**: the parent warms
+once, pickles the :class:`~repro.core.machine.MachineSnapshot` with
+:meth:`~repro.core.machine.MachineSnapshot.to_bytes`, and every worker
+rehydrates it in its initializer.  One templating pass total; the blob
+crosses the process boundary once per worker.  The CoW frame store
+serialises compactly — a small object-graph pickle plus one packed
+payload of the materialised frames — and the rehydrated snapshot's
+forks share those frames copy-on-write, so per-attempt fork cost in the
+worker is O(1) in module size.  ``fork_from_template=False`` campaigns
+ship no snapshot: each attempt rebuilds its own machine inside the
+worker (**rebuild**), the same unit of work the serial rebuild path
+runs.
 
 Per-worker telemetry cannot be deterministic (host wall time, pids), so
 it lives in the result's ``pool`` block — outside both the digest and
@@ -36,14 +29,14 @@ the merged per-attempt ``metrics`` block.  The block's keys are the
 registered through :func:`register_pool_metrics` so the telemetry-docs
 checker covers them.
 
-Dispatch is *bounded*: :func:`iter_campaign` keeps at most a small
+Dispatch is *bounded*: :func:`iter_pooled` keeps at most a small
 window of attempts in flight and yields each outcome as it completes, so
 a 10k-attempt campaign never holds 10k futures (or their results) at
-once.  :func:`run_campaign` collects the stream into an in-memory
-:class:`~repro.attack.orchestrator.CampaignResult`; the checkpointed
-campaign service (:mod:`repro.parallel.service`) journals and releases
-each outcome instead.  A worker that dies mid-attempt (OOM kill,
-segfault, SIGKILL) surfaces as a typed
+once.  It is the pooled half of
+:meth:`~repro.attack.orchestrator.AttackCampaign.iter_attempts`, the one
+attempt stream that in-memory runs collect and the checkpointed campaign
+service (:mod:`repro.parallel.service`) journals.  A worker that dies
+mid-attempt (OOM kill, segfault, SIGKILL) surfaces as a typed
 :class:`~repro.sim.errors.WorkerLostError` naming the attempt whose
 result was lost — never as a hang or an opaque ``BrokenProcessPool``
 traceback.
@@ -52,8 +45,6 @@ traceback.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
 from concurrent.futures.process import BrokenProcessPool
 
@@ -61,11 +52,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.errors import WorkerLostError
 
 __all__ = [
-    "dispatch_mode",
-    "iter_campaign",
+    "iter_pooled",
     "make_pool_block",
     "register_pool_metrics",
-    "run_campaign",
     "run_sweep",
 ]
 
@@ -107,7 +96,7 @@ def register_pool_metrics(registry, mode: str = "serial", workers_seen=(0,)):
         "mode": registry.gauge(
             "campaign.pool.mode", labels={"mode": mode}, unit="flag",
             help="how warm state reached the workers: "
-            "serial, ship, rewarm or rebuild",
+            "serial, ship or rebuild",
         ),
         "worker_wall": {
             worker: registry.gauge(
@@ -146,56 +135,32 @@ def make_pool_block(
 # -- campaign dispatch -------------------------------------------------------------
 
 
-def _campaign_init(campaign, snapshot_blob, warm_locally) -> None:
+def _campaign_init(campaign, snapshot_blob) -> None:
     """Pool initializer: stage the campaign's warm state in this worker."""
     from repro.core.machine import MachineSnapshot
 
-    snapshot = None
-    if snapshot_blob is not None:
-        snapshot = MachineSnapshot.from_bytes(snapshot_blob)
-    elif warm_locally:
-        snapshot = campaign._warm_snapshot()
     _STATE["campaign"] = campaign
-    _STATE["snapshot"] = snapshot
+    _STATE["snapshot"] = (
+        None if snapshot_blob is None else MachineSnapshot.from_bytes(snapshot_blob)
+    )
 
 
 def _campaign_attempt(index: int):
     """Run one attempt in this worker; the unit of dispatched work."""
-    start = time.perf_counter_ns()
-    campaign = _STATE["campaign"]
-    snapshot = _STATE["snapshot"]
-    if snapshot is None:
-        report, metrics_state = campaign._run_attempt_fresh(index)
-    else:
-        machine, extras = snapshot.fork()
-        report, metrics_state = campaign._run_attempt(
-            machine, extras["attack"], extras["candidates"], index
-        )
-    wall_ns = time.perf_counter_ns() - start
-    return index, report, metrics_state, os.getpid(), wall_ns
+    return _STATE["campaign"]._run_attempt(_STATE["snapshot"], index)
 
 
-def dispatch_mode(campaign) -> str:
-    """How warm state reaches the workers: ``ship``, ``rewarm`` or ``rebuild``."""
-    if not campaign.fork_from_template:
-        return "rebuild"
-    return campaign.pool_mode
-
-
-def iter_campaign(campaign, indices, *, window: int = 0, snapshot_blob=None):
+def iter_pooled(campaign, indices, *, snapshot_blob=None, window: int = 0):
     """Yield ``(index, report, metrics_state, pid, wall_ns)`` as attempts finish.
 
-    The streaming core of pooled dispatch: at most ``window`` attempts
+    Runs ``indices`` on ``min(campaign.workers, len(indices))`` worker
+    processes, each forking the shipped ``snapshot_blob`` (or rebuilding
+    per attempt when it is ``None``).  At most ``window`` attempts
     (default ``2 * workers``) are submitted at a time, and each outcome
     is yielded — and released — as soon as its future completes, so
     memory stays bounded by the window, not the campaign size.  Yield
     order is completion order; callers that need attempt order (the
     digest does) re-order or journal by the yielded ``index``.
-
-    ``snapshot_blob`` lets a caller that already holds the pickled warm
-    snapshot (the campaign service re-uses one across worker-loss pool
-    rebuilds) skip the warm pass; without it, ship-mode campaigns warm
-    and pickle here.
 
     Raises :class:`~repro.sim.errors.WorkerLostError` (carrying the
     attempt index whose result was lost) when a worker process dies —
@@ -207,23 +172,13 @@ def iter_campaign(campaign, indices, *, window: int = 0, snapshot_blob=None):
         return
     workers = max(1, min(campaign.workers, len(indices)))
     window = window if window > 0 else 2 * workers
-    warm_locally = False
-    if campaign.fork_from_template:
-        if campaign.pool_mode == "ship":
-            if snapshot_blob is None:
-                snapshot_blob = campaign._warm_snapshot().to_bytes()
-        else:
-            snapshot_blob = None
-            warm_locally = True
-    else:
-        snapshot_blob = None
     remaining = iter(indices)
     pending: dict = {}
     pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=_context(),
         initializer=_campaign_init,
-        initargs=(campaign, snapshot_blob, warm_locally),
+        initargs=(campaign, snapshot_blob),
     )
     try:
         def top_up():
@@ -255,39 +210,6 @@ def iter_campaign(campaign, indices, *, window: int = 0, snapshot_blob=None):
             top_up()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-
-
-def run_campaign(campaign):
-    """Execute ``campaign`` on a process pool; called via ``workers > 1``.
-
-    Streams attempt reports back as they complete (bounded in-flight
-    window), then re-orders by attempt index so the digest and the
-    merged metrics block match the serial path exactly.  Worker death
-    raises :class:`~repro.sim.errors.WorkerLostError`; retrying belongs
-    to the checkpointed service (:mod:`repro.parallel.service`), which
-    journals completed attempts so nothing already run is lost.
-    """
-    workers = min(campaign.workers, campaign.attempts)
-    outcomes: list = [None] * campaign.attempts
-    wall_by_pid: dict[int, int] = {}
-    completed = 0
-    for index, report, metrics_state, pid, wall_ns in iter_campaign(
-        campaign, range(campaign.attempts)
-    ):
-        outcomes[index] = (report, metrics_state)
-        wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
-        completed += 1
-    worker_wall_ns = {
-        worker: wall_by_pid[pid] for worker, pid in enumerate(sorted(wall_by_pid))
-    }
-    block = make_pool_block(
-        workers=workers,
-        mode=dispatch_mode(campaign),
-        dispatched=campaign.attempts,
-        completed=completed,
-        worker_wall_ns=worker_wall_ns,
-    )
-    return campaign._finish(outcomes, block)
 
 
 # -- sweep dispatch ----------------------------------------------------------------

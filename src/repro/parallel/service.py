@@ -1,10 +1,13 @@
 """Resumable, sharded campaign service: crash-safe checkpoints, streaming results.
 
-The process pool (:mod:`repro.parallel.pool`) is one-shot and in-memory:
-a crash, an OOM kill or a preempted host discards every attempt already
-simulated.  :class:`CampaignService` turns a campaign into a restartable
-service with four properties, none of which changes a single result bit
-(docs/CAMPAIGNS.md is the contract):
+An in-memory :meth:`~repro.attack.orchestrator.AttackCampaign.run` is
+one-shot: a crash, an OOM kill or a preempted host discards every
+attempt already simulated.  :class:`CampaignService` consumes the same
+attempt stream
+(:meth:`~repro.attack.orchestrator.AttackCampaign.iter_attempts`) but
+journals each outcome instead of collecting it, which turns a campaign
+into a restartable service with four properties, none of which changes
+a single result bit (docs/CAMPAIGNS.md is the contract):
 
 * **Checkpointed** — every completed attempt is appended to a CRC-framed
   JSONL *journal* and fsync'd, alongside an atomically-replaced
@@ -19,7 +22,7 @@ service with four properties, none of which changes a single result bit
   :func:`~repro.obs.metrics.merge_metric_states`-merged metrics block.
 * **Streaming** — attempt reports are journaled and *released*, never
   accumulated; pooled dispatch keeps a bounded in-flight window
-  (:func:`~repro.parallel.pool.iter_campaign`), so RSS is near-constant
+  (:func:`~repro.parallel.pool.iter_pooled`), so RSS is near-constant
   in campaign size.  The returned
   :class:`~repro.attack.orchestrator.CampaignResult` carries a
   ``summary`` block (digest, counts) instead of report objects.
@@ -48,17 +51,16 @@ torn records) lands in the result's ``service`` block — the
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import sys
-import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry, MetricStateAccumulator
-from repro.parallel.pool import dispatch_mode, iter_campaign, make_pool_block
 from repro.sim.errors import CheckpointError, ConfigError, WorkerLostError
 
 __all__ = [
@@ -134,7 +136,7 @@ def campaign_config_hash(campaign) -> str:
     Covers the machine config, attempt count, attack and orchestrator
     configs, warm strategy and chaos knobs — all frozen dataclasses with
     deterministic reprs.  Engine choices with zero result consequences
-    (workers, pool mode, shard, window) are deliberately excluded: a
+    (workers, shard, window) are deliberately excluded: a
     campaign checkpointed on 4 workers may resume on 1, or sharded
     differently, without tripping the mismatch check.
     """
@@ -150,20 +152,20 @@ def campaign_config_hash(campaign) -> str:
     # Appended only when set, so pre-scenario checkpoints keep their
     # hashes; a scenario campaign can never resume a non-scenario one
     # (or a different tenant mix) by accident.
-    scenario = getattr(campaign, "scenario", None)
-    if scenario is not None:
-        knobs.append(scenario)
+    if campaign.scenario is not None:
+        knobs.append(campaign.scenario)
     # Same append-only pattern for the attack modality: the default
     # ("explframe") keeps pre-modality checkpoint hashes intact, while a
     # different modality — or the same one with different
     # ``config_hash_fields()`` — can never resume another modality's
     # checkpoint (--resume exits 2 on the mismatch).
-    modality = getattr(campaign, "modality", "explframe")
-    if modality != "explframe":
+    if campaign.modality != "explframe":
         from repro.attack.registry import get_modality
 
-        knobs.append(modality)
-        knobs.extend(get_modality(modality).config_hash_fields(campaign.attack_config))
+        knobs.append(campaign.modality)
+        knobs.extend(
+            get_modality(campaign.modality).config_hash_fields(campaign.attack_config)
+        )
     description = repr(tuple(knobs))
     return hashlib.sha256(description.encode("utf-8")).hexdigest()
 
@@ -329,28 +331,6 @@ def make_service_block(
     return registry.snapshot()
 
 
-# -- serial streaming --------------------------------------------------------------
-
-
-def _iter_serial(campaign, indices, snapshot=None):
-    """In-process analogue of ``iter_campaign`` (workers == 1)."""
-    if campaign.fork_from_template:
-        if snapshot is None:
-            snapshot = campaign._warm_snapshot()
-        for index in indices:
-            start = time.perf_counter_ns()
-            machine, extras = snapshot.fork()
-            report, state = campaign._run_attempt(
-                machine, extras["attack"], extras["candidates"], index
-            )
-            yield index, report, state, os.getpid(), time.perf_counter_ns() - start
-    else:
-        for index in indices:
-            start = time.perf_counter_ns()
-            report, state = campaign._run_attempt_fresh(index)
-            yield index, report, state, os.getpid(), time.perf_counter_ns() - start
-
-
 # -- the service -------------------------------------------------------------------
 
 
@@ -427,7 +407,7 @@ class CampaignService:
             "mode": self.campaign.mode,
             # Advisory (the config hash is the authority): which attack
             # modality wrote this checkpoint, for humans reading the dir.
-            "modality": getattr(self.campaign, "modality", "explframe"),
+            "modality": self.campaign.modality,
             "shard": self.shard.spec,
             "journal": self.journal_path.name,
             "completed": completed,
@@ -488,65 +468,55 @@ class CampaignService:
             completed=len(offsets), status="running",
         )
 
+        snapshot_blob = None
+        if remaining and campaign.fork_from_template:
+            snapshot_blob = campaign._warm_snapshot().to_bytes()
+            snapshot_digest = hashlib.sha256(snapshot_blob).hexdigest()
+            if manifest is not None and manifest.get("snapshot_digest") not in (
+                None, snapshot_digest,
+            ):
+                # Not fatal — results are a pure function of the seeds,
+                # not the blob bytes — but worth surfacing.
+                print(
+                    f"warning: warm-snapshot digest changed across resume "
+                    f"({manifest['snapshot_digest'][:12]}… -> "
+                    f"{snapshot_digest[:12]}…)",
+                    file=sys.stderr,
+                )
         wall_by_pid: dict[int, int] = {}
-        if remaining:
-            snapshot = None
-            snapshot_blob = None
-            if campaign.fork_from_template:
-                if campaign.workers > 1 and campaign.pool_mode == "rewarm":
-                    snapshot_digest = None  # workers warm privately; no blob
-                else:
-                    snapshot = campaign._warm_snapshot()
-                    snapshot_blob = snapshot.to_bytes()
-                    snapshot_digest = hashlib.sha256(snapshot_blob).hexdigest()
-                    if manifest is not None and manifest.get("snapshot_digest") not in (
-                        None, snapshot_digest,
-                    ):
-                        # Not fatal — results are a pure function of the
-                        # seeds, not the blob bytes — but worth surfacing.
-                        print(
-                            f"warning: warm-snapshot digest changed across "
-                            f"resume ({manifest['snapshot_digest'][:12]}… -> "
-                            f"{snapshot_digest[:12]}…)",
-                            file=sys.stderr,
-                        )
-            stream_fh = (
-                open(self.stream_out, "a", encoding="utf-8")
-                if self.stream_out else None
-            )
-            journal_fh = open(self.journal_path, "ab")
+        # The journal is opened even when nothing remains, so a shard that
+        # owns no attempts still leaves an (empty) journal for the merge.
+        with contextlib.ExitStack() as files:
+            journal_fh = files.enter_context(open(self.journal_path, "ab"))
             journal_fh.seek(0, os.SEEK_END)
-            try:
-                for outcome in self._execute(remaining, snapshot, snapshot_blob):
-                    index, report, state, pid, wall_ns = outcome
-                    record = {
-                        "index": index,
-                        "report": report.to_dict(),
-                        "state": state,
-                    }
-                    offset = journal_fh.tell()
-                    journal_fh.write(encode_record(record))
-                    journal_fh.flush()
-                    os.fsync(journal_fh.fileno())
-                    offsets[index] = offset
-                    wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
-                    self._counters["journaled"] += 1
-                    if stream_fh is not None:
-                        stream_fh.write(json.dumps(
-                            {"index": index, "report": record["report"]},
-                            sort_keys=True, separators=(",", ":"),
-                        ) + "\n")
-                        stream_fh.flush()
-                    if self._counters["journaled"] % MANIFEST_REFRESH_EVERY == 0:
-                        self._write_manifest(
-                            config_hash=config_hash,
-                            snapshot_digest=snapshot_digest,
-                            completed=len(offsets), status="running",
-                        )
-            finally:
-                journal_fh.close()
+            stream_fh = None
+            if self.stream_out and remaining:
+                stream_fh = files.enter_context(
+                    open(self.stream_out, "a", encoding="utf-8")
+                )
+            for index, report, state, pid, wall_ns in self._execute(
+                remaining, snapshot_blob
+            ):
+                record = {"index": index, "report": report.to_dict(), "state": state}
+                offset = journal_fh.tell()
+                journal_fh.write(encode_record(record))
+                journal_fh.flush()
+                os.fsync(journal_fh.fileno())
+                offsets[index] = offset
+                wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
+                self._counters["journaled"] += 1
                 if stream_fh is not None:
-                    stream_fh.close()
+                    stream_fh.write(json.dumps(
+                        {"index": index, "report": record["report"]},
+                        sort_keys=True, separators=(",", ":"),
+                    ) + "\n")
+                    stream_fh.flush()
+                if self._counters["journaled"] % MANIFEST_REFRESH_EVERY == 0:
+                    self._write_manifest(
+                        config_hash=config_hash,
+                        snapshot_digest=snapshot_digest,
+                        completed=len(offsets), status="running",
+                    )
 
         result = self._finalize(indices, offsets, wall_by_pid)
         self._write_manifest(
@@ -555,20 +525,15 @@ class CampaignService:
         )
         return result
 
-    def _execute(self, remaining, snapshot, snapshot_blob):
+    def _execute(self, remaining, snapshot_blob):
         """Stream outcomes for ``remaining``, surviving worker loss."""
-        campaign = self.campaign
-        if campaign.workers <= 1:
-            yield from _iter_serial(campaign, remaining, snapshot=snapshot)
-            return
         retries: dict[int, int] = {}
         pending = list(remaining)
         while pending:
             completed: set[int] = set()
             try:
-                for outcome in iter_campaign(
-                    campaign, pending,
-                    window=self.window, snapshot_blob=snapshot_blob,
+                for outcome in self.campaign.iter_attempts(
+                    pending, snapshot_blob=snapshot_blob, window=self.window
                 ):
                     completed.add(outcome[0])
                     yield outcome
@@ -615,16 +580,11 @@ class CampaignService:
                 accumulator.add(record["state"])
                 if record["report"]["success"]:
                     successes += 1
-        workers = min(max(1, campaign.workers), max(1, len(indices)))
-        pool_block = make_pool_block(
-            workers=workers,
-            mode="serial" if campaign.workers <= 1 else dispatch_mode(campaign),
+        pool_block = campaign._pool_block(
+            owned=len(indices),
             dispatched=self._counters["journaled"] + self._counters["worker_retries"],
             completed=self._counters["journaled"],
-            worker_wall_ns={
-                worker: wall_by_pid[pid]
-                for worker, pid in enumerate(sorted(wall_by_pid))
-            },
+            wall_by_pid=wall_by_pid,
         )
         service_block = make_service_block(
             journaled=self._counters["journaled"],
@@ -714,12 +674,13 @@ def merge_shards(checkpoint_dir, campaign=None):
                 f"{directory}: shards cover {attempts} attempts, campaign "
                 f"expects {campaign.attempts}"
             )
-    modes = {manifest["mode"] for manifest in manifests.values()}
+    # One config hash means one fork_from_template, hence one mode.
+    mode = next(iter(manifests.values()))["mode"]
 
     by_index: dict[int, tuple] = {}
     journal_bytes = 0
     torn_total = 0
-    try:
+    with contextlib.ExitStack() as handles:
         for shard, manifest in manifests.items():
             path = directory / manifest["journal"]
             offsets, _valid_end, torn = scan_journal(path)
@@ -732,7 +693,7 @@ def merge_shards(checkpoint_dir, campaign=None):
                     f"{missing[:4]}...; resume it to completion before merging"
                 )
             journal_bytes += path.stat().st_size
-            handle = open(path, "rb")
+            handle = handles.enter_context(open(path, "rb"))
             for index in owned:
                 by_index[index] = (handle, offsets[index], path)
 
@@ -747,9 +708,6 @@ def merge_shards(checkpoint_dir, campaign=None):
             accumulator.add(record["state"])
             if record["report"]["success"]:
                 successes += 1
-    finally:
-        for handle in {entry[0] for entry in by_index.values()}:
-            handle.close()
 
     service_block = make_service_block(
         journaled=0, resumed=attempts, torn=torn_total,
@@ -758,7 +716,7 @@ def merge_shards(checkpoint_dir, campaign=None):
     )
     return CampaignResult(
         reports=(),
-        mode=modes.pop() if len(modes) == 1 else "mixed",
+        mode=mode,
         metrics=accumulator.result(),
         pool=None,
         service=service_block,

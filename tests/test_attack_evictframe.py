@@ -400,9 +400,7 @@ class TestEndToEnd:
         assert total("attack.evict.wasted_activations") > 0
 
     def test_serial_and_pooled_digests_match(self):
-        from repro.parallel.pool import run_campaign
-
         serial = self._campaign().run()
-        pooled = run_campaign(self._campaign(workers=2))
+        pooled = self._campaign(workers=2).run()
         assert serial.digest() == pooled.digest()
         assert pooled.successes == serial.successes

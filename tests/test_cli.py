@@ -241,6 +241,28 @@ class TestScenarioOption:
         assert report["workload"]["bob"]["served"] > 0
 
 
+class TestCheckpointFlags:
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--resume"], "--resume"),
+            (["--shard", "1/2"], "--shard"),
+            (["--merge-shards"], "--merge-shards"),
+            (["--stream-out", "out.jsonl"], "--stream-out"),
+            (["--window", "4"], "--window"),
+            (["--worker-retries", "5"], "--worker-retries"),
+        ],
+    )
+    def test_service_flags_require_checkpoint(self, capsys, extra, flag):
+        # The check fires before any machine is built or warmed.
+        code = main(
+            ["attack", "--buffer-mib", "4", "--campaign", "2",
+             "--fork-from-template", *extra]
+        )
+        assert code == 2
+        assert f"{flag} requires --checkpoint DIR" in capsys.readouterr().err
+
+
 class TestSteerCommand:
     def test_same_cpu(self, capsys):
         assert main(["steer", "--trials", "3", "--seed", "1"]) == 0

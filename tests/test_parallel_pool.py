@@ -2,7 +2,7 @@
 
 The contract under test (docs/CAMPAIGNS.md): parallel execution is an
 engine choice, never a result choice.  Campaign digests and merged
-metrics must be bit-identical for every worker count and pool mode, the
+metrics must be bit-identical for every worker count and warm strategy, the
 warm snapshot must survive a pickle round-trip without changing fork
 behaviour, and merged metric blocks must follow the documented
 counter/histogram/gauge semantics.
@@ -217,23 +217,24 @@ class TestPooledSweepParity:
 
 @pytest.mark.slow
 class TestPooledCampaignParity:
-    def test_worker_count_and_pool_mode_do_not_change_results(self):
-        """Digest and merged metrics are identical for workers 1 and 2,
-        ship and rewarm — parallelism is an engine choice only."""
+    def test_worker_count_does_not_change_results(self):
+        """Digest and merged metrics are identical for workers 1 and 2 —
+        parallelism is an engine choice only."""
         config = vulnerable_config(seed=7)
 
         def run(**kwargs):
             return AttackCampaign(config, 2, attack_config=FAST, **kwargs).run()
 
         serial = run()
-        ship = run(workers=2, pool_mode="ship")
-        rewarm = run(workers=2, pool_mode="rewarm")
-        assert serial.digest() == ship.digest() == rewarm.digest()
-        assert serial.metrics == ship.metrics == rewarm.metrics
+        ship = run(workers=2)
+        assert serial.digest() == ship.digest()
+        assert serial.metrics == ship.metrics
         assert ship.pool["campaign.pool.workers"] == 2
         assert ship.pool["campaign.pool.mode{mode=ship}"] == 1
-        assert rewarm.pool["campaign.pool.mode{mode=rewarm}"] == 1
         assert serial.pool["campaign.pool.mode{mode=serial}"] == 1
+        # The in-memory serial run reports its one worker's wall time,
+        # like the checkpointed serial run does.
+        assert serial.pool["campaign.pool.worker_wall_ns{worker=0}"] > 0
 
     def test_chaos_campaign_digest_is_worker_independent(self):
         config = vulnerable_config(seed=7)
