@@ -1,17 +1,18 @@
 """Experiment A6 — attack survival under injected chaos.
 
 The robustness claim behind the orchestrator: adversity that reliably
-kills the single-shot pipeline (a chaos profile that steals the staged
-frame out of the per-CPU page cache) is survivable with retry machinery,
-within an explicit budget, and with every failure attributed to a typed
-cause.
+kills a run with no room to recover (a chaos profile that steals the
+staged frame out of the per-CPU page cache) is survivable with retry
+machinery, within an explicit budget, and with every failure attributed
+to a typed cause.
 
 Three tables:
 
-* **A6**  — 20 seeds under the ``steal`` profile: the single shot versus
-  the orchestrator.  Acceptance: chaos defeats >=50% of single shots,
-  the orchestrator recovers the AES master key in >=90% of seeds, and
-  every failed orchestrated run names a specific failure class.
+* **A6**  — 20 seeds under the ``steal`` profile: the orchestrator with
+  no recovery (one templating campaign, one try per stage) versus its
+  retrying budget.  Acceptance: chaos defeats >=50% of no-recovery runs,
+  the retrying orchestrator recovers the AES master key in >=90% of
+  seeds, and every failed retrying run names a specific failure class.
 * **A6b** — recovery rate and attempts-to-success as the ``steal``
   intensity rises (more competitor churn per staging).
 * **A6c** — survival across the named chaos profiles.
@@ -24,7 +25,7 @@ from conftest import small_vulnerable
 from repro.analysis.survival import survival_summary, survival_table
 from repro.analysis.tabulate import format_table, write_results
 from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
-from repro.attack.orchestrator import AttackOrchestrator, OrchestratorConfig
+from repro.attack.orchestrator import AttackOrchestrator, OrchestratorConfig, RetryPolicy
 from repro.attack.templating import TemplatorConfig
 from repro.sim.chaos import ChaosEngine, chaos_profile
 from repro.sim.units import MIB, SECOND
@@ -32,6 +33,10 @@ from repro.sim.units import MIB, SECOND
 TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
 SEEDS = tuple(range(1, 21))
 BUDGET = OrchestratorConfig(deadline_ns=600 * SECOND)
+# The no-recovery contrast: one templating campaign, one try per stage.
+NO_RECOVERY = OrchestratorConfig(
+    campaign_budget=1, steer=RetryPolicy(1), rehammer=RetryPolicy(1), pfa=RetryPolicy(1)
+)
 
 
 def build_attack(seed: int, profile: str, intensity: float = 1.0) -> ExplFrameAttack:
@@ -42,24 +47,24 @@ def build_attack(seed: int, profile: str, intensity: float = 1.0) -> ExplFrameAt
     return ExplFrameAttack(machine, config=ExplFrameConfig(templator=TEMPLATOR))
 
 
-def orchestrated(seed: int, profile: str, intensity: float = 1.0):
-    return AttackOrchestrator(build_attack(seed, profile, intensity), BUDGET).run()
+def orchestrated(seed: int, profile: str, intensity: float = 1.0, config=BUDGET):
+    return AttackOrchestrator(build_attack(seed, profile, intensity), config).run()
 
 
 def test_a6_chaos_recovery(benchmark):
-    # -- A6: single shot vs orchestrator under the steal profile ----------------
+    # -- A6: no recovery vs retrying orchestrator under the steal profile -------
     rows = []
     single_wins = 0
     reports = []
     for seed in SEEDS:
-        single = build_attack(seed, "steal").run()
-        single_wins += single.key_recovered
+        single = orchestrated(seed, "steal", config=NO_RECOVERY)
+        single_wins += single.success
         report = orchestrated(seed, "steal")
         reports.append(report)
         rows.append(
             [
                 seed,
-                "yes" if single.key_recovered else "no",
+                "yes" if single.success else "no",
                 "yes" if report.success else "no",
                 report.attempts,
                 report.candidates_tried,

@@ -15,11 +15,12 @@ pure user-level privilege.
 
 from __future__ import annotations
 
-from conftest import small_vulnerable
+from conftest import small_vulnerable, stage_ok
 
 from repro.analysis.tabulate import format_table, write_results
 from repro.attack.baselines import PagemapAttack, RandomSprayAttack
 from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
+from repro.attack.orchestrator import AttackOrchestrator
 from repro.attack.templating import TemplatorConfig
 from repro.sim.units import MIB
 
@@ -27,25 +28,29 @@ TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
 SEEDS = (7, 21, 42)
 
 
+def yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def test_t4_end_to_end_attack(benchmark):
     expl_rows = []
     expl_successes = 0
     for seed in SEEDS:
-        machine = small_vulnerable(seed)
-        result = ExplFrameAttack(
-            machine, config=ExplFrameConfig(templator=TEMPLATOR)
-        ).run()
-        expl_successes += result.key_recovered
+        attack = ExplFrameAttack(
+            small_vulnerable(seed), config=ExplFrameConfig(templator=TEMPLATOR)
+        )
+        report = AttackOrchestrator(attack).run()
+        expl_successes += report.success
         expl_rows.append(
             [
                 seed,
-                result.templated_flips,
-                "yes" if result.steering_success else "no",
-                "yes" if result.fault_in_table else "no",
-                result.faulty_ciphertexts,
-                "yes" if result.key_recovered else "no",
-                result.syscalls_total,
-                f"{result.sim_time_seconds:.1f}s",
+                report.templated_flips,
+                yes_no(stage_ok(report, "steer")),
+                yes_no(stage_ok(report, "rehammer")),
+                report.faulty_ciphertexts,
+                yes_no(report.success),
+                attack.attacker.syscall_count,
+                f"{report.budget.sim_time_ns / 1e9:.1f}s",
             ]
         )
     expl_table = format_table(
@@ -103,24 +108,21 @@ def test_t4_end_to_end_attack(benchmark):
     # Te0..Te3 in its first table page and the last-round S-box in a
     # second; the attacker stages TWO frames so the flippy one arrives as
     # the victim's second allocation.
-    ttable_result = ExplFrameAttack(
-        small_vulnerable(7),
-        config=ExplFrameConfig(cipher="aes_ttable", templator=TEMPLATOR),
+    ttable_report = AttackOrchestrator(
+        ExplFrameAttack(
+            small_vulnerable(7),
+            config=ExplFrameConfig(cipher="aes_ttable", templator=TEMPLATOR),
+        )
     ).run()
     ttable_table = format_table(
         ["victim implementation", "steered", "table faulted", "key recovered"],
         [
-            [
-                "S-box AES (one table page)",
-                "yes" if expl_rows[0][2] == "yes" else "no",
-                expl_rows[0][3],
-                expl_rows[0][5],
-            ],
+            ["S-box AES (one table page)", *expl_rows[0][2:4], expl_rows[0][5]],
             [
                 "T-table AES (Te page + S-box page)",
-                "yes" if ttable_result.steering_success else "no",
-                "yes" if ttable_result.fault_in_table else "no",
-                "yes" if ttable_result.key_recovered else "no",
+                yes_no(stage_ok(ttable_report, "steer")),
+                yes_no(stage_ok(ttable_report, "rehammer")),
+                yes_no(ttable_report.success),
             ],
         ],
         title="T4c: victim implementation styles (seed 7)",
@@ -128,7 +130,7 @@ def test_t4_end_to_end_attack(benchmark):
     write_results(
         "t4_end_to_end", expl_table + "\n\n" + comparison + "\n\n" + ttable_table
     )
-    assert ttable_result.key_recovered
+    assert ttable_report.success
 
     assert expl_successes == len(SEEDS)
     assert spray_hits == 0
@@ -136,8 +138,10 @@ def test_t4_end_to_end_attack(benchmark):
     assert expl_successes >= pagemap_hits - 1  # approaches the upper bound
 
     benchmark.pedantic(
-        lambda: ExplFrameAttack(
-            small_vulnerable(7), config=ExplFrameConfig(templator=TEMPLATOR)
+        lambda: AttackOrchestrator(
+            ExplFrameAttack(
+                small_vulnerable(7), config=ExplFrameConfig(templator=TEMPLATOR)
+            )
         ).run(),
         rounds=1,
         iterations=1,

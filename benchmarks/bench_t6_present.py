@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import random
 
+from conftest import stage_ok
+
 from repro.analysis.stats import mean_and_ci
 from repro.analysis.tabulate import format_table, write_results
 from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
+from repro.attack.orchestrator import AttackOrchestrator, OrchestratorConfig
 from repro.attack.templating import TemplatorConfig
 from repro.ciphers.present import PRESENT_SBOX, Present
 from repro.core import Machine, MachineConfig
@@ -30,7 +33,7 @@ from repro.pfa.pfa_present import (
     recover_k32_known_fault,
     recover_present80_key,
 )
-from repro.sim.units import MIB
+from repro.sim.units import MIB, SECOND
 
 KEY = bytes(range(10))
 FAULT_INDEX = 5
@@ -98,21 +101,29 @@ def test_t6_present_pfa(benchmark):
         templator=TemplatorConfig(buffer_bytes=8 * MIB, rounds=650_000, batch_pairs=16),
         max_campaigns=4,
     )
-    result = ExplFrameAttack(machine, config=config).run()
+    # Templating 8 MiB costs ~550 s of simulated time: past the default
+    # orchestrator deadline, within the CLI's 3600 s.
+    report = AttackOrchestrator(
+        ExplFrameAttack(machine, config=config),
+        OrchestratorConfig(deadline_ns=3600 * SECOND),
+    ).run()
+    # The fast PRESENT path recovers K32; the rest of the 80-bit key is
+    # the schedule residue left for brute force.
+    key_bits = 8 * len(bytes.fromhex(report.recovered_key or ""))
     e2e_table = format_table(
         ["stage", "outcome"],
         [
-            ["flips templated", result.templated_flips],
-            ["steering", "yes" if result.steering_success else "no"],
-            ["nibble-table faulted", "yes" if result.fault_in_table else "no"],
-            ["faulty ciphertexts used", result.faulty_ciphertexts],
-            ["64-bit round key recovered", "yes" if result.key_recovered else "no"],
-            ["residual key bits", f"{result.log2_keyspace_after_pfa:.0f}"],
+            ["flips templated", report.templated_flips],
+            ["steering", "yes" if stage_ok(report, "steer") else "no"],
+            ["nibble-table faulted", "yes" if stage_ok(report, "rehammer") else "no"],
+            ["faulty ciphertexts used", report.faulty_ciphertexts],
+            ["64-bit round key recovered", "yes" if report.success else "no"],
+            ["residual key bits", 80 - key_bits],
         ],
         title="T6b: ExplFrame end-to-end against a PRESENT-80 victim",
     )
     write_results("t6_present", table + "\n\n" + e2e_table)
-    assert result.key_recovered
+    assert report.success
 
     cipher = faulty_cipher()
     rng = random.Random(99)

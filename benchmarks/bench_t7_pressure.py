@@ -19,6 +19,7 @@ from conftest import small_vulnerable
 
 from repro.analysis.tabulate import format_table, write_results
 from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
+from repro.attack.orchestrator import AttackOrchestrator
 from repro.attack.steering import SteeringProtocol, SteeringTrialConfig
 from repro.attack.templating import TemplatorConfig
 from repro.core import Machine, MachineConfig
@@ -40,16 +41,16 @@ def test_t7_attack_under_memory_pressure(benchmark):
         # End-to-end on a vulnerable machine under the same pressure.
         attack_machine = small_vulnerable(7)
         attack_machine.kernel.page_cache.fill_fraction(fill)
-        result = ExplFrameAttack(
-            attack_machine, config=ExplFrameConfig(templator=TEMPLATOR)
+        report = AttackOrchestrator(
+            ExplFrameAttack(attack_machine, config=ExplFrameConfig(templator=TEMPLATOR))
         ).run()
-        outcomes[fill] = (rate, result.key_recovered)
+        outcomes[fill] = (rate, report.success)
         rows.append(
             [
                 f"{fill:.0%}",
                 filled,
                 f"{rate:.0%}",
-                "yes" if result.key_recovered else "no",
+                "yes" if report.success else "no",
                 attack_machine.kswapd.reclaimed_pages,
                 attack_machine.kswapd.runs,
             ]

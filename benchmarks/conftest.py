@@ -24,6 +24,13 @@ def small_vulnerable(seed: int = 0) -> Machine:
     )
 
 
+def stage_ok(report, stage: str) -> bool:
+    """True when the run's timeline holds a successful ``stage`` attempt."""
+    return any(
+        record.stage == stage and record.outcome == "ok" for record in report.timeline
+    )
+
+
 @pytest.fixture
 def machine() -> Machine:
     """Default 64 MiB machine."""

@@ -18,16 +18,27 @@ CLI equivalent:  none single-flag; the pieces compose as
 per machine variant (defence knobs live in MachineConfig, not CLI flags)
 """
 
-from repro import ExplFrameAttack, ExplFrameConfig, Machine, MachineConfig, TemplatorConfig
+from repro import (
+    AttackOrchestrator,
+    ExplFrameAttack,
+    ExplFrameConfig,
+    Machine,
+    MachineConfig,
+    TemplatorConfig,
+)
+from repro.attack.orchestrator import OrchestratorConfig
 from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.timing import DRAMTiming
 from repro.dram.trr import TrrConfig
 from repro.mm.pcp import PcpConfig
-from repro.sim.units import MIB
+from repro.sim.units import MIB, SECOND
 
 TEMPLATOR = TemplatorConfig(buffer_bytes=8 * MIB, rounds=650_000, batch_pairs=16)
 VULNERABLE = FlipModelConfig.highly_vulnerable()
+# Two templating campaigns per machine; an 8 MiB campaign costs minutes
+# of simulated time, so the deadline is the CLI's hour.
+BUDGET = OrchestratorConfig(deadline_ns=3600 * SECOND, campaign_budget=2)
 
 
 def build(name, **overrides):
@@ -55,14 +66,18 @@ def main() -> None:
     print(f"{'defence':<28} {'flips':>6} {'steered':>8} {'faulted':>8} {'key':>5}")
     print("-" * 60)
     for name, machine in machines:
-        result = ExplFrameAttack(
-            machine, config=ExplFrameConfig(templator=TEMPLATOR, max_campaigns=2)
+        report = AttackOrchestrator(
+            ExplFrameAttack(
+                machine, config=ExplFrameConfig(templator=TEMPLATOR, max_campaigns=2)
+            ),
+            BUDGET,
         ).run()
+        ok = {(record.stage, record.outcome) for record in report.timeline}
         print(
-            f"{name:<28} {result.templated_flips:>6} "
-            f"{'yes' if result.steering_success else 'no':>8} "
-            f"{'yes' if result.fault_in_table else 'no':>8} "
-            f"{'YES' if result.key_recovered else 'no':>5}"
+            f"{name:<28} {report.templated_flips:>6} "
+            f"{'yes' if ('steer', 'ok') in ok else 'no':>8} "
+            f"{'yes' if ('rehammer', 'ok') in ok else 'no':>8} "
+            f"{'YES' if report.success else 'no':>5}"
         )
     # Detection, as opposed to prevention: the watchdog sees the attack's
     # activation signature on the baseline machine.

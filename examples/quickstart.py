@@ -3,17 +3,24 @@
 
 Builds a simulated machine with a Rowhammer-vulnerable DRAM module, runs
 the complete attack chain (template -> steer via the page frame cache ->
-re-hammer -> persistent fault analysis) against an AES-128 victim, and
-prints the recovered key next to the truth.
+re-hammer -> persistent fault analysis) against an AES-128 victim under
+the attack orchestrator, and prints the recovered key next to the truth.
 
-Run:  python examples/quickstart.py
+Run:  python examples/quickstart.py   (exit status 1 if the key is not recovered)
 
 CLI equivalent:  python -m repro attack --seed 7
 (add --json for the machine-readable report, --campaign N for repeated
 attempts, --scenario duet for a multi-tenant victim — docs/SCENARIOS.md)
 """
 
-from repro import ExplFrameAttack, ExplFrameConfig, Machine, MachineConfig, TemplatorConfig
+from repro import (
+    AttackOrchestrator,
+    ExplFrameAttack,
+    ExplFrameConfig,
+    Machine,
+    MachineConfig,
+    TemplatorConfig,
+)
 from repro.sim.units import MIB
 
 
@@ -26,17 +33,17 @@ def main() -> None:
         ),
     )
     print("running ExplFrame (template -> steer -> re-hammer -> PFA)...")
-    result = attack.run()
+    report = AttackOrchestrator(attack).run()
 
-    print(f"  flips templated .......... {result.templated_flips}")
-    print(f"  steering succeeded ....... {result.steering_success}")
-    print(f"  victim S-box faulted ..... {result.fault_in_table}")
-    print(f"  faulty ciphertexts used .. {result.faulty_ciphertexts}")
-    print(f"  attacker syscalls ........ {result.syscalls_total}")
-    print(f"  true key ................. {result.true_key.hex()}")
-    recovered = result.recovered_key.hex() if result.recovered_key else "-"
-    print(f"  recovered key ............ {recovered}")
-    print(f"  KEY RECOVERED: {result.key_recovered}")
+    print(f"  flips templated .......... {report.templated_flips}")
+    print(f"  stage attempts ........... {report.attempts}")
+    print(f"  faulty ciphertexts used .. {report.faulty_ciphertexts}")
+    print(f"  attacker syscalls ........ {attack.attacker.syscall_count}")
+    print(f"  true key ................. {report.true_key}")
+    print(f"  recovered key ............ {report.recovered_key or '-'}")
+    print(f"  KEY RECOVERED: {report.success}")
+    if not report.success:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

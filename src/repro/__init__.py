@@ -22,14 +22,15 @@ The package layers bottom-up:
 
 Quickstart::
 
-    from repro import Machine, MachineConfig, ExplFrameAttack
+    from repro import AttackOrchestrator, ExplFrameAttack, Machine, MachineConfig
 
     machine = Machine(MachineConfig.vulnerable(seed=7))
-    result = ExplFrameAttack(machine).run()
-    print(result.key_recovered, result.faulty_ciphertexts)
+    report = AttackOrchestrator(ExplFrameAttack(machine)).run()
+    print(report.success, report.faulty_ciphertexts)
 """
 
 from repro.attack import (
+    AttackOrchestrator,
     ExplFrameAttack,
     ExplFrameConfig,
     Hammerer,
@@ -41,7 +42,6 @@ from repro.attack import (
     TemplatorConfig,
 )
 from repro.core import (
-    EndToEndResult,
     Machine,
     MachineConfig,
     SteeringResult,
@@ -68,7 +68,7 @@ def package_version() -> str:
         return __version__
 
 __all__ = [
-    "EndToEndResult",
+    "AttackOrchestrator",
     "ExplFrameAttack",
     "ExplFrameConfig",
     "Hammerer",

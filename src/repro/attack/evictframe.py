@@ -340,14 +340,6 @@ class EvictFrameAttack(ExplFrameAttack):
         self._m_set_lines.inc(lines)
         return StageOutcome(ok=True, recovery=recovery)
 
-    # -- single-shot driver is flush-path-specific -------------------------------------
-
-    def run(self):
-        raise ConfigError(
-            "evictframe has no single-shot driver; run it orchestrated "
-            "(the default) or through a campaign"
-        )
-
 
 # -- modality registration ----------------------------------------------------------
 

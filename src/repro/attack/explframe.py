@@ -42,7 +42,7 @@ from repro.ciphers.aes_tables import AES_SBOX
 from repro.ciphers.present import PRESENT_SBOX, Present
 from repro.ciphers.table_memory import DEFAULT_TABLE_OFFSET, CipherVictim
 from repro.core.machine import Machine
-from repro.core.results import EndToEndResult, FlipTemplate
+from repro.core.results import FlipTemplate
 from repro.pfa.keyrank import KeyCandidates
 from repro.pfa.pfa import (
     PfaState,
@@ -66,7 +66,7 @@ class ExplFrameConfig:
     nibble table; PFA yields the full 64-bit last round key, leaving a
     16-bit schedule residue that ``present_full_search`` optionally
     brute-forces — it costs tens of seconds of pure Python, so it is off
-    by default and accounted as 16 residual bits in the result).
+    by default and a run then recovers the last round key).
     """
 
     templator: TemplatorConfig = field(default_factory=TemplatorConfig)
@@ -103,10 +103,10 @@ class ExplFrameConfig:
 
 
 class ExplFrameAttack:
-    """Drives one attacker task through the full attack.
+    """One attacker task's stages of the full attack.
 
-    Also the reference implementation of the :class:`AttackRun` side of
-    the modality contract (docs/ATTACKS.md): the orchestrator drives the
+    The reference implementation of the :class:`AttackRun` side of the
+    modality contract (docs/ATTACKS.md): the orchestrator drives the
     shared template/steer front half plus the :meth:`resolution_stages`
     this class declares (re-hammer, then PFA).
     """
@@ -152,7 +152,7 @@ class ExplFrameAttack:
         self.attacker = self.kernel.spawn("explframe-attacker", cpu=self.config.cpu)
         self.templator = Templator(self.kernel, self.attacker.pid, self.config.templator)
         # Cumulative counters across campaigns (the orchestrator re-runs
-        # stages individually, so these live on the attack, not in run()).
+        # stages individually, so these live on the attack).
         self.total_flips = 0
         self.campaigns_run = 0
         self._retired_rounds = 0
@@ -374,12 +374,11 @@ class ExplFrameAttack:
 
     def run_pfa(
         self, victim: CipherVictim, v_star: int, limit: int | None = None
-    ) -> tuple[bytes | None, int, float]:
+    ) -> tuple[bytes | None, int]:
         """Collect faulty ciphertexts and recover the master key.
 
-        Returns (key or None, ciphertexts consumed, log2 of the residual
-        key space when recovery stopped).  ``limit`` overrides the
-        config's ciphertext budget (retries may raise it).
+        Returns (key or None, ciphertexts consumed).  ``limit`` overrides
+        the config's ciphertext budget (retries may raise it).
         """
         limit = self.config.pfa_limit if limit is None else limit
         rng = self.machine.rng.numpy_stream("attack.plaintexts")
@@ -389,25 +388,25 @@ class ExplFrameAttack:
             if state.is_unique():
                 break
         if not state.is_unique():
-            return None, state.total, state.log2_keyspace()
+            return None, state.total
         candidates = KeyCandidates(recover_k10_known_fault(state, v_star))
         try:
             k10 = candidates.unique_key()
             master = invert_key_schedule_128(k10)
         except FaultError:
-            return None, state.total, candidates.log2_keyspace
-        return master, state.total, 0.0
+            return None, state.total
+        return master, state.total
 
     def run_pfa_present(
         self, victim: CipherVictim, v_star: int, limit: int | None = None
-    ) -> tuple[bytes | None, int, float]:
+    ) -> tuple[bytes | None, int]:
         """PRESENT variant: recover K32 (and optionally the master key).
 
-        Returns (key material or None, ciphertexts consumed, residual
-        bits).  Without ``present_full_search`` the returned material is
-        the 8-byte last round key and 16 bits remain (the schedule's
-        hidden register bits); with it, the master key is brute-forced
-        from one clean pair.
+        Returns (key material or None, ciphertexts consumed).  Without
+        ``present_full_search`` the returned material is the 8-byte last
+        round key and 16 bits remain (the schedule's hidden register
+        bits); with it, the master key is brute-forced from one clean
+        pair.
         """
         from repro.pfa.pfa_present import (
             ciphertexts_to_unique_k32,
@@ -425,16 +424,16 @@ class ExplFrameAttack:
                 victim.encrypt, lambda i: plaintexts[i], limit=limit
             )
         except FaultError:
-            return None, limit, 64.0
+            return None, limit
         if not self.config.present_full_search:
             k32 = recover_k32_known_fault(state, v_star)
-            return k32.to_bytes(8, "big"), consumed, 16.0
+            return k32.to_bytes(8, "big"), consumed
         # One clean pair: captured before the fault in a real attack; here
         # reconstructed from the true key (ground-truth plumbing).
         clean_pt = bytes(8)
         clean_ct = Present(self.true_key).encrypt_block(clean_pt)
         master = recover_present80_key(state, v_star, clean_pt, clean_ct)
-        return master, consumed, 0.0 if master is not None else 16.0
+        return master, consumed
 
     def v_star_for(self, template: FlipTemplate) -> int:
         """The clean S-box value at the templated flip's position.
@@ -449,7 +448,7 @@ class ExplFrameAttack:
 
     def run_fault_analysis(
         self, victim: CipherVictim, template: FlipTemplate, limit: int | None = None
-    ) -> tuple[bytes | None, int, float]:
+    ) -> tuple[bytes | None, int]:
         """Stage-4 dispatch: run the right PFA variant for the cipher."""
         v_star = self.v_star_for(template)
         with self.obs.tracer.span(
@@ -557,7 +556,7 @@ class ExplFrameAttack:
         recovery = (
             None if attempt == 0 else f"retry PFA with ciphertext budget {limit}"
         )
-        recovered, consumed, _residual = self.run_fault_analysis(
+        recovered, consumed = self.run_fault_analysis(
             victim, template, limit
         )
         self.analysis_units += consumed
@@ -584,65 +583,6 @@ class ExplFrameAttack:
                 ),
             )
         return StageOutcome(ok=True, recovery=recovery, recovered=recovered)
-
-    # -- the full chain ---------------------------------------------------------------
-
-    def run(self) -> EndToEndResult:
-        """Execute the complete attack and score it against ground truth.
-
-        Templating campaigns repeat over fresh buffers (up to
-        ``max_campaigns``) until a flip usable against the victim's table
-        is found — attackers template as much memory as it takes.  This is
-        the single-shot driver: every stage runs once and failure is
-        final.  :class:`repro.attack.orchestrator.AttackOrchestrator`
-        wraps the same stages with retries, budgets and forensics.
-        """
-        start_ns = self.kernel.clock.now_ns
-        with self.obs.tracer.span("attack.run", "attack", cipher=self.config.cipher):
-            return self._run(start_ns)
-
-    def _run(self, start_ns: int) -> EndToEndResult:
-        try:
-            usable = self.template_until_usable()
-        except TemplatingExhaustedError:
-            return EndToEndResult(
-                templated_flips=self.total_flips,
-                steering_success=False,
-                fault_in_table=False,
-                faulty_ciphertexts=0,
-                key_recovered=False,
-                recovered_key=None,
-                true_key=self.true_key,
-                hammer_rounds_total=self.hammer_rounds_total,
-                syscalls_total=self.attacker.syscall_count,
-                sim_time_ns=self.kernel.clock.now_ns - start_ns,
-            )
-        template = usable[0]
-        victim, _, steering_success = self.stage_and_steer(template)
-        faulted = self.rehammer(template, victim)
-
-        recovered = None
-        consumed = 0
-        residual_bits = None
-        if faulted:
-            recovered, consumed, residual_bits = self.run_fault_analysis(
-                victim, template
-            )
-
-        target = self.target_key()
-        return EndToEndResult(
-            templated_flips=self.total_flips,
-            steering_success=steering_success,
-            fault_in_table=faulted,
-            faulty_ciphertexts=consumed,
-            key_recovered=recovered is not None and recovered == target,
-            recovered_key=recovered,
-            true_key=self.true_key,
-            hammer_rounds_total=self.hammer_rounds_total,
-            syscalls_total=self.attacker.syscall_count,
-            log2_keyspace_after_pfa=residual_bits,
-            sim_time_ns=self.kernel.clock.now_ns - start_ns,
-        )
 
 
 # -- modality registration ----------------------------------------------------------

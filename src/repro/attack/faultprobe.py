@@ -307,14 +307,6 @@ class FaultProbeAttack(ExplFrameAttack):
         if correct:
             self._m_bits_correct.inc()
 
-    # -- single-shot driver is PFA-specific ---------------------------------------
-
-    def run(self):
-        raise ConfigError(
-            "faultprobe has no single-shot driver; run it orchestrated "
-            "(the default) or through a campaign"
-        )
-
 
 # -- modality registration ----------------------------------------------------------
 

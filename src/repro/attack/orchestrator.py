@@ -1,10 +1,8 @@
 """Resilient attack orchestration: retries, budgets, failure forensics.
 
-:class:`~repro.attack.explframe.ExplFrameAttack.run` is a single-shot
-driver — every stage runs once and any adversity (a stolen staged frame,
-a flip that stops repeating, a TRR burst) kills the run with no record of
-why.  :class:`AttackOrchestrator` wraps the same stage methods in an
-explicit state machine:
+Every attack run goes through :class:`AttackOrchestrator`, the one
+driver: it takes a modality's stage methods (docs/ATTACKS.md) and runs
+them in an explicit state machine:
 
 * **Per-stage retry policies** with exponential backoff *in simulated
   clock time* — waiting out a TRR sampling burst or a threshold-drift
@@ -47,19 +45,6 @@ from repro.core.results import FlipTemplate
 from repro.sim.errors import ConfigError, TemplatingExhaustedError
 from repro.sim.rng import derive_seed
 from repro.sim.units import MS, SECOND
-
-#: Stage labels and failure classes assumed when an attack object
-#: predates the modality contract (plain stage-method duck types).
-_DEFAULT_STAGES = ("template", "steer", "rehammer", "pfa")
-_DEFAULT_FAILURE_CLASSES = (
-    FailureClass.TEMPLATING_EXHAUSTED,
-    FailureClass.STEERING_MISS,
-    FailureClass.NON_REPEATABLE_FLIP,
-    FailureClass.DISARMED_DIRECTION,
-    FailureClass.PFA_INCONCLUSIVE,
-    FailureClass.KEY_MISMATCH,
-    FailureClass.BUDGET_EXHAUSTED,
-)
 
 
 # -- policies and budgets ----------------------------------------------------------
@@ -373,12 +358,8 @@ class AttackOrchestrator:
         # Instrument labels come from the modality: registering only the
         # stages/classes it can emit keeps every other modality's metric
         # snapshot unchanged (registered instruments appear at zero).
-        stage_names = tuple(
-            getattr(attack, "stage_names", lambda: _DEFAULT_STAGES)()
-        )
-        failure_classes = tuple(
-            getattr(attack, "failure_classes", lambda: _DEFAULT_FAILURE_CLASSES)()
-        )
+        stage_names = tuple(attack.stage_names())
+        failure_classes = tuple(attack.failure_classes())
         self._m_attempts = {
             stage: metrics.counter(
                 "attack.stage.attempts", labels={"stage": stage},
@@ -649,7 +630,7 @@ class AttackOrchestrator:
             final_failure = self._failures[-1]
 
         chaos = self.kernel.chaos
-        workload = getattr(attack, "tenant_workload", None)
+        workload = attack.tenant_workload
         return AttackRunReport(
             seed=attack.machine.rng.master_seed,
             chaos_profile="none" if chaos is None else chaos.plan.name,
@@ -674,7 +655,7 @@ class AttackOrchestrator:
             faulty_ciphertexts=attack.analysis_units_consumed() - analysis_start,
             target_tenant=None if workload is None else workload.scenario.target,
             background_tenants=0 if workload is None else workload.background_count,
-            modality=getattr(attack, "modality_name", "explframe"),
+            modality=attack.modality_name,
             extra=attack.report_extra(),
         )
 

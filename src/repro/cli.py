@@ -136,13 +136,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
     """Run the full ExplFrame chain; exit code 0 iff the key was recovered.
 
     ``--modality`` selects the registered attack (docs/ATTACKS.md;
-    default ``explframe``, the paper's).  With ``--chaos`` (or
-    ``--orchestrate``) the run goes through the resilient
-    :class:`AttackOrchestrator` — retries, simulated-time backoff,
-    budgets — and prints an :class:`AttackRunReport` summary;
-    ``--single-shot`` forces the bare pipeline even under chaos
-    (explframe only — other modalities are orchestrator-driven).  Both
-    paths exit non-zero when the run's goal is not reached.
+    default ``explframe``, the paper's).  Every run goes through the
+    resilient :class:`AttackOrchestrator` — retries, simulated-time
+    backoff, budgets — and prints its :class:`AttackRunReport` as a text
+    summary, or as JSON with ``--json``.  ``--campaign N`` runs N such
+    attempts instead.  The exit code is non-zero when the run's goal is
+    not reached.
     """
     from repro.attack.orchestrator import (
         AttackOrchestrator,
@@ -152,7 +151,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
     from repro.attack.registry import available_modalities, get_modality
     from repro.attack.templating import TemplatorConfig
     from repro.sim.chaos import ChaosEngine, chaos_profile
-    from repro.sim.errors import ConfigError
     from repro.sim.units import SECOND
 
     if args.list_modalities:
@@ -160,11 +158,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
             print(f"{name:<12} {description}")
         return 0
     modality = get_modality(args.modality)
-    if args.single_shot and args.modality != "explframe":
-        raise ConfigError(
-            "--single-shot only supports the explframe modality, "
-            f"not {args.modality!r}"
-        )
 
     scenario = _load_scenario_arg(args)
     if args.campaign:
@@ -197,97 +190,75 @@ def cmd_attack(args: argparse.Namespace) -> int:
         workload.start()
     attack = modality.build(machine, config=config, tenant_workload=workload)
 
-    # --json reports the orchestrator's AttackRunReport, so it implies
-    # orchestration (like --chaos); non-default modalities are always
-    # orchestrated; --single-shot still wins (guarded above).
-    orchestrate = (
-        args.orchestrate
-        or args.chaos != "none"
-        or args.json
-        or args.modality != "explframe"
-    ) and not args.single_shot
-    if orchestrate:
-        retries = args.max_retries
-        orchestrator = AttackOrchestrator(
-            attack,
-            OrchestratorConfig(
-                deadline_ns=int(args.deadline * SECOND),
-                campaign_budget=max(args.campaigns, 2 * config.max_campaigns),
-                steer=RetryPolicy(max_attempts=retries),
-                rehammer=RetryPolicy(max_attempts=retries, backoff_base_ns=20_000_000, backoff_factor=3.0),
-                pfa=RetryPolicy(max_attempts=min(retries, 3), backoff_base_ns=1_000_000),
+    retries = args.max_retries
+    report = AttackOrchestrator(
+        attack,
+        OrchestratorConfig(
+            deadline_ns=int(args.deadline * SECOND),
+            campaign_budget=max(args.campaigns, 2 * config.max_campaigns),
+            steer=RetryPolicy(max_attempts=retries),
+            rehammer=RetryPolicy(
+                max_attempts=retries, backoff_base_ns=20_000_000, backoff_factor=3.0
             ),
-        )
-        report = orchestrator.run()
-        if args.json:
-            import json
+            pfa=RetryPolicy(max_attempts=min(retries, 3), backoff_base_ns=1_000_000),
+        ),
+    ).run()
+    if args.json:
+        import json
 
-            payload = report.to_dict()
-            payload["metrics"] = machine.obs.metrics.snapshot()
-            if workload is not None:
-                payload["workload"] = workload.summary()
-            _emit_observability(machine, args, json_mode=True)
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-            return 0 if report.success else 1
-        spend = report.budget
-        print(f"chaos profile:        {report.chaos_profile}")
-        print(f"chaos events fired:   {len(report.chaos_events)}")
-        print(f"stage attempts:       {report.attempts}")
-        print(f"candidates tried:     {report.candidates_tried}")
-        print(f"recoveries:           {len(report.recoveries)}")
-        for action in report.recoveries:
-            print(f"  - {action}")
-        classes = ", ".join(report.failure_classes) or "-"
-        print(f"failure classes:      {classes}")
-        if report.final_failure is not None:
-            print(
-                f"final failure:        {report.final_failure.failure_class.value} "
-                f"({report.final_failure.detail})"
-            )
-        print(
-            f"budget spend:         {spend.sim_time_ns / 1e9:.2f} s sim of "
-            f"{spend.deadline_ns / 1e9:.0f} s, {spend.campaigns} campaigns of "
-            f"{spend.campaign_budget}"
-        )
-        _print_workload(workload)
-        if report.modality != "explframe":
-            print(f"modality:             {report.modality}")
-        if report.modality != "explframe" and report.extra is not None:
-            extra = report.extra
-            print(
-                f"bits recovered:       {extra['bits_recovered']} of "
-                f"{extra['bits_targeted']} targeted"
-            )
-            if extra["accuracy"] is not None:
-                print(f"bit accuracy:         {extra['accuracy']:.2%}")
-            for bit in extra["bits"]:
-                verdict = "ok" if bit["correct"] else "WRONG"
-                print(
-                    f"  entry {bit['entry']:#04x} bit {bit['bit']}: "
-                    f"predicted {bit['predicted']} actual {bit['actual']} ({verdict})"
-                )
-            print(f"RUN SUCCEEDED:        {report.success}")
-        else:
-            print(f"true key:             {report.true_key}")
-            print(f"recovered key:        {report.recovered_key or '-'}")
-            print(f"KEY RECOVERED:        {report.success}")
-        _emit_observability(machine, args, json_mode=False)
+        payload = report.to_dict()
+        payload["metrics"] = machine.obs.metrics.snapshot()
+        if workload is not None:
+            payload["workload"] = workload.summary()
+        _emit_observability(machine, args, json_mode=True)
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         return 0 if report.success else 1
-
-    result = attack.run()
+    spend = report.budget
+    print(f"flips templated:      {report.templated_flips}")
+    print(f"chaos profile:        {report.chaos_profile}")
+    print(f"chaos events fired:   {len(report.chaos_events)}")
+    print(f"stage attempts:       {report.attempts}")
+    print(f"candidates tried:     {report.candidates_tried}")
+    print(f"recoveries:           {len(report.recoveries)}")
+    for action in report.recoveries:
+        print(f"  - {action}")
+    classes = ", ".join(report.failure_classes) or "-"
+    print(f"failure classes:      {classes}")
+    if report.final_failure is not None:
+        print(
+            f"final failure:        {report.final_failure.failure_class.value} "
+            f"({report.final_failure.detail})"
+        )
+    print(
+        f"budget spend:         {spend.sim_time_ns / 1e9:.2f} s sim of "
+        f"{spend.deadline_ns / 1e9:.0f} s, {spend.campaigns} campaigns of "
+        f"{spend.campaign_budget}"
+    )
     _print_workload(workload)
-    print(f"flips templated:      {result.templated_flips}")
-    print(f"steering succeeded:   {result.steering_success}")
-    print(f"table faulted:        {result.fault_in_table}")
-    print(f"faulty ciphertexts:   {result.faulty_ciphertexts}")
-    print(f"true key:             {result.true_key.hex()}")
-    recovered = result.recovered_key.hex() if result.recovered_key else "-"
-    print(f"recovered key:        {recovered}")
-    if result.log2_keyspace_after_pfa:
-        print(f"residual key bits:    {result.log2_keyspace_after_pfa:.0f}")
-    print(f"KEY RECOVERED:        {result.key_recovered}")
+    if report.modality != "explframe":
+        print(f"modality:             {report.modality}")
+    if report.modality != "explframe" and report.extra is not None:
+        extra = report.extra
+        print(
+            f"bits recovered:       {extra['bits_recovered']} of "
+            f"{extra['bits_targeted']} targeted"
+        )
+        if extra["accuracy"] is not None:
+            print(f"bit accuracy:         {extra['accuracy']:.2%}")
+        for bit in extra["bits"]:
+            verdict = "ok" if bit["correct"] else "WRONG"
+            print(
+                f"  entry {bit['entry']:#04x} bit {bit['bit']}: "
+                f"predicted {bit['predicted']} actual {bit['actual']} ({verdict})"
+            )
+        print(f"RUN SUCCEEDED:        {report.success}")
+    else:
+        print(f"faulty ciphertexts:   {report.faulty_ciphertexts}")
+        print(f"true key:             {report.true_key}")
+        print(f"recovered key:        {report.recovered_key or '-'}")
+        print(f"KEY RECOVERED:        {report.success}")
     _emit_observability(machine, args, json_mode=False)
-    return 0 if result.key_recovered else 1
+    return 0 if report.success else 1
 
 
 def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
@@ -666,20 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         choices=CHAOS_PROFILES,
         default="none",
-        help="inject a chaos profile (implies --orchestrate unless --single-shot)",
+        help="inject a chaos profile the orchestrator must survive",
     )
     attack.add_argument(
         "--chaos-intensity", type=float, default=1.0, help="scale the chaos profile"
-    )
-    attack.add_argument(
-        "--orchestrate",
-        action="store_true",
-        help="run under the resilient orchestrator (retries, budgets, forensics)",
-    )
-    attack.add_argument(
-        "--single-shot",
-        action="store_true",
-        help="force the bare pipeline even when chaos is injected",
     )
     attack.add_argument(
         "--deadline",
@@ -693,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument(
         "--json",
         action="store_true",
-        help="print the AttackRunReport as JSON (implies --orchestrate)",
+        help="print the AttackRunReport as JSON instead of the text summary",
     )
     attack.add_argument(
         "--trace",

@@ -3,23 +3,18 @@
 Typical use::
 
     from repro.core import Machine, MachineConfig
-    from repro.attack import ExplFrameAttack
+    from repro.attack import AttackOrchestrator, ExplFrameAttack
 
     machine = Machine(MachineConfig.vulnerable(seed=7))
-    result = ExplFrameAttack(machine).run()
-    assert result.key_recovered
+    report = AttackOrchestrator(ExplFrameAttack(machine)).run()
+    assert report.success
 """
 
 from repro.core.config import MachineConfig
 from repro.core.machine import Machine, MachineSnapshot
-from repro.core.results import (
-    EndToEndResult,
-    SteeringResult,
-    TemplatingResult,
-)
+from repro.core.results import SteeringResult, TemplatingResult
 
 __all__ = [
-    "EndToEndResult",
     "Machine",
     "MachineConfig",
     "MachineSnapshot",

@@ -93,30 +93,3 @@ class SteeringResult:
             return self.victim_pfns.index(self.steered_pfn)
         except ValueError:
             return None
-
-
-@dataclass
-class EndToEndResult:
-    """Outcome of a full ExplFrame run against a cipher victim."""
-
-    templated_flips: int
-    steering_success: bool
-    fault_in_table: bool
-    faulty_ciphertexts: int
-    key_recovered: bool
-    recovered_key: bytes | None
-    true_key: bytes
-    hammer_rounds_total: int
-    syscalls_total: int
-    log2_keyspace_after_pfa: float | None = None
-    sim_time_ns: int = 0
-
-    @property
-    def success(self) -> bool:
-        """True only when the full chain through key recovery worked."""
-        return self.key_recovered
-
-    @property
-    def sim_time_seconds(self) -> float:
-        """Simulated machine time the whole attack consumed."""
-        return self.sim_time_ns / 1e9

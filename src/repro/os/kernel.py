@@ -226,6 +226,21 @@ class Kernel:
         if activations > 0:
             self.ledger.record(self.controller.current_refresh_epoch(), pid, activations)
 
+    def _hammer_burst(self, pid: int, pas: list[int], rounds: int) -> HammerResult:
+        """One bulk controller hammer, its activations charged to ``pid``.
+
+        The burst's activations are attributed evenly over the refresh
+        windows it spanned, for the watchdog's per-window accounting.
+        """
+        start_epoch = self.controller.current_refresh_epoch()
+        result = self.controller.hammer(pas, rounds)
+        end_epoch = self.controller.current_refresh_epoch()
+        windows = max(1, end_epoch - start_epoch + 1)
+        share = result.activations // windows
+        for epoch in range(start_epoch, start_epoch + windows):
+            self.ledger.record(epoch, pid, share)
+        return result
+
     def _maybe_run_kswapd(self) -> None:
         """Run pending reclaim work (synchronous stand-in for the daemon)."""
         if self.kswapd is None:
@@ -600,6 +615,10 @@ class Kernel:
         task.syscall_count += 1
         self.stats.syscalls += 1
         self._m_sys_hammer.inc()
+        if rounds <= 0:
+            raise ConfigError(f"rounds must be positive, got {rounds}")
+        if not vas:
+            raise ConfigError("hammer needs at least one aggressor address")
         self._pump_chaos("hammer", pid)
         pas = []
         for va in vas:
@@ -611,16 +630,7 @@ class Kernel:
         if flush:
             for pa in pas:
                 self.cache.flush(pa)
-            start_epoch = self.controller.current_refresh_epoch()
-            result = self.controller.hammer(pas, rounds)
-            end_epoch = self.controller.current_refresh_epoch()
-            # Attribute the burst's activations evenly over the refresh
-            # windows it spanned, for the watchdog's per-window accounting.
-            windows = max(1, end_epoch - start_epoch + 1)
-            share = result.activations // windows
-            for epoch in range(start_epoch, start_epoch + windows):
-                self.ledger.record(epoch, pid, share)
-            return result
+            return self._hammer_burst(pid, pas, rounds)
         # No clflush: first access of each line misses, the rest hit.
         activations = 0
         for pa in pas:
@@ -765,13 +775,7 @@ class Kernel:
             ):
                 if not batch:
                     continue
-                start_epoch = self.controller.current_refresh_epoch()
-                result = self.controller.hammer(batch, remaining)
-                end_epoch = self.controller.current_refresh_epoch()
-                windows = max(1, end_epoch - start_epoch + 1)
-                share = result.activations // windows
-                for epoch in range(start_epoch, start_epoch + windows):
-                    self.ledger.record(epoch, pid, share)
+                result = self._hammer_burst(pid, batch, remaining)
                 total_activations += result.activations
                 flips.extend(result.flips)
                 if not is_aggressor:

@@ -309,12 +309,6 @@ class TestDerivation:
         for member in members:
             assert all(abs(member - anchor) >= guard for anchor in anchors)
 
-    def test_single_shot_run_is_rejected(self):
-        machine = small_machine()
-        attack = EvictFrameAttack(machine, config=fast_config())
-        with pytest.raises(ConfigError):
-            attack.run()
-
     def test_rehammer_without_derived_sets_is_rejected(self, staged):
         machine, attack, template, victim = staged
         attack._eviction_sets = None

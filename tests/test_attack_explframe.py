@@ -4,6 +4,7 @@ import pytest
 
 from repro.attack.baselines import PagemapAttack, RandomSprayAttack
 from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
+from repro.attack.orchestrator import AttackOrchestrator, FailureClass, OrchestratorConfig
 from repro.attack.templating import TemplatorConfig
 from repro.ciphers.aes_tables import AES_SBOX
 from repro.core import Machine, MachineConfig
@@ -11,7 +12,7 @@ from repro.core.results import FlipTemplate
 from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMGeometry
 from repro.sim.errors import ConfigError
-from repro.sim.units import MIB
+from repro.sim.units import MIB, SECOND
 
 FAST_TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
 
@@ -73,40 +74,53 @@ class TestUsableTemplates:
         assert attack.usable_templates([armed]) == [armed]
 
 
+def orchestrated(attack, config=None):
+    return AttackOrchestrator(attack, config).run()
+
+
+def stage_outcomes(report):
+    return [(record.stage, record.outcome) for record in report.timeline]
+
+
 class TestEndToEnd:
     def test_full_key_recovery(self):
         attack = ExplFrameAttack(
             vulnerable_machine(seed=7),
             config=ExplFrameConfig(templator=FAST_TEMPLATOR),
         )
-        result = attack.run()
-        assert result.templated_flips > 0
-        assert result.steering_success
-        assert result.fault_in_table
-        assert result.key_recovered
-        assert result.recovered_key == result.true_key
-        assert 500 < result.faulty_ciphertexts < 20_000
-        assert result.success
+        report = orchestrated(attack)
+        assert report.success
+        assert report.recovered_key == report.true_key
+        # Every stage succeeds first time: no retry, no second candidate.
+        assert stage_outcomes(report) == [
+            ("template", "ok"), ("steer", "ok"), ("rehammer", "ok"), ("pfa", "ok"),
+        ]
+        # Pinned counters of this seed's run; they must not drift.
+        assert report.templated_flips == 87
+        assert report.faulty_ciphertexts == 2560
+        assert report.budget.hammer_rounds == 334_100_000
+        assert attack.attacker.syscall_count == 1122
 
     def test_deterministic_given_seed(self):
-        first = ExplFrameAttack(
+        first = orchestrated(ExplFrameAttack(
             vulnerable_machine(seed=11), config=ExplFrameConfig(templator=FAST_TEMPLATOR)
-        ).run()
-        second = ExplFrameAttack(
+        ))
+        second = orchestrated(ExplFrameAttack(
             vulnerable_machine(seed=11), config=ExplFrameConfig(templator=FAST_TEMPLATOR)
-        ).run()
-        assert first.true_key == second.true_key
-        assert first.key_recovered == second.key_recovered
-        assert first.faulty_ciphertexts == second.faulty_ciphertexts
+        ))
+        assert first.to_json() == second.to_json()
 
     def test_invulnerable_module_defeats_attack(self, invulnerable_machine):
         attack = ExplFrameAttack(
             invulnerable_machine, config=ExplFrameConfig(templator=FAST_TEMPLATOR)
         )
-        result = attack.run()
-        assert result.templated_flips == 0
-        assert not result.key_recovered
-        assert result.recovered_key is None
+        report = orchestrated(
+            attack, OrchestratorConfig(campaign_budget=attack.config.max_campaigns)
+        )
+        assert report.templated_flips == 0
+        assert not report.success
+        assert report.recovered_key is None
+        assert report.final_failure.failure_class is FailureClass.TEMPLATING_EXHAUSTED
 
     def test_explicit_key_honoured(self):
         key = bytes(range(16))
@@ -115,10 +129,10 @@ class TestEndToEnd:
             key=key,
             config=ExplFrameConfig(templator=FAST_TEMPLATOR),
         )
-        result = attack.run()
-        assert result.true_key == key
-        if result.key_recovered:
-            assert result.recovered_key == key
+        report = orchestrated(attack)
+        assert report.true_key == key.hex()
+        if report.success:
+            assert report.recovered_key == key.hex()
 
 
 class TestTTableEndToEnd:
@@ -130,11 +144,11 @@ class TestTTableEndToEnd:
                 cipher="aes_ttable", templator=FAST_TEMPLATOR
             ),
         )
-        result = attack.run()
-        assert result.steering_success
-        assert result.fault_in_table
-        assert result.key_recovered
-        assert result.recovered_key == result.true_key
+        report = orchestrated(attack)
+        assert ("steer", "ok") in stage_outcomes(report)
+        assert ("rehammer", "ok") in stage_outcomes(report)
+        assert report.success
+        assert report.recovered_key == report.true_key
 
     def test_single_frame_staging_would_miss(self):
         """Control: without the sacrificial frame, the Te page absorbs
@@ -179,13 +193,19 @@ class TestPresentEndToEnd:
             ),
             max_campaigns=4,
         )
-        result = ExplFrameAttack(machine, config=config).run()
-        assert result.steering_success
-        assert result.fault_in_table
-        assert result.key_recovered  # the 64-bit last round key
-        assert result.log2_keyspace_after_pfa == 16.0  # schedule residue
+        # Templating over 8 MiB costs ~550 s of simulated time, past the
+        # default deadline.
+        report = orchestrated(
+            ExplFrameAttack(machine, config=config),
+            OrchestratorConfig(deadline_ns=3600 * SECOND),
+        )
+        assert ("steer", "ok") in stage_outcomes(report)
+        assert ("rehammer", "ok") in stage_outcomes(report)
+        assert report.success
+        # The 64-bit last round key; 16 schedule bits remain unsearched.
+        assert len(bytes.fromhex(report.recovered_key)) == 8
         # PRESENT's tiny S-box saturates after very few ciphertexts.
-        assert result.faulty_ciphertexts < 1000
+        assert report.faulty_ciphertexts < 1000
 
     def test_present_nibble_bit_filter(self):
         """High-nibble flips do not fault the cipher and must be filtered."""

@@ -18,6 +18,10 @@ from repro.sim.errors import ConfigError, TemplatingExhaustedError
 from repro.sim.units import MIB, MS
 
 FAST = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+# No recovery: one templating campaign and one try per stage.
+NO_RECOVERY = OrchestratorConfig(
+    campaign_budget=1, steer=RetryPolicy(1), rehammer=RetryPolicy(1), pfa=RetryPolicy(1)
+)
 
 
 def vulnerable_machine(seed):
@@ -68,18 +72,17 @@ class TestRecovery:
         assert report.recovered_key == report.true_key
 
     def test_recovers_from_stolen_frame(self):
-        # steal chaos defeats the single shot...
-        single = make_attack(7, chaos="steal").run()
-        assert not single.key_recovered
-        assert not single.steering_success
+        # steal chaos defeats a run with no room to recover...
+        single = AttackOrchestrator(make_attack(7, chaos="steal"), NO_RECOVERY).run()
+        assert not single.success
+        assert [r.outcome for r in single.timeline if r.stage == "steer"] == ["fail"]
+        assert FailureClass.STEERING_MISS.value in single.failure_classes
         # ...but the orchestrator classifies the miss and re-steers.
         report = AttackOrchestrator(make_attack(7, chaos="steal")).run()
         assert report.success
         assert FailureClass.STEERING_MISS.value in report.failure_classes
 
     def test_recovers_from_trr_burst(self):
-        single = make_attack(7, chaos="trr").run()
-        assert not single.key_recovered
         report = AttackOrchestrator(make_attack(7, chaos="trr")).run()
         assert report.success
         assert FailureClass.NON_REPEATABLE_FLIP.value in report.failure_classes

@@ -36,7 +36,10 @@ class TestAttackCommand:
 
     def test_success_exits_zero(self, capsys):
         assert main(["attack", "--seed", "7", *self.FAST]) == 0
-        assert "KEY RECOVERED:        True" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "flips templated:" in out
+        assert "faulty ciphertexts:" in out
+        assert "KEY RECOVERED:        True" in out
 
     def test_failure_exits_nonzero(self, capsys):
         # An invulnerable module: templating finds nothing, recovery fails.
@@ -45,7 +48,17 @@ class TestAttackCommand:
              "--buffer-mib", "2"]
         )
         assert code == 1
-        assert "KEY RECOVERED:        False" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "flips templated:      0" in out
+        assert "KEY RECOVERED:        False" in out
+
+    def test_orchestrated_failure_exits_nonzero(self, capsys):
+        code = main(
+            ["attack", "--seed", "7", "--density", "0.0", "--campaigns", "1",
+             "--buffer-mib", "2"]
+        )
+        assert code == 1
+        assert "templating-exhausted" in capsys.readouterr().out
 
     def test_orchestrated_success_exits_zero(self, capsys):
         code = main(["attack", "--seed", "7", "--chaos", "steal", *self.FAST])
@@ -53,14 +66,6 @@ class TestAttackCommand:
         out = capsys.readouterr().out
         assert "chaos profile:        steal" in out
         assert "KEY RECOVERED:        True" in out
-
-    def test_orchestrated_failure_exits_nonzero(self, capsys):
-        code = main(
-            ["attack", "--seed", "7", "--density", "0.0", "--campaigns", "1",
-             "--buffer-mib", "2", "--orchestrate"]
-        )
-        assert code == 1
-        assert "templating-exhausted" in capsys.readouterr().out
 
     def test_json_report(self, capsys):
         code = main(
@@ -82,7 +87,7 @@ class TestAttackCommand:
     def test_trace_file_loads_with_all_layers(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
         code = main(
-            ["attack", "--seed", "7", "--orchestrate", "--trace", str(trace),
+            ["attack", "--seed", "7", "--trace", str(trace),
              "--metrics", *self.FAST]
         )
         assert code == 0
@@ -114,13 +119,6 @@ class TestAttackCommand:
         json.loads(captured.out)  # stdout is the report, nothing else
         assert "trace written to" in captured.err
 
-    def test_single_shot_under_chaos_fails(self, capsys):
-        code = main(
-            ["attack", "--seed", "7", "--chaos", "steal", "--single-shot", *self.FAST]
-        )
-        assert code == 1
-        assert "KEY RECOVERED:        False" in capsys.readouterr().out
-
 
 class TestModalityOption:
     FAST = ["--buffer-mib", "4"]
@@ -137,13 +135,6 @@ class TestModalityOption:
         err = capsys.readouterr().err
         assert "unknown attack modality 'nope'" in err
         assert "available: evictframe, explframe, faultprobe" in err
-
-    def test_single_shot_is_explframe_only(self, capsys):
-        code = main(
-            ["attack", "--modality", "faultprobe", "--single-shot", *self.FAST]
-        )
-        assert code == 2
-        assert "--single-shot" in capsys.readouterr().err
 
     def test_faultprobe_recovers_bits(self, capsys):
         code = main(["attack", "--seed", "7", "--modality", "faultprobe", *self.FAST])

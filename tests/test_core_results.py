@@ -4,12 +4,7 @@ import json
 
 from hypothesis import given, strategies as st
 
-from repro.core.results import (
-    EndToEndResult,
-    FlipTemplate,
-    SteeringResult,
-    TemplatingResult,
-)
+from repro.core.results import FlipTemplate, SteeringResult, TemplatingResult
 
 
 def make_template(**overrides):
@@ -83,28 +78,3 @@ class TestSteeringResult:
             same_cpu=True,
         )
         assert result.landing_index is None
-
-
-class TestEndToEndResult:
-    def make(self, **overrides):
-        base = dict(
-            templated_flips=5,
-            steering_success=True,
-            fault_in_table=True,
-            faulty_ciphertexts=2048,
-            key_recovered=True,
-            recovered_key=bytes(16),
-            true_key=bytes(16),
-            hammer_rounds_total=1_000_000,
-            syscalls_total=100,
-            sim_time_ns=2_500_000_000,
-        )
-        base.update(overrides)
-        return EndToEndResult(**base)
-
-    def test_success_mirrors_key_recovery(self):
-        assert self.make().success
-        assert not self.make(key_recovered=False).success
-
-    def test_sim_time_seconds(self):
-        assert self.make().sim_time_seconds == 2.5

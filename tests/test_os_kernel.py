@@ -202,6 +202,28 @@ class TestHammerSyscall:
         assert result.activations <= 2
         assert result.flips == []
 
+    @staticmethod
+    def _observable(kernel):
+        cache = kernel.cache
+        return cache.hits, cache.misses, cache.evictions, kernel.clock.now_ns
+
+    @pytest.mark.parametrize("flush", [True, False])
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_non_positive_rounds_rejected(self, kernel, task, rounds, flush):
+        va = kernel.sys_mmap(task.pid, PAGE_SIZE)
+        kernel.mem_write(task.pid, va, b"a")
+        before = self._observable(kernel)
+        with pytest.raises(ConfigError):
+            kernel.sys_hammer(task.pid, [va], rounds, flush=flush)
+        assert self._observable(kernel) == before
+
+    @pytest.mark.parametrize("flush", [True, False])
+    def test_empty_address_list_rejected(self, kernel, task, flush):
+        before = self._observable(kernel)
+        with pytest.raises(ConfigError):
+            kernel.sys_hammer(task.pid, [], 100, flush=flush)
+        assert self._observable(kernel) == before
+
 
 class TestChurnAndPagemap:
     def test_churn_conserves_frames(self, kernel, task):
