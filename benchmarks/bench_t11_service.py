@@ -58,7 +58,6 @@ def _campaign(attempts: int):
             seed=SEED,
             geometry=DRAMGeometry.small(),
             flip_model=FlipModelConfig.highly_vulnerable(),
-            timed_core="events",
         ),
         attempts,
         attack_config=ExplFrameConfig(

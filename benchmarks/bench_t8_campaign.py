@@ -41,14 +41,14 @@ SEED = 7
 ATTEMPTS = 20
 MIN_SPEEDUP = 3.0
 
-#: label -> (timed_core, fork_from_template)
+#: label -> fork_from_template
 MODES = {
-    "rebuild / events": ("events", False),
-    "fork / events": ("events", True),
+    "rebuild / events": False,
+    "fork / events": True,
 }
 
 
-def run_campaign(timed_core: str, fork: bool) -> dict:
+def run_campaign(fork: bool) -> dict:
     """One full campaign in the current process.
 
     Returns ``{"wall": seconds, "digest": hex, "successes": int}``.
@@ -66,7 +66,6 @@ def run_campaign(timed_core: str, fork: bool) -> dict:
             seed=SEED,
             geometry=DRAMGeometry.small(),
             flip_model=FlipModelConfig.highly_vulnerable(),
-            timed_core=timed_core,
         ),
         ATTEMPTS,
         attack_config=ExplFrameConfig(
@@ -81,13 +80,13 @@ def run_campaign(timed_core: str, fork: bool) -> dict:
     return {"wall": wall, "digest": result.digest(), "successes": result.successes}
 
 
-def run_campaign_subprocess(timed_core: str, fork: bool) -> dict:
+def run_campaign_subprocess(fork: bool) -> dict:
     """``run_campaign`` in a pristine interpreter; parses its JSON result."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, __file__, timed_core, "1" if fork else "0"],
+        [sys.executable, __file__, "1" if fork else "0"],
         capture_output=True,
         text=True,
         env=env,
@@ -99,7 +98,7 @@ def run_campaign_subprocess(timed_core: str, fork: bool) -> dict:
 def test_t8_campaign_fanout(benchmark):
     from repro.analysis.tabulate import format_table, write_results
 
-    outcomes = {label: run_campaign_subprocess(*spec) for label, spec in MODES.items()}
+    outcomes = {label: run_campaign_subprocess(fork) for label, fork in MODES.items()}
 
     # Bit-identical attacks across fork-vs-rebuild.
     digests = {label: outcome["digest"] for label, outcome in outcomes.items()}
@@ -136,11 +135,11 @@ def test_t8_campaign_fanout(benchmark):
     )
 
     benchmark.pedantic(
-        lambda: run_campaign_subprocess("events", fork=True),
+        lambda: run_campaign_subprocess(fork=True),
         rounds=1,
         iterations=1,
     )
 
 
 if __name__ == "__main__":
-    print(json.dumps(run_campaign(sys.argv[1], sys.argv[2] == "1")))
+    print(json.dumps(run_campaign(sys.argv[1] == "1")))

@@ -58,7 +58,6 @@ def run_campaign(fork: bool, workers: int) -> dict:
             seed=SEED,
             geometry=DRAMGeometry.small(),
             flip_model=FlipModelConfig.highly_vulnerable(),
-            timed_core="events",
         ),
         ATTEMPTS,
         attack_config=ExplFrameConfig(

@@ -449,17 +449,12 @@ class AttackOrchestrator:
     def _backoff(self, policy: RetryPolicy, attempt: int) -> None:
         """Wait out adversity in simulated time (never past hope).
 
-        On an event-driven machine the wait runs through the scheduler,
-        so refresh ticks (and any other timed work) fire at their due
-        instants during the backoff instead of coalescing at its end.
+        The wait runs through the machine's event scheduler, so refresh
+        ticks (and any other timed work) fire at their due instants during
+        the backoff instead of coalescing at its end.
         """
         wait = policy.backoff_ns(attempt)
-        machine = self.attack.machine
-        run_until = getattr(machine, "run_until", None)
-        if run_until is not None:
-            run_until(self.kernel.clock.now_ns + wait)
-        else:
-            self.kernel.clock.advance(wait)
+        self.attack.machine.run_until(self.kernel.clock.now_ns + wait)
 
     # -- recovery helpers ---------------------------------------------------------
 

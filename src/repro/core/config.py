@@ -47,7 +47,9 @@ class MachineConfig:
     #: :class:`~repro.sim.events.EventScheduler`.  The legacy ``"polled"``
     #: inline-check core was retired after bench_t8 proved the two
     #: bit-identical; the field remains so old configs fail with a clear
-    #: message instead of silently building a different machine.
+    #: message instead of silently building a different machine, and so
+    #: ``repr(MachineConfig())`` (hashed into every campaign checkpoint's
+    #: config hash) stays stable.
     timed_core: str = "events"
     #: Attach an event-driven ANVIL-style hammering watchdog (None = off).
     watchdog: WatchdogConfig | None = None

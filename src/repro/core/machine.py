@@ -184,10 +184,9 @@ class Machine:
             self.clock, metrics_enabled=self.config.metrics_enabled
         )
 
-        # The event core: every recurring behaviour (refresh, kswapd,
-        # scheduler ticks, watchdog scans, chaos hooks) routes through one
-        # scheduler + bus.  The legacy timed_core="polled" inline-check
-        # path was retired; MachineConfig rejects it with a pointer here.
+        # The event core: every timed behaviour (refresh, kswapd, scheduler
+        # ticks, watchdog scans, chaos hooks, orchestrator backoff) routes
+        # through this one scheduler + bus.
         self.events = EventScheduler(self.clock)
         self.bus = EventBus()
 

@@ -7,9 +7,10 @@ The controller is the single entry point for DRAM traffic.  It
 * drives the per-bank row-buffer state machines (so row hits cost
   ``t_cas_ns`` and cause no disturbance, while row conflicts cost
   ``t_rc_ns`` and count as activations);
-* rolls the refresh window: whenever simulated time crosses a ``t_refw_ns``
-  boundary, every bank's activation counters reset — disturbance cannot
-  accumulate across windows;
+* rolls the refresh window: a tick on the ``"dram"`` queue of the
+  :class:`~repro.sim.events.EventScheduler` fires whenever simulated time
+  crosses a ``t_refw_ns`` boundary and resets every bank's activation
+  counters — disturbance cannot accumulate across windows;
 * evaluates the weak-cell model after activations and applies resulting bit
   flips directly to :class:`~repro.dram.memory.PhysicalMemory`, logging a
   :class:`FlipEvent` for each.
@@ -44,6 +45,7 @@ from repro.dram.timing import DRAMTiming
 from repro.obs import NOOP_OBS
 from repro.sim.clock import SimClock
 from repro.sim.errors import ConfigError
+from repro.sim.events import EventScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.units import PAGE_SHIFT
 
@@ -106,7 +108,7 @@ class MemoryController:
         clock: SimClock,
         trr_config: TrrConfig | None = None,
         ecc_config: EccConfig | None = None,
-        events=None,
+        events: EventScheduler | None = None,
     ):
         if mapping.geometry is not geometry:
             raise ConfigError("mapping was built for a different geometry")
@@ -137,14 +139,10 @@ class MemoryController:
         # Victim rows checked per flip evaluation: +-1 always, +-2 when the
         # distance-2 coupling is non-zero.
         self._max_coupling_distance = 2 if flip_config.coupling_distance2 > 0 else 1
-        # Event-driven refresh: a self-rescheduling tick on the "dram"
-        # scheduler queue replaces the inline epoch check.  ``events=None``
-        # (a bare controller outside a Machine) falls back to the inline
-        # check at access boundaries; both roll windows at the same instants.
-        self._events = events
+        # Refresh is a self-rescheduling tick on the "dram" scheduler queue.
+        self._events = events or EventScheduler(clock)
         self._refresh_handle = None
-        if events is not None:
-            self._schedule_refresh_tick()
+        self._schedule_refresh_tick()
         self.bind_obs(NOOP_OBS)
 
     def bind_obs(self, obs) -> None:
@@ -279,14 +277,12 @@ class MemoryController:
         if value == self._refresh_scale:
             return
         self._refresh_scale = value
-        if self._events is not None:
-            # The pending tick was aimed at the old window boundary.
-            # Re-aim: if the epoch index already differs under the new
-            # window length, fire at the next pump (due = now) — exactly
-            # when the polled epoch check would notice.
-            if self._refresh_handle is not None:
-                self._events.cancel(self._refresh_handle)
-            self._schedule_refresh_tick()
+        # The pending tick was aimed at the old window boundary.  Re-aim:
+        # if the epoch index already differs under the new window length,
+        # fire at the next pump (due = now).
+        if self._refresh_handle is not None:
+            self._events.cancel(self._refresh_handle)
+        self._schedule_refresh_tick()
 
     def effective_refw_ns(self) -> int:
         """The refresh window length after any chaos-injected jitter."""
@@ -306,26 +302,8 @@ class MemoryController:
         )
 
     def _on_refresh_tick(self, now_ns: int) -> None:
-        del now_ns
         self._refresh_handle = None
-        self._refresh_check()
-        self._schedule_refresh_tick()
-
-    def _pump_timed(self) -> None:
-        """Advance timed behaviour at an access boundary.
-
-        With an event scheduler attached this drains the "dram" queue (the
-        refresh tick lives there); a bare controller runs the inline epoch
-        check.  Both roll the window at the same instants, so the
-        simulation is identical.
-        """
-        if self._events is not None:
-            self._events.dispatch_due("dram")
-        else:
-            self._refresh_check()
-
-    def _refresh_check(self) -> None:
-        epoch = self.clock.now_ns // self.effective_refw_ns()
+        epoch = now_ns // self.effective_refw_ns()
         if epoch != self._refresh_epoch:
             for bank in self._banks.values():
                 bank.refresh()
@@ -333,6 +311,14 @@ class MemoryController:
             self.refresh_count += 1
             self._m_refresh.inc()
             self.obs.tracer.instant("dram.refresh", "dram", epoch=epoch)
+        self._schedule_refresh_tick()
+
+    def _pump_timed(self) -> None:
+        """Advance timed behaviour at an access boundary.
+
+        Drains the "dram" scheduler queue, where the refresh tick lives.
+        """
+        self._events.dispatch_due("dram")
 
     def current_refresh_epoch(self) -> int:
         """Index of the refresh window containing the current time."""
@@ -527,13 +513,11 @@ class MemoryController:
 
     # -- access paths ------------------------------------------------------------
 
-    def access(self, phys: int, write: bool = False) -> bool:
+    def access(self, phys: int) -> bool:
         """One uncached DRAM access; returns True if it activated a row.
 
-        ``write`` is accepted for interface symmetry — reads and writes have
-        the same activation behaviour in this model.
+        Reads and writes have the same activation behaviour in this model.
         """
-        del write
         self._pump_timed()
         return self.access_row_run(phys, 1)
 
@@ -541,16 +525,12 @@ class MemoryController:
         """True if no timed DRAM behaviour can fire before ``end_ns``.
 
         Timed behaviour is what :meth:`_pump_timed` runs at an access
-        boundary: the "dram" scheduler queue (the refresh tick), or for a
-        bare controller the inline epoch roll.  Accesses that all start
-        before ``end_ns`` may then skip the pump without changing anything.
+        boundary: the "dram" scheduler queue, where the refresh tick lives.
+        Accesses that all start before ``end_ns`` may then skip the pump
+        without changing anything.
         """
-        if self._events is not None:
-            due = self._events.next_due_ns("dram")
-            return due is None or end_ns <= due
-        refw = self.effective_refw_ns()
-        epoch = self._refresh_epoch
-        return self.clock.now_ns // refw == epoch and end_ns <= (epoch + 1) * refw
+        due = self._events.next_due_ns("dram")
+        return due is None or end_ns <= due
 
     def access_row_run(self, phys: int, count: int) -> bool:
         """``count`` back-to-back DRAM accesses to the row holding ``phys``.

@@ -51,15 +51,15 @@ class Kswapd:
         self.obs = NOOP_OBS
 
     def bind_obs(self, obs) -> None:
-        """Attach an observability hub (the run span is emitted here in event mode)."""
+        """Attach an observability hub (the ``mm.kswapd.run`` span is emitted here)."""
         self.obs = obs
 
     def bind_events(self, events) -> None:
         """Drive reclaim through an event scheduler (queue ``"mm"``).
 
-        A wake arms a due-now event; the kernel drains the queue at the
-        same syscall points where it used to poll ``pending_zones()``, so
-        reclaim still happens synchronously at controlled instants.
+        A wake arms a due-now event; the kernel drains the queue at fault
+        and file-read time, so reclaim happens synchronously at controlled
+        instants.
         """
         self._events = events
 

@@ -34,7 +34,6 @@ from repro.dram.cache import CpuCache
 from repro.dram.controller import HammerResult, MemoryController
 from repro.mm.allocator import AllocationRequest, ZonedPageFrameAllocator
 from repro.mm.reclaim import Kswapd
-from repro.mm.zone import ZoneType
 from repro.defense.watchdog import ActivationLedger
 from repro.obs import NOOP_OBS
 from repro.os.capabilities import CapabilitySet
@@ -43,7 +42,7 @@ from repro.os.scheduler import Scheduler
 from repro.os.task import Task, TaskState
 from repro.sim.clock import SimClock
 from repro.sim.errors import ConfigError, FaultError, OutOfMemoryError, SegmentationFault
-from repro.sim.events import TOPIC_SYSCALL, SyscallHook
+from repro.sim.events import TOPIC_SYSCALL, EventBus, EventScheduler, SyscallHook
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_align_down
 from repro.vm.pagemap import Pagemap
 from repro.vm.vma import Protection, VmaFlags
@@ -108,9 +107,9 @@ class Kernel:
         cache: CpuCache,
         clock: SimClock,
         scheduler: Scheduler,
-        kswapd: Kswapd | None = None,
-        events=None,
-        bus=None,
+        kswapd: Kswapd,
+        events: EventScheduler,
+        bus: EventBus,
     ):
         self.allocator = allocator
         self.controller = controller
@@ -118,11 +117,7 @@ class Kernel:
         self.clock = clock
         self.scheduler = scheduler
         self.kswapd = kswapd
-        self.page_cache = (
-            PageCache(allocator, controller.memory, kswapd, controller=controller)
-            if kswapd
-            else None
-        )
+        self.page_cache = PageCache(allocator, controller.memory, kswapd, controller)
         self.tasks: dict[int, Task] = {}
         self._next_pid = 100
         self.stats = KernelStats()
@@ -133,13 +128,12 @@ class Kernel:
         # well-defined syscall hooks pump it so adversity events fire
         # deterministically inside the simulation, not around it.
         self.chaos = None
-        # Event-driven core (timed_core="events"): syscall hooks publish on
-        # the bus and drain the os/defense scheduler queues; ``None`` keeps
-        # the legacy direct-call behaviour.
+        # Syscall hooks drain the os/defense/workload scheduler queues and
+        # publish on the bus; the kernel's own subscriber forwards them to
+        # an attached chaos engine.
         self.events = events
         self.bus = bus
-        if bus is not None:
-            bus.subscribe(TOPIC_SYSCALL, self._on_syscall_event)
+        bus.subscribe(TOPIC_SYSCALL, self._on_syscall_event)
         self.bind_obs(NOOP_OBS)
 
     def bind_obs(self, obs) -> None:
@@ -201,22 +195,16 @@ class Kernel:
         metrics.add_collector(_collect)
 
     def _pump_chaos(self, hook: str, pid: int) -> None:
-        if self.bus is not None:
-            # Event mode: the hook is a bus message; the chaos engine (and
-            # any other listener) receives it via subscription.  Timed work
-            # parked on the os/defense queues drains at the same instants
-            # the polled core serviced it.
-            if self.events is not None:
-                self.events.dispatch_due("os")
-                self.events.dispatch_due("defense")
-                # Tenant request streams (repro.workload) ride the same
-                # pump: a no-op until a scenario schedules on the queue.
-                self.events.dispatch_due("workload")
-            self.bus.publish(
-                TOPIC_SYSCALL, SyscallHook(hook=hook, pid=pid, time_ns=self.clock.now_ns)
-            )
-        elif self.chaos is not None:
-            self.chaos.pump(hook, pid)
+        # Timed work parked on the os/defense queues drains first; tenant
+        # request streams (repro.workload) ride the same pump, a no-op until
+        # a scenario schedules on the queue.  The hook itself is a bus
+        # message, relayed to the chaos engine by :meth:`_on_syscall_event`.
+        self.events.dispatch_due("os")
+        self.events.dispatch_due("defense")
+        self.events.dispatch_due("workload")
+        self.bus.publish(
+            TOPIC_SYSCALL, SyscallHook(hook=hook, pid=pid, time_ns=self.clock.now_ns)
+        )
 
     def _on_syscall_event(self, event: SyscallHook) -> None:
         if self.chaos is not None:
@@ -242,17 +230,12 @@ class Kernel:
         return result
 
     def _maybe_run_kswapd(self) -> None:
-        """Run pending reclaim work (synchronous stand-in for the daemon)."""
-        if self.kswapd is None:
-            return
-        if self.events is not None:
-            # Event mode: a wake armed a due-now event on the "mm" queue;
-            # draining it here keeps reclaim at the exact same points.
-            self.events.dispatch_due("mm")
-            return
-        if self.kswapd.pending_zones():
-            with self.obs.tracer.span("mm.kswapd.run", "mm") as span:
-                span.set("reclaimed", self.kswapd.run())
+        """Run pending reclaim work (synchronous stand-in for the daemon).
+
+        A kswapd wake arms a due-now event on the "mm" queue; draining it
+        here runs reclaim at fault and file-read time.
+        """
+        self.events.dispatch_due("mm")
 
     # -- process management ---------------------------------------------------
 
@@ -414,8 +397,6 @@ class Kernel:
             pfn = self.allocator.alloc_pages(request)
         except OutOfMemoryError:
             # Direct reclaim: force a kswapd pass and retry once.
-            if self.kswapd is None:
-                raise
             for node in self.allocator.nodes:
                 for zone in node.zones.values():
                     self.kswapd.wake(zone)
@@ -810,8 +791,6 @@ class Kernel:
         task.syscall_count += 1
         self.stats.syscalls += 1
         self._m_sys_file_read.inc()
-        if self.page_cache is None:
-            raise ConfigError("this kernel was built without a page cache")
         self._maybe_run_kswapd()
         misses_before = self.page_cache.misses
         data = self.page_cache.read(file_id, offset, length, cpu=task.cpu)
@@ -833,13 +812,13 @@ class Kernel:
         """Pid currently holding frame ``pfn`` (None if free/kernel)."""
         return self.allocator.zone_of_pfn(pfn).buddy.frames[pfn].owner_pid
 
-    def churn(self, pid: int, pages: int, *, zone: ZoneType = ZoneType.NORMAL) -> None:
+    def churn(self, pid: int, pages: int) -> None:
         """Background memory activity: map, touch and release ``pages`` pages.
 
         Models the unrelated processes whose allocations compete for the
-        page frame cache in the noise experiments.
+        page frame cache in the noise experiments.  Placement walks the
+        default zonelist.
         """
-        del zone  # placement currently always walks the default zonelist
         if pages <= 0:
             return
         va = self.sys_mmap(pid, pages * PAGE_SIZE, name="churn")

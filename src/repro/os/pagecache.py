@@ -18,6 +18,7 @@ import hashlib
 
 from repro.mm.allocator import AllocationRequest, ZonedPageFrameAllocator
 from repro.mm.reclaim import Kswapd
+from repro.dram.controller import MemoryController
 from repro.dram.memory import PhysicalMemory
 from repro.sim.errors import ConfigError
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
@@ -38,13 +39,13 @@ class PageCache:
         allocator: ZonedPageFrameAllocator,
         memory: PhysicalMemory,
         kswapd: Kswapd,
-        controller=None,
+        controller: MemoryController,
     ):
         self.allocator = allocator
         self.memory = memory
         self.kswapd = kswapd
-        # Optional DRAM controller: page fills then issue a row access so
-        # streaming I/O shows up (modestly) in activation accounting.
+        # Page fills issue a row access so streaming I/O shows up
+        # (modestly) in activation accounting.
         self.controller = controller
         self._pages: dict[tuple[int, int], int] = {}
         self._by_pfn: dict[int, tuple[int, int]] = {}
@@ -72,8 +73,7 @@ class PageCache:
             AllocationRequest(order=0, cpu=cpu, owner_pid=None)
         )
         self.memory.write(pfn << PAGE_SHIFT, file_page_content(file_id, page_index))
-        if self.controller is not None:
-            self.controller.access(pfn << PAGE_SHIFT, write=True)
+        self.controller.access(pfn << PAGE_SHIFT)
         zone = self.allocator.zone_of_pfn(pfn)
         self.kswapd.register_reclaimable(zone, pfn, 0, on_reclaim=self._on_reclaim)
         self._pages[(file_id, page_index)] = pfn

@@ -246,6 +246,25 @@ def _report_json(record: dict) -> bytes:
     ).encode("utf-8")
 
 
+def _fold_records(records) -> tuple[str, dict, int]:
+    """Fold journal records, in attempt-index order, into a campaign summary.
+
+    Returns ``(digest, merged metrics, successes)``: the digest is the
+    SHA-256 over every report's canonical JSON plus a newline, exactly as
+    an in-memory campaign computes it.
+    """
+    hasher = hashlib.sha256()
+    accumulator = MetricStateAccumulator()
+    successes = 0
+    for record in records:
+        hasher.update(_report_json(record))
+        hasher.update(b"\n")
+        accumulator.add(record["state"])
+        if record["report"]["success"]:
+            successes += 1
+    return hasher.hexdigest(), accumulator.result(), successes
+
+
 def _write_json_atomic(path: Path, payload: dict) -> None:
     """Durably replace ``path``: write temp, fsync, rename, fsync the dir."""
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -569,17 +588,11 @@ class CampaignService:
                 f"{self.journal_path}: attempts {missing[:4]}... were never "
                 "journaled; the shard did not complete"
             )
-        hasher = hashlib.sha256()
-        accumulator = MetricStateAccumulator()
-        successes = 0
         with open(self.journal_path, "rb") as fh:
-            for index in indices:
-                record = _read_record(fh, offsets[index], index, self.journal_path)
-                hasher.update(_report_json(record))
-                hasher.update(b"\n")
-                accumulator.add(record["state"])
-                if record["report"]["success"]:
-                    successes += 1
+            digest, metrics, successes = _fold_records(
+                _read_record(fh, offsets[index], index, self.journal_path)
+                for index in indices
+            )
         pool_block = campaign._pool_block(
             owned=len(indices),
             dispatched=self._counters["journaled"] + self._counters["worker_retries"],
@@ -599,13 +612,13 @@ class CampaignService:
         return CampaignResult(
             reports=(),
             mode=campaign.mode,
-            metrics=accumulator.result(),
+            metrics=metrics,
             pool=pool_block,
             service=service_block,
             summary={
                 "attempts": len(indices),
                 "successes": successes,
-                "digest": hasher.hexdigest(),
+                "digest": digest,
             },
         )
 
@@ -697,17 +710,10 @@ def merge_shards(checkpoint_dir, campaign=None):
             for index in owned:
                 by_index[index] = (handle, offsets[index], path)
 
-        hasher = hashlib.sha256()
-        accumulator = MetricStateAccumulator()
-        successes = 0
-        for index in range(attempts):
-            handle, offset, path = by_index[index]
-            record = _read_record(handle, offset, index, path)
-            hasher.update(_report_json(record))
-            hasher.update(b"\n")
-            accumulator.add(record["state"])
-            if record["report"]["success"]:
-                successes += 1
+        digest, metrics, successes = _fold_records(
+            _read_record(handle, offset, index, path)
+            for index, (handle, offset, path) in sorted(by_index.items())
+        )
 
     service_block = make_service_block(
         journaled=0, resumed=attempts, torn=torn_total,
@@ -717,12 +723,12 @@ def merge_shards(checkpoint_dir, campaign=None):
     return CampaignResult(
         reports=(),
         mode=mode,
-        metrics=accumulator.result(),
+        metrics=metrics,
         pool=None,
         service=service_block,
         summary={
             "attempts": attempts,
             "successes": successes,
-            "digest": hasher.hexdigest(),
+            "digest": digest,
         },
     )

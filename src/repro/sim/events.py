@@ -1,20 +1,22 @@
 """Discrete-event core: a scheduler over :class:`SimClock` plus a pub/sub bus.
 
-Before this module existed every timed behaviour in the simulator was
-*polled*: the DRAM controller re-derived the refresh epoch on each access,
-the kernel asked kswapd "anything pending?" at fault time, and chaos plans
-were pumped inline from syscalls.  The :class:`EventScheduler` replaces
-those ad-hoc checks with one ordered heap of ``(due_ns, seq, event)``
-entries sharing the machine's :class:`~repro.sim.clock.SimClock`:
+The :class:`EventScheduler` is the one way timed behaviour advances in the
+simulator.  DRAM refresh is a self-rescheduling tick, a kswapd wake arms a
+due-now reclaim event, scheduler ticks and watchdog scans recur, and an
+orchestrator backoff waits through :meth:`EventScheduler.run_until`.  All
+of them sit on one ordered heap of ``(due_ns, seq, event)`` entries
+sharing the machine's :class:`~repro.sim.clock.SimClock`:
 
 * **Deterministic ordering** — ties on ``due_ns`` break on the global
   ``seq`` counter, so two machines that schedule the same events in the
   same order dispatch them identically.
 * **Queues** — every event belongs to a named queue (``"dram"``,
-  ``"mm"``, ``"os"``, ``"defense"``).  Components drain *their own*
-  queue at exactly the points where they used to poll, which preserves
-  the polled core's semantics bit-for-bit; ``run_until``/``step`` drain
-  all queues in global ``(due_ns, seq)`` order.
+  ``"mm"``, ``"os"``, ``"defense"``, ``"workload"``).  Components drain
+  *their own* queue at fixed points: the controller drains ``"dram"`` at
+  every DRAM access and hammer chunk, the kernel drains ``"mm"`` at fault
+  and file-read time and ``"os"``/``"defense"``/``"workload"`` at syscall
+  hooks.  ``run_until``/``step`` drain all queues in global
+  ``(due_ns, seq)`` order.
 * **Recurring events** — a ``period_ns`` re-arms the event after each
   firing.  Missed periods are skipped, not replayed: the next due time
   is the first multiple of the period (phased from the original due
@@ -29,8 +31,9 @@ entries sharing the machine's :class:`~repro.sim.clock.SimClock`:
 
 The :class:`EventBus` is the untimed half: typed publish/subscribe
 between layers.  The kernel publishes a :class:`SyscallHook` payload on
-:data:`TOPIC_SYSCALL` at every syscall pump point; the chaos engine (and
-anything else) subscribes instead of being hard-wired into the kernel.
+:data:`TOPIC_SYSCALL` at every syscall pump point; the kernel's own
+subscriber relays it to an attached chaos engine, and any other layer may
+subscribe too.
 
 Both structures deep-copy cleanly — callbacks must be *bound methods* of
 simulation objects so that :meth:`~repro.core.machine.Machine.fork`

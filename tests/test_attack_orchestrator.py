@@ -63,6 +63,19 @@ class TestPolicyAndConfig:
             OrchestratorConfig(campaign_budget=0)
 
 
+class TestBackoff:
+    def test_backoff_advances_through_the_event_scheduler(self):
+        machine = Machine(MachineConfig.small(seed=7))
+        orchestrator = AttackOrchestrator(ExplFrameAttack(machine))
+        controller = machine.controller
+        refw = controller.effective_refw_ns()
+        refreshes, now = controller.refresh_count, machine.clock.now_ns
+        orchestrator._backoff(RetryPolicy(1, backoff_base_ns=3 * refw), 0)
+        # Refresh ticks fire inside the wait, not only at the next access.
+        assert controller.refresh_count == refreshes + 3
+        assert machine.clock.now_ns == now + 3 * refw
+
+
 class TestRecovery:
     def test_clean_run_succeeds_without_failures(self):
         report = AttackOrchestrator(make_attack(7)).run()

@@ -34,12 +34,11 @@ FAST = ExplFrameConfig(
 )
 
 
-def vulnerable_config(seed=7, timed_core="events"):
+def vulnerable_config(seed=7):
     return MachineConfig(
         seed=seed,
         geometry=DRAMGeometry.small(),
         flip_model=FlipModelConfig.highly_vulnerable(),
-        timed_core=timed_core,
     )
 
 

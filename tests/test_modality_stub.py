@@ -100,8 +100,9 @@ class StubAttack:
         complete_after=1,
     ):
         self.kernel = FakeKernel()
-        # No run_until attribute, so backoffs go through clock.advance.
-        self.machine = SimpleNamespace(rng=SimpleNamespace(master_seed=7))
+        self.machine = SimpleNamespace(
+            rng=SimpleNamespace(master_seed=7), run_until=self._run_until
+        )
         self.obs = Observability()
         self.attacker = SimpleNamespace(
             pid=1, cpu=0, mm=SimpleNamespace(page_table=_AlwaysMapped())
@@ -118,6 +119,11 @@ class StubAttack:
         self._candidates_per_campaign = candidates_per_campaign
         self._complete_after = complete_after
         self._resolved = 0
+
+    def _run_until(self, target_ns):
+        """Backoffs wait on the fake clock; the stub schedules no events."""
+        self.kernel.clock.advance(target_ns - self.kernel.clock.now_ns)
+        return 0
 
     # -- shared front half -------------------------------------------------------
 

@@ -240,8 +240,9 @@ class TestPageRunConditions:
 
 
 class TestBareControllerRowRun:
-    """Without a scheduler the controller rolls refresh windows inline; a
-    row run guarded by ``is_quiet_until`` must match per-access calls."""
+    """A controller built outside a Machine refreshes through its private
+    scheduler; a row run guarded by ``is_quiet_until`` must match
+    per-access calls."""
 
     @staticmethod
     def _controller(refw_ns: int) -> MemoryController:

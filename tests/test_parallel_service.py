@@ -55,7 +55,6 @@ def vulnerable_config(seed=7):
         seed=seed,
         geometry=DRAMGeometry.small(),
         flip_model=FlipModelConfig.highly_vulnerable(),
-        timed_core="events",
     )
 
 
