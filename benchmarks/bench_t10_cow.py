@@ -76,7 +76,7 @@ def measure_fork() -> dict:
     from repro.attack.orchestrator import AttackCampaign
 
     campaign = AttackCampaign(
-        _campaign_config(), 2, attack_config=_fast_attack(), fork_from_template=True
+        _campaign_config(), 2, attack_config=_fast_attack()
     )
     begin = time.perf_counter()
     snapshot = campaign._warm_snapshot()
@@ -154,7 +154,6 @@ def campaign_digests() -> dict:
             _campaign_config(),
             2,
             attack_config=_fast_attack(),
-            fork_from_template=True,
             **kwargs,
         )
 

@@ -66,7 +66,6 @@ def _campaign(attempts: int):
             )
         ),
         orchestrator_config=OrchestratorConfig(deadline_ns=600 * SECOND),
-        fork_from_template=True,
         workers=WORKERS,
     )
 

@@ -94,7 +94,6 @@ def measure_rates() -> list[dict]:
             _campaign_config(),
             ATTEMPTS,
             attack_config=_fast_attack(),
-            fork_from_template=True,
             scenario=_scenario(rate),
         ).run()
         steer_tries = [
@@ -130,7 +129,6 @@ def digest_parity() -> dict:
             _campaign_config(),
             4,
             attack_config=_fast_attack(),
-            fork_from_template=True,
             scenario=scenario_preset("duet"),
             **kwargs,
         ).run()

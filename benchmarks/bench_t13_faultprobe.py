@@ -62,7 +62,6 @@ def _campaign(modality: str, **kwargs):
         ATTEMPTS,
         modality=modality,
         attack_config=attack_config,
-        fork_from_template=True,
         scenario=scenario_preset("duet"),
         **kwargs,
     )

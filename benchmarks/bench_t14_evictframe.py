@@ -82,7 +82,6 @@ def _campaign(modality: str, **kwargs):
         ATTEMPTS,
         modality=modality,
         attack_config=_attack_config(modality),
-        fork_from_template=True,
         scenario=scenario_preset("duet"),
         **kwargs,
     )
@@ -143,7 +142,6 @@ def explframe_t10_digest() -> str:
         _campaign_config(),
         2,
         attack_config=_attack_config("explframe"),
-        fork_from_template=True,
     ).run()
     assert result.successes == 2
     return result.digest()

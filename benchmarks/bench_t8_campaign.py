@@ -7,16 +7,15 @@ machine can be snapshotted and forked per attempt instead of rebuilt.
 
 One table: a 20-attempt campaign run two ways —
 
-* rebuild (pre-refactor behaviour: fresh machine + fresh templating per
-  attempt),
-* fork (template once, fork a warm machine per attempt).
+* rebuild (the reference: a fresh one-attempt ``AttackCampaign`` per
+  attempt, so every attempt builds and templates its own machine),
+* fork (the campaign engine: template once, fork a warm machine per
+  attempt).
 
 Acceptance: fork is ≥3× faster than rebuild in wall-clock, and both
-modes produce **bit-identical** campaign digests — the SHA-256 over
-every attempt's canonical report JSON — proving that snapshot/fork
-does not perturb the attack.  (The polled-vs-events equivalence
-control this table used to carry retired along with the polled core;
-``timed_core="polled"`` is now a ConfigError.)
+rows produce **bit-identical** campaign digests — the SHA-256 over
+every attempt's canonical report JSON, in attempt order — proving that
+snapshot/fork does not perturb the attack.
 
 Each mode runs in a fresh interpreter subprocess (the same isolation
 pyperf uses).  When ``Machine.fork`` was still a deepcopy storm its
@@ -30,6 +29,7 @@ mirrors how campaigns actually run (one process per campaign).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -41,7 +41,7 @@ SEED = 7
 ATTEMPTS = 20
 MIN_SPEEDUP = 3.0
 
-#: label -> fork_from_template
+#: label -> fork (False = warm a fresh machine per attempt)
 MODES = {
     "rebuild / events": False,
     "fork / events": True,
@@ -61,23 +61,37 @@ def run_campaign(fork: bool) -> dict:
     from repro.dram.geometry import DRAMGeometry
     from repro.sim.units import MIB, SECOND
 
-    campaign = AttackCampaign(
-        MachineConfig(
-            seed=SEED,
-            geometry=DRAMGeometry.small(),
-            flip_model=FlipModelConfig.highly_vulnerable(),
-        ),
-        ATTEMPTS,
-        attack_config=ExplFrameConfig(
-            templator=TemplatorConfig(buffer_bytes=4 * MIB, rounds=1_300_000, batch_pairs=8)
-        ),
-        orchestrator_config=OrchestratorConfig(deadline_ns=600 * SECOND),
-        fork_from_template=fork,
-    )
+    def campaign():
+        return AttackCampaign(
+            MachineConfig(
+                seed=SEED,
+                geometry=DRAMGeometry.small(),
+                flip_model=FlipModelConfig.highly_vulnerable(),
+            ),
+            ATTEMPTS,
+            attack_config=ExplFrameConfig(
+                templator=TemplatorConfig(
+                    buffer_bytes=4 * MIB, rounds=1_300_000, batch_pairs=8
+                )
+            ),
+            orchestrator_config=OrchestratorConfig(deadline_ns=600 * SECOND),
+        )
+
     begin = time.perf_counter()
-    result = campaign.run()
+    if fork:
+        result = campaign().run()
+        digest, successes = result.digest(), result.successes
+    else:
+        # A fresh campaign per attempt warms (builds + templates) anew.
+        hasher = hashlib.sha256()
+        successes = 0
+        for index in range(ATTEMPTS):
+            for _, report, *_ in campaign().iter_attempts([index]):
+                hasher.update(report.to_json().encode("utf-8") + b"\n")
+                successes += report.success
+        digest = hasher.hexdigest()
     wall = time.perf_counter() - begin
-    return {"wall": wall, "digest": result.digest(), "successes": result.successes}
+    return {"wall": wall, "digest": digest, "successes": successes}
 
 
 def run_campaign_subprocess(fork: bool) -> dict:

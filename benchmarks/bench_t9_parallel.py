@@ -2,17 +2,15 @@
 
 PR 5's claim: dispatching campaign attempts across worker processes is
 an *engine* choice with zero *result* consequences.  One table: the same
-24-attempt campaign run three ways —
+24-attempt campaign run two ways —
 
 * serial / fork — workers=1, template once and fork per attempt (the T8
   winner, the baseline here);
 * pool4 / ship — 4 workers, the warm snapshot pickled once and shipped
-  to each worker's initializer;
-* pool4 / rebuild — 4 workers, ``fork_from_template=False`` (each
-  attempt rebuilds inside its worker).
+  to each worker's initializer.
 
-Acceptance: all three digests are **bit-identical** (always asserted),
-and on a host with ≥4 CPUs the ship mode is ≥2x faster in wall-clock
+Acceptance: both digests and merged metrics blocks are
+**bit-identical** (always asserted), and on a host with ≥4 CPUs the ship mode is ≥2x faster in wall-clock
 than the serial baseline.  The speedup assertion is gated on
 ``os.cpu_count()`` so single-core hosts still verify determinism.
 
@@ -35,15 +33,14 @@ ATTEMPTS = 24
 WORKERS = 4
 MIN_SPEEDUP = 2.0
 
-#: label -> (fork_from_template, workers)
+#: label -> workers
 MODES = {
-    "serial / fork": (True, 1),
-    "pool4 / ship": (True, WORKERS),
-    "pool4 / rebuild": (False, WORKERS),
+    "serial / fork": 1,
+    "pool4 / ship": WORKERS,
 }
 
 
-def run_campaign(fork: bool, workers: int) -> dict:
+def run_campaign(workers: int) -> dict:
     """One full campaign in the current process; plain-data outcome."""
     from repro.attack.explframe import ExplFrameConfig
     from repro.attack.orchestrator import AttackCampaign, OrchestratorConfig
@@ -66,7 +63,6 @@ def run_campaign(fork: bool, workers: int) -> dict:
             )
         ),
         orchestrator_config=OrchestratorConfig(deadline_ns=600 * SECOND),
-        fork_from_template=fork,
         workers=workers,
     )
     begin = time.perf_counter()
@@ -80,13 +76,13 @@ def run_campaign(fork: bool, workers: int) -> dict:
     }
 
 
-def run_campaign_subprocess(fork: bool, workers: int) -> dict:
+def run_campaign_subprocess(workers: int) -> dict:
     """``run_campaign`` in a pristine interpreter; parses its JSON result."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, __file__, "1" if fork else "0", str(workers)],
+        [sys.executable, __file__, str(workers)],
         capture_output=True,
         text=True,
         env=env,
@@ -98,18 +94,16 @@ def run_campaign_subprocess(fork: bool, workers: int) -> dict:
 def test_t9_parallel_campaign(benchmark):
     from repro.analysis.tabulate import format_table, write_results
 
-    outcomes = {label: run_campaign_subprocess(*spec) for label, spec in MODES.items()}
+    outcomes = {
+        label: run_campaign_subprocess(workers) for label, workers in MODES.items()
+    }
 
-    # Bit-identical attacks across worker counts AND warm-state strategies.
+    # Bit-identical attacks across worker counts.
     digests = {label: outcome["digest"] for label, outcome in outcomes.items()}
     assert len(set(digests.values())) == 1, f"campaign digests diverged: {digests}"
-    # The merged per-attempt metrics block is worker-count-independent
-    # too — among the fork modes.  (Rebuild attempts warm inside the
-    # attempt, so their registries legitimately include templating
-    # activity the fork modes pay before the snapshot.)
+    # The merged per-attempt metrics block is worker-count-independent too.
     metrics = [
-        json.dumps(outcomes[label]["metrics"], sort_keys=True)
-        for label in ("serial / fork", "pool4 / ship")
+        json.dumps(outcome["metrics"], sort_keys=True) for outcome in outcomes.values()
     ]
     assert len(set(metrics)) == 1, "merged campaign metrics diverged across modes"
     successes = outcomes["pool4 / ship"]["successes"]
@@ -148,15 +142,11 @@ def test_t9_parallel_campaign(benchmark):
         )
 
     benchmark.pedantic(
-        lambda: run_campaign_subprocess(True, WORKERS),
+        lambda: run_campaign_subprocess(WORKERS),
         rounds=1,
         iterations=1,
     )
 
 
 if __name__ == "__main__":
-    print(
-        json.dumps(
-            run_campaign(sys.argv[1] == "1", int(sys.argv[2]))
-        )
-    )
+    print(json.dumps(run_campaign(int(sys.argv[1]))))

@@ -14,7 +14,7 @@ Runs the same attack against machines differing in exactly one defence:
 Run:  python examples/defense_evaluation.py   (takes a few minutes)
 
 CLI equivalent:  none single-flag; the pieces compose as
-`python -m repro attack --campaign 8 --fork-from-template --workers 4`
+`python -m repro attack --campaign 8 --workers 4`
 per machine variant (defence knobs live in MachineConfig, not CLI flags)
 """
 

@@ -37,7 +37,7 @@ def _cli(extra, checkpoint, *, attempts, chaos, modality="explframe"):
     command = [
         sys.executable, "-m", "repro", "attack",
         "--seed", "7", "--buffer-mib", "4",
-        "--campaign", str(attempts), "--fork-from-template",
+        "--campaign", str(attempts),
         "--deadline", "600", "--checkpoint", str(checkpoint), "--json",
     ]
     if chaos != "none":

@@ -201,15 +201,6 @@ class AttackModality(ABC):
     def build(self, machine, *, config=None, key=None, tenant_workload=None):
         """Create the per-run :class:`AttackRun` driver."""
 
-    def config_hash_fields(self, attack_config) -> tuple:
-        """Extra result-determining knobs for ``campaign_config_hash``.
-
-        The campaign hash already covers ``repr(attack_config)``; return
-        anything *outside* the config that changes results (modality
-        constants, oracle choices).  Appended after the modality name.
-        """
-        return ()
-
     def required_capabilities(self) -> frozenset[str]:
         """Machine/workload features this modality needs to run."""
         return frozenset({"templating", "steering", "hammer"})

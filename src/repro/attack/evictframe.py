@@ -371,12 +371,6 @@ class EvictFrameModality(AttackModality):
             machine, key=key, config=config, tenant_workload=tenant_workload
         )
 
-    def config_hash_fields(self, attack_config) -> tuple:
-        # repr(attack_config) already pins every knob, including the
-        # eviction-set shape; the cache geometry the sets are derived
-        # from is part of MachineConfig, which the campaign hash covers.
-        return ()
-
     def required_capabilities(self) -> frozenset[str]:
         return frozenset(
             {"templating", "steering", "cache-eviction", "ciphertext-oracle"}

@@ -337,12 +337,6 @@ class FaultProbeModality(AttackModality):
             machine, key=key, config=config, tenant_workload=tenant_workload
         )
 
-    def config_hash_fields(self, attack_config) -> tuple:
-        # repr(attack_config) already pins every knob; the oracle choice
-        # (workload-routed vs direct) follows the scenario, which the
-        # campaign hash covers separately.
-        return ()
-
     def required_capabilities(self) -> frozenset[str]:
         return frozenset({"templating", "steering", "hammer", "response-oracle"})
 

@@ -663,12 +663,13 @@ class CampaignResult:
     """Outcome of an N-attempt campaign.
 
     ``digest()`` hashes every attempt's canonical report JSON, in order —
-    the equality witness that the fork and rebuild strategies and every
-    worker count produce literally the same attacks.  ``metrics`` (the per-attempt registries
-    merged with :func:`~repro.obs.metrics.merge_metric_states`), ``pool``
-    (worker-pool stats: wall times, pids) and ``service`` (checkpoint
-    journal stats) ride outside the digest — the first is
-    order-deterministic, the latter two are host noise.
+    the equality witness that every worker count and every engine (in
+    memory, pooled, checkpointed) produce literally the same attacks.
+    ``metrics`` (the per-attempt registries merged with
+    :func:`~repro.obs.metrics.merge_metric_states`), ``pool`` (worker-pool
+    stats: wall times, pids) and ``service`` (checkpoint journal stats)
+    ride outside the digest — the first is order-deterministic, the
+    latter two are host noise.
 
     A streaming campaign-service run journals and *releases* each report
     instead of holding it (docs/CAMPAIGNS.md); such a result carries
@@ -679,7 +680,6 @@ class CampaignResult:
     """
 
     reports: tuple[AttackRunReport, ...]
-    mode: str  # "fork" | "rebuild"
     metrics: dict | None = None
     pool: dict | None = None
     service: dict | None = None
@@ -711,7 +711,6 @@ class CampaignResult:
 
     def to_dict(self) -> dict:
         out = {
-            "mode": self.mode,
             "attempts": self.attempts,
             "successes": self.successes,
             "digest": self.digest(),
@@ -736,18 +735,13 @@ class AttackCampaign:
     randomness (PFA plaintexts, victim interaction) varies per attempt
     while the hardware and the templated state stay fixed.
 
-    Two interchangeable strategies reach that state:
-
-    * ``fork_from_template=True`` — build + template **once**, snapshot,
-      and :meth:`~repro.core.machine.MachineSnapshot.fork` per attempt.
-      The dominant fixed cost (templating a whole buffer under refresh)
-      is paid one time.
-    * ``fork_from_template=False`` — rebuild and re-template per attempt
-      (the pre-refactor behaviour).
-
-    Determinism makes them equivalent by construction: a rebuilt machine
-    reaches bit-identical post-templating state, so reseeding it matches
-    reseeding a fork, and :meth:`CampaignResult.digest` comes out equal.
+    One strategy reaches that state, as the paper's attacker does:
+    build and template **once**, snapshot, and
+    :meth:`~repro.core.machine.MachineSnapshot.fork` per attempt.  The
+    dominant fixed cost (templating a whole buffer under refresh) is paid
+    one time.  Determinism makes a fork byte-identical to a machine
+    rebuilt and re-templated from scratch, so reseeding either gives the
+    same report (``TestCampaignForkEquivalence`` keeps that oracle).
 
     Every run — in memory, pooled or checkpointed — consumes the one
     attempt stream :meth:`iter_attempts`.  With ``workers > 1`` the stream
@@ -773,7 +767,6 @@ class AttackCampaign:
         modality: str = "explframe",
         attack_config=None,
         orchestrator_config: OrchestratorConfig | None = None,
-        fork_from_template: bool = True,
         chaos_profile: str = "none",
         chaos_intensity: float = 1.0,
         workers: int = 1,
@@ -793,7 +786,6 @@ class AttackCampaign:
         self.attempts = attempts
         self.attack_config = attack_config or modality_impl.default_config()
         self.orchestrator_config = orchestrator_config or OrchestratorConfig()
-        self.fork_from_template = fork_from_template
         self.chaos_profile = chaos_profile
         self.chaos_intensity = chaos_intensity
         self.workers = workers
@@ -808,11 +800,6 @@ class AttackCampaign:
                 f"scenario {scenario.name!r}'s target tenant "
                 f"({scenario.target_spec.cipher!r})"
             )
-
-    @property
-    def mode(self) -> str:
-        """The strategy label reports carry: ``"fork"`` or ``"rebuild"``."""
-        return "fork" if self.fork_from_template else "rebuild"
 
     def _attempt_seed(self, index: int) -> int:
         return derive_seed(self.base_config.seed, f"campaign/{index}")
@@ -847,19 +834,15 @@ class AttackCampaign:
     def _run_attempt(self, snapshot, index: int):
         """Run attempt ``index``: the campaign's one unit of work.
 
-        Forks ``snapshot`` (or, without one, builds and warms a fresh
-        machine — the rebuild strategy), reseeds, attaches the
-        per-attempt chaos plan (if any) and orchestrates.  The ordering
-        is identical in every engine, which is what keeps the digest
-        mode- and worker-count-independent.  Returns ``(index, report,
-        metrics_state, pid, wall_ns)``; the last two are host telemetry.
+        Forks ``snapshot``, reseeds, attaches the per-attempt chaos plan
+        (if any) and orchestrates.  The ordering is identical in every
+        engine, which is what keeps the digest worker-count-independent.
+        Returns ``(index, report, metrics_state, pid, wall_ns)``; the
+        last two are host telemetry.
         """
         start = time.perf_counter_ns()
-        if snapshot is None:
-            machine, attack, candidates = self._warm()
-        else:
-            machine, extras = snapshot.fork()
-            attack, candidates = extras["attack"], extras["candidates"]
+        machine, extras = snapshot.fork()
+        attack, candidates = extras["attack"], extras["candidates"]
         seed = self._attempt_seed(index)
         machine.rng.reseed(seed)
         if self.chaos_profile != "none":
@@ -885,15 +868,14 @@ class AttackCampaign:
         collects it in memory, the campaign service
         (:mod:`repro.parallel.service`) journals it.  With ``workers ==
         1`` the attempts run here, in ``indices`` order, forking one warm
-        snapshot (or rebuilding per attempt when ``fork_from_template``
-        is off).  With ``workers > 1`` they run on a process pool with at
+        snapshot.  With ``workers > 1`` they run on a process pool with at
         most ``window`` (default ``2 * workers``) in flight, yielded in
         completion order; a died worker raises
         :class:`~repro.sim.errors.WorkerLostError`.
 
         ``snapshot_blob`` is warm state the caller already pickled with
         :meth:`~repro.core.machine.MachineSnapshot.to_bytes`; without it
-        a fork campaign warms here, once.
+        the campaign warms here, once.
         """
         indices = list(indices)
         if not indices:
@@ -901,20 +883,18 @@ class AttackCampaign:
         if self.workers > 1:
             from repro.parallel.pool import iter_pooled
 
-            if self.fork_from_template and snapshot_blob is None:
+            if snapshot_blob is None:
                 snapshot_blob = self._warm_snapshot().to_bytes()
             yield from iter_pooled(
                 self, indices, snapshot_blob=snapshot_blob, window=window
             )
             return
-        if snapshot_blob is not None:
+        if snapshot_blob is None:
+            snapshot = self._warm_snapshot()
+        else:
             from repro.core.machine import MachineSnapshot
 
             snapshot = MachineSnapshot.from_bytes(snapshot_blob)
-        elif self.fork_from_template:
-            snapshot = self._warm_snapshot()
-        else:
-            snapshot = None
         for index in indices:
             yield self._run_attempt(snapshot, index)
 
@@ -928,13 +908,9 @@ class AttackCampaign:
         """
         from repro.parallel.pool import make_pool_block
 
-        if self.workers == 1:
-            mode = "serial"
-        else:
-            mode = "ship" if self.fork_from_template else "rebuild"
         return make_pool_block(
             workers=min(self.workers, max(1, owned)),
-            mode=mode,
+            mode="serial" if self.workers == 1 else "ship",
             dispatched=dispatched,
             completed=completed,
             worker_wall_ns={
@@ -956,7 +932,6 @@ class AttackCampaign:
             wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
         return CampaignResult(
             reports=tuple(report for report, _ in outcomes),
-            mode=self.mode,
             metrics=merge_metric_states([state for _, state in outcomes]),
             pool=self._pool_block(
                 owned=self.attempts,

@@ -132,6 +132,42 @@ def _apply_evict_knobs(args: argparse.Namespace, config):
     return config
 
 
+def _attack_configs(args: argparse.Namespace, scenario):
+    """(modality config, OrchestratorConfig) from the attack flags.
+
+    The one place ``--campaigns``, ``--max-retries`` and ``--deadline``
+    become configs, so a single run and every ``--campaign`` attempt
+    honour (and validate) them alike.
+    """
+    from repro.attack.orchestrator import OrchestratorConfig, RetryPolicy
+    from repro.attack.registry import get_modality
+    from repro.attack.templating import TemplatorConfig
+    from repro.sim.units import SECOND
+
+    cipher, cpu = _scenario_attack_knobs(args, scenario)
+    config = _apply_evict_knobs(
+        args,
+        get_modality(args.modality).make_config(
+            cipher=cipher,
+            cpu=cpu,
+            templator=TemplatorConfig(
+                buffer_bytes=args.buffer_mib * MIB, batch_pairs=16
+            ),
+            max_campaigns=args.campaigns,
+        ),
+    )
+    retries = args.max_retries
+    return config, OrchestratorConfig(
+        deadline_ns=int(args.deadline * SECOND),
+        campaign_budget=max(args.campaigns, 2 * config.max_campaigns),
+        steer=RetryPolicy(max_attempts=retries),
+        rehammer=RetryPolicy(
+            max_attempts=retries, backoff_base_ns=20_000_000, backoff_factor=3.0
+        ),
+        pfa=RetryPolicy(max_attempts=min(retries, 3), backoff_base_ns=1_000_000),
+    )
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
     """Run the full ExplFrame chain; exit code 0 iff the key was recovered.
 
@@ -143,15 +179,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     attempts instead.  The exit code is non-zero when the run's goal is
     not reached.
     """
-    from repro.attack.orchestrator import (
-        AttackOrchestrator,
-        OrchestratorConfig,
-        RetryPolicy,
-    )
+    from repro.attack.orchestrator import AttackOrchestrator
     from repro.attack.registry import available_modalities, get_modality
-    from repro.attack.templating import TemplatorConfig
     from repro.sim.chaos import ChaosEngine, chaos_profile
-    from repro.sim.units import SECOND
 
     if args.list_modalities:
         for name, description in available_modalities().items():
@@ -160,8 +190,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     modality = get_modality(args.modality)
 
     scenario = _load_scenario_arg(args)
+    config, orchestrator_config = _attack_configs(args, scenario)
     if args.campaign:
-        return _cmd_attack_campaign(args, scenario)
+        return _cmd_attack_campaign(args, scenario, config, orchestrator_config)
 
     machine = _vulnerable_machine(args.seed, args.density)
     if args.trace:
@@ -172,16 +203,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
     # simulation is bit-identical to an engine-less run).
     if args.chaos != "none" or args.trace:
         ChaosEngine(machine.kernel, chaos_profile(args.chaos, args.chaos_intensity))
-    cipher, cpu = _scenario_attack_knobs(args, scenario)
-    config = modality.make_config(
-        cipher=cipher,
-        cpu=cpu,
-        templator=TemplatorConfig(
-            buffer_bytes=args.buffer_mib * MIB, batch_pairs=16
-        ),
-        max_campaigns=args.campaigns,
-    )
-    config = _apply_evict_knobs(args, config)
     workload = None
     if scenario is not None:
         from repro.workload import WorkloadEngine
@@ -189,20 +210,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         workload = WorkloadEngine(machine, scenario)
         workload.start()
     attack = modality.build(machine, config=config, tenant_workload=workload)
-
-    retries = args.max_retries
-    report = AttackOrchestrator(
-        attack,
-        OrchestratorConfig(
-            deadline_ns=int(args.deadline * SECOND),
-            campaign_budget=max(args.campaigns, 2 * config.max_campaigns),
-            steer=RetryPolicy(max_attempts=retries),
-            rehammer=RetryPolicy(
-                max_attempts=retries, backoff_base_ns=20_000_000, backoff_factor=3.0
-            ),
-            pfa=RetryPolicy(max_attempts=min(retries, 3), backoff_base_ns=1_000_000),
-        ),
-    ).run()
+    report = AttackOrchestrator(attack, orchestrator_config).run()
     if args.json:
         import json
 
@@ -261,15 +269,16 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0 if report.success else 1
 
 
-def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
+def _cmd_attack_campaign(
+    args: argparse.Namespace, scenario, attack_config, orchestrator_config
+) -> int:
     """Run ``--campaign N`` orchestrated attempts; exit 0 iff all succeed.
 
-    With ``--fork-from-template`` the machine is built and templated once
-    and every attempt runs on an independent fork of that warm state;
-    otherwise each attempt rebuilds from scratch (same reports, slower).
-    ``--chaos`` derives a per-attempt plan from each attempt's seed, and
-    ``--workers N`` fans the attempts out across a process pool — the
-    report digest is identical for every worker count (docs/CAMPAIGNS.md).
+    The machine is built and templated once and every attempt runs on an
+    independent fork of that warm state.  ``--chaos`` derives a
+    per-attempt plan from each attempt's seed, and ``--workers N`` fans
+    the attempts out across a process pool — the report digest is
+    identical for every worker count (docs/CAMPAIGNS.md).
 
     ``--checkpoint DIR`` routes execution through the campaign service:
     attempts are journaled as they complete, ``--resume`` continues an
@@ -278,11 +287,8 @@ def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
     digest.  ``--stream-out FILE`` additionally appends each report to
     FILE as a JSON line the moment it lands.
     """
-    from repro.attack.orchestrator import AttackCampaign, OrchestratorConfig
-    from repro.attack.registry import get_modality
-    from repro.attack.templating import TemplatorConfig
+    from repro.attack.orchestrator import AttackCampaign
     from repro.sim.errors import ConfigError
-    from repro.sim.units import SECOND
 
     if args.checkpoint is None:
         for flag, name in (
@@ -295,26 +301,12 @@ def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
         ):
             if flag:
                 raise ConfigError(f"{name} requires --checkpoint DIR")
-    cipher, cpu = _scenario_attack_knobs(args, scenario)
     campaign = AttackCampaign(
         _vulnerable_config(args.seed, args.density),
         args.campaign,
         modality=args.modality,
-        attack_config=_apply_evict_knobs(
-            args,
-            get_modality(args.modality).make_config(
-                cipher=cipher,
-                cpu=cpu,
-                templator=TemplatorConfig(
-                    buffer_bytes=args.buffer_mib * MIB, batch_pairs=16
-                ),
-                max_campaigns=args.campaigns,
-            ),
-        ),
-        orchestrator_config=OrchestratorConfig(
-            deadline_ns=int(args.deadline * SECOND),
-        ),
-        fork_from_template=args.fork_from_template,
+        attack_config=attack_config,
+        orchestrator_config=orchestrator_config,
         chaos_profile=args.chaos,
         chaos_intensity=args.chaos_intensity,
         workers=args.workers,
@@ -347,7 +339,6 @@ def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
             f"scenario:             {scenario.name} (target {scenario.target}, "
             f"{len(scenario.tenants) - 1} background tenant(s))"
         )
-    print(f"campaign mode:        {result.mode}")
     print(f"attempts:             {result.attempts}")
     print(f"successes:            {result.successes}")
     print(f"report digest:        {result.digest()}")
@@ -569,10 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run N orchestrated attempts as a campaign (0 = single run)",
     )
+    # Accepted and ignored: every campaign forks its templated machine.
+    # Kept only because bench/workloads.py still passes it.
     attack.add_argument(
-        "--fork-from-template",
-        action="store_true",
-        help="with --campaign: template once and fork a warm machine per attempt",
+        "--fork-from-template", action="store_true", help=argparse.SUPPRESS
     )
     attack.add_argument(
         "--workers",

@@ -41,16 +41,6 @@ class MachineConfig:
     #: enough to leave on (see docs/OBSERVABILITY.md); benchmarks flip
     #: this off to measure instrumentation overhead (experiment A7).
     metrics_enabled: bool = True
-    #: How recurring behaviours (DRAM refresh, kswapd, scheduler ticks,
-    #: watchdog scans) advance.  ``"events"`` — the only supported value —
-    #: dispatches them through the machine's
-    #: :class:`~repro.sim.events.EventScheduler`.  The legacy ``"polled"``
-    #: inline-check core was retired after bench_t8 proved the two
-    #: bit-identical; the field remains so old configs fail with a clear
-    #: message instead of silently building a different machine, and so
-    #: ``repr(MachineConfig())`` (hashed into every campaign checkpoint's
-    #: config hash) stays stable.
-    timed_core: str = "events"
     #: Attach an event-driven ANVIL-style hammering watchdog (None = off).
     watchdog: WatchdogConfig | None = None
 
@@ -66,12 +56,6 @@ class MachineConfig:
             )
         if self.mapping not in ("linear", "xor"):
             raise ConfigError(f"mapping must be 'linear' or 'xor', got {self.mapping!r}")
-        if self.timed_core != "events":
-            raise ConfigError(
-                f"timed_core {self.timed_core!r} is not supported: the 'polled' "
-                "core was retired (the event core is bit-identical and is now "
-                "the only control path) — drop the timed_core override"
-            )
 
     def with_seed(self, seed: int) -> "MachineConfig":
         """The same machine shape under a different seed (for trial sweeps)."""

@@ -17,10 +17,7 @@ crosses the process boundary once per worker.  The CoW frame store
 serialises compactly — a small object-graph pickle plus one packed
 payload of the materialised frames — and the rehydrated snapshot's
 forks share those frames copy-on-write, so per-attempt fork cost in the
-worker is O(1) in module size.  ``fork_from_template=False`` campaigns
-ship no snapshot: each attempt rebuilds its own machine inside the
-worker (**rebuild**), the same unit of work the serial rebuild path
-runs.
+worker is O(1) in module size.
 
 Per-worker telemetry cannot be deterministic (host wall time, pids), so
 it lives in the result's ``pool`` block — outside both the digest and
@@ -95,8 +92,7 @@ def register_pool_metrics(registry, mode: str = "serial", workers_seen=(0,)):
         ),
         "mode": registry.gauge(
             "campaign.pool.mode", labels={"mode": mode}, unit="flag",
-            help="how warm state reached the workers: "
-            "serial, ship or rebuild",
+            help="how warm state reached the workers: serial or ship",
         ),
         "worker_wall": {
             worker: registry.gauge(
@@ -140,9 +136,7 @@ def _campaign_init(campaign, snapshot_blob) -> None:
     from repro.core.machine import MachineSnapshot
 
     _STATE["campaign"] = campaign
-    _STATE["snapshot"] = (
-        None if snapshot_blob is None else MachineSnapshot.from_bytes(snapshot_blob)
-    )
+    _STATE["snapshot"] = MachineSnapshot.from_bytes(snapshot_blob)
 
 
 def _campaign_attempt(index: int):
@@ -150,17 +144,17 @@ def _campaign_attempt(index: int):
     return _STATE["campaign"]._run_attempt(_STATE["snapshot"], index)
 
 
-def iter_pooled(campaign, indices, *, snapshot_blob=None, window: int = 0):
+def iter_pooled(campaign, indices, *, snapshot_blob: bytes, window: int = 0):
     """Yield ``(index, report, metrics_state, pid, wall_ns)`` as attempts finish.
 
     Runs ``indices`` on ``min(campaign.workers, len(indices))`` worker
-    processes, each forking the shipped ``snapshot_blob`` (or rebuilding
-    per attempt when it is ``None``).  At most ``window`` attempts
-    (default ``2 * workers``) are submitted at a time, and each outcome
-    is yielded — and released — as soon as its future completes, so
-    memory stays bounded by the window, not the campaign size.  Yield
-    order is completion order; callers that need attempt order (the
-    digest does) re-order or journal by the yielded ``index``.
+    processes, each forking the shipped ``snapshot_blob``.  At most
+    ``window`` attempts (default ``2 * workers``) are submitted at a
+    time, and each outcome is yielded — and released — as soon as its
+    future completes, so memory stays bounded by the window, not the
+    campaign size.  Yield order is completion order; callers that need
+    attempt order (the digest does) re-order or journal by the yielded
+    ``index``.
 
     Raises :class:`~repro.sim.errors.WorkerLostError` (carrying the
     attempt index whose result was lost) when a worker process dies —

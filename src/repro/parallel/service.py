@@ -133,40 +133,23 @@ class Shard:
 def campaign_config_hash(campaign) -> str:
     """Hash of everything that determines campaign *results*.
 
-    Covers the machine config, attempt count, attack and orchestrator
-    configs, warm strategy and chaos knobs — all frozen dataclasses with
+    One fixed tuple: the machine config, attempt count, modality, attack
+    and orchestrator configs, scenario and chaos knobs — frozen data with
     deterministic reprs.  Engine choices with zero result consequences
     (workers, shard, window) are deliberately excluded: a
     campaign checkpointed on 4 workers may resume on 1, or sharded
     differently, without tripping the mismatch check.
     """
-    knobs = [
+    description = repr((
         campaign.base_config,
         campaign.attempts,
+        campaign.modality,
         campaign.attack_config,
         campaign.orchestrator_config,
-        campaign.fork_from_template,
+        campaign.scenario,
         campaign.chaos_profile,
         campaign.chaos_intensity,
-    ]
-    # Appended only when set, so pre-scenario checkpoints keep their
-    # hashes; a scenario campaign can never resume a non-scenario one
-    # (or a different tenant mix) by accident.
-    if campaign.scenario is not None:
-        knobs.append(campaign.scenario)
-    # Same append-only pattern for the attack modality: the default
-    # ("explframe") keeps pre-modality checkpoint hashes intact, while a
-    # different modality — or the same one with different
-    # ``config_hash_fields()`` — can never resume another modality's
-    # checkpoint (--resume exits 2 on the mismatch).
-    if campaign.modality != "explframe":
-        from repro.attack.registry import get_modality
-
-        knobs.append(campaign.modality)
-        knobs.extend(
-            get_modality(campaign.modality).config_hash_fields(campaign.attack_config)
-        )
-    description = repr(tuple(knobs))
+    ))
     return hashlib.sha256(description.encode("utf-8")).hexdigest()
 
 
@@ -423,7 +406,6 @@ class CampaignService:
             "config_hash": config_hash,
             "snapshot_digest": snapshot_digest,
             "attempts": self.campaign.attempts,
-            "mode": self.campaign.mode,
             # Advisory (the config hash is the authority): which attack
             # modality wrote this checkpoint, for humans reading the dir.
             "modality": self.campaign.modality,
@@ -488,7 +470,7 @@ class CampaignService:
         )
 
         snapshot_blob = None
-        if remaining and campaign.fork_from_template:
+        if remaining:
             snapshot_blob = campaign._warm_snapshot().to_bytes()
             snapshot_digest = hashlib.sha256(snapshot_blob).hexdigest()
             if manifest is not None and manifest.get("snapshot_digest") not in (
@@ -611,7 +593,6 @@ class CampaignService:
         )
         return CampaignResult(
             reports=(),
-            mode=campaign.mode,
             metrics=metrics,
             pool=pool_block,
             service=service_block,
@@ -687,9 +668,6 @@ def merge_shards(checkpoint_dir, campaign=None):
                 f"{directory}: shards cover {attempts} attempts, campaign "
                 f"expects {campaign.attempts}"
             )
-    # One config hash means one fork_from_template, hence one mode.
-    mode = next(iter(manifests.values()))["mode"]
-
     by_index: dict[int, tuple] = {}
     journal_bytes = 0
     torn_total = 0
@@ -722,7 +700,6 @@ def merge_shards(checkpoint_dir, campaign=None):
     )
     return CampaignResult(
         reports=(),
-        mode=mode,
         metrics=metrics,
         pool=None,
         service=service_block,

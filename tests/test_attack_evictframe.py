@@ -375,7 +375,6 @@ class TestEndToEnd:
             2,
             modality="evictframe",
             attack_config=fast_config(),
-            fork_from_template=True,
             **kwargs,
         )
 

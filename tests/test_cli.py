@@ -247,11 +247,39 @@ class TestCheckpointFlags:
     def test_service_flags_require_checkpoint(self, capsys, extra, flag):
         # The check fires before any machine is built or warmed.
         code = main(
-            ["attack", "--buffer-mib", "4", "--campaign", "2",
-             "--fork-from-template", *extra]
+            ["attack", "--buffer-mib", "4", "--campaign", "2", *extra]
         )
         assert code == 2
         assert f"{flag} requires --checkpoint DIR" in capsys.readouterr().err
+
+
+class TestCampaignOption:
+    def test_invalid_max_retries_exits_2_before_any_machine(
+        self, capsys, monkeypatch
+    ):
+        from repro.core.machine import Machine
+
+        def no_machine(*args, **kwargs):
+            raise AssertionError("a machine was built")
+
+        monkeypatch.setattr(Machine, "__init__", no_machine)
+        code = main(
+            ["attack", "--buffer-mib", "4", "--campaign", "1", "--max-retries", "0"]
+        )
+        assert code == 2
+        assert "max_attempts must be at least 1" in capsys.readouterr().err
+
+    def test_fork_flag_is_a_no_op(self, capsys):
+        def run(*extra):
+            argv = ["attack", "--seed", "7", "--buffer-mib", "4",
+                    "--campaign", "1", "--json", *extra]
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)
+
+        plain = run()
+        flagged = run("--fork-from-template")
+        assert "mode" not in plain
+        assert plain["digest"] == flagged["digest"]
 
 
 class TestSteerCommand:

@@ -40,7 +40,6 @@ class TestWideFanOut:
             10_000,
             attack_config=fast,
             orchestrator_config=OrchestratorConfig(deadline_ns=1),
-            fork_from_template=True,
         )
         result = campaign.run()
         assert len(result.reports) == 10_000
@@ -56,9 +55,7 @@ class TestWideFanOut:
                 buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8
             )
         )
-        campaign = AttackCampaign(
-            machine_config, 1, attack_config=fast, fork_from_template=True
-        )
+        campaign = AttackCampaign(machine_config, 1, attack_config=fast)
         snapshot = campaign._warm_snapshot()
         for index in range(10_000):
             machine, _ = snapshot.fork(seed=index)

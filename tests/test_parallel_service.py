@@ -396,7 +396,6 @@ class TestServiceParity:
             "config_hash": campaign_config_hash(make_campaign(attempts=4)),
             "snapshot_digest": None,
             "attempts": 4,
-            "mode": "ship",
             "modality": "explframe",
             "shard": "0/1",
             "journal": "journal-0of1.jsonl",

@@ -136,7 +136,6 @@ class TestScenarioReports:
             vulnerable_config(seed=5),
             1,
             attack_config=FAST,
-            fork_from_template=True,
             scenario=scenario_preset("duet"),
         )
         report = campaign.run().reports[0]
@@ -197,7 +196,6 @@ class TestScenarioCampaignParity:
                 vulnerable_config(seed=5),
                 2,
                 attack_config=FAST,
-                fork_from_template=True,
                 scenario=scenario_preset("duet"),
                 **kwargs,
             ).run()
@@ -216,7 +214,6 @@ class TestApartmentDigest:
                 vulnerable_config(seed=9),
                 4,
                 attack_config=FAST,
-                fork_from_template=True,
                 scenario=scenario_preset("apartment-8"),
                 **kwargs,
             ).run()
