@@ -62,7 +62,7 @@ def _marked_tables(text: str) -> list[tuple[str, str, str]]:
 
 
 def _small_config(modality_name: str):
-    config = get_modality(modality_name).default_config()
+    config = get_modality(modality_name).config_class()
     return dataclasses.replace(
         config, templator=TemplatorConfig(buffer_bytes=2 * MIB)
     )
@@ -70,7 +70,7 @@ def _small_config(modality_name: str):
 
 def _registered_families(modality_name: str) -> set[str]:
     machine = Machine(MachineConfig.small(seed=0))
-    get_modality(modality_name).build(machine, config=_small_config(modality_name))
+    get_modality(modality_name)(machine, config=_small_config(modality_name))
     return set(machine.obs.metrics.family_names())
 
 
@@ -79,7 +79,7 @@ def _normalize_default(text: str) -> str:
 
 
 def check_knob_table(name: str, table: str, problems: list[str]) -> None:
-    config = get_modality(name).default_config()
+    config = get_modality(name).config_class()
     base_fields = {f.name for f in dataclasses.fields(ExplFrameConfig)}
     own_fields = {
         f.name: getattr(config, f.name)

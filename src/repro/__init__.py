@@ -17,7 +17,7 @@ The package layers bottom-up:
   end-to-end ExplFrame attack with its baselines;
 * :mod:`repro.core` — :class:`~repro.core.machine.Machine` assembly and
   result types;
-* :mod:`repro.analysis` — sweep/statistics helpers for the experiment
+* :mod:`repro.analysis` — statistics and table helpers for the experiment
   benchmarks.
 
 Quickstart::

@@ -1,4 +1,4 @@
-"""Experiment harness utilities: sweeps, statistics and table rendering.
+"""Experiment harness utilities: statistics, charts and table rendering.
 
 Used by ``benchmarks/`` to regenerate every table and figure of
 EXPERIMENTS.md with consistent formatting and honest uncertainty
@@ -17,12 +17,9 @@ from repro.analysis.survival import (
     survival_summary,
     survival_table,
 )
-from repro.analysis.sweep import Sweep, SweepPoint
 from repro.analysis.tabulate import format_table, write_results
 
 __all__ = [
-    "Sweep",
-    "SweepPoint",
     "ascii_chart",
     "binomial_ci",
     "failure_breakdown",

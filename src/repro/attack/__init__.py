@@ -11,9 +11,9 @@ The shared front half, exactly as the paper's Sections V-VI describe:
    page frame cache; the co-resident victim's next small allocation
    receives it.
 
-What happens *after* a successful steer is the attack **modality**
-(:mod:`repro.attack.base` defines the contract, :mod:`repro.attack.registry`
-the name → modality map; docs/ATTACKS.md):
+What happens *after* a successful steer is the attack **modality**: each
+attack class is one (:mod:`repro.attack.base` defines the contract,
+:mod:`repro.attack.registry` the name → class table; docs/ATTACKS.md):
 
 * ``explframe`` (:mod:`repro.attack.explframe`) — re-hammer the steered
   flip into the victim's S-box and recover the key by persistent fault
@@ -21,6 +21,9 @@ the name → modality map; docs/ATTACKS.md):
 * ``faultprobe`` (:mod:`repro.attack.faultprobe`) — read the secret bit
   *under* the steered flip back from response discrepancies: the flip
   only fires when the stored data arms it (FAULT+PROBE, PAPERS.md).
+* ``evictframe`` (:mod:`repro.attack.evictframe`) — ExplFrame hammered
+  through timing-verified cache eviction sets instead of clflush
+  (Rowhammer.js-style, PAPERS.md).
 
 :mod:`repro.attack.baselines` implements the comparison points: a
 privileged pagemap-guided attack (upper bound) and an unsteered random
@@ -30,7 +33,6 @@ failure forensics) for runs under injected adversity.
 """
 
 from repro.attack.base import (
-    AttackModality,
     ResolutionStage,
     StageOutcome,
     TargetVictim,
@@ -49,17 +51,12 @@ from repro.attack.orchestrator import (
     RetryPolicy,
     StageFailure,
 )
-from repro.attack.registry import (
-    available_modalities,
-    get_modality,
-    register_modality,
-)
+from repro.attack.registry import available_modalities, get_modality
 from repro.attack.steering import SteeringProtocol, SteeringTrialConfig
 from repro.attack.templating import Templator, TemplatorConfig
 
 __all__ = [
     "AttackCampaign",
-    "AttackModality",
     "AttackOrchestrator",
     "AttackRunReport",
     "CampaignResult",
@@ -83,5 +80,4 @@ __all__ = [
     "TemplatorConfig",
     "available_modalities",
     "get_modality",
-    "register_modality",
 ]

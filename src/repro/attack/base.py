@@ -2,14 +2,15 @@
 
 The repo started as one attack (ExplFrame's PFA pipeline) hard-wired
 into the orchestrator, campaigns, the checkpoint service and the CLI.
-This module is the seam that makes attacks pluggable: an
-:class:`AttackModality` describes *what* an attack is (name, config
-type, capabilities, result-determining knobs) and builds per-run
-:class:`AttackRun` drivers; the orchestrator supplies generic control
-flow (candidate restocking, steering, retries, budgets, forensics) and
-asks the run object only for its *resolution stages* — the
-modality-specific work that happens once a templated flip sits inside
-the victim's page.
+This module is the seam that makes attacks pluggable: an attack class
+*is* its modality — it names itself (``modality_name``), describes
+itself (``description``), names its config dataclass (``config_class``)
+and its constructor builds the per-run :class:`AttackRun` driver
+(:mod:`repro.attack.registry` maps names to classes).  The orchestrator
+supplies generic control flow (candidate restocking, steering, retries,
+budgets, forensics) and asks the run object only for its *resolution
+stages* — the modality-specific work that happens once a templated flip
+sits inside the victim's page.
 
 Every modality shares the front half of the pipeline — template
 (find repeatable flips), steer (drop the flippy frame into the victim's
@@ -29,7 +30,6 @@ re-exported from :mod:`repro.attack.orchestrator` for compatibility.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -149,7 +149,7 @@ class TargetVictim(Protocol):
 
 
 class AttackRun(Protocol):
-    """The per-run driver an :class:`AttackModality` builds.
+    """The per-run driver an attack class's constructor returns.
 
     The orchestrator drives this interface generically; it never names a
     concrete attack class.  Beyond the methods below, a run exposes the
@@ -175,32 +175,3 @@ class AttackRun(Protocol):
 
     def report_extra(self) -> dict | None: ...
 
-
-class AttackModality(ABC):
-    """One registered attack: its identity, config factory and builder.
-
-    Instances are stateless descriptors registered with
-    :func:`repro.attack.registry.register_modality`; everything mutable
-    lives on the :class:`AttackRun` objects :meth:`build` creates.
-    """
-
-    #: Registry key and CLI ``--modality`` value.
-    name: str = ""
-    #: One line for ``--list-modalities``.
-    description: str = ""
-
-    @abstractmethod
-    def default_config(self):
-        """A fresh attack config with default knobs."""
-
-    @abstractmethod
-    def make_config(self, *, cipher: str, cpu: int, templator, max_campaigns: int):
-        """Build an attack config from the CLI's shared knobs."""
-
-    @abstractmethod
-    def build(self, machine, *, config=None, key=None, tenant_workload=None):
-        """Create the per-run :class:`AttackRun` driver."""
-
-    def required_capabilities(self) -> frozenset[str]:
-        """Machine/workload features this modality needs to run."""
-        return frozenset({"templating", "steering", "hammer"})

@@ -56,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attack.base import (
-    AttackModality,
     FailureClass,
     GENERIC_STAGES,
     ResolutionStage,
@@ -64,8 +63,6 @@ from repro.attack.base import (
     StageOutcome,
 )
 from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
-from repro.attack.registry import register_modality
-from repro.attack.templating import TemplatorConfig
 from repro.ciphers.table_memory import CipherVictim
 from repro.core.results import FlipTemplate
 from repro.os.kernel import CACHE_HIT_NS
@@ -118,6 +115,12 @@ class EvictFrameAttack(ExplFrameAttack):
     """
 
     modality_name = "evictframe"
+    description = (
+        "hammer through timing-verified cache eviction sets instead of "
+        "clflush, then recover the key by persistent fault analysis "
+        "(Rowhammer.js-style)"
+    )
+    config_class = EvictFrameConfig
 
     def __init__(
         self,
@@ -340,41 +343,3 @@ class EvictFrameAttack(ExplFrameAttack):
         self._m_set_lines.inc(lines)
         return StageOutcome(ok=True, recovery=recovery)
 
-
-# -- modality registration ----------------------------------------------------------
-
-
-class EvictFrameModality(AttackModality):
-    """Rowhammer.js-style flush-free hammering over ExplFrame's pipeline."""
-
-    name = "evictframe"
-    description = (
-        "hammer through timing-verified cache eviction sets instead of "
-        "clflush, then recover the key by persistent fault analysis "
-        "(Rowhammer.js-style)"
-    )
-
-    def default_config(self) -> EvictFrameConfig:
-        return EvictFrameConfig()
-
-    def make_config(
-        self, *, cipher: str, cpu: int, templator: TemplatorConfig, max_campaigns: int
-    ) -> EvictFrameConfig:
-        return EvictFrameConfig(
-            cipher=cipher, cpu=cpu, templator=templator, max_campaigns=max_campaigns
-        )
-
-    def build(
-        self, machine, *, config=None, key=None, tenant_workload=None
-    ) -> EvictFrameAttack:
-        return EvictFrameAttack(
-            machine, key=key, config=config, tenant_workload=tenant_workload
-        )
-
-    def required_capabilities(self) -> frozenset[str]:
-        return frozenset(
-            {"templating", "steering", "cache-eviction", "ciphertext-oracle"}
-        )
-
-
-register_modality(EvictFrameModality())

@@ -29,14 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attack.base import (
-    AttackModality,
     FailureClass,
     GENERIC_STAGES,
     ResolutionStage,
     StageFailure,
     StageOutcome,
 )
-from repro.attack.registry import register_modality
 from repro.attack.templating import Templator, TemplatorConfig
 from repro.ciphers.aes_tables import AES_SBOX
 from repro.ciphers.present import PRESENT_SBOX, Present
@@ -114,6 +112,13 @@ class ExplFrameAttack:
     #: Modality this run belongs to (reports carry it; "explframe" is
     #: the default and is omitted from serialized reports).
     modality_name = "explframe"
+    #: One line for ``--list-modalities``.
+    description = (
+        "steer a templated flip into the victim's S-box and recover the key "
+        "by persistent fault analysis (the paper's attack)"
+    )
+    #: The config dataclass this attack's constructor takes.
+    config_class = ExplFrameConfig
 
     def __init__(
         self,
@@ -584,38 +589,3 @@ class ExplFrameAttack:
             )
         return StageOutcome(ok=True, recovery=recovery, recovered=recovered)
 
-
-# -- modality registration ----------------------------------------------------------
-
-
-class ExplFrameModality(AttackModality):
-    """The paper's attack: page-frame-cache steering + persistent fault analysis."""
-
-    name = "explframe"
-    description = (
-        "steer a templated flip into the victim's S-box and recover the key "
-        "by persistent fault analysis (the paper's attack)"
-    )
-
-    def default_config(self) -> ExplFrameConfig:
-        return ExplFrameConfig()
-
-    def make_config(
-        self, *, cipher: str, cpu: int, templator: TemplatorConfig, max_campaigns: int
-    ) -> ExplFrameConfig:
-        return ExplFrameConfig(
-            cipher=cipher, cpu=cpu, templator=templator, max_campaigns=max_campaigns
-        )
-
-    def build(
-        self, machine, *, config=None, key=None, tenant_workload=None
-    ) -> ExplFrameAttack:
-        return ExplFrameAttack(
-            machine, key=key, config=config, tenant_workload=tenant_workload
-        )
-
-    def required_capabilities(self) -> frozenset[str]:
-        return frozenset({"templating", "steering", "hammer", "ciphertext-oracle"})
-
-
-register_modality(ExplFrameModality())

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attack.base import (
-    AttackModality,
     FailureClass,
     GENERIC_STAGES,
     ResolutionStage,
@@ -48,7 +47,6 @@ from repro.attack.base import (
     StageOutcome,
 )
 from repro.attack.explframe import ExplFrameAttack
-from repro.attack.registry import register_modality
 from repro.attack.templating import TemplatorConfig
 from repro.ciphers.aes_tables import AES_SBOX
 from repro.ciphers.present import PRESENT_SBOX
@@ -116,6 +114,11 @@ class FaultProbeAttack(ExplFrameAttack):
     """
 
     modality_name = "faultprobe"
+    description = (
+        "steer a templated flip under the victim's table and read the "
+        "stored bit back from response discrepancies (FAULT+PROBE)"
+    )
+    config_class = FaultProbeConfig
 
     def __init__(
         self,
@@ -307,38 +310,3 @@ class FaultProbeAttack(ExplFrameAttack):
         if correct:
             self._m_bits_correct.inc()
 
-
-# -- modality registration ----------------------------------------------------------
-
-
-class FaultProbeModality(AttackModality):
-    """FAULT+PROBE: conditional Rowhammer flips as a memory-read oracle."""
-
-    name = "faultprobe"
-    description = (
-        "steer a templated flip under the victim's table and read the "
-        "stored bit back from response discrepancies (FAULT+PROBE)"
-    )
-
-    def default_config(self) -> FaultProbeConfig:
-        return FaultProbeConfig()
-
-    def make_config(
-        self, *, cipher: str, cpu: int, templator: TemplatorConfig, max_campaigns: int
-    ) -> FaultProbeConfig:
-        return FaultProbeConfig(
-            cipher=cipher, cpu=cpu, templator=templator, max_campaigns=max_campaigns
-        )
-
-    def build(
-        self, machine, *, config=None, key=None, tenant_workload=None
-    ) -> FaultProbeAttack:
-        return FaultProbeAttack(
-            machine, key=key, config=config, tenant_workload=tenant_workload
-        )
-
-    def required_capabilities(self) -> frozenset[str]:
-        return frozenset({"templating", "steering", "hammer", "response-oracle"})
-
-
-register_modality(FaultProbeModality())

@@ -780,11 +780,11 @@ class AttackCampaign:
             raise ConfigError(f"workers must be at least 1, got {workers}")
         # Resolved eagerly so an unknown name fails at construction (CLI
         # exit 2), not in a worker process mid-campaign.
-        modality_impl = get_modality(modality)
+        attack_cls = get_modality(modality)
         self.modality = modality
         self.base_config = base_config
         self.attempts = attempts
-        self.attack_config = attack_config or modality_impl.default_config()
+        self.attack_config = attack_config or attack_cls.config_class()
         self.orchestrator_config = orchestrator_config or OrchestratorConfig()
         self.chaos_profile = chaos_profile
         self.chaos_intensity = chaos_intensity
@@ -816,7 +816,7 @@ class AttackCampaign:
 
             workload = WorkloadEngine(machine, self.scenario)
             workload.start()
-        attack = get_modality(self.modality).build(
+        attack = get_modality(self.modality)(
             machine, config=self.attack_config, tenant_workload=workload
         )
         candidates = tuple(

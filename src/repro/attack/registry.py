@@ -1,71 +1,40 @@
-"""The attack-modality registry: name -> :class:`AttackModality`.
+"""The attack-modality table: name -> attack class.
 
-Modalities self-register at import time (each module's bottom calls
-:func:`register_modality`); :func:`get_modality` lazily imports the
-built-in modules first, so ``get_modality("faultprobe")`` works without
-anyone importing :mod:`repro.attack.faultprobe` by hand.  Unknown names
-raise :class:`~repro.sim.errors.ConfigError` naming every registered
+Each attack class is its own modality: ``modality_name`` is its key,
+``description`` its ``--list-modalities`` line, ``config_class`` its
+config dataclass, and its constructor builds the per-run driver.
+Unknown names raise :class:`~repro.sim.errors.ConfigError` naming every
 modality — the CLI maps that to exit code 2.
 """
 
 from __future__ import annotations
 
-from repro.attack.base import AttackModality
+from repro.attack.evictframe import EvictFrameAttack
+from repro.attack.explframe import ExplFrameAttack
+from repro.attack.faultprobe import FaultProbeAttack
 from repro.sim.errors import ConfigError
 
-_REGISTRY: dict[str, AttackModality] = {}
-
-#: Modules whose import registers the built-in modalities.
-_BUILTIN_MODULES = (
-    "repro.attack.explframe",
-    "repro.attack.faultprobe",
-    "repro.attack.evictframe",
-)
+MODALITIES = {
+    cls.modality_name: cls
+    for cls in (ExplFrameAttack, FaultProbeAttack, EvictFrameAttack)
+}
 
 
-def register_modality(modality: AttackModality) -> AttackModality:
-    """Add one modality under its ``name``; re-registration must agree.
-
-    Idempotent for the same class (modules may be imported repeatedly);
-    a *different* class claiming a taken name is a configuration bug.
-    """
-    name = modality.name
-    if not name:
-        raise ConfigError(f"modality {modality!r} has no name")
-    existing = _REGISTRY.get(name)
-    if existing is not None and type(existing) is not type(modality):
-        raise ConfigError(
-            f"attack modality {name!r} is already registered by "
-            f"{type(existing).__name__}"
-        )
-    _REGISTRY[name] = modality
-    return modality
-
-
-def _ensure_builtins() -> None:
-    import importlib
-
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
-
-
-def get_modality(name: str) -> AttackModality:
-    """The registered modality called ``name``.
+def get_modality(name: str) -> type[ExplFrameAttack]:
+    """The attack class called ``name``.
 
     Raises :class:`ConfigError` (CLI exit 2) with the available names
     when ``name`` is unknown.
     """
-    _ensure_builtins()
     try:
-        return _REGISTRY[name]
+        return MODALITIES[name]
     except KeyError:
-        available = ", ".join(sorted(_REGISTRY))
+        available = ", ".join(sorted(MODALITIES))
         raise ConfigError(
             f"unknown attack modality {name!r}; available: {available}"
         ) from None
 
 
 def available_modalities() -> dict[str, str]:
-    """``{name: one-line description}`` for every registered modality."""
-    _ensure_builtins()
-    return {name: _REGISTRY[name].description for name in sorted(_REGISTRY)}
+    """``{name: one-line description}`` for every modality, sorted."""
+    return {name: MODALITIES[name].description for name in sorted(MODALITIES)}

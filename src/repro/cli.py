@@ -147,7 +147,7 @@ def _attack_configs(args: argparse.Namespace, scenario):
     cipher, cpu = _scenario_attack_knobs(args, scenario)
     config = _apply_evict_knobs(
         args,
-        get_modality(args.modality).make_config(
+        get_modality(args.modality).config_class(
             cipher=cipher,
             cpu=cpu,
             templator=TemplatorConfig(
@@ -187,7 +187,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         for name, description in available_modalities().items():
             print(f"{name:<12} {description}")
         return 0
-    modality = get_modality(args.modality)
+    attack_cls = get_modality(args.modality)
 
     scenario = _load_scenario_arg(args)
     config, orchestrator_config = _attack_configs(args, scenario)
@@ -209,7 +209,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
         workload = WorkloadEngine(machine, scenario)
         workload.start()
-    attack = modality.build(machine, config=config, tenant_workload=workload)
+    attack = attack_cls(machine, config=config, tenant_workload=workload)
     report = AttackOrchestrator(attack, orchestrator_config).run()
     if args.json:
         import json

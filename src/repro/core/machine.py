@@ -3,9 +3,9 @@
 Besides construction, this module owns the machine's *lifecycle*
 operations: driving the event scheduler (:meth:`Machine.run_until` /
 :meth:`Machine.step`) and cloning warm state
-(:meth:`Machine.snapshot` / :meth:`Machine.fork`) so campaigns and
-sweeps can fan out from one templated machine instead of rebuilding
-and re-templating per attempt.
+(:meth:`Machine.snapshot` / :meth:`Machine.fork`) so a campaign can
+fan out from one templated machine instead of rebuilding and
+re-templating per attempt.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.obs import NOOP_OBS, Observability
 from repro.os.kernel import Kernel
 from repro.os.scheduler import Scheduler
 from repro.sim.clock import SimClock
-from repro.sim.events import EventBus, EventScheduler
+from repro.sim.events import EventScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.units import PAGE_SIZE
 
@@ -186,9 +186,8 @@ class Machine:
 
         # The event core: every timed behaviour (refresh, kswapd, scheduler
         # ticks, watchdog scans, chaos hooks, orchestrator backoff) routes
-        # through this one scheduler + bus.
+        # through this one scheduler.
         self.events = EventScheduler(self.clock)
-        self.bus = EventBus()
 
         geometry = self.config.geometry
         self.mapping = make_mapping(self.config.mapping, geometry)
@@ -248,7 +247,6 @@ class Machine:
             scheduler=self.scheduler,
             kswapd=self.kswapd,
             events=self.events,
-            bus=self.bus,
         )
         self.watchdog = (
             HammerWatchdog(self.config.watchdog) if self.config.watchdog else None
@@ -268,7 +266,6 @@ class Machine:
         self.kernel.bind_obs(self.obs)
         self.kswapd.bind_obs(self.obs)
         self.events.bind_obs(self.obs)
-        self.bus.bind_obs(self.obs)
         if self.watchdog is not None:
             self.watchdog.bind_obs(self.obs)
         if self.kernel.chaos is not None:

@@ -390,28 +390,30 @@ class MemoryController:
         hit = current == population.charged[armed]
         if not hit.any():
             return []
-        flips: list[FlipEvent] = []
-        now = self.clock.now_ns
-        for flip_addr, flip_bit, old in zip(
-            addrs[hit].tolist(), bits[hit].tolist(), current[hit].tolist()
-        ):
-            self.memory.apply_disturbance_flip(flip_addr, flip_bit, old ^ 1)
-            event = FlipEvent(
-                time_ns=now,
-                phys_addr=flip_addr,
-                bit_in_byte=flip_bit,
-                direction_1_to_0=bool(old),
-                bank_key=key,
-                row=victim_row,
+        return [
+            self._flip(key, victim_row, flip_addr, flip_bit, old)
+            for flip_addr, flip_bit, old in zip(
+                addrs[hit].tolist(), bits[hit].tolist(), current[hit].tolist()
             )
-            self.flip_log.append(event)
-            flips.append(event)
-            self._m_flips.inc()
-            self.obs.tracer.instant(
-                "dram.flip", "dram",
-                phys_addr=flip_addr, bit=flip_bit, row=victim_row,
-            )
-        return flips
+        ]
+
+    def _flip(
+        self, key: tuple[int, int, int], row: int, addr: int, bit: int, old: int
+    ) -> FlipEvent:
+        """Flip the charged bit ``old`` at ``(addr, bit)`` and record it."""
+        self.memory.apply_disturbance_flip(addr, bit, old ^ 1)
+        event = FlipEvent(
+            time_ns=self.clock.now_ns,
+            phys_addr=addr,
+            bit_in_byte=bit,
+            direction_1_to_0=bool(old),
+            bank_key=key,
+            row=row,
+        )
+        self.flip_log.append(event)
+        self._m_flips.inc()
+        self.obs.tracer.instant("dram.flip", "dram", phys_addr=addr, bit=bit, row=row)
+        return event
 
     def _apply_flips_scalar(
         self,
@@ -433,22 +435,7 @@ class MemoryController:
             old = memory.get_bit(addr, bit)
             if old != cell.charged_value:
                 continue
-            memory.apply_disturbance_flip(addr, bit, old ^ 1)
-            event = FlipEvent(
-                time_ns=self.clock.now_ns,
-                phys_addr=addr,
-                bit_in_byte=bit,
-                direction_1_to_0=bool(old),
-                bank_key=key,
-                row=victim_row,
-            )
-            self.flip_log.append(event)
-            flips.append(event)
-            self._m_flips.inc()
-            self.obs.tracer.instant(
-                "dram.flip", "dram",
-                phys_addr=addr, bit=bit, row=victim_row,
-            )
+            flips.append(self._flip(key, victim_row, addr, bit, old))
         return flips
 
     def _apply_flips_ecc(
@@ -480,22 +467,7 @@ class MemoryController:
             to_apply = self.ecc.register_flip(addr, bit_in_byte)
             for flip_addr, flip_bit in to_apply:
                 old = self.memory.get_bit(flip_addr, flip_bit)
-                self.memory.apply_disturbance_flip(flip_addr, flip_bit, old ^ 1)
-                event = FlipEvent(
-                    time_ns=self.clock.now_ns,
-                    phys_addr=flip_addr,
-                    bit_in_byte=flip_bit,
-                    direction_1_to_0=bool(old),
-                    bank_key=key,
-                    row=victim_row,
-                )
-                self.flip_log.append(event)
-                flips.append(event)
-                self._m_flips.inc()
-                self.obs.tracer.instant(
-                    "dram.flip", "dram",
-                    phys_addr=flip_addr, bit=flip_bit, row=victim_row,
-                )
+                flips.append(self._flip(key, victim_row, flip_addr, flip_bit, old))
         return flips
 
     def _evaluate_around(self, key: tuple[int, int, int], aggressor_rows: set[int]) -> list[FlipEvent]:

@@ -42,7 +42,7 @@ from repro.os.scheduler import Scheduler
 from repro.os.task import Task, TaskState
 from repro.sim.clock import SimClock
 from repro.sim.errors import ConfigError, FaultError, OutOfMemoryError, SegmentationFault
-from repro.sim.events import TOPIC_SYSCALL, EventBus, EventScheduler, SyscallHook
+from repro.sim.events import EventScheduler
 from repro.sim.units import PAGE_SHIFT, PAGE_SIZE, page_align_down
 from repro.vm.pagemap import Pagemap
 from repro.vm.vma import Protection, VmaFlags
@@ -109,7 +109,6 @@ class Kernel:
         scheduler: Scheduler,
         kswapd: Kswapd,
         events: EventScheduler,
-        bus: EventBus,
     ):
         self.allocator = allocator
         self.controller = controller
@@ -128,12 +127,9 @@ class Kernel:
         # well-defined syscall hooks pump it so adversity events fire
         # deterministically inside the simulation, not around it.
         self.chaos = None
-        # Syscall hooks drain the os/defense/workload scheduler queues and
-        # publish on the bus; the kernel's own subscriber forwards them to
-        # an attached chaos engine.
+        # Syscall hooks drain the os/defense/workload scheduler queues,
+        # then pump an attached chaos engine.
         self.events = events
-        self.bus = bus
-        bus.subscribe(TOPIC_SYSCALL, self._on_syscall_event)
         self.bind_obs(NOOP_OBS)
 
     def bind_obs(self, obs) -> None:
@@ -197,18 +193,13 @@ class Kernel:
     def _pump_chaos(self, hook: str, pid: int) -> None:
         # Timed work parked on the os/defense queues drains first; tenant
         # request streams (repro.workload) ride the same pump, a no-op until
-        # a scenario schedules on the queue.  The hook itself is a bus
-        # message, relayed to the chaos engine by :meth:`_on_syscall_event`.
+        # a scenario schedules on the queue.  The chaos engine sees the hook
+        # last.
         self.events.dispatch_due("os")
         self.events.dispatch_due("defense")
         self.events.dispatch_due("workload")
-        self.bus.publish(
-            TOPIC_SYSCALL, SyscallHook(hook=hook, pid=pid, time_ns=self.clock.now_ns)
-        )
-
-    def _on_syscall_event(self, event: SyscallHook) -> None:
         if self.chaos is not None:
-            self.chaos.pump(event.hook, event.pid)
+            self.chaos.pump(hook, pid)
 
     def _account_activations(self, pid: int, activations: int) -> None:
         if activations > 0:

@@ -1,4 +1,4 @@
-"""Multiprocess execution backends for campaigns and sweeps.
+"""Multiprocess execution backends for campaigns.
 
 :mod:`repro.parallel.pool` serves a campaign's attempt stream
 (:meth:`~repro.attack.orchestrator.AttackCampaign.iter_attempts`) from a
@@ -8,12 +8,7 @@ shardable, streaming).  Both implement the execution contract in
 ``docs/CAMPAIGNS.md``.
 """
 
-from repro.parallel.pool import (
-    iter_pooled,
-    make_pool_block,
-    register_pool_metrics,
-    run_sweep,
-)
+from repro.parallel.pool import iter_pooled, make_pool_block, register_pool_metrics
 from repro.parallel.service import (
     CampaignService,
     Shard,
@@ -33,5 +28,4 @@ __all__ = [
     "merge_shards",
     "register_pool_metrics",
     "register_service_metrics",
-    "run_sweep",
 ]

@@ -1,4 +1,4 @@
-"""Worker-pool dispatch of campaign attempts and sweep points.
+"""Worker-pool dispatch of campaign attempts.
 
 The contract (docs/CAMPAIGNS.md): parallel execution is an *engine*
 choice, never a *result* choice.  Attempt ``i`` of a campaign always
@@ -42,7 +42,7 @@ traceback.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.obs.metrics import MetricsRegistry
@@ -52,7 +52,6 @@ __all__ = [
     "iter_pooled",
     "make_pool_block",
     "register_pool_metrics",
-    "run_sweep",
 ]
 
 # Per-worker-process state, populated by the pool initializer.  Workers
@@ -205,41 +204,3 @@ def iter_pooled(campaign, indices, *, snapshot_blob: bytes, window: int = 0):
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
-
-# -- sweep dispatch ----------------------------------------------------------------
-
-
-def _sweep_init(sweep, trials) -> None:
-    _STATE["sweep"] = sweep
-    _STATE["trials"] = trials
-
-
-def _sweep_point(index: int, parameter):
-    point = _STATE["sweep"].run_point(parameter, _STATE["trials"])
-    return index, point
-
-
-def run_sweep(sweep, parameters: list, trials: int) -> list:
-    """Run one grid point per pool task; results ordered like the grid.
-
-    The sweep object (including ``trial_fn``/``warm_fn``) and every
-    trial outcome cross process boundaries, so with a non-fork start
-    method they must be picklable — module-level functions and plain
-    data, not lambdas or machine handles.
-    """
-    workers = min(sweep.workers, len(parameters)) or 1
-    points: list = [None] * len(parameters)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_context(),
-        initializer=_sweep_init,
-        initargs=(sweep, trials),
-    ) as pool:
-        futures = {
-            pool.submit(_sweep_point, index, parameter): index
-            for index, parameter in enumerate(parameters)
-        }
-        for future in as_completed(futures):
-            index, point = future.result()
-            points[index] = point
-    return points

@@ -29,13 +29,7 @@ from repro.sim.errors import (
     SegmentationFault,
     TemplatingExhaustedError,
 )
-from repro.sim.events import (
-    TOPIC_SYSCALL,
-    EventBus,
-    EventHandle,
-    EventScheduler,
-    SyscallHook,
-)
+from repro.sim.events import EventHandle, EventScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.units import (
     GIB,
@@ -60,7 +54,6 @@ __all__ = [
     "ChaosPlan",
     "ChaosRecord",
     "ConfigError",
-    "EventBus",
     "EventHandle",
     "EventScheduler",
     "FaultError",
@@ -77,8 +70,6 @@ __all__ = [
     "SECOND",
     "SegmentationFault",
     "SimClock",
-    "SyscallHook",
-    "TOPIC_SYSCALL",
     "TemplatingExhaustedError",
     "US",
     "chaos_profile",

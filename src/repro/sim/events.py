@@ -1,4 +1,4 @@
-"""Discrete-event core: a scheduler over :class:`SimClock` plus a pub/sub bus.
+"""Discrete-event core: a scheduler over :class:`SimClock`.
 
 The :class:`EventScheduler` is the one way timed behaviour advances in the
 simulator.  DRAM refresh is a self-rescheduling tick, a kswapd wake arms a
@@ -29,13 +29,7 @@ sharing the machine's :class:`~repro.sim.clock.SimClock`:
   never fired by that same pass (their ``seq`` is past the barrier).
   A self-rescheduling event therefore cannot spin the dispatcher.
 
-The :class:`EventBus` is the untimed half: typed publish/subscribe
-between layers.  The kernel publishes a :class:`SyscallHook` payload on
-:data:`TOPIC_SYSCALL` at every syscall pump point; the kernel's own
-subscriber relays it to an attached chaos engine, and any other layer may
-subscribe too.
-
-Both structures deep-copy cleanly — callbacks must be *bound methods* of
+The scheduler deep-copies cleanly — callbacks must be *bound methods* of
 simulation objects so that :meth:`~repro.core.machine.Machine.fork`
 rebinds them to the copied instances (a closure would keep pointing at
 the original machine).
@@ -45,24 +39,10 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from repro.obs import NOOP_OBS
 from repro.sim.clock import SimClock
 from repro.sim.errors import ConfigError
-
-#: Topic the kernel publishes syscall pump points on (chaos subscribes).
-TOPIC_SYSCALL = "os.syscall"
-
-
-@dataclass(frozen=True)
-class SyscallHook:
-    """Bus payload for one kernel syscall pump point."""
-
-    hook: str
-    pid: int
-    time_ns: int
-
 
 class _Event:
     """One scheduled callback (internal; callers hold an EventHandle)."""
@@ -372,57 +352,3 @@ class EventScheduler:
             f"dispatched={self.dispatched_total}, queues={self.queues()})"
         )
 
-
-class EventBus:
-    """Typed publish/subscribe between simulation layers.
-
-    Subscribers are called synchronously, in subscription order, with the
-    published payload.  Payloads are typed dataclasses (see
-    :class:`SyscallHook`) so topics carry structure, not ad-hoc tuples.
-    """
-
-    def __init__(self):
-        self._topics: dict[str, list[Callable[[object], None]]] = {}
-        self.published_total = 0
-        self.bind_obs(NOOP_OBS)
-
-    def bind_obs(self, obs) -> None:
-        """Attach an observability hub (see docs/OBSERVABILITY.md)."""
-        self.obs = obs
-        self._m_published = obs.metrics.counter(
-            "sim.bus.published", unit="messages",
-            help="messages published on the event bus",
-        )
-
-    def subscribe(self, topic: str, callback: Callable[[object], None]) -> None:
-        """Register ``callback`` for every future publish on ``topic``."""
-        if not topic:
-            raise ConfigError("bus topic must be non-empty")
-        self._topics.setdefault(topic, []).append(callback)
-
-    def unsubscribe(self, topic: str, callback: Callable[[object], None]) -> bool:
-        """Remove one registration; True if it was present."""
-        subscribers = self._topics.get(topic)
-        if subscribers is None or callback not in subscribers:
-            return False
-        subscribers.remove(callback)
-        return True
-
-    def publish(self, topic: str, payload: object) -> int:
-        """Deliver ``payload`` to every subscriber; returns delivery count."""
-        self.published_total += 1
-        self._m_published.inc()
-        subscribers = self._topics.get(topic)
-        if not subscribers:
-            return 0
-        for callback in list(subscribers):
-            callback(payload)
-        return len(subscribers)
-
-    def subscriber_count(self, topic: str) -> int:
-        """Registered callbacks for ``topic``."""
-        return len(self._topics.get(topic, ()))
-
-    def __repr__(self) -> str:
-        topics = {name: len(subs) for name, subs in self._topics.items()}
-        return f"EventBus(topics={topics}, published={self.published_total})"

@@ -1,4 +1,4 @@
-"""Analysis helpers: statistics, sweeps, table rendering."""
+"""Analysis helpers: statistics and table rendering."""
 
 import os
 
@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import binomial_ci, mean_and_ci, summarize_rates
-from repro.analysis.sweep import Sweep, SweepPoint
 from repro.analysis.tabulate import format_table, write_results
-from repro.core import MachineConfig
 
 
 class TestBinomialCI:
@@ -108,40 +106,3 @@ class TestWriteResults:
         finally:
             os.unlink(path)
 
-
-class TestSweep:
-    def test_runs_grid(self):
-        sweep = Sweep(
-            MachineConfig.small(),
-            trial_fn=lambda machine, param: machine.config.seed % 2 == 0,
-            name="unit",
-        )
-        points = sweep.run([1, 2], trials=3)
-        assert [p.parameter for p in points] == [1, 2]
-        assert all(p.trials == 3 for p in points)
-
-    def test_deterministic(self):
-        def trial(machine, param):
-            return machine.config.seed
-
-        sweep_a = Sweep(MachineConfig.small(seed=5), trial_fn=trial, name="det")
-        sweep_b = Sweep(MachineConfig.small(seed=5), trial_fn=trial, name="det")
-        assert sweep_a.run_point("x", 3).outcomes == sweep_b.run_point("x", 3).outcomes
-
-    def test_trials_get_distinct_seeds(self):
-        sweep = Sweep(
-            MachineConfig.small(seed=5),
-            trial_fn=lambda machine, param: machine.config.seed,
-            name="seeds",
-        )
-        outcomes = sweep.run_point("x", 4).outcomes
-        assert len(set(outcomes)) == 4
-
-    def test_successes_counting(self):
-        point = SweepPoint(parameter=0, outcomes=[True, False, True])
-        assert point.successes() == 2
-
-    def test_zero_trials_rejected(self):
-        sweep = Sweep(MachineConfig.small(), trial_fn=lambda m, p: True)
-        with pytest.raises(ValueError):
-            sweep.run_point(1, 0)

@@ -5,6 +5,10 @@ import re
 
 import pytest
 
+from repro.attack.evictframe import EvictFrameConfig
+from repro.attack.explframe import ExplFrameConfig
+from repro.attack.faultprobe import FaultProbeConfig
+from repro.attack.registry import get_modality
 from repro.cli import build_parser, main
 
 
@@ -126,9 +130,26 @@ class TestModalityOption:
     def test_list_modalities_prints_registry_and_exits_zero(self, capsys):
         assert main(["attack", "--list-modalities"]) == 0
         out = capsys.readouterr().out
-        assert "explframe" in out
-        assert "faultprobe" in out
-        assert "FAULT+PROBE" in out  # descriptions ride along
+        assert out.splitlines() == [
+            "evictframe   hammer through timing-verified cache eviction sets "
+            "instead of clflush, then recover the key by persistent fault "
+            "analysis (Rowhammer.js-style)",
+            "explframe    steer a templated flip into the victim's S-box and "
+            "recover the key by persistent fault analysis (the paper's attack)",
+            "faultprobe   steer a templated flip under the victim's table and "
+            "read the stored bit back from response discrepancies (FAULT+PROBE)",
+        ]
+
+    @pytest.mark.parametrize(
+        ("name", "config_cls"),
+        [
+            ("explframe", ExplFrameConfig),
+            ("faultprobe", FaultProbeConfig),
+            ("evictframe", EvictFrameConfig),
+        ],
+    )
+    def test_each_modality_names_its_config_class(self, name, config_cls):
+        assert get_modality(name).config_class() == config_cls()
 
     def test_unknown_modality_exits_two_with_the_available_list(self, capsys):
         assert main(["attack", "--modality", "nope", *self.FAST]) == 2

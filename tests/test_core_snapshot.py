@@ -8,8 +8,8 @@ Two claims are under test:
    rebuilding from scratch with that seed.
 2. Every recurring behaviour — DRAM refresh, kswapd, scheduler ticks,
    watchdog scans, chaos pump points — verifiably routes through the
-   :class:`EventScheduler`/:class:`EventBus` (asserted via the
-   observability counters).
+   :class:`EventScheduler` or the kernel's syscall pump points (asserted
+   via the observability counters).
 """
 
 import gc
@@ -176,12 +176,11 @@ class TestEventCoreIntegration:
         assert snap["defense.watchdog.scans"] == machine.watchdog.scans
         assert snap["sim.events.dispatched{queue=defense}"] >= machine.watchdog.scans
 
-    def test_syscalls_publish_on_the_bus_and_reach_chaos(self):
+    def test_syscalls_reach_chaos(self):
         machine = Machine(MachineConfig.small(seed=0))
         engine = ChaosEngine(machine.kernel, chaos_profile("steal"))
         machine.kernel.spawn("victim")
         snap = machine.obs.metrics.snapshot()
-        assert snap["sim.bus.published"] >= 1
         assert snap["chaos.pumps"] >= 1
         assert engine is machine.kernel.chaos
 

@@ -193,27 +193,6 @@ class TestChaosPlanPerAttempt:
         assert chaos_plan_for_attempt("none", 42).is_null
 
 
-def _trial_clock(machine, parameter):
-    machine.run_until(parameter * MS)
-    return machine.clock.now_ns
-
-
-class TestPooledSweepParity:
-    def test_sweep_outcomes_identical_across_worker_counts(self):
-        from repro.analysis.sweep import Sweep
-
-        base = MachineConfig.small(seed=5)
-        parameters = [5, 10, 15]
-        serial = Sweep(base, _trial_clock, name="t").run(parameters, trials=2)
-        pooled = Sweep(base, _trial_clock, name="t", workers=2).run(
-            parameters, trials=2
-        )
-        assert [point.outcomes for point in serial] == [
-            point.outcomes for point in pooled
-        ]
-        assert [point.parameter for point in pooled] == parameters
-
-
 @pytest.mark.slow
 class TestPooledCampaignParity:
     def test_worker_count_does_not_change_results(self):

@@ -1,11 +1,11 @@
-"""EventScheduler / EventBus semantics: ordering, recurrence, cancellation."""
+"""EventScheduler semantics: ordering, recurrence, cancellation."""
 
 import pytest
 
 from repro.obs import Observability
 from repro.sim.clock import SimClock
 from repro.sim.errors import ConfigError
-from repro.sim.events import TOPIC_SYSCALL, EventBus, EventScheduler, SyscallHook
+from repro.sim.events import EventScheduler
 
 
 def make_scheduler(start_ns: int = 0) -> EventScheduler:
@@ -221,44 +221,3 @@ class TestStatsAndObs:
         assert snap["sim.events.dispatched{queue=mm}"] == 1
         assert snap["sim.events.pending"] == 0
 
-
-class TestEventBus:
-    def test_publish_delivers_in_subscription_order(self):
-        bus = EventBus()
-        order = []
-        bus.subscribe("t", lambda payload: order.append(("first", payload)))
-        bus.subscribe("t", lambda payload: order.append(("second", payload)))
-        assert bus.publish("t", 42) == 2
-        assert order == [("first", 42), ("second", 42)]
-
-    def test_publish_without_subscribers_is_safe(self):
-        bus = EventBus()
-        assert bus.publish("empty", None) == 0
-        assert bus.published_total == 1
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        hits = []
-        bus.subscribe("t", hits.append)
-        assert bus.unsubscribe("t", hits.append)
-        assert not bus.unsubscribe("t", hits.append)
-        bus.publish("t", 1)
-        assert hits == []
-        assert bus.subscriber_count("t") == 0
-
-    def test_empty_topic_rejected(self):
-        bus = EventBus()
-        with pytest.raises(ConfigError):
-            bus.subscribe("", lambda payload: None)
-
-    def test_syscall_hook_payload(self):
-        hook = SyscallHook(hook="mmap", pid=3, time_ns=99)
-        assert TOPIC_SYSCALL == "os.syscall"
-        assert (hook.hook, hook.pid, hook.time_ns) == ("mmap", 3, 99)
-
-    def test_bus_metric(self):
-        bus = EventBus()
-        obs = Observability()
-        bus.bind_obs(obs)
-        bus.publish("t", 1)
-        assert obs.metrics.snapshot()["sim.bus.published"] == 1
