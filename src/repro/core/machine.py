@@ -101,8 +101,9 @@ class MachineSnapshot:
     The observability hub is *not* part of the state: it is detached
     during serialisation and every fork gets a fresh one, so
     metrics/traces never alias between forks.  The weak-cell memo caches
-    ride outside the frozen blob and are shared by reference across
-    forks — they are pure functions of the build seed.
+    and the controller's victim-plan memo ride outside the frozen blob and
+    are shared by reference across forks — they are pure functions of the
+    build seed and the machine's shape.
     """
 
     def __init__(self, machine: "Machine", extras=None):
@@ -112,6 +113,7 @@ class MachineSnapshot:
         weak = machine.controller.weak_cells
         self._weak_memo = weak._memo
         self._pop_memo = weak._pop_memo
+        self._plan_memo = machine.controller._plan_memo
         buffer = io.BytesIO()
         _SnapshotPickler(buffer, machine.obs, live_frames).dump((machine, extras))
         self._blob = buffer.getvalue()
@@ -134,6 +136,7 @@ class MachineSnapshot:
         weak = machine.controller.weak_cells
         weak._memo = self._weak_memo
         weak._pop_memo = self._pop_memo
+        machine.controller._plan_memo = self._plan_memo
         machine._rebind_obs()
         _rebind_extras(extras, machine.obs)
         if seed is not None:
@@ -165,6 +168,7 @@ class MachineSnapshot:
         # Memo caches are regenerated on demand in the receiving process.
         snapshot._weak_memo = {}
         snapshot._pop_memo = {}
+        snapshot._plan_memo = {}
         snapshot._blob = state["blob"]
         return snapshot
 

@@ -10,15 +10,18 @@ through this set-associative, LRU, write-through cache:
 * a **miss** fills the line (evicting the LRU way) and *does* reach DRAM;
 * ``clflush(addr)`` evicts the line so the next access misses again.
 
-Only tags are stored — data stays authoritative in
+Only tags are stored, as a ``(sets, ways)`` numpy matrix with a matching
+matrix of LRU stamps, so a page's worth of consecutive lines is one vector
+compare (:meth:`CpuCache.access_run`).  Data stays authoritative in
 :class:`repro.dram.memory.PhysicalMemory` (write-through, no dirty state),
 which is all the attack semantics require.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.sim.errors import ConfigError
 
@@ -55,14 +58,21 @@ class CpuCacheConfig:
 
 
 class CpuCache:
-    """Set-associative LRU cache over physical line addresses."""
+    """Set-associative LRU cache over physical line addresses.
+
+    State is two ``(sets, ways)`` int64 matrices: ``_tags`` holds each
+    way's line tag and ``_stamps`` the tick of its last access, both -1
+    while the way is invalid.  A set's LRU order is its valid ways sorted
+    by stamp, and a miss fills the way with the smallest stamp, so an
+    invalid way is taken before the least recently used valid one.
+    """
 
     def __init__(self, config: CpuCacheConfig | None = None):
         self.config = config or CpuCacheConfig()
-        # One OrderedDict per set: line_tag -> None, LRU at the front.
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.config.sets)
-        ]
+        shape = (self.config.sets, self.config.ways)
+        self._tags = np.full(shape, -1, dtype=np.int64)
+        self._stamps = np.full(shape, -1, dtype=np.int64)
+        self._tick = 0
         self.hits = 0
         self.misses = 0
         self.flushes = 0
@@ -82,16 +92,19 @@ class CpuCache:
     def access(self, phys: int) -> bool:
         """Access one byte; returns True on hit (no DRAM traffic needed)."""
         set_index, tag = self._locate(phys)
-        ways = self._sets[set_index]
+        self._tick += 1
+        ways = self._tags[set_index].tolist()
         if tag in ways:
-            ways.move_to_end(tag)
+            self._stamps[set_index, ways.index(tag)] = self._tick
             self.hits += 1
             return True
         self.misses += 1
-        ways[tag] = None
-        if len(ways) > self.config.ways:
-            ways.popitem(last=False)
+        stamps = self._stamps[set_index]
+        way = stamps.argmin()
+        if stamps[way] >= 0:
             self.evictions += 1
+        self._tags[set_index, way] = tag
+        stamps[way] = self._tick
         return False
 
     def access_run(self, first: int, count: int) -> list[bool]:
@@ -99,41 +112,53 @@ class CpuCache:
 
         With ``count <= sets`` consecutive lines fall in distinct sets, so
         each set sees exactly one access and the LRU updates cannot interact:
-        the flags, the counters and every set's order equal those of
-        ``count`` calls of :meth:`access` in address order.
+        one tag compare over the run's sets gives every flag, and stamping
+        the whole run with one tick leaves each set's order, and the
+        counters, equal to those of ``count`` calls of :meth:`access` in
+        address order.  A run that wraps past the last set is served as
+        two runs.
         """
         sets = self.config.sets
         if not 0 < count <= sets:
             raise ConfigError(f"run of {count} lines needs 1..{sets} distinct sets")
         set_index, start = self._locate(first)
-        run_sets = self._sets[set_index:set_index + count]
-        if len(run_sets) < count:  # the run wraps past the last set
-            run_sets += self._sets[:count - len(run_sets)]
-        ways_limit = self.config.ways
-        flags: list[bool] = []
-        evictions = 0
-        for ways, tag in zip(run_sets, range(start, start + count)):
-            if tag in ways:
-                ways.move_to_end(tag)
-                flags.append(True)
-            else:
-                ways[tag] = None
-                if len(ways) > ways_limit:
-                    ways.popitem(False)
-                    evictions += 1
-                flags.append(False)
+        head = sets - set_index
+        if count > head:  # the run wraps past the last set
+            return self.access_run(first, head) + self.access_run(
+                first + head * self.config.line_size, count - head
+            )
+        end = set_index + count
+        tags, stamps = self._tags[set_index:end], self._stamps[set_index:end]
+        lines = np.arange(start, start + count, dtype=np.int64)
+        match = tags == lines[:, None]
+        hit = match.any(1)
+        flags = hit.tolist()
         hits = flags.count(True)
+        self._tick += 1
+        if hits:
+            stamps[match] = self._tick
+        if hits < count:
+            # Each missing line fills its set's smallest stamp: an invalid
+            # way if there is one, else the LRU way, which it evicts.
+            victims = stamps.argmin(1) + np.arange(0, count * self.config.ways, self.config.ways)
+            if hits:
+                miss = ~hit
+                victims, lines = victims[miss], lines[miss]
+            self.evictions += int(np.count_nonzero(stamps.take(victims) >= 0))
+            tags.put(victims, lines)
+            stamps.put(victims, self._tick)
         self.hits += hits
         self.misses += count - hits
-        self.evictions += evictions
         return flags
 
     def flush(self, phys: int) -> bool:
         """``clflush``: evict the line containing ``phys``; True if present."""
         set_index, tag = self._locate(phys)
-        ways = self._sets[set_index]
+        ways = self._tags[set_index].tolist()
         if tag in ways:
-            del ways[tag]
+            way = ways.index(tag)
+            self._tags[set_index, way] = -1
+            self._stamps[set_index, way] = -1
             self.flushes += 1
             return True
         return False
@@ -141,16 +166,23 @@ class CpuCache:
     def contains(self, phys: int) -> bool:
         """True if the line containing ``phys`` is currently cached."""
         set_index, tag = self._locate(phys)
-        return tag in self._sets[set_index]
+        return tag in self._tags[set_index].tolist()
 
     def flush_all(self) -> None:
         """Invalidate the whole cache (``wbinvd``)."""
-        for ways in self._sets:
-            ways.clear()
+        self._tags.fill(-1)
+        self._stamps.fill(-1)
 
     def occupancy(self) -> int:
         """Number of valid lines currently held."""
-        return sum(len(ways) for ways in self._sets)
+        return int(np.count_nonzero(self._tags >= 0))
+
+    def lru_order(self) -> list[list[int]]:
+        """Each set's valid line tags, least recently used first."""
+        return [
+            [tag for _, tag in sorted(zip(stamps, tags)) if tag >= 0]
+            for stamps, tags in zip(self._stamps.tolist(), self._tags.tolist())
+        ]
 
     @property
     def hit_rate(self) -> float:

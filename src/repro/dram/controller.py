@@ -13,7 +13,12 @@ The controller is the single entry point for DRAM traffic.  It
   counters — disturbance cannot accumulate across windows;
 * evaluates the weak-cell model after activations and applies resulting bit
   flips directly to :class:`~repro.dram.memory.PhysicalMemory`, logging a
-  :class:`FlipEvent` for each.
+  :class:`FlipEvent` for each.  The victims of a set of aggressor rows are
+  a static **victim plan** per (bank, aggressor rows): the neighbouring
+  rows that hold weak cells, with their populations, row bases and
+  coupling-weighted neighbour lists.  Plans are memoised, kept out of
+  snapshots and shared by forks; an evaluation is then one weighted sum
+  over the bank's window counters per victim.
 
 Besides the single-access path there are two closed-form paths:
 
@@ -33,10 +38,11 @@ Besides the single-access path there are two closed-form paths:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.dram.bank import Bank
 from repro.dram.ecc import EccConfig, EccState
-from repro.dram.flipmodel import FlipModelConfig, WeakCellMap
+from repro.dram.flipmodel import FlipModelConfig, RowPopulation, WeakCell, WeakCellMap
 from repro.dram.trr import TrrConfig, TrrState
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.mapping import AddressMapping
@@ -95,6 +101,17 @@ class HammerResult:
         return self.elapsed_ns / self.rounds if self.rounds else 0.0
 
 
+class _Victim(NamedTuple):
+    """One victim row of a plan (see :meth:`MemoryController._victim_plan`)."""
+
+    row: int
+    population: RowPopulation
+    cells: tuple[WeakCell, ...]
+    row_base: int
+    min_threshold: int
+    neighbours: tuple[tuple[int, float], ...]
+
+
 class MemoryController:
     """Single point of DRAM access for the whole simulated machine."""
 
@@ -139,6 +156,8 @@ class MemoryController:
         # Victim rows checked per flip evaluation: +-1 always, +-2 when the
         # distance-2 coupling is non-zero.
         self._max_coupling_distance = 2 if flip_config.coupling_distance2 > 0 else 1
+        # (bank key, aggressor rows) -> victim plan; see _victim_plan.
+        self._plan_memo: dict[tuple, tuple[_Victim, ...]] = {}
         # Refresh is a self-rescheduling tick on the "dram" scheduler queue.
         self._events = events or EventScheduler(clock)
         self._refresh_handle = None
@@ -326,55 +345,116 @@ class MemoryController:
 
     # -- disturbance evaluation ------------------------------------------------
 
-    def _coupling(self, distance: int) -> float:
-        if distance == 1:
-            return self.weak_cells.config.coupling_adjacent
-        if distance == 2:
-            return self.weak_cells.config.coupling_distance2
-        return 0.0
-
-    def _disturbance_on(self, bank: Bank, victim_row: int) -> float:
-        """Effective aggressor activations felt by ``victim_row`` this window."""
-        total = 0.0
-        for distance in range(1, self._max_coupling_distance + 1):
-            factor = self._coupling(distance)
-            if factor <= 0.0:
-                continue
-            for row in (victim_row - distance, victim_row + distance):
-                if 0 <= row < self.geometry.rows_per_bank:
-                    total += factor * bank.activations_in_window(row)
-        return total
+    _MEMO_LIMIT = 65536
 
     # Rows with at most this many weak cells are evaluated with the scalar
     # per-cell loop: numpy's fixed per-call overhead (~tens of µs) beats the
     # Python loop only once a row holds a few dozen cells.
     _VECTOR_MIN_CELLS = 16
 
-    def _evaluate_victim_row(self, key: tuple[int, int, int], victim_row: int) -> list[FlipEvent]:
-        """Flip every armed weak cell in ``victim_row`` whose threshold is met.
+    def __getstate__(self) -> dict:
+        # Victim plans are pure functions of the geometry, the mapping and
+        # the weak-cell map: keep them out of snapshots; forks re-attach the
+        # parent's memo by reference instead (see MachineSnapshot).
+        state = self.__dict__.copy()
+        state["_plan_memo"] = {}
+        return state
 
-        Dense rows run the threshold test as one vector compare over the
-        row's columnar weak-cell population; sparse rows (the common case)
-        keep a scalar loop.  ``row_base + byte_offset`` stands in for a
+    def _victim_plan(
+        self, key: tuple[int, int, int], aggressor_rows: tuple[int, ...]
+    ) -> tuple[_Victim, ...]:
+        """The victims of ``aggressor_rows`` in bank ``key`` that hold weak cells.
+
+        Victims are every row within coupling distance of an aggressor,
+        sorted.  Each carries its neighbours with their coupling factors in
+        the order ``row-1, row+1, row-2, row+2``, which fixes the order of
+        the disturbance sum.  ``row_base + byte_offset`` stands in for a
         per-cell ``to_phys``: the column field occupies the low
-        physical-address bits in every mapping, so adding the byte offset to
-        the row base is exact.
+        physical-address bits in every mapping, so adding the byte offset
+        to the row base is exact.
         """
-        bank = self.bank(key)
+        memo_key = (key, aggressor_rows)
+        plan = self._plan_memo.get(memo_key)
+        if plan is not None:
+            return plan
+        rows = self.geometry.rows_per_bank
+        config = self.weak_cells.config
+        distances = range(1, self._max_coupling_distance + 1)
+        couplings = (config.coupling_adjacent, config.coupling_distance2)
+        victims = {
+            victim
+            for row in aggressor_rows
+            for distance in distances
+            for victim in (row - distance, row + distance)
+            if 0 <= victim < rows
+        }
         flat = self.geometry.flat_bank_index(*key)
-        population = self.weak_cells.row_population(flat, victim_row)
-        if population is None:
+        plan_rows = []
+        for victim in sorted(victims):
+            population = self.weak_cells.row_population(flat, victim)
+            if population is None:
+                continue
+            neighbours = tuple(
+                (row, couplings[distance - 1])
+                for distance in distances
+                if couplings[distance - 1] > 0.0
+                for row in (victim - distance, victim + distance)
+                if 0 <= row < rows
+            )
+            plan_rows.append(_Victim(
+                victim,
+                population,
+                self.weak_cells.cells_in_row(flat, victim),
+                self.mapping.row_base_phys(*key, victim),
+                population.min_threshold,
+                neighbours,
+            ))
+        plan = tuple(plan_rows)
+        if len(self._plan_memo) >= self._MEMO_LIMIT:
+            self._plan_memo.clear()
+        self._plan_memo[memo_key] = plan
+        return plan
+
+    def _evaluate_around(
+        self, key: tuple[int, int, int], aggressor_rows: tuple[int, ...]
+    ) -> list[FlipEvent]:
+        """Flip every armed weak cell near the aggressors whose threshold is met.
+
+        A victim's disturbance is the coupling-weighted sum of its
+        neighbours' activations in the current window.  Dense rows and ECC
+        modules run the threshold test as one vector compare over the row's
+        columnar population; sparse rows (the common case) keep a scalar
+        loop.
+        """
+        plan = self._victim_plan(key, aggressor_rows)
+        if not plan:
             return []
-        disturbance = self._disturbance_on(bank, victim_row)
-        if disturbance <= 0.0:
-            return []
-        if population.min_threshold * self.threshold_scale > disturbance:
-            return []
-        channel, rank, bank_index = key
-        row_base = self.mapping.row_base_phys(channel, rank, bank_index, victim_row)
-        if self.ecc is None and len(population) <= self._VECTOR_MIN_CELLS:
-            cells = self.weak_cells.cells_in_row(flat, victim_row)
-            return self._apply_flips_scalar(key, victim_row, row_base, cells, disturbance)
+        activations = self.bank(key).activations
+        scale = self.threshold_scale
+        flips: list[FlipEvent] = []
+        for row, population, cells, row_base, min_threshold, neighbours in plan:
+            disturbance = 0.0
+            for neighbour, factor in neighbours:
+                disturbance += factor * activations.get(neighbour, 0)
+            if disturbance <= 0.0 or min_threshold * scale > disturbance:
+                continue
+            if self.ecc is None and len(cells) <= self._VECTOR_MIN_CELLS:
+                flips.extend(self._apply_flips_scalar(key, row, row_base, cells, disturbance))
+            else:
+                flips.extend(
+                    self._apply_flips_vector(key, row, row_base, population, disturbance)
+                )
+        return flips
+
+    def _apply_flips_vector(
+        self,
+        key: tuple[int, int, int],
+        victim_row: int,
+        row_base: int,
+        population: RowPopulation,
+        disturbance: float,
+    ) -> list[FlipEvent]:
+        """One vector threshold compare over the row's population."""
         armed = population.threshold * self.threshold_scale <= disturbance
         if not armed.any():
             return []
@@ -470,19 +550,6 @@ class MemoryController:
                 flips.append(self._flip(key, victim_row, flip_addr, flip_bit, old))
         return flips
 
-    def _evaluate_around(self, key: tuple[int, int, int], aggressor_rows: set[int]) -> list[FlipEvent]:
-        """Evaluate every victim row within coupling distance of the aggressors."""
-        victims: set[int] = set()
-        for row in aggressor_rows:
-            for distance in range(1, self._max_coupling_distance + 1):
-                for victim in (row - distance, row + distance):
-                    if 0 <= victim < self.geometry.rows_per_bank:
-                        victims.add(victim)
-        flips: list[FlipEvent] = []
-        for victim in sorted(victims):
-            flips.extend(self._evaluate_victim_row(key, victim))
-        return flips
-
     # -- access paths ------------------------------------------------------------
 
     def access(self, phys: int) -> bool:
@@ -522,7 +589,7 @@ class MemoryController:
         activated = self.bank(key).access_run(addr.row, count)
         if activated:
             self.clock.advance(self.timing.t_rc_ns)
-            self._evaluate_around(key, {addr.row})
+            self._evaluate_around(key, (addr.row,))
             self.clock.advance((count - 1) * self.timing.t_cas_ns)
         else:
             self.clock.advance(count * self.timing.t_cas_ns)
@@ -605,7 +672,7 @@ class MemoryController:
             self.clock.advance(chunk * ns_per_round)
             elapsed += chunk * ns_per_round
             for key, per_row in activations_per_round.items():
-                total_flips.extend(self._evaluate_around(key, set(per_row)))
+                total_flips.extend(self._evaluate_around(key, tuple(per_row)))
             rounds_left -= chunk
             self._pump_timed()
 

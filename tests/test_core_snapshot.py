@@ -20,10 +20,11 @@ import pytest
 
 from repro.attack.explframe import ExplFrameConfig
 from repro.attack.orchestrator import AttackCampaign, AttackOrchestrator
-from repro.attack.templating import TemplatorConfig
+from repro.attack.templating import Templator, TemplatorConfig
 from repro.core import Machine, MachineConfig
 from repro.core.machine import MachineSnapshot
 from repro.defense.watchdog import WatchdogConfig
+from repro.dram.controller import MemoryController
 from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMGeometry
 from repro.sim.chaos import ChaosEngine, chaos_profile
@@ -130,6 +131,43 @@ class TestCowSnapshots:
         memory.write(2 * PAGE_SIZE, b"rewrite")  # CoW privatises, clone unaffected
         sibling, _ = clone.fork()
         assert sibling.controller.memory.read(2 * PAGE_SIZE, 7) == b"payload"
+
+
+class TestVictimPlanMemo:
+    """The controller's victim-plan memo is shared by forks, never pickled."""
+
+    @staticmethod
+    def _templated_machine():
+        machine = Machine(vulnerable_config())
+        pid = machine.kernel.spawn("templater").pid
+        config = TemplatorConfig(buffer_bytes=MIB, rounds=650_000, batch_pairs=8)
+        assert Templator(machine.kernel, pid, config).run().templates
+        return machine
+
+    def test_filled_memo_stays_out_of_the_snapshot_blob(self):
+        machine = self._templated_machine()
+        memo = machine.controller._plan_memo
+        assert any(memo.values())  # non-vacuous: some plans hold victims
+        full = machine.snapshot()
+        machine.controller._plan_memo = {}
+        empty = machine.snapshot()
+        assert len(full._blob) <= len(empty._blob)
+
+    def test_forks_share_the_parent_memo(self):
+        machine = self._templated_machine()
+        snapshot = machine.snapshot()
+        fork_a, _ = snapshot.fork()
+        fork_b, _ = snapshot.fork(seed=3)
+        memo = machine.controller._plan_memo
+        assert fork_a.controller._plan_memo is memo
+        assert fork_b.controller._plan_memo is memo
+        shipped, _ = MachineSnapshot.from_bytes(snapshot.to_bytes()).fork()
+        assert shipped.controller._plan_memo == {}
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(MemoryController, "_MEMO_LIMIT", 4)
+        machine = self._templated_machine()
+        assert 0 < len(machine.controller._plan_memo) <= 4
 
 
 class TestEventCoreIntegration:

@@ -1,6 +1,9 @@
 """CPU cache model: hits, LRU eviction, clflush."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dram.cache import CpuCache, CpuCacheConfig
 from repro.sim.errors import ConfigError
@@ -67,7 +70,7 @@ class TestAccessRun:
             expected = [loop.access(first + 64 * i) for i in range(count)]
             assert run.access_run(first, count) == expected
         assert (run.hits, run.misses, run.evictions) == (loop.hits, loop.misses, loop.evictions)
-        assert [list(ways) for ways in run._sets] == [list(ways) for ways in loop._sets]
+        assert run.lru_order() == loop.lru_order()
 
     def test_rejects_more_lines_than_sets(self, cache):
         with pytest.raises(ConfigError):
@@ -160,3 +163,92 @@ class TestObsBinding:
         assert snapshot["dram.cache.evictions"] == 1
         assert snapshot["dram.cache.hit_rate"] == 0.25
         assert snapshot["dram.cache.occupancy"] == cache.occupancy()
+
+
+class ReferenceCache:
+    """The cache as one ``OrderedDict`` per set (LRU first): the oracle.
+
+    The tag-matrix :class:`CpuCache` replaced this model; every operation
+    must return the same answer and leave the same counters and per-set
+    LRU order.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self._sets = [OrderedDict() for _ in range(config.sets)]
+        self.hits = self.misses = self.flushes = self.evictions = 0
+
+    def _locate(self, phys):
+        line = phys // self.config.line_size
+        return self._sets[line % self.config.sets], line
+
+    def access(self, phys):
+        ways, tag = self._locate(phys)
+        if tag in ways:
+            ways.move_to_end(tag)
+            self.hits += 1
+            return True
+        self.misses += 1
+        ways[tag] = None
+        if len(ways) > self.config.ways:
+            ways.popitem(last=False)
+            self.evictions += 1
+        return False
+
+    def access_run(self, first, count):
+        line = self.config.line_size
+        return [self.access(first - first % line + i * line) for i in range(count)]
+
+    def flush(self, phys):
+        ways, tag = self._locate(phys)
+        if tag in ways:
+            del ways[tag]
+            self.flushes += 1
+            return True
+        return False
+
+    def contains(self, phys):
+        ways, tag = self._locate(phys)
+        return tag in ways
+
+    def flush_all(self):
+        for ways in self._sets:
+            ways.clear()
+
+    def occupancy(self):
+        return sum(len(ways) for ways in self._sets)
+
+    def lru_order(self):
+        return [list(ways) for ways in self._sets]
+
+
+@st.composite
+def cache_scripts(draw):
+    config = CpuCacheConfig(
+        sets=draw(st.sampled_from([4, 8, 16])), ways=draw(st.integers(1, 4))
+    )
+    # Three times the capacity, so sets overflow and evict.
+    addrs = st.integers(0, 3 * config.capacity_bytes - 1)
+    op = st.one_of(
+        st.tuples(st.just("access"), addrs),
+        st.tuples(st.just("access_run"), addrs, st.integers(1, config.sets)),
+        st.tuples(st.just("flush"), addrs),
+        st.tuples(st.just("contains"), addrs),
+        st.tuples(st.just("flush_all")),
+    )
+    return config, draw(st.lists(op, max_size=60))
+
+
+class TestMatchesReferenceModel:
+    @given(script=cache_scripts())
+    @settings(max_examples=150, deadline=None)
+    def test_random_operation_sequences(self, script):
+        config, ops = script
+        cache, reference = CpuCache(config), ReferenceCache(config)
+        for name, *args in ops:
+            assert getattr(cache, name)(*args) == getattr(reference, name)(*args)
+            assert cache.lru_order() == reference.lru_order()
+        assert (cache.hits, cache.misses, cache.evictions, cache.flushes) == (
+            reference.hits, reference.misses, reference.evictions, reference.flushes
+        )
+        assert cache.occupancy() == reference.occupancy()

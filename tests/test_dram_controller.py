@@ -1,12 +1,15 @@
 """Memory controller: hammering, refresh windows, flip semantics."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.dram.controller import MemoryController
+from repro.dram.controller import FlipEvent, MemoryController
+from repro.dram.ecc import EccConfig
 from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMAddress, DRAMGeometry
-from repro.dram.mapping import LinearMapping
+from repro.dram.mapping import LinearMapping, XorBankMapping
 from repro.dram.timing import DRAMTiming
+from repro.dram.trr import TrrConfig
 from repro.sim.clock import SimClock
 from repro.sim.errors import ConfigError
 from repro.sim.rng import RngStreams
@@ -277,3 +280,171 @@ class TestVectorScalarEquivalence:
         vector = self._flip_trace(0)      # every row takes the vector path
         assert scalar == vector
         assert scalar  # non-vacuous: the seeded rows really flipped
+
+
+class ReferenceController(MemoryController):
+    """Per-victim flip evaluation, as it stood before victim plans: the oracle.
+
+    Every call rebuilds the victim set of the aggressors and, per victim,
+    looks up its population, sums its neighbours' activations and applies
+    the flips.  The plan-based controller must produce the same flip log.
+    """
+
+    def _coupling(self, distance: int) -> float:
+        if distance == 1:
+            return self.weak_cells.config.coupling_adjacent
+        if distance == 2:
+            return self.weak_cells.config.coupling_distance2
+        return 0.0
+
+    def _disturbance_on(self, bank, victim_row: int) -> float:
+        total = 0.0
+        for distance in range(1, self._max_coupling_distance + 1):
+            factor = self._coupling(distance)
+            if factor <= 0.0:
+                continue
+            for row in (victim_row - distance, victim_row + distance):
+                if 0 <= row < self.geometry.rows_per_bank:
+                    total += factor * bank.activations_in_window(row)
+        return total
+
+    def _evaluate_victim_row(self, key, victim_row: int) -> list[FlipEvent]:
+        bank = self.bank(key)
+        flat = self.geometry.flat_bank_index(*key)
+        population = self.weak_cells.row_population(flat, victim_row)
+        if population is None:
+            return []
+        disturbance = self._disturbance_on(bank, victim_row)
+        if disturbance <= 0.0:
+            return []
+        if population.min_threshold * self.threshold_scale > disturbance:
+            return []
+        channel, rank, bank_index = key
+        row_base = self.mapping.row_base_phys(channel, rank, bank_index, victim_row)
+        if self.ecc is None and len(population) <= self._VECTOR_MIN_CELLS:
+            cells = self.weak_cells.cells_in_row(flat, victim_row)
+            return self._apply_flips_scalar(key, victim_row, row_base, cells, disturbance)
+        armed = population.threshold * self.threshold_scale <= disturbance
+        if not armed.any():
+            return []
+        if self.ecc is not None:
+            return self._apply_flips_ecc(key, victim_row, row_base, population, armed)
+        addrs = row_base + population.byte_offset[armed]
+        bits = population.bit_in_byte[armed]
+        current = self.memory.gather_bits(addrs, bits)
+        hit = current == population.charged[armed]
+        if not hit.any():
+            return []
+        return [
+            self._flip(key, victim_row, flip_addr, flip_bit, old)
+            for flip_addr, flip_bit, old in zip(
+                addrs[hit].tolist(), bits[hit].tolist(), current[hit].tolist()
+            )
+        ]
+
+    def _evaluate_around(self, key, aggressor_rows) -> list[FlipEvent]:
+        victims: set[int] = set()
+        for row in aggressor_rows:
+            for distance in range(1, self._max_coupling_distance + 1):
+                for victim in (row - distance, row + distance):
+                    if 0 <= victim < self.geometry.rows_per_bank:
+                        victims.add(victim)
+        flips: list[FlipEvent] = []
+        for victim in sorted(victims):
+            flips.extend(self._evaluate_victim_row(key, victim))
+        return flips
+
+
+# Aggressor rows include both bank edges, so victim and neighbour lists
+# get clipped at row 0 and at the last row.
+EDGE_ROWS = [0, 1, 2, 3, 5, 500, 502, GEO.rows_per_bank - 3, GEO.rows_per_bank - 1]
+VICTIM_ROWS = sorted(
+    {row + d for row in EDGE_ROWS for d in range(-2, 3)} & set(range(GEO.rows_per_bank))
+)
+
+_row_sets = st.lists(st.sampled_from(EDGE_ROWS), min_size=2, max_size=3, unique=True)
+_plan_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("hammer"), st.integers(0, 1), _row_sets,
+            st.sampled_from([1_000, 30_000, 90_000, 250_000, 400_000]),
+        ),
+        st.tuples(
+            st.just("access"), st.integers(0, 1), st.sampled_from(EDGE_ROWS), st.integers(1, 64)
+        ),
+        st.tuples(
+            st.just("arm"), st.integers(0, 1), st.sampled_from(VICTIM_ROWS),
+            st.sampled_from([0x00, 0xFF, 0x55]),
+        ),
+        st.tuples(st.just("idle"), st.integers(1, 40_000_000)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestVictimPlansMatchReference:
+    """Victim plans against the per-victim evaluation they replaced."""
+
+    @given(
+        mapping=st.sampled_from([LinearMapping, XorBankMapping]),
+        coupling_distance2=st.sampled_from([0.0, 0.3]),
+        trr=st.booleans(),
+        ecc=st.booleans(),
+        threshold_scale=st.sampled_from([1.0, 0.6, 1.5]),
+        density=st.sampled_from([3.0, 24.0]),
+        seed=st.integers(0, 3),
+        ops=_plan_ops,
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_flip_logs_agree(
+        self, mapping, coupling_distance2, trr, ecc, threshold_scale, density, seed, ops
+    ):
+        flip_config = FlipModelConfig(
+            weak_cells_per_row_mean=density,
+            threshold_mean=150_000,
+            threshold_sd=40_000,
+            threshold_min=40_000,
+            coupling_distance2=coupling_distance2,
+        )
+        twins = []
+        for cls in (MemoryController, ReferenceController):
+            controller = cls(
+                geometry=GEO,
+                mapping=mapping(GEO),
+                timing=DRAMTiming(),
+                flip_config=flip_config,
+                rng=RngStreams(seed),
+                clock=SimClock(),
+                trr_config=TrrConfig.ddr4_like(2, 60_000) if trr else None,
+                ecc_config=EccConfig.secded64() if ecc else None,
+            )
+            controller.threshold_scale = threshold_scale
+            for row in VICTIM_ROWS:
+                for bank in (0, 1):
+                    arm_row(controller, bank, row, 0xFF if row % 3 else 0x00)
+            twins.append(controller)
+        for op in ops:
+            for controller in twins:
+                _apply_plan_op(controller, op)
+        fast, reference = twins
+        assert fast.flip_log == reference.flip_log
+        assert fast.clock.now_ns == reference.clock.now_ns
+        assert fast.ecc_stats() == reference.ecc_stats()
+
+
+def _apply_plan_op(controller, op) -> None:
+    kind, *args = op
+    if kind == "hammer":
+        bank, rows, rounds = args
+        controller.hammer(same_bank_pair(controller, bank=bank, rows=rows), rounds)
+    elif kind == "access":
+        bank, row, count = args
+        phys = controller.mapping.to_phys(DRAMAddress(0, 0, bank, row, 0))
+        controller.access(phys)
+        if count > 1:
+            controller.access_row_run(phys, count)
+    elif kind == "arm":
+        arm_row(controller, *args)
+    else:
+        controller.clock.advance(args[0])

@@ -139,7 +139,7 @@ def _state(machine) -> dict:
     return {
         "clock": machine.clock.now_ns,
         "cache": (cache.hits, cache.misses, cache.evictions, cache.flushes),
-        "lru": [list(ways) for ways in cache._sets],
+        "lru": cache.lru_order(),
         "banks": {
             key: (bank.open_row, dict(bank.activations), bank.total_activations,
                   bank.total_row_hits)
