@@ -18,7 +18,7 @@ from repro.dram.geometry import DRAMGeometry
 from repro.dram.timing import DRAMTiming
 from repro.sim.units import MIB
 
-CONFIG = TemplatorConfig(buffer_bytes=2 * MIB, rounds=650_000, batch_pairs=8)
+CONFIG = TemplatorConfig(buffer_bytes=2 * MIB, batch_pairs=8)
 
 
 def templating_yield(flip_model: FlipModelConfig, timing: DRAMTiming, seed=0) -> int:

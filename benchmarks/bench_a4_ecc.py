@@ -32,7 +32,7 @@ from repro.pfa.pfa import (
 )
 from repro.sim.units import MIB
 
-CONFIG = TemplatorConfig(buffer_bytes=2 * MIB, rounds=650_000, batch_pairs=8)
+CONFIG = TemplatorConfig(buffer_bytes=2 * MIB, batch_pairs=8)
 
 
 def flip_model(density: float) -> FlipModelConfig:

@@ -25,7 +25,7 @@ from repro.ciphers.table_memory import CipherVictim
 from repro.defense.watchdog import HammerWatchdog, WatchdogConfig
 from repro.sim.units import MIB, PAGE_SIZE
 
-TEMPLATOR = TemplatorConfig(buffer_bytes=2 * MIB, rounds=650_000, batch_pairs=8)
+TEMPLATOR = TemplatorConfig(buffer_bytes=2 * MIB, batch_pairs=8)
 
 
 def run_workloads():

@@ -30,7 +30,7 @@ from repro.attack.templating import TemplatorConfig
 from repro.sim.chaos import ChaosEngine, chaos_profile
 from repro.sim.units import MIB, SECOND
 
-TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 SEEDS = tuple(range(1, 21))
 BUDGET = OrchestratorConfig(deadline_ns=600 * SECOND)
 # The no-recovery contrast: one templating campaign, one try per stage.

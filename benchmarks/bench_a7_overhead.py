@@ -27,7 +27,7 @@ from repro.dram.geometry import DRAMGeometry
 from repro.sim.chaos import ChaosEngine, chaos_profile
 from repro.sim.units import MIB, SECOND
 
-TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 BUDGET = OrchestratorConfig(deadline_ns=600 * SECOND)
 SEED = 7
 REPEATS = 3

@@ -55,7 +55,7 @@ def _fast_attack():
     from repro.sim.units import MIB
 
     return ExplFrameConfig(
-        templator=TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+        templator=TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
     )
 
 

@@ -32,7 +32,7 @@ def _fast_templator():
     from repro.attack.templating import TemplatorConfig
     from repro.sim.units import MIB
 
-    return TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+    return TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 
 
 def _campaign_config():
@@ -49,19 +49,14 @@ def _campaign_config():
 
 def _campaign(modality: str, **kwargs):
     from repro.attack.explframe import ExplFrameConfig
-    from repro.attack.faultprobe import FaultProbeConfig
     from repro.attack.orchestrator import AttackCampaign
     from repro.workload import scenario_preset
 
-    if modality == "faultprobe":
-        attack_config = FaultProbeConfig(templator=_fast_templator())
-    else:
-        attack_config = ExplFrameConfig(templator=_fast_templator())
     return AttackCampaign(
         _campaign_config(),
         ATTEMPTS,
         modality=modality,
-        attack_config=attack_config,
+        attack_config=ExplFrameConfig(templator=_fast_templator()),
         scenario=scenario_preset("duet"),
         **kwargs,
     )

@@ -45,7 +45,7 @@ def _fast_templator():
     from repro.attack.templating import TemplatorConfig
     from repro.sim.units import MIB
 
-    return TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+    return TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 
 
 def _campaign_config():
@@ -61,16 +61,9 @@ def _campaign_config():
 
 
 def _attack_config(modality: str):
-    from repro.attack.evictframe import EvictFrameConfig
-    from repro.attack.explframe import ExplFrameConfig
-    from repro.attack.faultprobe import FaultProbeConfig
+    from repro.attack.registry import get_modality
 
-    cls = {
-        "evictframe": EvictFrameConfig,
-        "explframe": ExplFrameConfig,
-        "faultprobe": FaultProbeConfig,
-    }[modality]
-    return cls(templator=_fast_templator())
+    return get_modality(modality).config_class(templator=_fast_templator())
 
 
 def _campaign(modality: str, **kwargs):

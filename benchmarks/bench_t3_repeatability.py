@@ -13,10 +13,10 @@ from __future__ import annotations
 from conftest import small_vulnerable
 
 from repro.analysis.tabulate import format_table, write_results
-from repro.attack.templating import Templator, TemplatorConfig
+from repro.attack.templating import TEMPLATE_ROUNDS, Templator, TemplatorConfig
 from repro.sim.units import MIB
 
-CONFIG = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+CONFIG = TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 REHAMMER_ROUNDS = 4
 
 
@@ -46,7 +46,7 @@ def test_t3_templating_yield_and_repeatability(benchmark):
         ["metric", "value"],
         [
             ["buffer templated", f"{CONFIG.buffer_bytes // MIB} MiB"],
-            ["hammer rounds per pair", CONFIG.rounds],
+            ["hammer rounds per pair", TEMPLATE_ROUNDS],
             ["aggressor pairs hammered", result.pairs_hammered],
             ["distinct flips found", result.flips_found],
             ["flips per GiB", f"{result.flips_per_gib:.0f}"],

@@ -24,7 +24,7 @@ from repro.attack.orchestrator import AttackOrchestrator
 from repro.attack.templating import TemplatorConfig
 from repro.sim.units import MIB
 
-TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 SEEDS = (7, 21, 42)
 
 

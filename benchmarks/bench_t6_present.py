@@ -98,7 +98,7 @@ def test_t6_present_pfa(benchmark):
     )
     config = ExplFrameConfig(
         cipher="present",
-        templator=TemplatorConfig(buffer_bytes=8 * MIB, rounds=650_000, batch_pairs=16),
+        templator=TemplatorConfig(buffer_bytes=8 * MIB, batch_pairs=16),
         max_campaigns=4,
     )
     # Templating 8 MiB costs ~550 s of simulated time: past the default

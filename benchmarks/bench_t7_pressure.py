@@ -25,7 +25,7 @@ from repro.attack.templating import TemplatorConfig
 from repro.core import Machine, MachineConfig
 from repro.sim.units import MIB
 
-TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 TRIALS = 15
 
 

@@ -59,7 +59,7 @@ def run_campaign(workers: int) -> dict:
         ATTEMPTS,
         attack_config=ExplFrameConfig(
             templator=TemplatorConfig(
-                buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8
+                buffer_bytes=4 * MIB, batch_pairs=8
             )
         ),
         orchestrator_config=OrchestratorConfig(deadline_ns=600 * SECOND),

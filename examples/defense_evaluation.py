@@ -34,7 +34,7 @@ from repro.dram.trr import TrrConfig
 from repro.mm.pcp import PcpConfig
 from repro.sim.units import MIB, SECOND
 
-TEMPLATOR = TemplatorConfig(buffer_bytes=8 * MIB, rounds=650_000, batch_pairs=16)
+TEMPLATOR = TemplatorConfig(buffer_bytes=8 * MIB, batch_pairs=16)
 VULNERABLE = FlipModelConfig.highly_vulnerable()
 # Two templating campaigns per machine; an 8 MiB campaign costs minutes
 # of simulated time, so the deadline is the CLI's hour.

@@ -17,17 +17,18 @@ CLI equivalent:  python -m repro template --buffer-mib 8 --show 5
 from collections import Counter
 
 from repro import Machine, MachineConfig, TemplatorConfig, Templator
-from repro.sim.units import MIB, PAGE_SIZE
+from repro.attack.templating import TEMPLATE_ROUNDS
+from repro.sim.units import MIB
 
 
 def main() -> None:
     machine = Machine(MachineConfig.vulnerable(seed=11))
     kernel = machine.kernel
     attacker = kernel.spawn("surveyor", cpu=0)
-    config = TemplatorConfig(buffer_bytes=8 * MIB, rounds=650_000, batch_pairs=8)
+    config = TemplatorConfig(buffer_bytes=8 * MIB, batch_pairs=8)
     templator = Templator(kernel, attacker.pid, config)
 
-    print(f"templating {config.buffer_bytes // MIB} MiB, {config.rounds} rounds/pair...")
+    print(f"templating {config.buffer_bytes // MIB} MiB, {TEMPLATE_ROUNDS} rounds/pair...")
     result = templator.run()
     print(f"  pairs hammered: {result.pairs_hammered}")
     print(f"  distinct flips: {result.flips_found}  ({result.flips_per_gib:.0f}/GiB)")
@@ -68,7 +69,7 @@ def main() -> None:
     clean = Templator(
         clean_machine.kernel,
         clean_attacker.pid,
-        TemplatorConfig(buffer_bytes=2 * MIB, rounds=650_000, batch_pairs=8),
+        TemplatorConfig(buffer_bytes=2 * MIB, batch_pairs=8),
     ).run()
     print(f"  invulnerable module control: {clean.flips_found} flips")
 

@@ -28,7 +28,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.attack.evictframe import EvictFrameAttack, EvictFrameConfig  # noqa: E402
 from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig  # noqa: E402
-from repro.attack.faultprobe import FaultProbeAttack, FaultProbeConfig  # noqa: E402
+from repro.attack.faultprobe import FaultProbeAttack  # noqa: E402
 from repro.attack.orchestrator import (  # noqa: E402
     AttackOrchestrator,
     OrchestratorConfig,
@@ -79,7 +79,7 @@ def registered_families() -> set[str]:
     probe_machine = Machine(MachineConfig.small(seed=0))
     FaultProbeAttack(
         probe_machine,
-        config=FaultProbeConfig(
+        config=ExplFrameConfig(
             templator=TemplatorConfig(buffer_bytes=2 * MIB)
         ),
     )

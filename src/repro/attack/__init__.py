@@ -39,7 +39,7 @@ from repro.attack.base import (
 )
 from repro.attack.baselines import PagemapAttack, RandomSprayAttack
 from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
-from repro.attack.faultprobe import FaultProbeAttack, FaultProbeConfig
+from repro.attack.faultprobe import FaultProbeAttack
 from repro.attack.hammer import Hammerer
 from repro.attack.orchestrator import (
     AttackCampaign,
@@ -64,7 +64,6 @@ __all__ = [
     "ExplFrameConfig",
     "FailureClass",
     "FaultProbeAttack",
-    "FaultProbeConfig",
     "Hammerer",
     "OrchestratorConfig",
     "PagemapAttack",

@@ -62,7 +62,7 @@ from repro.attack.base import (
     StageFailure,
     StageOutcome,
 )
-from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
+from repro.attack.explframe import REHAMMER_ATTEMPTS, ExplFrameAttack, ExplFrameConfig
 from repro.ciphers.table_memory import CipherVictim
 from repro.core.results import FlipTemplate
 from repro.os.kernel import CACHE_HIT_NS
@@ -263,7 +263,7 @@ class EvictFrameAttack(ExplFrameAttack):
             "attack.rehammer", "attack", modality=self.modality_name
         ) as span:
             accuracy = 0.0
-            for attempt in range(self.config.rehammer_attempts):
+            for attempt in range(REHAMMER_ATTEMPTS):
                 result = self.templator.hammerer.hammer_evict(
                     list(template.aggressor_vas),
                     sets,
@@ -279,7 +279,7 @@ class EvictFrameAttack(ExplFrameAttack):
                     span.set("faulted", True)
                     span.set("accuracy", accuracy)
                     return True
-            span.set("attempts", self.config.rehammer_attempts)
+            span.set("attempts", REHAMMER_ATTEMPTS)
             span.set("faulted", False)
             span.set("accuracy", accuracy)
         return False

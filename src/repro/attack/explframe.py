@@ -51,9 +51,18 @@ from repro.sim.errors import ConfigError, FaultError, TemplatingExhaustedError
 from repro.sim.units import PAGE_SIZE
 
 
+#: Ciphertexts per victim encryption batch while collecting for PFA.
+PFA_BATCH = 256
+#: First PFA ciphertext budget; each retry of the stage doubles it.
+PFA_LIMIT = 20_000
+#: Hammer passes over a template's aggressors before the re-hammer stage
+#: reports the flip as non-repeatable.
+REHAMMER_ATTEMPTS = 3
+
+
 @dataclass(frozen=True)
 class ExplFrameConfig:
-    """Parameters of a full attack run.
+    """Parameters of a full attack run (the config every modality shares).
 
     ``cipher`` selects the victim implementation: ``"aes"`` (AES-128,
     256-byte S-box, full master key via schedule inversion),
@@ -61,20 +70,18 @@ class ExplFrameConfig:
     first table page and the last-round S-box sits in a second page, so
     the attacker stages *two* frames and steers the flippy one into the
     victim's second allocation), or ``"present"`` (PRESENT-80, 16-byte
-    nibble table; PFA yields the full 64-bit last round key, leaving a
-    16-bit schedule residue that ``present_full_search`` optionally
-    brute-forces — it costs tens of seconds of pure Python, so it is off
-    by default and a run then recovers the last round key).
+    nibble table; PFA yields the full 64-bit last round key, which is
+    what a run recovers — the 16-bit schedule residue is left to
+    :func:`repro.pfa.recover_present80_key`).
+
+    The victim table always sits at ``DEFAULT_TABLE_OFFSET`` in its page,
+    and the PFA and re-hammer budgets are the module constants
+    ``PFA_BATCH``, ``PFA_LIMIT`` and ``REHAMMER_ATTEMPTS``.
     """
 
     templator: TemplatorConfig = field(default_factory=TemplatorConfig)
     cpu: int = 0
     cipher: str = "aes"
-    table_offset: int = DEFAULT_TABLE_OFFSET
-    pfa_batch: int = 256
-    pfa_limit: int = 20_000
-    rehammer_attempts: int = 3
-    present_full_search: bool = False
     # Templating campaigns to run (each maps a fresh buffer) before giving
     # up on finding a flip that lands in the table region with an armed
     # direction.  Small tables (PRESENT's 16 bytes) typically need several.
@@ -85,12 +92,6 @@ class ExplFrameConfig:
             raise ConfigError(
                 f"cipher must be 'aes', 'aes_ttable' or 'present', got {self.cipher!r}"
             )
-        if not 0 <= self.table_offset <= PAGE_SIZE - self.table_size:
-            raise ConfigError(
-                f"table at offset {self.table_offset:#x} does not fit in a page"
-            )
-        if self.pfa_batch <= 0 or self.pfa_limit <= 0:
-            raise ConfigError("pfa_batch and pfa_limit must be positive")
         if self.max_campaigns <= 0:
             raise ConfigError("max_campaigns must be positive")
 
@@ -225,8 +226,8 @@ class ExplFrameAttack:
         """
         in_range = self.templator.templates_hitting_range(
             templates,
-            self.config.table_offset,
-            self.config.table_offset + self.config.table_size,
+            DEFAULT_TABLE_OFFSET,
+            DEFAULT_TABLE_OFFSET + self.config.table_size,
         )
         clean_table = PRESENT_SBOX if self.config.cipher == "present" else AES_SBOX
         usable = []
@@ -235,7 +236,7 @@ class ExplFrameAttack:
             # nibble change the cipher (the implementation masks with 0xF).
             if self.config.cipher == "present" and template.bit > 3:
                 continue
-            sbox_index = template.page_offset - self.config.table_offset
+            sbox_index = template.page_offset - DEFAULT_TABLE_OFFSET
             table_bit = (clean_table[sbox_index] >> template.bit) & 1
             # A 0->1 cell rests at 0 and needs the stored bit to be 0;
             # a 1->0 cell needs it to be 1.
@@ -333,7 +334,6 @@ class ExplFrameAttack:
                 self.true_key,
                 cpu=self.config.cpu,
                 cipher=self.config.cipher,
-                table_offset=self.config.table_offset,
                 name="victim" if workload is None else f"tenant-{workload.scenario.target}",
             )
             staged_pfn = self.kernel.pfn_of(self.attacker.pid, template.page_va)
@@ -365,31 +365,29 @@ class ExplFrameAttack:
     def rehammer(self, template: FlipTemplate, victim: CipherVictim) -> bool:
         """Hammer the template's aggressors until the victim table faults."""
         with self.obs.tracer.span("attack.rehammer", "attack") as span:
-            for attempt in range(self.config.rehammer_attempts):
+            for attempt in range(REHAMMER_ATTEMPTS):
                 self.templator.hammerer.hammer_pair(*template.aggressor_vas)
                 if victim.table_is_faulty():
                     span.set("attempts", attempt + 1)
                     span.set("faulted", True)
                     return True
-            span.set("attempts", self.config.rehammer_attempts)
+            span.set("attempts", REHAMMER_ATTEMPTS)
             span.set("faulted", False)
         return False
 
     # -- stage 4: fault analysis ----------------------------------------------------
 
     def run_pfa(
-        self, victim: CipherVictim, v_star: int, limit: int | None = None
+        self, victim: CipherVictim, v_star: int, limit: int
     ) -> tuple[bytes | None, int]:
-        """Collect faulty ciphertexts and recover the master key.
+        """Collect up to ``limit`` faulty ciphertexts and recover the master key.
 
-        Returns (key or None, ciphertexts consumed).  ``limit`` overrides
-        the config's ciphertext budget (retries may raise it).
+        Returns (key or None, ciphertexts consumed).
         """
-        limit = self.config.pfa_limit if limit is None else limit
         rng = self.machine.rng.numpy_stream("attack.plaintexts")
         state = PfaState()
         while state.total < limit:
-            state.update(victim.encrypt_batch(self.config.pfa_batch, rng))
+            state.update(victim.encrypt_batch(PFA_BATCH, rng))
             if state.is_unique():
                 break
         if not state.is_unique():
@@ -403,23 +401,18 @@ class ExplFrameAttack:
         return master, state.total
 
     def run_pfa_present(
-        self, victim: CipherVictim, v_star: int, limit: int | None = None
+        self, victim: CipherVictim, v_star: int, limit: int
     ) -> tuple[bytes | None, int]:
-        """PRESENT variant: recover K32 (and optionally the master key).
+        """PRESENT variant: recover the 64-bit last round key K32.
 
-        Returns (key material or None, ciphertexts consumed).  Without
-        ``present_full_search`` the returned material is the 8-byte last
-        round key and 16 bits remain (the schedule's hidden register
-        bits); with it, the master key is brute-forced from one clean
-        pair.
+        Returns (K32 as 8 bytes or None, ciphertexts consumed).  The 16
+        schedule bits PFA cannot see stay unrecovered.
         """
         from repro.pfa.pfa_present import (
             ciphertexts_to_unique_k32,
             recover_k32_known_fault,
-            recover_present80_key,
         )
 
-        limit = self.config.pfa_limit if limit is None else limit
         rng = self.machine.rng.stream("attack.present-plaintexts")
         plaintexts = [
             bytes(rng.randrange(256) for _ in range(8)) for _ in range(limit)
@@ -430,15 +423,8 @@ class ExplFrameAttack:
             )
         except FaultError:
             return None, limit
-        if not self.config.present_full_search:
-            k32 = recover_k32_known_fault(state, v_star)
-            return k32.to_bytes(8, "big"), consumed
-        # One clean pair: captured before the fault in a real attack; here
-        # reconstructed from the true key (ground-truth plumbing).
-        clean_pt = bytes(8)
-        clean_ct = Present(self.true_key).encrypt_block(clean_pt)
-        master = recover_present80_key(state, v_star, clean_pt, clean_ct)
-        return master, consumed
+        k32 = recover_k32_known_fault(state, v_star)
+        return k32.to_bytes(8, "big"), consumed
 
     def v_star_for(self, template: FlipTemplate) -> int:
         """The clean S-box value at the templated flip's position.
@@ -447,12 +433,12 @@ class ExplFrameAttack:
         knows it because she templated the flip (v* is public layout plus
         her own measurement, not ground truth).
         """
-        sbox_index = template.page_offset - self.config.table_offset
+        sbox_index = template.page_offset - DEFAULT_TABLE_OFFSET
         clean_table = PRESENT_SBOX if self.config.cipher == "present" else AES_SBOX
         return clean_table[sbox_index]
 
     def run_fault_analysis(
-        self, victim: CipherVictim, template: FlipTemplate, limit: int | None = None
+        self, victim: CipherVictim, template: FlipTemplate, limit: int
     ) -> tuple[bytes | None, int]:
         """Stage-4 dispatch: run the right PFA variant for the cipher."""
         v_star = self.v_star_for(template)
@@ -470,10 +456,10 @@ class ExplFrameAttack:
 
     def target_key(self) -> bytes:
         """The key material a successful run must recover."""
-        if self.config.cipher != "present" or self.config.present_full_search:
+        if self.config.cipher != "present":
             return self.true_key
-        # Success criterion for the fast PRESENT path: the full 64-bit
-        # last round key (a 16-bit schedule residue remains).
+        # PRESENT: the full 64-bit last round key (a 16-bit schedule
+        # residue remains).
         return Present(self.true_key).round_keys[31].to_bytes(8, "big")
 
     # -- modality contract (docs/ATTACKS.md) ------------------------------------------
@@ -543,21 +529,21 @@ class ExplFrameAttack:
         corrupted = victim.sbox.corrupted_entries()
         if len(corrupted) == 1:
             index, expected, actual = corrupted[0]
-            predicted_index = template.page_offset - self.config.table_offset
+            predicted_index = template.page_offset - DEFAULT_TABLE_OFFSET
             if index == predicted_index and actual == expected ^ (1 << template.bit):
                 return None
         return StageFailure(
             "rehammer",
             FailureClass.DISARMED_DIRECTION,
             "fault present but shape does not match the template "
-            f"(expected entry {template.page_offset - self.config.table_offset}, "
+            f"(expected entry {template.page_offset - DEFAULT_TABLE_OFFSET}, "
             f"bit {template.bit})",
         )
 
     def _pfa_stage(self, victim, template: FlipTemplate, attempt: int) -> StageOutcome:
         # Retries widen the ciphertext budget instead of hoping the same
         # sample size lands differently.
-        limit = self.config.pfa_limit << attempt
+        limit = PFA_LIMIT << attempt
         recovery = (
             None if attempt == 0 else f"retry PFA with ciphertext budget {limit}"
         )

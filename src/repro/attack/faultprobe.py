@@ -23,7 +23,7 @@ conditional experiment on the secret bit underneath it:
 Each steered candidate yields one bit (a fresh victim incarnation per
 steer keeps the experiment clean); the run keeps consuming candidates —
 re-templating under the campaign budget as needed — until
-``target_bits`` positions are recovered.  Accuracy is scored against the
+``TARGET_BITS`` positions are recovered.  Accuracy is scored against the
 ground-truth table content and reported in the run report's ``extra``
 block; mispredictions come from armed flips that fail to reproduce
 within the pulse budget (the same physics that gives ExplFrame its
@@ -37,8 +37,6 @@ secret being recovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.attack.base import (
     FailureClass,
     GENERIC_STAGES,
@@ -46,61 +44,23 @@ from repro.attack.base import (
     StageFailure,
     StageOutcome,
 )
-from repro.attack.explframe import ExplFrameAttack
-from repro.attack.templating import TemplatorConfig
+from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
 from repro.ciphers.aes_tables import AES_SBOX
 from repro.ciphers.present import PRESENT_SBOX
 from repro.ciphers.table_memory import DEFAULT_TABLE_OFFSET, CipherVictim
 from repro.core.results import FlipTemplate
-from repro.sim.errors import ConfigError
-from repro.sim.units import PAGE_SIZE
 
-
-@dataclass(frozen=True)
-class FaultProbeConfig:
-    """Parameters of a FAULT+PROBE run.
-
-    ``probe_checks`` plaintexts form the response-discrepancy oracle per
-    candidate: one AES encryption performs ~160 S-box lookups, so a
-    single probe misses a given faulted entry with probability
-    ``(255/256)**160 ≈ 0.54`` — a dozen probes push the miss rate below
-    0.1%.  ``hammer_pulses`` bounds how many hammer/probe rounds an
-    armed cell gets to fire before the bit is declared disarmed.
-    """
-
-    templator: TemplatorConfig = field(default_factory=TemplatorConfig)
-    cpu: int = 0
-    cipher: str = "aes"
-    table_offset: int = DEFAULT_TABLE_OFFSET
-    # Distinct table positions to recover before the run is complete.
-    target_bits: int = 4
-    # Plaintexts per probe round (the discrepancy oracle's sample size).
-    probe_checks: int = 12
-    # Hammer/probe rounds before concluding the cell is disarmed.
-    hammer_pulses: int = 4
-    # Templating campaigns per restock (as ExplFrameConfig.max_campaigns).
-    max_campaigns: int = 4
-
-    def __post_init__(self) -> None:
-        if self.cipher not in ("aes", "aes_ttable", "present"):
-            raise ConfigError(
-                f"cipher must be 'aes', 'aes_ttable' or 'present', got {self.cipher!r}"
-            )
-        if not 0 <= self.table_offset <= PAGE_SIZE - self.table_size:
-            raise ConfigError(
-                f"table at offset {self.table_offset:#x} does not fit in a page"
-            )
-        if self.target_bits <= 0:
-            raise ConfigError(f"target_bits must be positive, got {self.target_bits}")
-        if self.probe_checks <= 0 or self.hammer_pulses <= 0:
-            raise ConfigError("probe_checks and hammer_pulses must be positive")
-        if self.max_campaigns <= 0:
-            raise ConfigError("max_campaigns must be positive")
-
-    @property
-    def table_size(self) -> int:
-        """Bytes of table the victim keeps in memory (probe-able region)."""
-        return 16 if self.cipher == "present" else 256
+#: Distinct table positions to recover before the run is complete.
+TARGET_BITS = 4
+#: Plaintexts per probe round, the response-discrepancy oracle's sample
+#: set.  One AES encryption performs ~160 S-box lookups, so a single
+#: probe misses a given faulted entry with probability
+#: ``(255/256)**160 ≈ 0.54``; a dozen probes push the miss rate below
+#: 0.1%.
+PROBE_CHECKS = 12
+#: Hammer/probe rounds an armed cell gets to fire before the bit is
+#: declared disarmed.
+HAMMER_PULSES = 4
 
 
 class FaultProbeAttack(ExplFrameAttack):
@@ -108,8 +68,10 @@ class FaultProbeAttack(ExplFrameAttack):
 
     Reuses ExplFrame's templating and page-frame-cache steering verbatim
     (the shared front half of the modality contract) and replaces the
-    rehammer+PFA resolution with a single ``probe`` stage.  State beyond
-    the base class: ``recovered_bits`` maps table position
+    rehammer+PFA resolution with a single ``probe`` stage.  It takes the
+    same :class:`ExplFrameConfig`; the probe budget is the module
+    constants ``TARGET_BITS``, ``PROBE_CHECKS`` and ``HAMMER_PULSES``.
+    State beyond the base class: ``recovered_bits`` maps table position
     ``(entry, bit)`` to the probe verdict for that position.
     """
 
@@ -118,23 +80,20 @@ class FaultProbeAttack(ExplFrameAttack):
         "steer a templated flip under the victim's table and read the "
         "stored bit back from response discrepancies (FAULT+PROBE)"
     )
-    config_class = FaultProbeConfig
+    config_class = ExplFrameConfig
 
     def __init__(
         self,
         machine,
         key: bytes | None = None,
-        config: FaultProbeConfig | None = None,
+        config: ExplFrameConfig | None = None,
         tenant_workload=None,
     ):
         # Probe verdicts by (entry, bit): first writer wins, so a second
         # template over an already-probed position never double-counts.
         self.recovered_bits: dict[tuple[int, int], dict] = {}
         super().__init__(
-            machine,
-            key=key,
-            config=config or FaultProbeConfig(),
-            tenant_workload=tenant_workload,
+            machine, key=key, config=config, tenant_workload=tenant_workload
         )
 
     def _bind_modality_metrics(self, metrics) -> None:
@@ -170,8 +129,8 @@ class FaultProbeAttack(ExplFrameAttack):
         """
         in_range = self.templator.templates_hitting_range(
             templates,
-            self.config.table_offset,
-            self.config.table_offset + self.config.table_size,
+            DEFAULT_TABLE_OFFSET,
+            DEFAULT_TABLE_OFFSET + self.config.table_size,
         )
         if self.config.cipher != "present":
             return in_range
@@ -196,8 +155,8 @@ class FaultProbeAttack(ExplFrameAttack):
         return (ResolutionStage("probe", policy="pfa", run=self._probe_stage),)
 
     def run_complete(self) -> bool:
-        """Done once ``target_bits`` distinct positions have verdicts."""
-        return len(self.recovered_bits) >= self.config.target_bits
+        """Done once ``TARGET_BITS`` distinct positions have verdicts."""
+        return len(self.recovered_bits) >= TARGET_BITS
 
     def analysis_units_consumed(self) -> int:
         """Oracle responses consumed (the report's analysis-unit column)."""
@@ -211,7 +170,7 @@ class FaultProbeAttack(ExplFrameAttack):
         ]
         correct = sum(1 for bit in bits if bit["correct"])
         return {
-            "bits_targeted": self.config.target_bits,
+            "bits_targeted": TARGET_BITS,
             "bits_recovered": len(bits),
             "bits_correct": correct,
             "accuracy": round(correct / len(bits), 4) if bits else None,
@@ -240,15 +199,14 @@ class FaultProbeAttack(ExplFrameAttack):
         recovery = (
             None if attempt == 0 else f"re-probe after backoff (try {attempt + 1})"
         )
-        config = self.config
-        block = 8 if config.cipher == "present" else 16
+        block = 8 if self.config.cipher == "present" else 16
         rng = self.machine.rng.stream("attack.probe-plaintexts")
         with self.obs.tracer.span(
             "attack.probe", "attack", offset=template.page_offset, bit=template.bit
         ) as span:
             plaintexts = [
                 bytes(rng.randrange(256) for _ in range(block))
-                for _ in range(config.probe_checks)
+                for _ in range(PROBE_CHECKS)
             ]
             reference = [self._oracle(victim, pt) for pt in plaintexts]
             # Stability check: a reference that won't repeat (e.g. a table
@@ -266,7 +224,7 @@ class FaultProbeAttack(ExplFrameAttack):
                 )
             discrepancy = False
             pulses = 0
-            for pulse in range(config.hammer_pulses):
+            for pulse in range(HAMMER_PULSES):
                 self.templator.hammerer.hammer_pair(*template.aggressor_vas)
                 pulses = pulse + 1
                 if [self._oracle(victim, pt) for pt in plaintexts] != reference:
@@ -290,7 +248,7 @@ class FaultProbeAttack(ExplFrameAttack):
         columns exist so benches and CI can measure recovery accuracy,
         mirroring how steering success is scored in ExplFrame.
         """
-        entry = template.page_offset - self.config.table_offset
+        entry = template.page_offset - DEFAULT_TABLE_OFFSET
         position = (entry, template.bit)
         if position in self.recovered_bits:
             return

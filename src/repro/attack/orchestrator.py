@@ -38,9 +38,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 # The failure taxonomy lives in repro.attack.base (it is part of the
-# cross-modality contract); re-exported here because this module is its
-# historical home and reports/journals import it from both places.
-from repro.attack.base import FailureClass, StageFailure  # noqa: F401
+# cross-modality contract); reports and budgets here are built from it.
+from repro.attack.base import FailureClass, StageFailure
 from repro.core.results import FlipTemplate
 from repro.sim.errors import ConfigError, TemplatingExhaustedError
 from repro.sim.rng import derive_seed
@@ -284,12 +283,11 @@ class AttackRunReport:
     def from_dict(cls, data: dict) -> AttackRunReport:
         """Rebuild a report from :meth:`to_dict` output.
 
-        The faithful inverse the checkpoint journal depends on: derived
-        keys (``stage_sim_time_ns``, ``failure_classes``) are recomputed
-        from the reconstructed fields, so
+        Derived keys (``stage_sim_time_ns``, ``failure_classes``) are
+        recomputed from the reconstructed fields, so
         ``from_dict(r.to_dict()).to_json() == r.to_json()`` byte for
-        byte — which is what keeps a resumed campaign's digest identical
-        to an uninterrupted run's.
+        byte.  The campaign service does not need it: it hashes the
+        journaled report dicts directly.
         """
         final_failure = data.get("final_failure")
         return cls(
@@ -859,9 +857,7 @@ class AttackCampaign:
         state = machine.obs.metrics.export_state()
         return index, report, state, os.getpid(), time.perf_counter_ns() - start
 
-    def iter_attempts(
-        self, indices, *, snapshot_blob: bytes | None = None, window: int = 0
-    ):
+    def iter_attempts(self, indices, *, snapshot_blob: bytes | None = None):
         """Yield ``(index, report, metrics_state, pid, wall_ns)`` per attempt.
 
         The one attempt stream behind every campaign run: :meth:`run`
@@ -869,7 +865,7 @@ class AttackCampaign:
         (:mod:`repro.parallel.service`) journals it.  With ``workers ==
         1`` the attempts run here, in ``indices`` order, forking one warm
         snapshot.  With ``workers > 1`` they run on a process pool with at
-        most ``window`` (default ``2 * workers``) in flight, yielded in
+        most ``2 * workers`` in flight, yielded in
         completion order; a died worker raises
         :class:`~repro.sim.errors.WorkerLostError`.
 
@@ -885,9 +881,7 @@ class AttackCampaign:
 
             if snapshot_blob is None:
                 snapshot_blob = self._warm_snapshot().to_bytes()
-            yield from iter_pooled(
-                self, indices, snapshot_blob=snapshot_blob, window=window
-            )
+            yield from iter_pooled(self, indices, snapshot_blob=snapshot_blob)
             return
         if snapshot_blob is None:
             snapshot = self._warm_snapshot()

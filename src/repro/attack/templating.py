@@ -29,28 +29,27 @@ from repro.sim.errors import ConfigError
 from repro.sim.units import MIB, PAGE_SIZE
 
 
+#: Hammer rounds per aggressor pair, the paper's templating intensity.
+TEMPLATE_ROUNDS = 650_000
+#: Aggressors sit this many rows apart (2 = double-sided hammering).
+ROW_DISTANCE = 2
+#: Data patterns the buffer is filled with, one templating pass each:
+#: 0xFF arms the 1->0 cells, 0x00 the 0->1 anti-cells.
+PATTERNS = (0xFF, 0x00)
+
+
 @dataclass(frozen=True)
 class TemplatorConfig:
     """Knobs of a templating campaign."""
 
     buffer_bytes: int = 8 * MIB
-    rounds: int = 650_000
-    row_distance: int = 2  # aggressors this many rows apart (2 = double-sided)
     batch_pairs: int = 16  # pairs hammered between buffer scans
-    patterns: tuple[int, ...] = (0xFF, 0x00)
-    verify_flips: bool = True
-    max_pairs: int | None = None  # cap on hammered pairs (None = all found)
 
     def __post_init__(self) -> None:
         if self.buffer_bytes < PAGE_SIZE:
             raise ConfigError("buffer must be at least one page")
-        if self.rounds <= 0 or self.batch_pairs <= 0:
-            raise ConfigError("rounds and batch_pairs must be positive")
-        if self.row_distance <= 0:
-            raise ConfigError("row_distance must be positive")
-        for pattern in self.patterns:
-            if not 0 <= pattern <= 0xFF:
-                raise ConfigError(f"pattern byte {pattern} out of range")
+        if self.batch_pairs <= 0:
+            raise ConfigError("batch_pairs must be positive")
 
 
 class Templator:
@@ -60,7 +59,7 @@ class Templator:
         self.kernel = kernel
         self.pid = pid
         self.config = config or TemplatorConfig()
-        self.hammerer = Hammerer(kernel, pid, rounds=self.config.rounds)
+        self.hammerer = Hammerer(kernel, pid, rounds=TEMPLATE_ROUNDS)
         # The attacker assumes standard geometry constants (row size and
         # bank count are public per DRAM generation); the timing probe
         # corrects any wrong guess.
@@ -86,7 +85,7 @@ class Templator:
         if self.buffer_va is None:
             raise ConfigError("call prepare_buffer() first")
         span = self.config.buffer_bytes
-        target = self.config.row_distance * self._row_stride
+        target = ROW_DISTANCE * self._row_stride
         pairs: list[tuple[int, int]] = []
         for base in range(0, span - target - self._banks * self._bank_step, self._row_stride):
             va_a = self.buffer_va + base
@@ -98,8 +97,6 @@ class Templator:
                 if self.hammerer.is_same_bank_pair(va_a, va_b):
                     pairs.append((va_a, va_b))
                     break
-            if self.config.max_pairs is not None and len(pairs) >= self.config.max_pairs:
-                break
         return pairs
 
     # -- scanning ------------------------------------------------------------------
@@ -166,7 +163,7 @@ class Templator:
         seen: set[tuple[int, int, int]] = set()
         templates: list[FlipTemplate] = []
         pairs_hammered = 0
-        for pattern in self.config.patterns:
+        for pattern in PATTERNS:
             self.hammerer.fill(self.buffer_va, self.buffer_pages, pattern)
             pairs = self.discover_pairs()
             for start in range(0, len(pairs), self.config.batch_pairs):
@@ -180,21 +177,20 @@ class Templator:
                         self._restore(page_va, offset, pattern)
                         continue
                     pair = self._attribute_pair(page_va + offset, batch)
-                    if self.config.verify_flips:
-                        if not self._verify(page_va, offset, bit, pattern, pair):
-                            # Not reproducible with the attributed pair; try
-                            # the rest of the batch before giving up.
-                            confirmed = False
-                            for other in batch:
-                                if other == pair:
-                                    continue
-                                if self._verify(page_va, offset, bit, pattern, other):
-                                    pair = other
-                                    confirmed = True
-                                    break
-                            if not confirmed:
-                                self._restore(page_va, offset, pattern)
+                    if not self._verify(page_va, offset, bit, pattern, pair):
+                        # Not reproducible with the attributed pair; try
+                        # the rest of the batch before giving up.
+                        confirmed = False
+                        for other in batch:
+                            if other == pair:
                                 continue
+                            if self._verify(page_va, offset, bit, pattern, other):
+                                pair = other
+                                confirmed = True
+                                break
+                        if not confirmed:
+                            self._restore(page_va, offset, pattern)
+                            continue
                     seen.add(key)
                     templates.append(
                         FlipTemplate(
@@ -208,7 +204,7 @@ class Templator:
                     self._restore(page_va, offset, pattern)
         return TemplatingResult(
             buffer_bytes=self.config.buffer_bytes,
-            rounds_per_pair=self.config.rounds,
+            rounds_per_pair=TEMPLATE_ROUNDS,
             pairs_hammered=pairs_hammered,
             templates=templates,
             elapsed_ns=self.kernel.clock.now_ns - start_ns,

@@ -34,15 +34,11 @@ def _emit_observability(machine, args, json_mode: bool) -> None:
         from repro import package_version
 
         tracer = machine.obs.tracer
-        tracer.write(
-            args.trace,
-            fmt=args.trace_format,
-            producer=f"repro {package_version()}",
-        )
+        tracer.write(args.trace, producer=f"repro {package_version()}")
         stream = sys.stderr if json_mode else sys.stdout
         print(
             f"trace written to {args.trace} "
-            f"({args.trace_format}, {len(tracer.records)} records, "
+            f"(chrome, {len(tracer.records)} records, "
             f"{len(tracer.categories())} layers)",
             file=stream,
         )
@@ -284,8 +280,7 @@ def _cmd_attack_campaign(
     attempts are journaled as they complete, ``--resume`` continues an
     interrupted run, ``--shard i/N`` runs one interleaved partition, and
     ``--merge-shards`` folds completed shard journals into the serial
-    digest.  ``--stream-out FILE`` additionally appends each report to
-    FILE as a JSON line the moment it lands.
+    digest.
     """
     from repro.attack.orchestrator import AttackCampaign
     from repro.sim.errors import ConfigError
@@ -295,9 +290,6 @@ def _cmd_attack_campaign(
             (args.resume, "--resume"),
             (args.shard != "0/1", "--shard"),
             (args.merge_shards, "--merge-shards"),
-            (args.stream_out, "--stream-out"),
-            (args.window != 0, "--window"),
-            (args.worker_retries != 2, "--worker-retries"),
         ):
             if flag:
                 raise ConfigError(f"{name} requires --checkpoint DIR")
@@ -325,9 +317,6 @@ def _cmd_attack_campaign(
                 args.checkpoint,
                 shard=Shard.parse(args.shard),
                 resume=args.resume,
-                stream_out=args.stream_out,
-                window=args.window,
-                worker_retries=args.worker_retries,
             ).run()
     if args.json:
         import json
@@ -599,29 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --checkpoint: merge completed shard journals in DIR "
         "into the serial campaign digest instead of running attempts",
     )
-    attack.add_argument(
-        "--stream-out",
-        metavar="FILE",
-        default=None,
-        help="with --checkpoint: append each attempt report to FILE as a "
-        "JSON line the moment it completes",
-    )
-    attack.add_argument(
-        "--window",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --checkpoint: max attempts in flight over the pool "
-        "(default 0 = 2x workers)",
-    )
-    attack.add_argument(
-        "--worker-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="with --checkpoint: times one attempt may be re-dispatched "
-        "after its worker died (default 2)",
-    )
     from repro.sim.chaos import CHAOS_PROFILES
 
     attack.add_argument(
@@ -651,13 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="FILE",
         default=None,
-        help="record a sim-time trace of the run to FILE",
-    )
-    attack.add_argument(
-        "--trace-format",
-        choices=["chrome", "jsonl"],
-        default="chrome",
-        help="trace file format: chrome://tracing JSON (default) or JSON-lines",
+        help="record a sim-time trace of the run to FILE (chrome://tracing JSON)",
     )
     attack.add_argument(
         "--metrics",

@@ -7,14 +7,10 @@ durations can be *added* as span annotations (``wall_time=True``) for
 host-side profiling; they are opt-in precisely because they break that
 guarantee.
 
-Two export formats:
-
-* ``chrome`` — the Chrome trace-event JSON object (load via
-  ``chrome://tracing`` or https://ui.perfetto.dev).  Spans become ``"X"``
-  complete events, instants become ``"i"`` events; timestamps are the sim
-  nanoseconds divided by 1000 (the format counts microseconds).
-* ``jsonl`` — one JSON object per line, a meta line first; trivially
-  greppable and diffable.
+The export format is the Chrome trace-event JSON object (load via
+``chrome://tracing`` or https://ui.perfetto.dev).  Spans become ``"X"``
+complete events, instants become ``"i"`` events; timestamps are the sim
+nanoseconds divided by 1000 (the format counts microseconds).
 
 The disabled tracer (the default) returns a shared null span from
 ``span()`` and returns immediately from ``instant()``; instrumented code
@@ -204,40 +200,10 @@ class Tracer:
             "otherData": {"producer": producer, "clockDomain": "simulated-ns"},
         }
 
-    def to_jsonl(self, producer: str = "repro") -> list[str]:
-        lines = [
-            json.dumps(
-                {"type": "meta", "producer": producer, "clockDomain": "simulated-ns"},
-                sort_keys=True,
-            )
-        ]
-        for record in self.records:
-            lines.append(
-                json.dumps(
-                    {
-                        "type": record.kind,
-                        "name": record.name,
-                        "cat": record.cat,
-                        "start_ns": record.start_ns,
-                        "end_ns": self._end_ns(record),
-                        "depth": record.depth,
-                        "args": _clean_args(record.args),
-                    },
-                    sort_keys=True,
-                )
-            )
-        return lines
-
-    def write(self, path, fmt: str = "chrome", producer: str = "repro") -> None:
-        """Serialise the trace to ``path`` in ``chrome`` or ``jsonl`` form."""
-        if fmt == "chrome":
-            text = json.dumps(self.to_chrome(producer), sort_keys=True)
-        elif fmt == "jsonl":
-            text = "\n".join(self.to_jsonl(producer)) + "\n"
-        else:
-            raise ConfigError(f"unknown trace format {fmt!r}")
+    def write(self, path, producer: str = "repro") -> None:
+        """Serialise the trace to ``path`` as Chrome trace-event JSON."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(json.dumps(self.to_chrome(producer), sort_keys=True))
 
 
 def _clean_args(args: dict) -> dict:

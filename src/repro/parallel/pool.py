@@ -143,17 +143,16 @@ def _campaign_attempt(index: int):
     return _STATE["campaign"]._run_attempt(_STATE["snapshot"], index)
 
 
-def iter_pooled(campaign, indices, *, snapshot_blob: bytes, window: int = 0):
+def iter_pooled(campaign, indices, *, snapshot_blob: bytes):
     """Yield ``(index, report, metrics_state, pid, wall_ns)`` as attempts finish.
 
     Runs ``indices`` on ``min(campaign.workers, len(indices))`` worker
     processes, each forking the shipped ``snapshot_blob``.  At most
-    ``window`` attempts (default ``2 * workers``) are submitted at a
-    time, and each outcome is yielded — and released — as soon as its
-    future completes, so memory stays bounded by the window, not the
-    campaign size.  Yield order is completion order; callers that need
-    attempt order (the digest does) re-order or journal by the yielded
-    ``index``.
+    ``2 * workers`` attempts are submitted at a time, and each outcome
+    is yielded — and released — as soon as its future completes, so
+    memory stays bounded by that window, not the campaign size.  Yield
+    order is completion order; callers that need attempt order (the
+    digest does) re-order or journal by the yielded ``index``.
 
     Raises :class:`~repro.sim.errors.WorkerLostError` (carrying the
     attempt index whose result was lost) when a worker process dies —
@@ -164,7 +163,7 @@ def iter_pooled(campaign, indices, *, snapshot_blob: bytes, window: int = 0):
     if not indices:
         return
     workers = max(1, min(campaign.workers, len(indices)))
-    window = window if window > 0 else 2 * workers
+    window = 2 * workers
     remaining = iter(indices)
     pending: dict = {}
     pool = ProcessPoolExecutor(

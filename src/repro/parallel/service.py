@@ -29,7 +29,7 @@ a single result bit (docs/CAMPAIGNS.md is the contract):
 * **Worker-loss tolerant** — a died pool worker surfaces as
   :class:`~repro.sim.errors.WorkerLostError`; the service rebuilds the
   pool (re-using the already-pickled warm snapshot) and re-dispatches
-  the lost attempts, up to a per-attempt retry budget.  Retries are
+  the lost attempts, up to ``WORKER_RETRIES`` times each.  Retries are
   invisible in the results: attempt ``i`` is a pure function of its
   seed, wherever and however often it runs.
 
@@ -80,6 +80,9 @@ MANIFEST_VERSION = 1
 # attempt.  It is refreshed every this-many journaled records, and
 # always at start and completion.
 MANIFEST_REFRESH_EVERY = 64
+
+#: Times one attempt may be re-dispatched after its worker died.
+WORKER_RETRIES = 2
 
 
 # -- sharding ----------------------------------------------------------------------
@@ -136,7 +139,7 @@ def campaign_config_hash(campaign) -> str:
     One fixed tuple: the machine config, attempt count, modality, attack
     and orchestrator configs, scenario and chaos knobs — frozen data with
     deterministic reprs.  Engine choices with zero result consequences
-    (workers, shard, window) are deliberately excluded: a
+    (workers, shard) are deliberately excluded: a
     campaign checkpointed on 4 workers may resume on 1, or sharded
     differently, without tripping the mismatch check.
     """
@@ -355,24 +358,11 @@ class CampaignService:
         *,
         shard: Shard | None = None,
         resume: bool = False,
-        stream_out=None,
-        window: int = 0,
-        worker_retries: int = 2,
     ):
-        if window < 0:
-            raise ConfigError(f"window must be non-negative, got {window}")
-        if worker_retries < 0:
-            raise ConfigError(
-                f"worker_retries must be non-negative, got {worker_retries}"
-            )
         self.campaign = campaign
         self.directory = Path(checkpoint_dir)
         self.shard = shard or Shard()
         self.resume = resume
-        self.stream_out = stream_out
-        self.worker_retries = worker_retries
-        workers = max(1, campaign.workers)
-        self.window = window if window > 0 else 2 * workers
         self.journal_path = self.directory / f"journal-{self.shard.tag}.jsonl"
         self.manifest_path = self.directory / f"manifest-{self.shard.tag}.json"
         self._counters = {
@@ -487,14 +477,8 @@ class CampaignService:
         wall_by_pid: dict[int, int] = {}
         # The journal is opened even when nothing remains, so a shard that
         # owns no attempts still leaves an (empty) journal for the merge.
-        with contextlib.ExitStack() as files:
-            journal_fh = files.enter_context(open(self.journal_path, "ab"))
+        with open(self.journal_path, "ab") as journal_fh:
             journal_fh.seek(0, os.SEEK_END)
-            stream_fh = None
-            if self.stream_out and remaining:
-                stream_fh = files.enter_context(
-                    open(self.stream_out, "a", encoding="utf-8")
-                )
             for index, report, state, pid, wall_ns in self._execute(
                 remaining, snapshot_blob
             ):
@@ -506,12 +490,6 @@ class CampaignService:
                 offsets[index] = offset
                 wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
                 self._counters["journaled"] += 1
-                if stream_fh is not None:
-                    stream_fh.write(json.dumps(
-                        {"index": index, "report": record["report"]},
-                        sort_keys=True, separators=(",", ":"),
-                    ) + "\n")
-                    stream_fh.flush()
                 if self._counters["journaled"] % MANIFEST_REFRESH_EVERY == 0:
                     self._write_manifest(
                         config_hash=config_hash,
@@ -534,7 +512,7 @@ class CampaignService:
             completed: set[int] = set()
             try:
                 for outcome in self.campaign.iter_attempts(
-                    pending, snapshot_blob=snapshot_blob, window=self.window
+                    pending, snapshot_blob=snapshot_blob
                 ):
                     completed.add(outcome[0])
                     yield outcome
@@ -545,11 +523,11 @@ class CampaignService:
                 if lost is not None and lost not in completed:
                     retries[lost] = retries.get(lost, 0) + 1
                     self._counters["worker_retries"] += 1
-                    if retries[lost] > self.worker_retries:
+                    if retries[lost] > WORKER_RETRIES:
                         raise WorkerLostError(
                             f"attempt {lost} crashed its worker "
                             f"{retries[lost]} times (budget "
-                            f"{self.worker_retries}); giving up — the "
+                            f"{WORKER_RETRIES}); giving up — the "
                             "journal holds every completed attempt",
                             attempt=lost,
                         ) from exc
@@ -588,7 +566,8 @@ class CampaignService:
             worker_retries=self._counters["worker_retries"],
             workers_lost=self._counters["workers_lost"],
             journal_bytes=self.journal_path.stat().st_size,
-            window=self.window,
+            # The in-flight bound iter_pooled derives from the worker count.
+            window=2 * max(1, campaign.workers),
             shard_attempts=len(indices),
         )
         return CampaignResult(

@@ -7,7 +7,7 @@ from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMGeometry
 from repro.sim.units import MIB
 
-FAST = TemplatorConfig(buffer_bytes=2 * MIB, rounds=650_000, batch_pairs=8)
+FAST = TemplatorConfig(buffer_bytes=2 * MIB, batch_pairs=8)
 
 
 def machine(seed=0, vulnerable=True):
@@ -68,7 +68,7 @@ class TestPagemapAttack:
             machine(7),
             key=bytes(16),
             templator_config=TemplatorConfig(
-                buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8
+                buffer_bytes=4 * MIB, batch_pairs=8
             ),
             max_attempts=2,
         ).run()

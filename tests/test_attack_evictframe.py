@@ -39,7 +39,7 @@ def small_machine(seed=7, **kwargs):
 
 def fast_config(**kwargs):
     return EvictFrameConfig(
-        templator=TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8),
+        templator=TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8),
         **kwargs,
     )
 

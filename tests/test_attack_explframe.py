@@ -7,14 +7,15 @@ from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
 from repro.attack.orchestrator import AttackOrchestrator, FailureClass, OrchestratorConfig
 from repro.attack.templating import TemplatorConfig
 from repro.ciphers.aes_tables import AES_SBOX
+from repro.ciphers.table_memory import DEFAULT_TABLE_OFFSET
 from repro.core import Machine, MachineConfig
 from repro.core.results import FlipTemplate
 from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMGeometry
 from repro.sim.errors import ConfigError
-from repro.sim.units import MIB, SECOND
+from repro.sim.units import MIB, PAGE_SIZE, SECOND
 
-FAST_TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+FAST_TEMPLATOR = TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 
 
 def vulnerable_machine(seed):
@@ -29,12 +30,10 @@ def vulnerable_machine(seed):
 
 class TestConfig:
     def test_table_must_fit_page(self):
-        with pytest.raises(ConfigError):
-            ExplFrameConfig(table_offset=4000)
-
-    def test_pfa_knobs_validated(self):
-        with pytest.raises(ConfigError):
-            ExplFrameConfig(pfa_batch=0)
+        # The offset is a constant, so the page-fit check is this test.
+        for cipher in ("aes", "aes_ttable", "present"):
+            table_size = ExplFrameConfig(cipher=cipher).table_size
+            assert 0 <= DEFAULT_TABLE_OFFSET <= PAGE_SIZE - table_size
 
 
 class TestUsableTemplates:
@@ -58,7 +57,7 @@ class TestUsableTemplates:
 
     def test_direction_compatibility(self):
         attack = self.make_attack()
-        offset = attack.config.table_offset  # S-box index 0, value 0x63
+        offset = DEFAULT_TABLE_OFFSET  # S-box index 0, value 0x63
         # Bit 0 of 0x63 is 1: only a 1->0 flip is armed there.
         armed = self.template(offset, 0, flips_to_one=False)
         unarmed = self.template(offset, 0, flips_to_one=True)
@@ -67,7 +66,7 @@ class TestUsableTemplates:
 
     def test_bit_level_check(self):
         attack = self.make_attack()
-        offset = attack.config.table_offset
+        offset = DEFAULT_TABLE_OFFSET
         # Bit 2 of 0x63 is 0: only a 0->1 flip is armed.
         assert AES_SBOX[0] >> 2 & 1 == 0
         armed = self.template(offset, 2, flips_to_one=True)
@@ -189,7 +188,7 @@ class TestPresentEndToEnd:
         config = ExplFrameConfig(
             cipher="present",
             templator=TemplatorConfig(
-                buffer_bytes=8 * MIB, rounds=650_000, batch_pairs=16
+                buffer_bytes=8 * MIB, batch_pairs=16
             ),
             max_campaigns=4,
         )
@@ -216,7 +215,7 @@ class TestPresentEndToEnd:
                 cipher="present", templator=FAST_TEMPLATOR, max_campaigns=1
             ),
         )
-        offset = attack.config.table_offset
+        offset = DEFAULT_TABLE_OFFSET
         high_bit = FlipTemplate(
             page_va=0x5000_0000,
             page_offset=offset,

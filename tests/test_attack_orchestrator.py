@@ -17,7 +17,7 @@ from repro.sim.chaos import ChaosEngine, chaos_profile
 from repro.sim.errors import ConfigError, TemplatingExhaustedError
 from repro.sim.units import MIB, MS
 
-FAST = TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+FAST = TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 # No recovery: one templating campaign and one try per stage.
 NO_RECOVERY = OrchestratorConfig(
     campaign_budget=1, steer=RetryPolicy(1), rehammer=RetryPolicy(1), pfa=RetryPolicy(1)

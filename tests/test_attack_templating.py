@@ -7,7 +7,7 @@ from repro.core.results import FlipTemplate
 from repro.sim.errors import ConfigError
 from repro.sim.units import MIB, PAGE_SIZE
 
-FAST = TemplatorConfig(buffer_bytes=2 * MIB, rounds=650_000, batch_pairs=8)
+FAST = TemplatorConfig(buffer_bytes=2 * MIB, batch_pairs=8)
 
 
 @pytest.fixture
@@ -21,11 +21,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TemplatorConfig(buffer_bytes=100)
         with pytest.raises(ConfigError):
-            TemplatorConfig(rounds=0)
-        with pytest.raises(ConfigError):
-            TemplatorConfig(row_distance=0)
-        with pytest.raises(ConfigError):
-            TemplatorConfig(patterns=(0x100,))
+            TemplatorConfig(batch_pairs=0)
 
 
 class TestScanForFlips:
@@ -103,16 +99,6 @@ class TestCampaign:
         result = vulnerable_templator.run()
         expected = result.flips_found / (FAST.buffer_bytes / (1024**3))
         assert abs(result.flips_per_gib - expected) < 1e-6
-
-    def test_max_pairs_cap(self, vulnerable_machine):
-        task = vulnerable_machine.kernel.spawn("attacker2", cpu=0)
-        config = TemplatorConfig(
-            buffer_bytes=2 * MIB, rounds=650_000, batch_pairs=8, max_pairs=3
-        )
-        templator = Templator(vulnerable_machine.kernel, task.pid, config)
-        templator.prepare_buffer()
-        templator.hammerer.fill(templator.buffer_va, templator.buffer_pages, 0xFF)
-        assert len(templator.discover_pairs()) <= 3
 
     def test_discover_requires_buffer(self, vulnerable_machine):
         task = vulnerable_machine.kernel.spawn("attacker3", cpu=0)

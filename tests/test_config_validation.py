@@ -1,38 +1,32 @@
 """ConfigError validation paths for attack and defense configs."""
 
+import dataclasses
+
 import pytest
 
+from repro.attack.evictframe import EvictFrameConfig
 from repro.attack.explframe import ExplFrameConfig
+from repro.attack.templating import TemplatorConfig
 from repro.defense.watchdog import WatchdogConfig
 from repro.sim.errors import ConfigError
-from repro.sim.units import PAGE_SIZE
 
 
 class TestExplFrameConfig:
+    def test_fields_are_the_knobs_callers_set(self):
+        # Everything else (rounds, patterns, PFA and probe budgets, the
+        # table offset) is a module constant, not a config field.
+        def names(cls):
+            return tuple(f.name for f in dataclasses.fields(cls))
+
+        assert names(TemplatorConfig) == ("buffer_bytes", "batch_pairs")
+        assert names(ExplFrameConfig) == ("templator", "cpu", "cipher", "max_campaigns")
+        assert names(EvictFrameConfig) == names(ExplFrameConfig) + (
+            "evict_slack", "evict_pattern",
+        )
+
     def test_bad_cipher_rejected(self):
         with pytest.raises(ConfigError, match="cipher"):
             ExplFrameConfig(cipher="des")
-
-    def test_table_offset_overflow_rejected(self):
-        with pytest.raises(ConfigError, match="fit in a page"):
-            ExplFrameConfig(table_offset=PAGE_SIZE - 16)
-
-    def test_negative_table_offset_rejected(self):
-        with pytest.raises(ConfigError):
-            ExplFrameConfig(table_offset=-1)
-
-    def test_present_table_fits_where_aes_does_not(self):
-        # PRESENT's table is 16 bytes, so the same offset can be legal.
-        config = ExplFrameConfig(cipher="present", table_offset=PAGE_SIZE - 16)
-        assert config.table_size == 16
-
-    def test_nonpositive_pfa_budgets_rejected(self):
-        with pytest.raises(ConfigError):
-            ExplFrameConfig(pfa_batch=0)
-        with pytest.raises(ConfigError):
-            ExplFrameConfig(pfa_limit=0)
-        with pytest.raises(ConfigError):
-            ExplFrameConfig(pfa_batch=-5)
 
     def test_nonpositive_campaigns_rejected(self):
         with pytest.raises(ConfigError):

@@ -31,7 +31,7 @@ from repro.sim.chaos import ChaosEngine, chaos_profile
 from repro.sim.units import MIB, MS, PAGE_SIZE
 
 FAST = ExplFrameConfig(
-    templator=TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+    templator=TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 )
 
 
@@ -140,7 +140,7 @@ class TestVictimPlanMemo:
     def _templated_machine():
         machine = Machine(vulnerable_config())
         pid = machine.kernel.spawn("templater").pid
-        config = TemplatorConfig(buffer_bytes=MIB, rounds=650_000, batch_pairs=8)
+        config = TemplatorConfig(buffer_bytes=MIB, batch_pairs=8)
         assert Templator(machine.kernel, pid, config).run().templates
         return machine
 

@@ -32,7 +32,7 @@ class TestWideFanOut:
         )
         fast = ExplFrameConfig(
             templator=TemplatorConfig(
-                buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8
+                buffer_bytes=4 * MIB, batch_pairs=8
             )
         )
         campaign = AttackCampaign(
@@ -52,7 +52,7 @@ class TestWideFanOut:
         )
         fast = ExplFrameConfig(
             templator=TemplatorConfig(
-                buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8
+                buffer_bytes=4 * MIB, batch_pairs=8
             )
         )
         campaign = AttackCampaign(machine_config, 1, attack_config=fast)

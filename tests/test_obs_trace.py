@@ -100,20 +100,6 @@ class TestExport:
         assert instant["ph"] == "i"
         assert instant["s"] == "t"
 
-    def test_jsonl_round_trips(self):
-        lines = self.populate().to_jsonl()
-        rows = [json.loads(line) for line in lines]
-        assert rows[0]["type"] == "meta"
-        assert rows[1] == {
-            "type": "span",
-            "name": "work",
-            "cat": "cat",
-            "start_ns": 0,
-            "end_ns": 3_000,
-            "depth": 0,
-            "args": {"n": 3},
-        }
-
     def test_open_span_ends_now(self):
         clock, tracer = make_tracer()
         tracer.span("open", "cat")
@@ -123,13 +109,8 @@ class TestExport:
     def test_write_formats(self, tmp_path):
         tracer = self.populate()
         chrome = tmp_path / "t.json"
-        jsonl = tmp_path / "t.jsonl"
-        tracer.write(chrome, fmt="chrome")
-        tracer.write(jsonl, fmt="jsonl")
-        assert len(json.loads(chrome.read_text())["traceEvents"]) == 3
-        assert len(jsonl.read_text().splitlines()) == 3
-        with pytest.raises(ConfigError):
-            tracer.write(chrome, fmt="pprof")
+        tracer.write(chrome)
+        assert json.loads(chrome.read_text()) == tracer.to_chrome()
 
     def test_args_made_json_safe(self):
         clock, tracer = make_tracer()
@@ -152,7 +133,7 @@ def traced_attack(seed):
         machine,
         config=ExplFrameConfig(
             templator=TemplatorConfig(
-                buffer_bytes=2 * MIB, rounds=400_000, batch_pairs=4
+                buffer_bytes=2 * MIB, batch_pairs=4
             )
         ),
     )

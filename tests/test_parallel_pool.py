@@ -33,7 +33,7 @@ from repro.sim.errors import ConfigError
 from repro.sim.units import MIB, MS
 
 FAST = ExplFrameConfig(
-    templator=TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+    templator=TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 )
 
 

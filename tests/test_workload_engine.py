@@ -19,7 +19,7 @@ from repro.sim.units import MIB, SECOND
 from repro.workload import Scenario, TenantSpec, WorkloadEngine, scenario_preset
 
 FAST = ExplFrameConfig(
-    templator=TemplatorConfig(buffer_bytes=4 * MIB, rounds=650_000, batch_pairs=8)
+    templator=TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 )
 
 
