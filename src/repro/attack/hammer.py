@@ -20,6 +20,9 @@ from repro.sim.units import PAGE_SIZE
 # Rounds used for a timing probe: enough to average, few enough that the
 # probe's own activations (<< any flip threshold) are harmless.
 PROBE_ROUNDS = 128
+#: Pages per load or store when the attacker walks a whole buffer (128 KiB):
+#: few kernel calls per pass, and never the whole buffer in one bytes object.
+CHUNK_PAGES = 32
 
 
 class Hammerer:
@@ -45,20 +48,24 @@ class Hammerer:
 
         This is the step the paper insists on: frames are only allocated
         once data is stored — and the pattern arms the weak cells whose
-        resting value differs from it.
+        resting value differs from it.  The buffer is stored in chunks of
+        :data:`CHUNK_PAGES` pages, one ``mem_write`` each; the kernel serves
+        a chunk of resident pages as one stream and faults the rest in page
+        by page.
         """
         if not 0 <= pattern <= 0xFF:
             raise ConfigError(f"pattern byte {pattern} out of range")
-        chunk = bytes([pattern]) * PAGE_SIZE
-        for index in range(pages):
-            self.kernel.mem_write(self.pid, va + index * PAGE_SIZE, chunk)
+        chunk = bytes([pattern]) * (CHUNK_PAGES * PAGE_SIZE)
+        for index in range(0, pages, CHUNK_PAGES):
+            size = min(CHUNK_PAGES, pages - index) * PAGE_SIZE
+            self.kernel.mem_write(self.pid, va + index * PAGE_SIZE, chunk[:size])
 
     # -- hammering ------------------------------------------------------------------
 
     def hammer_pair(self, va_a: int, va_b: int, rounds: int | None = None) -> HammerResult:
         """Alternately access + flush the two addresses ``rounds`` times."""
         result = self.kernel.sys_hammer(
-            self.pid, [va_a, va_b], rounds or self.rounds, flush=True
+            self.pid, [va_a, va_b], self.rounds if rounds is None else rounds, flush=True
         )
         self.total_rounds += result.rounds
         self.total_activations += result.activations
@@ -83,7 +90,7 @@ class Hammerer:
             self.pid,
             aggressor_vas,
             eviction_vas,
-            rounds or self.rounds,
+            self.rounds if rounds is None else rounds,
             pattern=pattern,
         )
         self.total_rounds += result.rounds
@@ -93,7 +100,7 @@ class Hammerer:
     def hammer_without_flush(self, va_a: int, va_b: int, rounds: int | None = None) -> HammerResult:
         """The negative control: same loop, no clflush (cache absorbs it)."""
         result = self.kernel.sys_hammer(
-            self.pid, [va_a, va_b], rounds or self.rounds, flush=False
+            self.pid, [va_a, va_b], self.rounds if rounds is None else rounds, flush=False
         )
         self.total_rounds += result.rounds
         return result
@@ -129,7 +136,9 @@ class Hammerer:
         rest accumulate unimpeded.  This is the TRRespass-style bypass
         evaluated in ablation A3.
         """
-        result = self.kernel.sys_hammer(self.pid, vas, rounds or self.rounds, flush=True)
+        result = self.kernel.sys_hammer(
+            self.pid, vas, self.rounds if rounds is None else rounds, flush=True
+        )
         self.total_rounds += result.rounds
         self.total_activations += result.activations
         return result

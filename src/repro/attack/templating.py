@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attack.hammer import Hammerer
+from repro.attack.hammer import CHUNK_PAGES, Hammerer
 from repro.core.results import FlipTemplate, TemplatingResult
 from repro.os.kernel import Kernel
 from repro.sim.errors import ConfigError
@@ -102,27 +102,45 @@ class Templator:
     # -- scanning ------------------------------------------------------------------
 
     def _scan_for_flips(self, pattern: int) -> list[tuple[int, int, int, bool]]:
-        """Find (page_va, offset, bit, flips_to_one) deviations from pattern."""
-        expected = bytes([pattern]) * PAGE_SIZE
+        """Find (page_va, offset, bit, flips_to_one) deviations from pattern.
+
+        The buffer is read in chunks of :data:`CHUNK_PAGES` pages, one
+        ``mem_read`` each (the kernel serves each chunk as one stream), and
+        each chunk is compared against the pattern in one numpy pass.
+        """
         found = []
-        for index in range(self.buffer_pages):
-            page_va = self.buffer_va + index * PAGE_SIZE
-            data = self.kernel.mem_read(self.pid, page_va, PAGE_SIZE)
-            if data == expected:
-                continue
-            got = np.frombuffer(data, dtype=np.uint8)
-            diff = got ^ pattern
-            offsets = np.flatnonzero(diff)
-            # One row of 8 little-endian bit flags per changed byte; nonzero
-            # walks it row-major, so the output stays (offset, bit) ascending.
-            rows, bits = np.nonzero(
-                np.unpackbits(diff[offsets, None], axis=1, bitorder="little")
+        for index in range(0, self.buffer_pages, CHUNK_PAGES):
+            chunk_va = self.buffer_va + index * PAGE_SIZE
+            size = min(CHUNK_PAGES, self.buffer_pages - index) * PAGE_SIZE
+            found += self._flips_in(
+                chunk_va, self.kernel.mem_read(self.pid, chunk_va, size), pattern
             )
-            changed = offsets[rows]
-            ones = (got[changed] >> bits) & 1
-            for offset, bit, one in zip(changed.tolist(), bits.tolist(), ones.tolist()):
-                found.append((page_va, offset, bit, bool(one)))
         return found
+
+    @staticmethod
+    def _flips_in(va: int, data: bytes, pattern: int) -> list[tuple[int, int, int, bool]]:
+        """The (page_va, offset, bit, flips_to_one) of ``data`` (whole pages), read at ``va``.
+
+        One compare per 8-byte word finds the words that differ from the
+        pattern; only their bytes are unpacked into bits.
+        """
+        words = np.frombuffer(data, dtype=np.uint64)
+        changed = np.flatnonzero(words != np.uint64(pattern * 0x0101010101010101))
+        if not changed.size:
+            return []
+        got = np.frombuffer(data, dtype=np.uint8)
+        offsets = (changed[:, None] * 8 + np.arange(8)).ravel()
+        diff = got[offsets] ^ pattern
+        # One row of 8 little-endian bit flags per byte of a changed word;
+        # nonzero walks it row-major, so the output stays (offset, bit)
+        # ascending, and unchanged bytes contribute no flags.
+        rows, bits = np.nonzero(np.unpackbits(diff[:, None], axis=1, bitorder="little"))
+        changed = offsets[rows]
+        ones = (got[changed] >> bits) & 1
+        return [
+            (va + offset - offset % PAGE_SIZE, offset % PAGE_SIZE, bit, bool(one))
+            for offset, bit, one in zip(changed.tolist(), bits.tolist(), ones.tolist())
+        ]
 
     def _restore(self, page_va: int, offset: int, pattern: int) -> None:
         self.kernel.mem_write(self.pid, page_va + offset, bytes([pattern]))

@@ -151,6 +151,81 @@ class CpuCache:
         self.misses += count - hits
         return flags
 
+    def access_pages(self, firsts: np.ndarray, count: int) -> int:
+        """Serve ``access_run(first, count)`` for each of ``firsts`` while all miss.
+
+        Each run must start on a multiple of ``count`` lines, ``count`` must
+        divide ``sets``, and no line may repeat across runs: each run then
+        fills one aligned block of ``count`` sets.  Returns how many leading
+        runs were served; the next run, if any, would hit and is left to
+        :meth:`access_run`.
+
+        Closed form: while only misses occur, the j-th miss in a set fills
+        way ``pi[j mod ways]``, where ``pi`` is the set's ways ordered as
+        :meth:`access_run`'s ``argmin(stamps)`` picks them: invalid ways by
+        index, then valid ways by ascending stamp.  A line cached at the
+        start at position ``q`` of ``pi`` is therefore still there when the
+        set's k-th access of the stream reaches it iff ``k <= q``; the first
+        run with such a line is where the stream stops.  The runs before it
+        leave each way holding the last line that filled it, stamped with
+        its run's tick (run ``i`` gets ``tick + i + 1``), and evict once per
+        miss beyond the set's invalid ways.
+        """
+        sets, ways = self.config.sets, self.config.ways
+        if sets % count or count & (count - 1):
+            raise ConfigError(f"runs of {count} lines do not tile {sets} sets")
+        starts = np.asarray(firsts, dtype=np.int64) // self.config.line_size
+        if np.any(starts % count):
+            raise ConfigError(f"runs must start on a multiple of {count} lines")
+        runs = starts.size
+        shift = count.bit_length() - 1
+        frames = starts >> shift
+        blocks = frames % (sets // count)
+        # occurrence[i]: how many earlier runs filled run i's block.
+        order = np.argsort(blocks, kind="stable")
+        ranked = blocks[order]
+        occurrence = np.empty(runs, dtype=np.int64)
+        occurrence[order] = np.arange(runs) - np.searchsorted(ranked, ranked)
+        # A frame's lines can only sit in its own block, so a run may hit
+        # only if its frame number is among the cached tags' high bits.
+        cached = (self._tags >> shift).ravel()
+        cached.sort()
+        found = cached.take(np.searchsorted(cached, frames), mode="clip") == frames
+        if found.any():
+            candidates = np.flatnonzero(found)
+            lines = starts[candidates, None, None] + np.arange(count)[:, None]
+            match = self._tags.reshape(-1, count, ways)[blocks[candidates]] == lines
+            run_index, column, way = np.nonzero(match)
+            run_index = candidates[run_index]
+            set_stamps = self._stamps[blocks[run_index] * count + column]
+            stamp = set_stamps[np.arange(way.size), way]
+            position = np.count_nonzero(set_stamps < stamp[:, None], axis=1)
+            hits = run_index[occurrence[run_index] <= position]
+            if hits.size:
+                runs = int(hits.min())
+                if not runs:
+                    return 0
+                starts, blocks, occurrence = starts[:runs], blocks[:runs], occurrence[:runs]
+        fills = np.bincount(blocks, minlength=sets // count)
+        invalid = self._stamps < 0
+        if invalid.any():
+            set_fills = np.repeat(fills, count)
+            self.evictions += int(np.maximum(set_fills - invalid.sum(1), 0).sum())
+        else:
+            self.evictions += runs * count
+        pi = np.argsort(self._stamps, axis=1, kind="stable").ravel()
+        # Only each way's last fill survives: a run's lines stay iff fewer
+        # than ``ways`` later runs refill its block.
+        last = np.flatnonzero(occurrence >= fills[blocks] - ways)
+        columns = np.arange(count)
+        base = (blocks[last, None] * count + columns) * ways
+        slot = base + pi.take(base + (occurrence[last] % ways)[:, None])
+        self._tags.ravel().put(slot, starts[last, None] + columns)
+        self._stamps.ravel().put(slot, np.repeat(self._tick + 1 + last, count))
+        self._tick += runs
+        self.misses += runs * count
+        return runs
+
     def flush(self, phys: int) -> bool:
         """``clflush``: evict the line containing ``phys``; True if present."""
         set_index, tag = self._locate(phys)

@@ -32,7 +32,10 @@ Besides the single-access path there are two closed-form paths:
   cache misses of one page as back-to-back accesses to one row: at most
   one activation, then row hits.  The kernel uses it only while
   :meth:`MemoryController.is_quiet_until` rules out a refresh inside the
-  run, which makes it exactly equal to one :meth:`access` per line.
+  run, which makes it exactly equal to one :meth:`access` per line.  A
+  multi-page stream maps all its pages in one pass
+  (:meth:`MemoryController.bank_rows`) and runs each page's row through
+  :meth:`MemoryController.access_row`.
 """
 
 from __future__ import annotations
@@ -585,11 +588,20 @@ class MemoryController:
         they are booked together as ``count - 1`` hits of ``t_cas`` each.
         """
         addr = self.mapping.to_dram(phys)
-        key = addr.bank_key()
-        activated = self.bank(key).access_run(addr.row, count)
+        return self.access_row(addr.bank_key(), addr.row, count)
+
+    def bank_rows(self, phys) -> list[tuple[tuple[int, int, int], int]]:
+        """``(bank key, row)`` of each physical address, mapped in one pass."""
+        channel, rank, bank, row = self.mapping.bank_rows(phys)
+        keys = zip(channel.tolist(), rank.tolist(), bank.tolist())
+        return list(zip(keys, row.tolist()))
+
+    def access_row(self, key: tuple[int, int, int], row: int, count: int) -> bool:
+        """:meth:`access_row_run` on an already mapped (bank key, row)."""
+        activated = self.bank(key).access_run(row, count)
         if activated:
             self.clock.advance(self.timing.t_rc_ns)
-            self._evaluate_around(key, (addr.row,))
+            self._evaluate_around(key, (row,))
             self.clock.advance((count - 1) * self.timing.t_cas_ns)
         else:
             self.clock.advance(count * self.timing.t_cas_ns)

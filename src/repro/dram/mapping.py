@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.dram.geometry import DRAMAddress, DRAMGeometry
 from repro.sim.errors import ConfigError
 
@@ -68,6 +70,25 @@ class AddressMapping(ABC):
         rank = rest & (self.geometry.ranks_per_channel - 1)
         channel = rest >> self._rank_bits
         return channel, rank, row, bank, col
+
+    def bank_rows(self, phys: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Vector form of :meth:`to_dram`: ``(channel, rank, bank, row)`` arrays."""
+        phys = np.asarray(phys, dtype=np.int64)
+        if phys.size:
+            self._check_phys(int(phys.min()))
+            self._check_phys(int(phys.max()))
+        rest = phys >> self._col_bits
+        bank = rest & (self.geometry.banks_per_rank - 1)
+        rest >>= self._bank_bits
+        row = rest & (self.geometry.rows_per_bank - 1)
+        rest >>= self._row_bits
+        rank = rest & (self.geometry.ranks_per_channel - 1)
+        channel = rest >> self._rank_bits
+        return channel, rank, self._fold_bank(bank, row), row
+
+    def _fold_bank(self, bank_field, row):
+        """The bank a ``bank_field`` selects in ``row`` (ints or arrays)."""
+        return bank_field
 
     def _join_fields(self, channel: int, rank: int, row: int, bank: int, col: int) -> int:
         phys = channel
@@ -161,13 +182,18 @@ class XorBankMapping(AddressMapping):
     def to_dram(self, phys: int) -> DRAMAddress:
         """Resolve ``phys`` with the bank field XOR-folded against the row."""
         channel, rank, row, bank_field, col = self._split_fields(phys)
-        bank = bank_field ^ (row & (self.geometry.banks_per_rank - 1))
-        return DRAMAddress(channel=channel, rank=rank, bank=bank, row=row, col=col)
+        return DRAMAddress(
+            channel=channel, rank=rank, bank=self._fold_bank(bank_field, row), row=row, col=col
+        )
+
+    def _fold_bank(self, bank_field, row):
+        """``bank_field XOR (row & bank_mask)``, for ints or arrays."""
+        return bank_field ^ (row & (self.geometry.banks_per_rank - 1))
 
     def to_phys(self, addr: DRAMAddress) -> int:
         """Inverse of :meth:`to_dram` (the XOR fold is an involution)."""
         self.geometry.validate_address(addr)
-        bank_field = addr.bank ^ (addr.row & (self.geometry.banks_per_rank - 1))
+        bank_field = self._fold_bank(addr.bank, addr.row)
         return self._join_fields(addr.channel, addr.rank, addr.row, bank_field, addr.col)
 
 

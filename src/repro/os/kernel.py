@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
+import numpy as np
+
 from repro.dram.cache import CpuCache
 from repro.dram.controller import HammerResult, MemoryController
 from repro.mm.allocator import AllocationRequest, ZonedPageFrameAllocator
@@ -95,6 +97,9 @@ class KernelStats:
     # Load/store ranges served as one page run, and the lines they covered.
     page_runs: int = 0
     page_run_lines: int = 0
+    # Whole-page ranges served as one multi-page stream, and their lines.
+    streams: int = 0
+    stream_lines: int = 0
 
 
 class Kernel:
@@ -181,12 +186,22 @@ class Kernel:
             "sim.shortcut.page_run_lines", unit="lines",
             help="cache lines accounted inside page runs",
         )
+        streams = metrics.gauge(
+            "sim.shortcut.streams", unit="streams",
+            help="whole-page load/store ranges served as one closed-form stream",
+        )
+        stream_lines = metrics.gauge(
+            "sim.shortcut.stream_lines", unit="lines",
+            help="cache lines accounted inside streams",
+        )
 
         def _collect() -> None:
             frames_freed.set(self.stats.frames_freed)
             syscalls_total.set(self.stats.syscalls)
             page_runs.set(self.stats.page_runs)
             page_run_lines.set(self.stats.page_run_lines)
+            streams.set(self.stats.streams)
+            stream_lines.set(self.stats.stream_lines)
 
         metrics.add_collector(_collect)
 
@@ -467,14 +482,88 @@ class Kernel:
 
     def _page_run_fits(self, first: int, count: int) -> bool:
         """The row and refresh conditions of a page run (see :meth:`_touch_lines`)."""
-        controller = self.controller
-        row_bytes = controller.geometry.row_bytes
+        row_bytes = self.controller.geometry.row_bytes
         last = first + (count - 1) * self.cache.config.line_size
         if first // row_bytes != last // row_bytes:
             return False
-        timing = controller.timing
-        step = max(timing.t_rc_ns, timing.t_cas_ns, CACHE_HIT_NS)
-        return controller.is_quiet_until(self.clock.now_ns + count * step)
+        return self.controller.is_quiet_until(self._span_end_ns(count))
+
+    def _span_end_ns(self, lines: int) -> int:
+        """A bound on the clock after ``lines`` more line accesses."""
+        timing = self.controller.timing
+        return self.clock.now_ns + lines * max(timing.t_rc_ns, timing.t_cas_ns, CACHE_HIT_NS)
+
+    def _stream(
+        self,
+        task: Task,
+        va: int,
+        pages: int,
+        out: list[bytes] | None = None,
+        data: memoryview | None = None,
+    ) -> int:
+        """Serve whole pages from page-aligned ``va`` as one stream; pages served.
+
+        A load of up to ``pages`` pages (``data`` None; each page's bytes
+        are appended to ``out``) or a store of ``data`` is served as one
+        stream, exactly equal to one page run per page, when all of these
+        hold:
+
+        * the leading pages are resident (writable, for a store) and
+          distinct, and hold more lines than the cache has sets; a
+          non-resident page ends the stream;
+        * a page is one page run: its lines tile whole cache sets and fit
+          one DRAM row;
+        * no timed DRAM behaviour is due, and no refresh window ends,
+          before :meth:`_span_end_ns` of all those lines.
+
+        Every line of a streamed page misses, so the cache takes all pages
+        in one closed-form pass
+        (:meth:`~repro.dram.cache.CpuCache.access_pages`), which stops
+        before the first page that would hit.  Each page is then one row run
+        on its mapped bank and row, at the instant its page run would start,
+        and its bytes are read or stored right after it.  Returns 0 when
+        the stream does not apply; the caller then serves one page itself.
+        """
+        config = self.cache.config
+        lines = PAGE_SIZE // config.line_size
+        if pages * lines <= config.sets or config.sets % lines:
+            return 0
+        controller = self.controller
+        if controller.geometry.row_bytes < PAGE_SIZE:
+            return 0
+        entries = task.mm.page_table.entries(va, pages)
+        pfns: dict[int, None] = {}
+        for entry in entries:
+            if (data is not None and not entry.writable) or entry.pfn in pfns:
+                break
+            pfns[entry.pfn] = None
+        end = self._span_end_ns(len(pfns) * lines)
+        refw = controller.effective_refw_ns()
+        if (
+            len(pfns) * lines <= config.sets
+            or end // refw != self.clock.now_ns // refw
+            or not controller.is_quiet_until(end)
+        ):
+            return 0
+        pas = np.fromiter(pfns, np.int64, len(pfns)) << PAGE_SHIFT
+        served = self.cache.access_pages(pas, lines)
+        memory = controller.memory
+        activations = 0
+        for index, (key, row) in enumerate(controller.bank_rows(pas[:served])):
+            entry = entries[index]
+            entry.accessed = True
+            activations += controller.access_row(key, row, lines)
+            if data is None:
+                out.append(memory.frame_snapshot(entry.pfn))
+            else:
+                entry.dirty = True
+                page = data[index * PAGE_SIZE : (index + 1) * PAGE_SIZE]
+                memory.write(entry.pfn << PAGE_SHIFT, page)
+        if served:
+            self.stats.streams += 1
+            self.stats.stream_lines += served * lines
+            self._account_activations(task.pid, activations)
+        return served
 
     def _touch_lines_each(self, pa: int, length: int, pid: int | None = None) -> None:
         """The per-line load/store loop: one cache and DRAM access per line."""
@@ -491,7 +580,11 @@ class Kernel:
             self._account_activations(pid, activations)
 
     def mem_write(self, pid: int, va: int, data: bytes) -> None:
-        """Store ``data`` at ``va``, faulting pages in as needed."""
+        """Store ``data`` at ``va``, faulting pages in as needed.
+
+        Runs of whole, resident pages are served as streams
+        (:meth:`_stream`); every other page takes its own page run.
+        """
         task = self.task(pid)
         self._require_running(task)
         cursor = va
@@ -499,6 +592,12 @@ class Kernel:
         while view:
             page_va = page_align_down(cursor)
             offset = cursor - page_va
+            if not offset:
+                served = self._stream(task, cursor, len(view) // PAGE_SIZE, data=view)
+                if served:
+                    cursor += served * PAGE_SIZE
+                    view = view[served * PAGE_SIZE :]
+                    continue
             chunk = min(len(view), PAGE_SIZE - offset)
             if not task.mm.page_table.is_mapped(page_va):
                 self._fault_in(task, cursor)
@@ -512,23 +611,31 @@ class Kernel:
         """Load ``length`` bytes from ``va``.
 
         Reads of valid-but-unpopulated anonymous pages return zeros without
-        allocating a frame (zero-page semantics).
+        allocating a frame (zero-page semantics).  Runs of whole, resident
+        pages are served as streams (:meth:`_stream`); every other page
+        takes its own page run.
         """
         if length < 0:
             raise ConfigError(f"length must be non-negative, got {length}")
         task = self.task(pid)
         self._require_running(task)
-        out = bytearray()
+        out: list[bytes] = []
         cursor = va
         remaining = length
         while remaining > 0:
             page_va = page_align_down(cursor)
             offset = cursor - page_va
+            if not offset:
+                served = self._stream(task, cursor, remaining // PAGE_SIZE, out)
+                if served:
+                    cursor += served * PAGE_SIZE
+                    remaining -= served * PAGE_SIZE
+                    continue
             chunk = min(remaining, PAGE_SIZE - offset)
             if task.mm.page_table.is_mapped(page_va):
                 pa = task.mm.page_table.translate(cursor)
                 self._touch_lines(pa, chunk, pid=task.pid)
-                out += self.controller.memory.read(pa, chunk)
+                out.append(self.controller.memory.read(pa, chunk))
             else:
                 if task.mm.vma_at(page_va) is None:
                     raise SegmentationFault(
@@ -536,10 +643,10 @@ class Kernel:
                         address=cursor,
                         pid=pid,
                     )
-                out += bytes(chunk)  # shared zero page
+                out.append(bytes(chunk))  # shared zero page
             cursor += chunk
             remaining -= chunk
-        return bytes(out)
+        return b"".join(out)
 
     def _require_running(self, task: Task) -> None:
         if task.state is not TaskState.RUNNING:

@@ -98,6 +98,32 @@ class PageTable:
         except KeyError:
             return None
 
+    def entries(self, va: int, count: int) -> list[PageTableEntry]:
+        """Leaf PTEs of up to ``count`` pages from ``va``, stopping at the first gap.
+
+        One walk per page-table page instead of one per page; it sets no
+        accessed or dirty bits (the caller sets them on the pages it uses).
+        """
+        out: list[PageTableEntry] = []
+        first = va >> PAGE_SHIFT
+        table_key = None
+        level1: dict = {}
+        for page in range(first, first + count):
+            key = page >> _LEVEL_BITS
+            if key != table_key:
+                check_canonical(page << PAGE_SHIFT)
+                table_key = key
+                level1 = (
+                    self._root.get((key >> (2 * _LEVEL_BITS)) & _INDEX_MASK, {})
+                    .get((key >> _LEVEL_BITS) & _INDEX_MASK, {})
+                    .get(key & _INDEX_MASK, {})
+                )
+            entry = level1.get(page & _INDEX_MASK)
+            if entry is None:
+                break
+            out.append(entry)
+        return out
+
     def translate(self, va: int, write: bool = False) -> int:
         """Translate ``va`` to a physical byte address.
 

@@ -94,6 +94,27 @@ class TestHammering:
         assert result.activations <= 2
         assert result.flips == []
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda hammerer, va_a, va_b: hammerer.hammer_pair(va_a, va_b, rounds=0),
+            lambda hammerer, va_a, va_b: hammerer.hammer_without_flush(va_a, va_b, rounds=0),
+            lambda hammerer, va_a, va_b: hammerer.hammer_evict([va_a], [[va_b]], rounds=0),
+            lambda hammerer, va_a, va_b: hammerer.hammer_group([va_a, va_b], rounds=0),
+        ],
+        ids=["hammer_pair", "hammer_without_flush", "hammer_evict", "hammer_group"],
+    )
+    def test_explicit_zero_rounds_is_rejected(self, setup, call):
+        """``rounds=0`` is a request for no hammering, not for the default
+        650k rounds; the kernel rejects it before touching DRAM."""
+        machine, kernel, task, hammerer = setup
+        va_a, va_b = resident_pair(machine, kernel, task, hammerer, same_bank=True)
+        activations = machine.controller.total_activations()
+        with pytest.raises(ConfigError):
+            call(hammerer, va_a, va_b)
+        assert machine.controller.total_activations() == activations
+        assert hammerer.total_rounds == 0
+
     def test_find_same_bank_pairs_validates_separation(self, setup):
         _, _, _, hammerer = setup
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attack.hammer import CHUNK_PAGES
 from repro.attack.templating import Templator, TemplatorConfig
 from repro.core.results import FlipTemplate
 from repro.sim.errors import ConfigError
@@ -25,7 +26,9 @@ class TestConfig:
 
 
 class TestScanForFlips:
-    """The numpy page scan lists exactly what a byte-by-byte loop lists."""
+    """The chunked numpy scan lists exactly what a byte-by-byte loop lists."""
+
+    PAGES = CHUNK_PAGES + 4  # two chunks, the second one short
 
     @staticmethod
     def _bytewise(kernel, pid, buffer_va, pages, pattern):
@@ -34,6 +37,8 @@ class TestScanForFlips:
             page_va = buffer_va + index * PAGE_SIZE
             data = kernel.mem_read(pid, page_va, PAGE_SIZE)
             for offset, got in enumerate(data):
+                if got == pattern:
+                    continue
                 for bit in range(8):
                     if (got ^ pattern) & (1 << bit):
                         found.append((page_va, offset, bit, bool(got & (1 << bit))))
@@ -43,17 +48,23 @@ class TestScanForFlips:
     def test_matches_bytewise_loop(self, small_machine, pattern):
         kernel = small_machine.kernel
         pid = kernel.spawn("attacker", cpu=0).pid
-        templator = Templator(kernel, pid, TemplatorConfig(buffer_bytes=4 * PAGE_SIZE))
+        size = self.PAGES * PAGE_SIZE
+        templator = Templator(kernel, pid, TemplatorConfig(buffer_bytes=size))
         va = templator.prepare_buffer()
-        kernel.mem_write(pid, va, bytes([pattern]) * 4 * PAGE_SIZE)
-        # Page edges, multi-bit bytes and an untouched page.
+        kernel.mem_write(pid, va, bytes([pattern]) * size)
+        # Page and chunk edges, one 8-byte word with two changed bytes,
+        # multi-bit bytes and untouched pages.
+        chunk = CHUNK_PAGES * PAGE_SIZE
         for offset, value in [(0, pattern ^ 0x81), (PAGE_SIZE - 1, pattern ^ 0xFF),
                               (PAGE_SIZE + 7, pattern ^ 0x10), (PAGE_SIZE + 8, pattern ^ 0x06),
-                              (3 * PAGE_SIZE + 2048, pattern ^ 0x01)]:
+                              (PAGE_SIZE + 10, pattern ^ 0x20),
+                              (3 * PAGE_SIZE + 2048, pattern ^ 0x01),
+                              (chunk - 1, pattern ^ 0x80), (chunk, pattern ^ 0x02),
+                              (size - 1, pattern ^ 0x40)]:
             kernel.mem_write(pid, va + offset, bytes([value]))
         found = templator._scan_for_flips(pattern)
-        assert found == self._bytewise(kernel, pid, va, 4, pattern)
-        assert len(found) == 2 + 8 + 1 + 2 + 1
+        assert found == self._bytewise(kernel, pid, va, self.PAGES, pattern)
+        assert len(found) == 2 + 8 + 1 + 2 + 1 + 1 + 1 + 1 + 1
 
 
 class TestCampaign:

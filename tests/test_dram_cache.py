@@ -77,6 +77,76 @@ class TestAccessRun:
             cache.access_run(0, 5)
 
 
+@st.composite
+def page_streams(draw):
+    """A warmed-up cache and a stream of distinct aligned runs over it."""
+    config = CpuCacheConfig(
+        sets=draw(st.sampled_from([4, 8, 16])), ways=draw(st.integers(1, 4))
+    )
+    count = draw(st.sampled_from([c for c in (1, 2, 4, 8) if c <= config.sets]))
+    run_bytes = count * config.line_size
+    frames = st.integers(0, 3 * config.capacity_bytes // run_bytes)
+    warmup = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("access_run"), frames),
+            st.tuples(st.just("flush"), st.integers(0, 3 * config.capacity_bytes - 1)),
+        ),
+        max_size=40,
+    ))
+    stream = draw(st.lists(frames, unique=True, max_size=3 * config.sets * config.ways))
+    return config, count, warmup, stream
+
+
+class TestAccessPages:
+    """The closed-form stream against one ``access_run`` per run, in order."""
+
+    @given(script=page_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_access_run_up_to_the_first_hit(self, script):
+        config, count, warmup, stream = script
+        run_bytes = count * config.line_size
+        fast, slow = CpuCache(config), CpuCache(config)
+        for cache in (fast, slow):
+            for name, arg in warmup:
+                if name == "flush":
+                    cache.flush(arg)
+                else:
+                    cache.access_run(arg * run_bytes, count)
+        served = fast.access_pages([frame * run_bytes for frame in stream], count)
+        for frame in stream[:served]:
+            assert not any(slow.access_run(frame * run_bytes, count))
+        if served < len(stream):
+            # The stream stops exactly where a run would hit.
+            probe = CpuCache(config)
+            probe._tags, probe._stamps = slow._tags.copy(), slow._stamps.copy()
+            assert any(probe.access_run(stream[served] * run_bytes, count))
+        assert (fast._tags == slow._tags).all()
+        assert (fast._stamps == slow._stamps).all()
+        assert (fast._tick, fast.hits, fast.misses, fast.evictions) == (
+            slow._tick, slow.hits, slow.misses, slow.evictions
+        )
+
+    def test_stops_before_a_surviving_line(self):
+        """A line cached at the start hits if fewer misses than its LRU
+        position reached its set first; one pushed out first does not."""
+        config = CpuCacheConfig(sets=4, ways=2)
+        cache = CpuCache(config)
+        cache.access_run(0, 4)  # frame 0 (4 lines) in every set
+        # Frame 1 then frame 0: one miss per set leaves frame 0 cached.
+        assert cache.access_pages([256, 0], 4) == 1
+        cache = CpuCache(config)
+        cache.access_run(0, 4)
+        # Frames 1 and 2 first fill both ways, so frame 0 misses again.
+        assert cache.access_pages([256, 512, 0], 4) == 3
+        assert cache.misses == 16 and cache.evictions == 8
+
+    def test_rejects_unaligned_runs(self, cache):
+        with pytest.raises(ConfigError):
+            cache.access_pages([64], 2)
+        with pytest.raises(ConfigError):
+            cache.access_pages([0], 3)
+
+
 class TestFlush:
     def test_flush_evicts(self, cache):
         cache.access(0)

@@ -37,6 +37,25 @@ class TestBijectivity:
         assert len(coords) == len(range(0, 1 << 16, 997))
 
 
+class TestVectorForm:
+    @given(
+        name=st.sampled_from(["linear", "xor"]),
+        phys=st.lists(st.integers(0, GEO.total_bytes - 1), max_size=40),
+    )
+    @settings(max_examples=100)
+    def test_bank_rows_equals_to_dram(self, name, phys):
+        m = make_mapping(name, GEO)
+        channel, rank, bank, row = m.bank_rows(phys)
+        expected = [m.to_dram(p) for p in phys]
+        assert list(zip(channel.tolist(), rank.tolist(), bank.tolist(), row.tolist())) == [
+            (*addr.bank_key(), addr.row) for addr in expected
+        ]
+
+    def test_bank_rows_checks_the_range(self, mapping):
+        with pytest.raises(ConfigError):
+            mapping.bank_rows([0, GEO.total_bytes])
+
+
 class TestStructure:
     def test_row_stride(self, mapping):
         assert mapping.row_stride() == GEO.banks_per_rank * GEO.row_bytes

@@ -120,3 +120,26 @@ class TestWalk:
         ((va, entry),) = list(table.walk())
         assert va == VA
         assert entry.pfn == 42
+
+
+class TestEntries:
+    def test_run_across_a_page_table_page(self):
+        """Pages 510..513 span two last-level tables; one walk each."""
+        table = PageTable()
+        base = VA - (VA % (512 * PAGE_SIZE)) + 510 * PAGE_SIZE
+        for index in range(4):
+            table.map(base + index * PAGE_SIZE, pfn=100 + index)
+        assert [entry.pfn for entry in table.entries(base, 4)] == [100, 101, 102, 103]
+
+    def test_stops_at_the_first_gap_and_sets_no_bits(self):
+        table = PageTable()
+        for index in (0, 1, 3):
+            table.map(VA + index * PAGE_SIZE, pfn=index)
+        entries = table.entries(VA, 4)
+        assert [entry.pfn for entry in entries] == [0, 1]
+        assert not any(entry.accessed or entry.dirty for entry in entries)
+        assert table.entries(VA + 2 * PAGE_SIZE, 2) == []
+
+    def test_rejects_non_canonical_addresses(self):
+        with pytest.raises(ConfigError):
+            PageTable().entries(1 << VA_BITS, 1)
