@@ -1,27 +1,37 @@
-"""AES-128/192/256, byte-oriented, with a pluggable S-box source.
+"""AES-128/192/256 with a pluggable S-box source.
 
-The implementation is deliberately the *table-lookup* style the fault-
-analysis literature attacks: SubBytes reads a 256-byte table on every
-block.  The table comes from a provider callable, which in the experiments
-is a view of a page inside a simulated victim process — so a persistent
-DRAM fault in that page corrupts every subsequent encryption, exactly the
-fault model of Persistent Fault Analysis (Zhang et al., TCHES 2018).
+The implementation is the *table-lookup* style the fault-analysis
+literature attacks: every block reads a 256-byte S-box from a provider
+callable, which in the experiments is a view of a page inside a simulated
+victim process — so a persistent DRAM fault in that page corrupts every
+subsequent encryption, exactly the fault model of Persistent Fault
+Analysis (Zhang et al., TCHES 2018).
 
-State layout is the FIPS-197 column-major order: flat index ``r + 4*c``.
-Blocks and keys are ``bytes``; round keys are expanded once (with a chosen
-S-box, by default the clean one) and reused.
+The rounds run as T-table lookups derived from the S-box just fetched:
+``Te0[x] = (2·S[x], S[x], S[x], 3·S[x])`` and Te1..Te3 are its byte
+rotations, which is SubBytes → ShiftRows → MixColumns for *any* S-box,
+faulty ones included.  The derivation is cached by the S-box bytes, so a
+fault yields a new cache key and the next block sees it; the fetch itself
+happens on every block.  :class:`repro.ciphers.aes_ttable.AesTTable`
+shares the round function, with its Te tables fetched instead of derived.
+
+State layout is the FIPS-197 column-major order: flat index ``r + 4*c``,
+so column ``c`` is the big-endian word of bytes ``4c..4c+3``.  Blocks and
+keys are ``bytes``; round keys are expanded once (with a chosen S-box, by
+default the clean one) and reused.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import struct
+from collections.abc import Callable, Sequence
+from functools import lru_cache
 
 from repro.ciphers.aes_tables import (
     AES_INV_SBOX,
     AES_RCON,
     AES_SBOX,
     INV_SHIFT_ROWS_PERM,
-    SHIFT_ROWS_PERM,
     gf_mul,
 )
 
@@ -63,16 +73,6 @@ def expand_key(key: bytes, sbox: bytes = AES_SBOX) -> list[bytes]:
     return round_keys
 
 
-def _mix_single_column(col: list[int]) -> list[int]:
-    a0, a1, a2, a3 = col
-    return [
-        gf_mul(a0, 2) ^ gf_mul(a1, 3) ^ a2 ^ a3,
-        a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3,
-        a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3),
-        gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2),
-    ]
-
-
 def _inv_mix_single_column(col: list[int]) -> list[int]:
     a0, a1, a2, a3 = col
     return [
@@ -83,9 +83,77 @@ def _inv_mix_single_column(col: list[int]) -> list[int]:
     ]
 
 
-# MixColumns is hot; precompute the xtime tables once.
 _MUL2 = bytes(gf_mul(x, 2) for x in range(256))
 _MUL3 = bytes(gf_mul(x, 3) for x in range(256))
+_BLOCK = struct.Struct(">4I")
+
+TeTables = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+@lru_cache(maxsize=16)
+def te_tables(sbox: bytes) -> TeTables:
+    """Te0..Te3 for ``sbox``, as four 256-word tuples (cached by content).
+
+    ``Te0[x]`` holds the MixColumns contribution of a substituted row-0
+    byte, ``(2s, s, s, 3s)`` from the most significant byte down, with
+    ``s = sbox[x]``; Te1..Te3 are its byte rotations to the right.
+    """
+    te0 = tuple((_MUL2[s] << 24) | (s << 16) | (s << 8) | _MUL3[s] for s in sbox)
+    te1 = tuple((_MUL3[s] << 24) | (_MUL2[s] << 16) | (s << 8) | s for s in sbox)
+    te2 = tuple((s << 24) | (_MUL3[s] << 16) | (_MUL2[s] << 8) | s for s in sbox)
+    te3 = tuple((s << 24) | (s << 16) | (_MUL3[s] << 8) | _MUL2[s] for s in sbox)
+    return te0, te1, te2, te3
+
+
+def round_key_words(round_keys: Sequence[bytes]) -> tuple[tuple[int, ...], ...]:
+    """Each 16-byte round key as its four big-endian column words."""
+    return tuple(_BLOCK.unpack(rk) for rk in round_keys)
+
+
+def encrypt_rounds(
+    block: bytes,
+    key_words: Sequence[Sequence[int]],
+    te: TeTables,
+    sbox: bytes,
+    transient_fault: tuple[int, int] | None = None,
+) -> bytes:
+    """One AES encryption: T-table inner rounds, then an S-box final round.
+
+    ``key_words`` holds ``rounds + 1`` round keys as column words.
+    ``transient_fault`` is ``(position, xor_mask)`` on the flat state just
+    before the final SubBytes: byte ``position % 4`` (row) of column
+    ``position // 4``.
+    """
+    te0, te1, te2, te3 = te
+    s0, s1, s2, s3 = _BLOCK.unpack(block)
+    k0, k1, k2, k3 = key_words[0]
+    s0 ^= k0
+    s1 ^= k1
+    s2 ^= k2
+    s3 ^= k3
+    for k0, k1, k2, k3 in key_words[1:-1]:
+        s0, s1, s2, s3 = (
+            te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ k0,
+            te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ k1,
+            te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ k2,
+            te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ k3,
+        )
+    if transient_fault is not None:
+        position, mask = transient_fault
+        columns = [s0, s1, s2, s3]
+        columns[position // 4] ^= (mask & 0xFF) << (8 * (3 - position % 4))
+        s0, s1, s2, s3 = columns
+    k0, k1, k2, k3 = key_words[-1]
+    return _BLOCK.pack(
+        ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
+         | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ k0,
+        ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
+         | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ k1,
+        ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
+         | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ k2,
+        ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
+         | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ k3,
+    )
 
 
 class AES:
@@ -102,11 +170,12 @@ class AES:
         if self.rounds is None:
             raise InvalidKeySize(f"key must be 16/24/32 bytes, got {len(key)}")
         self.round_keys = expand_key(self.key, key_schedule_sbox)
+        self._key_words = round_key_words(self.round_keys)
         self._sbox_provider = sbox_provider or (lambda: AES_SBOX)
 
     def current_sbox(self) -> bytes:
         """Fetch the S-box from the provider (may be faulty)."""
-        sbox = self._sbox_provider()
+        sbox = bytes(self._sbox_provider())
         if len(sbox) != 256:
             raise ValueError(f"S-box must be 256 bytes, got {len(sbox)}")
         return sbox
@@ -127,31 +196,11 @@ class AES:
         if len(plaintext) != 16:
             raise ValueError(f"block must be 16 bytes, got {len(plaintext)}")
         sbox = self.current_sbox()
-        state = [p ^ k for p, k in zip(plaintext, self.round_keys[0])]
-        for round_index in range(1, self.rounds):
-            state = [sbox[b] for b in state]
-            state = [state[SHIFT_ROWS_PERM[i]] for i in range(16)]
-            mixed = []
-            for c in range(4):
-                a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-                mixed += [
-                    _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3,
-                    a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3,
-                    a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3],
-                    _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3],
-                ]
-            key = self.round_keys[round_index]
-            state = [b ^ k for b, k in zip(mixed, key)]
-        # Final round: no MixColumns.
-        if transient_fault is not None:
-            position, mask = transient_fault
-            if not 0 <= position < 16:
-                raise ValueError(f"fault position {position} out of range [0, 16)")
-            state = list(state)
-            state[position] ^= mask & 0xFF
-        state = [sbox[b] for b in state]
-        state = [state[SHIFT_ROWS_PERM[i]] for i in range(16)]
-        return bytes(b ^ k for b, k in zip(state, self.round_keys[self.rounds]))
+        if transient_fault is not None and not 0 <= transient_fault[0] < 16:
+            raise ValueError(f"fault position {transient_fault[0]} out of range [0, 16)")
+        return encrypt_rounds(
+            plaintext, self._key_words, te_tables(sbox), sbox, transient_fault
+        )
 
     # -- decryption (always with the clean inverse table) -------------------------
 
@@ -177,13 +226,9 @@ class AES:
         return bytes(b ^ k for b, k in zip(state, self.round_keys[0]))
 
     def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
-        """Encrypt a list of blocks, re-reading the S-box once per block."""
+        """Encrypt a list of blocks, fetching the S-box once per block.
+
+        Each fetch goes to the provider; only the derived T-tables are
+        reused, and only while the fetched bytes are unchanged.
+        """
         return [self.encrypt_block(p) for p in plaintexts]
-
-
-def mix_columns_reference(state: list[int]) -> list[int]:
-    """Reference MixColumns over a flat column-major state (for tests)."""
-    out = []
-    for c in range(4):
-        out += _mix_single_column(state[4 * c : 4 * c + 4])
-    return out

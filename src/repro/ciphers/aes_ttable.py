@@ -17,18 +17,33 @@ Fault behaviour, which the tests pin down:
   last-round table's page, which is why ExplFrame templates for a
   specific in-page offset range.
 
-Tables are generated from the same GF(2^8) arithmetic as the scalar
-implementation and both are cross-checked against FIPS-197 vectors.
+Every block fetches both tables from their providers, so a fault in
+either page shows from the next block on.  The fetched Te bytes are
+decoded into words once per distinct content (a small cache keyed by the
+raw bytes; a fault is a new key), and the rounds run through the same
+function as :class:`repro.ciphers.aes.AES`, which derives its Te tables
+from the S-box instead.  The clean tables come from the same builder and
+are cross-checked against FIPS-197 vectors.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable
+from functools import lru_cache
 
-from repro.ciphers.aes import expand_key
-from repro.ciphers.aes_tables import AES_SBOX, gf_mul
+from repro.ciphers.aes import (
+    TeTables,
+    encrypt_rounds,
+    expand_key,
+    round_key_words,
+    te_tables,
+)
+from repro.ciphers.aes_tables import AES_SBOX
 
 TableProvider = Callable[[], bytes]
+
+_TE_WORDS = struct.Struct(">1024I")
 
 
 def generate_te_tables() -> bytes:
@@ -37,42 +52,19 @@ def generate_te_tables() -> bytes:
     ``Te0[x]`` holds the MixColumns contribution of a substituted row-0
     byte: ``(2s, s, s, 3s)``; Te1..Te3 are its byte rotations.
     """
-    te0 = []
-    for x in range(256):
-        s = AES_SBOX[x]
-        word = (gf_mul(s, 2) << 24) | (s << 16) | (s << 8) | gf_mul(s, 3)
-        te0.append(word)
-
-    def rotate_right_8(word: int) -> int:
-        """Byte-rotate a 32-bit word right (Te(i+1) from Te(i))."""
-        return ((word >> 8) | ((word & 0xFF) << 24)) & 0xFFFFFFFF
-
-    tables = [te0]
-    for _ in range(3):
-        tables.append([rotate_right_8(word) for word in tables[-1]])
-    out = bytearray()
-    for table in tables:
-        for word in table:
-            out += word.to_bytes(4, "big")
-    return bytes(out)
+    return _TE_WORDS.pack(*(word for table in te_tables(AES_SBOX) for word in table))
 
 
 AES_TE_TABLES = generate_te_tables()
 
 
-def _parse_te(raw: bytes) -> list[list[int]]:
+@lru_cache(maxsize=16)
+def _parse_te(raw: bytes) -> TeTables:
+    """The 4096 fetched Te bytes as four 256-word tuples (cached by content)."""
     if len(raw) != 4096:
         raise ValueError(f"Te tables must be 4096 bytes, got {len(raw)}")
-    tables = []
-    for index in range(4):
-        base = index * 1024
-        tables.append(
-            [
-                int.from_bytes(raw[base + 4 * i : base + 4 * i + 4], "big")
-                for i in range(256)
-            ]
-        )
-    return tables
+    words = _TE_WORDS.unpack(raw)
+    return words[0:256], words[256:512], words[512:768], words[768:1024]
 
 
 class AesTTable:
@@ -92,10 +84,7 @@ class AesTTable:
         if len(key) != 16:
             raise ValueError(f"T-table context is AES-128 only; key of {len(key)} bytes")
         self.key = bytes(key)
-        self.round_key_words = [
-            [int.from_bytes(rk[4 * c : 4 * c + 4], "big") for c in range(4)]
-            for rk in expand_key(self.key)
-        ]
+        self.round_key_words = round_key_words(expand_key(self.key))
         self._te_provider = te_provider or (lambda: AES_TE_TABLES)
         self._sbox_provider = sbox_provider or (lambda: AES_SBOX)
 
@@ -103,39 +92,16 @@ class AesTTable:
         """Encrypt one block with the providers' current tables."""
         if len(plaintext) != 16:
             raise ValueError(f"block must be 16 bytes, got {len(plaintext)}")
-        te0, te1, te2, te3 = _parse_te(self._te_provider())
-        sbox = self._sbox_provider()
+        te = _parse_te(bytes(self._te_provider()))
+        sbox = bytes(self._sbox_provider())
         if len(sbox) != 256:
             raise ValueError(f"S-box must be 256 bytes, got {len(sbox)}")
-
-        columns = [
-            int.from_bytes(plaintext[4 * c : 4 * c + 4], "big")
-            ^ self.round_key_words[0][c]
-            for c in range(4)
-        ]
-        for round_index in range(1, 10):
-            rk = self.round_key_words[round_index]
-            columns = [
-                te0[columns[c] >> 24]
-                ^ te1[(columns[(c + 1) % 4] >> 16) & 0xFF]
-                ^ te2[(columns[(c + 2) % 4] >> 8) & 0xFF]
-                ^ te3[columns[(c + 3) % 4] & 0xFF]
-                ^ rk[c]
-                for c in range(4)
-            ]
-        rk = self.round_key_words[10]
-        final = [
-            (
-                (sbox[columns[c] >> 24] << 24)
-                | (sbox[(columns[(c + 1) % 4] >> 16) & 0xFF] << 16)
-                | (sbox[(columns[(c + 2) % 4] >> 8) & 0xFF] << 8)
-                | sbox[columns[(c + 3) % 4] & 0xFF]
-            )
-            ^ rk[c]
-            for c in range(4)
-        ]
-        return b"".join(word.to_bytes(4, "big") for word in final)
+        return encrypt_rounds(plaintext, self.round_key_words, te, sbox)
 
     def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
-        """Encrypt a list of blocks (tables re-read once per block)."""
+        """Encrypt a list of blocks, fetching both tables once per block.
+
+        Each fetch goes to the providers; only the decoded Te words are
+        reused, and only while the fetched bytes are unchanged.
+        """
         return [self.encrypt_block(p) for p in plaintexts]

@@ -6,12 +6,19 @@ permutation.  Like the AES context, the S-box comes from a provider
 callable so a memory-resident table can be faulted persistently.
 
 The S-box here is stored nibble-per-byte (16 bytes) so a single DRAM bit
-flip corrupts exactly one S-box entry, mirroring the AES setup.
+flip corrupts exactly one S-box entry, mirroring the AES setup.  Only the
+low nibble of each entry is used, as a 4-bit implementation would.
+
+The pLayer is eight lookups in byte-indexed tables built at import.  An
+encryption round fuses the S-layer with the pLayer the same way: eight
+per-byte tables derived from the S-box just fetched, cached by its bytes
+(a fault is a new key, so the next block sees it).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import lru_cache
 
 PRESENT_SBOX = bytes(
     [0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2]
@@ -21,35 +28,65 @@ PRESENT_SBOX = bytes(
 _PLAYER = tuple(
     63 if i == 63 else (16 * i) % 63 for i in range(64)
 )
+_INV_PLAYER = tuple(_PLAYER.index(i) for i in range(64))
 
 NibbleProvider = Callable[[], bytes]
+
+ByteTables = tuple[tuple[int, ...], ...]
+
+
+def _byte_tables(perm: tuple[int, ...]) -> ByteTables:
+    """``tables[j][b]``: the bit permutation of byte value ``b`` at byte ``j``."""
+    tables = []
+    for j in range(8):
+        table = [0] * 256
+        for b in range(1, 256):
+            low = b & -b  # b's lowest set bit; the rest is already in the table
+            table[b] = table[b ^ low] | (1 << perm[8 * j + low.bit_length() - 1])
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+_P_BYTES = _byte_tables(_PLAYER)
+_INV_P_BYTES = _byte_tables(_INV_PLAYER)
+
+
+def _permute_bytes(state: int, tables: ByteTables) -> int:
+    t0, t1, t2, t3, t4, t5, t6, t7 = tables
+    return (
+        t0[state & 0xFF]
+        | t1[(state >> 8) & 0xFF]
+        | t2[(state >> 16) & 0xFF]
+        | t3[(state >> 24) & 0xFF]
+        | t4[(state >> 32) & 0xFF]
+        | t5[(state >> 40) & 0xFF]
+        | t6[(state >> 48) & 0xFF]
+        | t7[state >> 56]
+    )
 
 
 def p_layer(state: int) -> int:
     """The PRESENT bit permutation over a 64-bit state."""
-    out = 0
-    for i in range(64):
-        if (state >> i) & 1:
-            out |= 1 << _PLAYER[i]
-    return out
-
-
-_INV_PLAYER = [0] * 64
-for _i in range(64):
-    _INV_PLAYER[_PLAYER[_i]] = _i
+    return _permute_bytes(state, _P_BYTES)
 
 
 def inv_p_layer(state: int) -> int:
     """Inverse of :func:`p_layer`."""
-    out = 0
-    for i in range(64):
-        if (state >> i) & 1:
-            out |= 1 << _INV_PLAYER[i]
-    return out
+    return _permute_bytes(state, _INV_P_BYTES)
 
 
-def _permute(state: int) -> int:
-    return p_layer(state)
+@lru_cache(maxsize=16)
+def _round_tables(sbox: bytes) -> ByteTables:
+    """S-layer then pLayer as eight per-byte tables (cached by content)."""
+    substituted = [
+        (sbox[b & 0xF] & 0xF) | ((sbox[b >> 4] & 0xF) << 4) for b in range(256)
+    ]
+    return tuple(tuple(table[v] for v in substituted) for table in _P_BYTES)
+
+
+# Inverse S-box applied to both nibbles of a byte, for bytes.translate.
+_INV_SBOX = bytes(PRESENT_SBOX.index(v) for v in range(16))
+_INV_SBOX_BYTES = bytes(_INV_SBOX[b & 0xF] | (_INV_SBOX[b >> 4] << 4) for b in range(256))
 
 
 class Present:
@@ -59,7 +96,7 @@ class Present:
 
     def __init__(self, key: bytes, sbox_provider: NibbleProvider | None = None):
         if len(key) not in (10, 16):
-            raise ValueError(f"PRESENT key must be 10 (80-bit) or 16 (128-bit) bytes")
+            raise ValueError("PRESENT key must be 10 (80-bit) or 16 (128-bit) bytes")
         self.key = bytes(key)
         self._sbox_provider = sbox_provider or (lambda: PRESENT_SBOX)
         # Round keys are derived with the clean S-box (computed at startup,
@@ -94,7 +131,7 @@ class Present:
 
     def current_sbox(self) -> bytes:
         """Fetch the (possibly faulty) 16-entry S-box."""
-        sbox = self._sbox_provider()
+        sbox = bytes(self._sbox_provider())
         if len(sbox) != 16:
             raise ValueError(f"PRESENT S-box must be 16 bytes, got {len(sbox)}")
         return sbox
@@ -103,15 +140,10 @@ class Present:
         """Encrypt one 8-byte block."""
         if len(plaintext) != 8:
             raise ValueError(f"block must be 8 bytes, got {len(plaintext)}")
-        sbox = self.current_sbox()
+        tables = _round_tables(self.current_sbox())
         state = int.from_bytes(plaintext, "big")
-        for round_index in range(self.ROUNDS):
-            state ^= self.round_keys[round_index]
-            substituted = 0
-            for nibble in range(16):
-                value = (state >> (4 * nibble)) & 0xF
-                substituted |= (sbox[value] & 0xF) << (4 * nibble)
-            state = _permute(substituted)
+        for key in self.round_keys[: self.ROUNDS]:
+            state = _permute_bytes(state ^ key, tables)
         state ^= self.round_keys[self.ROUNDS]
         return state.to_bytes(8, "big")
 
@@ -119,22 +151,8 @@ class Present:
         """Decrypt one block (clean S-box; for correctness tests)."""
         if len(ciphertext) != 8:
             raise ValueError(f"block must be 8 bytes, got {len(ciphertext)}")
-        inv_sbox = bytearray(16)
-        for index, value in enumerate(PRESENT_SBOX):
-            inv_sbox[value] = index
-        inv_player = [0] * 64
-        for i in range(64):
-            inv_player[_PLAYER[i]] = i
-        state = int.from_bytes(ciphertext, "big")
-        state ^= self.round_keys[self.ROUNDS]
-        for round_index in range(self.ROUNDS - 1, -1, -1):
-            unpermuted = 0
-            for i in range(64):
-                if (state >> i) & 1:
-                    unpermuted |= 1 << inv_player[i]
-            state = 0
-            for nibble in range(16):
-                value = (unpermuted >> (4 * nibble)) & 0xF
-                state |= inv_sbox[value] << (4 * nibble)
-            state ^= self.round_keys[round_index]
+        state = int.from_bytes(ciphertext, "big") ^ self.round_keys[self.ROUNDS]
+        for key in reversed(self.round_keys[: self.ROUNDS]):
+            unpermuted = inv_p_layer(state).to_bytes(8, "big")
+            state = int.from_bytes(unpermuted.translate(_INV_SBOX_BYTES), "big") ^ key
         return state.to_bytes(8, "big")

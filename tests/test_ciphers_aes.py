@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ciphers.aes import AES, InvalidKeySize, expand_key
 from repro.ciphers.aes_tables import AES_SBOX
+from repro.ciphers.aes_ttable import AES_TE_TABLES, AesTTable
 from repro.ciphers.faults import FaultSpec, apply_fault
+from repro.ciphers.present import PRESENT_SBOX, Present
 
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
 KEY128 = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -106,6 +108,34 @@ class TestFaultySbox:
         aes.encrypt_block(PT)
         aes.encrypt_block(PT)
         assert len(calls) == 2
+
+    def test_present_provider_reread_every_block(self):
+        calls = []
+
+        def provider():
+            calls.append(1)
+            return PRESENT_SBOX
+
+        present = Present(bytes(10), sbox_provider=provider)
+        present.encrypt_block(bytes(8))
+        present.encrypt_block(bytes(8))
+        assert len(calls) == 2
+
+    def test_ttable_providers_reread_every_block(self):
+        te_calls, sbox_calls = [], []
+
+        def te_provider():
+            te_calls.append(1)
+            return AES_TE_TABLES
+
+        def sbox_provider():
+            sbox_calls.append(1)
+            return AES_SBOX
+
+        ctx = AesTTable(KEY128, te_provider=te_provider, sbox_provider=sbox_provider)
+        ctx.encrypt_block(PT)
+        ctx.encrypt_many([PT, PT])
+        assert len(te_calls) == len(sbox_calls) == 3
 
 
 class TestTransientFault:

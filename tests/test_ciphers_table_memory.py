@@ -5,9 +5,16 @@ import pytest
 
 from repro.ciphers.aes import AES
 from repro.ciphers.aes_tables import AES_SBOX
+from repro.ciphers.aes_ttable import AES_TE_TABLES
+from repro.ciphers.present import PRESENT_SBOX, Present
 from repro.ciphers.table_memory import CipherVictim, MemorySBox
 from repro.sim.errors import ConfigError, FaultError
 from repro.sim.units import PAGE_SIZE
+from tests.cipher_references import (
+    aes_encrypt_reference,
+    present_encrypt_reference,
+    ttable_encrypt_reference,
+)
 
 
 @pytest.fixture
@@ -113,8 +120,6 @@ class TestCipherVictim:
         assert victim.encrypt(pt) == faulty_ct
 
     def test_present_victim(self, kernel):
-        from repro.ciphers.present import Present
-
         key = bytes(range(10))
         victim = CipherVictim(kernel, key, cpu=0, cipher="present")
         victim.allocate_table_page()
@@ -196,3 +201,65 @@ class TestTTableVictim:
         pts = random_plaintexts(4, np.random.default_rng(1))
         for i in range(4):
             assert bytes(cts[i]) == victim._context.encrypt_block(bytes(pts[i]))
+
+
+class TestNoStaleTables:
+    """A flip after the first block reaches the very next block: the
+    cipher's derived tables are cached by content, never by page."""
+
+    @staticmethod
+    def _flip(kernel, victim, va, bit):
+        kernel.controller.memory.flip_bit(kernel.resolve_pa(victim.pid, va), bit)
+
+    def test_aes(self, kernel):
+        key = bytes(range(16))
+        pt = bytes(range(100, 116))
+        victim = CipherVictim(kernel, key, cpu=0, cipher="aes")
+        victim.allocate_table_page()
+        assert victim.encrypt(pt) == aes_encrypt_reference(key, pt)
+        # The entry the first SubBytes reads for byte 0.
+        index = pt[0] ^ key[0]
+        self._flip(kernel, victim, victim.sbox.va + index, 2)
+        faulty = bytearray(AES_SBOX)
+        faulty[index] ^= 1 << 2
+        assert victim.sbox.read() == bytes(faulty)
+        ct = victim.encrypt(pt)
+        assert ct == aes_encrypt_reference(key, pt, bytes(faulty))
+        assert ct != aes_encrypt_reference(key, pt)
+
+    def test_present(self, kernel):
+        key = bytes(range(10))
+        pt = bytes(range(8))
+        victim = CipherVictim(kernel, key, cpu=0, cipher="present")
+        victim.allocate_table_page()
+        assert victim.encrypt(pt) == present_encrypt_reference(key, pt, PRESENT_SBOX)
+        # The entry the first S-layer reads for nibble 0.
+        index = (int.from_bytes(pt, "big") ^ Present(key).round_keys[0]) & 0xF
+        self._flip(kernel, victim, victim.sbox.va + index, 1)
+        faulty = bytearray(PRESENT_SBOX)
+        faulty[index] ^= 1 << 1
+        ct = victim.encrypt(pt)
+        assert ct == present_encrypt_reference(key, pt, bytes(faulty))
+        assert ct != present_encrypt_reference(key, pt, PRESENT_SBOX)
+
+    def test_aes_ttable(self, kernel):
+        key = bytes(range(16))
+        pt = bytes(range(100, 116))
+        victim = CipherVictim(kernel, key, cpu=0, cipher="aes_ttable")
+        victim.allocate_table_page()
+        assert victim.encrypt(pt) == ttable_encrypt_reference(key, pt, AES_TE_TABLES)
+        # A last-round S-box flip, then a Te0 flip in the word the first
+        # round reads for column 0: each shows on the next block.
+        self._flip(kernel, victim, victim.sbox.va + 0x42, 0)
+        sbox = bytearray(AES_SBOX)
+        sbox[0x42] ^= 1
+        assert victim.encrypt(pt) == ttable_encrypt_reference(
+            key, pt, AES_TE_TABLES, bytes(sbox)
+        )
+        te_offset = 4 * (pt[0] ^ key[0])
+        self._flip(kernel, victim, victim._te_va + te_offset, 5)
+        te = bytearray(AES_TE_TABLES)
+        te[te_offset] ^= 1 << 5
+        ct = victim.encrypt(pt)
+        assert ct == ttable_encrypt_reference(key, pt, bytes(te), bytes(sbox))
+        assert ct != ttable_encrypt_reference(key, pt, AES_TE_TABLES, bytes(sbox))
