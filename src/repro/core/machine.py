@@ -50,33 +50,30 @@ def _rebind_extras(extras, obs) -> None:
 
 
 class _SnapshotPickler(pickle.Pickler):
-    """Pickler that detaches the two pieces a snapshot must not copy.
+    """Pickler that detaches the three pieces a snapshot must not copy.
 
     The live observability hub is replaced by :data:`NOOP_OBS` (forks get a
-    fresh hub), and the machine's CoW frame table is swapped for a
-    persistent reference so the page payloads are *shared* with the
-    snapshot instead of being serialised into it.
+    fresh hub), and the machine's CoW frame table and the controller's
+    flip log are swapped for persistent references: page payloads are
+    *shared* with the snapshot, and the frozen flip events are shared by
+    every fork, instead of being serialised into the blob.
     """
 
-    def __init__(self, file, obs, frames):
+    def __init__(self, file, obs, frames, flip_log):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._obs_id = id(obs)
-        self._frames_id = id(frames)
+        self._tokens = {id(obs): "obs", id(frames): "frames", id(flip_log): "flip_log"}
 
     def persistent_id(self, obj):
-        if id(obj) == self._obs_id:
-            return "obs"
-        if id(obj) == self._frames_id:
-            return "frames"
-        return None
+        return self._tokens.get(id(obj))
 
 
 class _SnapshotUnpickler(pickle.Unpickler):
     """Counterpart of :class:`_SnapshotPickler` for forking/rehydration."""
 
-    def __init__(self, file, frames):
+    def __init__(self, file, frames, flip_log):
         super().__init__(file)
         self._frames = frames
+        self._flip_log = flip_log
 
     def persistent_load(self, pid):
         if pid == "obs":
@@ -85,6 +82,10 @@ class _SnapshotUnpickler(pickle.Unpickler):
             # The fork co-owns every frozen frame payload; it privatises a
             # frame only when it first writes to it (copy-on-write).
             return PhysicalMemory.bump_refs(self._frames)
+        if pid == "flip_log":
+            # A fresh list over the shared, frozen events: the fork appends
+            # its own flips without touching the snapshot or its siblings.
+            return list(self._flip_log)
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
@@ -103,7 +104,11 @@ class MachineSnapshot:
     metrics/traces never alias between forks.  The weak-cell memo caches
     and the controller's victim-plan memo ride outside the frozen blob and
     are shared by reference across forks — they are pure functions of the
-    build seed and the machine's shape.
+    build seed and the machine's shape.  The controller's flip log rides
+    outside the blob too, as a tuple of the (frozen) snapshot-time
+    events: each fork gets a fresh list over them, so it shares the
+    events but appends its own flips privately, and unpickling a fork
+    never rebuilds the templating history.
     """
 
     def __init__(self, machine: "Machine", extras=None):
@@ -114,8 +119,12 @@ class MachineSnapshot:
         self._weak_memo = weak._memo
         self._pop_memo = weak._pop_memo
         self._plan_memo = machine.controller._plan_memo
+        live_log = machine.controller.flip_log
+        self._flip_log = tuple(live_log)
         buffer = io.BytesIO()
-        _SnapshotPickler(buffer, machine.obs, live_frames).dump((machine, extras))
+        _SnapshotPickler(buffer, machine.obs, live_frames, live_log).dump(
+            (machine, extras)
+        )
         self._blob = buffer.getvalue()
 
     def __del__(self):
@@ -132,7 +141,9 @@ class MachineSnapshot:
         events) is untouched — hardware does not change identity when an
         experiment re-rolls its dice.
         """
-        machine, extras = _SnapshotUnpickler(io.BytesIO(self._blob), self._frames).load()
+        machine, extras = _SnapshotUnpickler(
+            io.BytesIO(self._blob), self._frames, self._flip_log
+        ).load()
         weak = machine.controller.weak_cells
         weak._memo = self._weak_memo
         weak._pop_memo = self._pop_memo
@@ -149,13 +160,19 @@ class MachineSnapshot:
         The snapshot holds no live observability hub (serialisation swapped
         it for :data:`NOOP_OBS`, which pickles as the singleton), no open
         files and no threads, so the result is self-contained: the CoW
-        frame table travels as one packed payload, and ``from_bytes`` in
-        any process yields a snapshot whose forks are byte-identical to
-        forks taken in the parent (docs/CAMPAIGNS.md).
+        frame table travels as one packed payload and the flip log next to
+        the blob, and ``from_bytes`` in any process yields a snapshot whose
+        forks are byte-identical to forks taken in the parent
+        (docs/CAMPAIGNS.md).
         """
         pfns, payload = PhysicalMemory.pack_frames(self._frames)
         return pickle.dumps(
-            {"pfns": pfns, "payload": payload, "blob": self._blob},
+            {
+                "pfns": pfns,
+                "payload": payload,
+                "blob": self._blob,
+                "flip_log": self._flip_log,
+            },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
@@ -170,6 +187,7 @@ class MachineSnapshot:
         snapshot._pop_memo = {}
         snapshot._plan_memo = {}
         snapshot._blob = state["blob"]
+        snapshot._flip_log = state["flip_log"]
         return snapshot
 
 

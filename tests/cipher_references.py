@@ -1,15 +1,18 @@
 """Test-only reference ciphers: the straightforward loops, kept as oracles.
 
 ``repro.ciphers`` runs AES as T-table rounds derived from the fetched
-S-box, decodes fetched Te blocks through a content-keyed cache, and runs
-PRESENT through byte-indexed tables.  The functions here are the direct
-formulations those replaced — byte-wise SubBytes/ShiftRows/MixColumns,
-word-by-word Te parsing, a GF(2^8) Te generator and the bit-by-bit pLayer
-— and share no code with them beyond the key schedules, so equality
-tests against them stay independent checks.
+S-box (scalar and batched), decodes fetched Te blocks through a
+content-keyed cache, and runs PRESENT through byte-indexed tables.  The
+functions here are the direct formulations those replaced — byte-wise
+SubBytes/ShiftRows/MixColumns (one block, and a NumPy batch), word-by-word
+Te parsing, a GF(2^8) Te generator and the bit-by-bit pLayer — and share
+no code with them beyond the key schedules, so equality tests against
+them stay independent checks.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.ciphers.aes import expand_key
 from repro.ciphers.aes_tables import AES_SBOX, SHIFT_ROWS_PERM, gf_mul
@@ -61,6 +64,44 @@ def aes_encrypt_reference(
     state = [sbox[b] for b in state]
     state = [state[SHIFT_ROWS_PERM[i]] for i in range(16)]
     return bytes(b ^ k for b, k in zip(state, round_keys[rounds]))
+
+
+_MUL2 = np.array([gf_mul(x, 2) for x in range(256)], dtype=np.uint8)
+_MUL3 = np.array([gf_mul(x, 3) for x in range(256)], dtype=np.uint8)
+_SHIFT = np.array(SHIFT_ROWS_PERM, dtype=np.intp)
+
+
+def _mix_columns(state: np.ndarray) -> np.ndarray:
+    """MixColumns over an (N, 16) column-major state array."""
+    cols = state.reshape(-1, 4, 4)  # (N, column, row)
+    a0 = cols[:, :, 0]
+    a1 = cols[:, :, 1]
+    a2 = cols[:, :, 2]
+    a3 = cols[:, :, 3]
+    mixed = np.empty_like(cols)
+    mixed[:, :, 0] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
+    mixed[:, :, 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
+    mixed[:, :, 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
+    mixed[:, :, 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
+    return mixed.reshape(-1, 16)
+
+
+def aes128_encrypt_batch_reference(
+    plaintexts: np.ndarray, key: bytes, sbox: bytes = AES_SBOX
+) -> np.ndarray:
+    """AES-128 over an (N, 16) uint8 array, one byte-wise round at a time."""
+    round_keys = [np.frombuffer(rk, dtype=np.uint8) for rk in expand_key(key)]
+    sbox_np = np.frombuffer(bytes(sbox), dtype=np.uint8)
+    state = np.asarray(plaintexts, dtype=np.uint8) ^ round_keys[0]
+    for round_index in range(1, 10):
+        state = sbox_np[state]
+        state = state[:, _SHIFT]
+        state = _mix_columns(state)
+        state ^= round_keys[round_index]
+    state = sbox_np[state]
+    state = state[:, _SHIFT]
+    state ^= round_keys[10]
+    return state
 
 
 def te_bytes_reference(sbox: bytes = AES_SBOX) -> bytes:

@@ -4,13 +4,87 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ciphers.aes import AES
+from repro.ciphers.aes import AES, expand_key
 from repro.ciphers.aes_tables import AES_SBOX
-from repro.ciphers.batch import aes128_encrypt_batch, random_plaintexts
+from repro.ciphers.batch import _round_keys, aes128_encrypt_batch, random_plaintexts
 from repro.ciphers.faults import FaultSpec, apply_fault
 from repro.ciphers.present import PRESENT_SBOX, Present
+from tests.cipher_references import aes128_encrypt_batch_reference
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+
+keys16 = st.binary(min_size=16, max_size=16)
+sbox_flips = st.lists(
+    st.tuples(st.integers(0, 255), st.integers(0, 7)), min_size=0, max_size=3
+)
+
+
+def flipped_sbox(flips: list[tuple[int, int]]) -> bytes:
+    """The clean S-box with bit ``bit`` of entry ``index`` flipped, per flip."""
+    out = bytearray(AES_SBOX)
+    for index, bit in flips:
+        out[index] ^= 1 << bit
+    return bytes(out)
+
+
+class TestBatchKernelOracle:
+    """The T-table batch kernel equals the byte-wise kernel and scalar AES."""
+
+    @given(
+        count=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        key=keys16,
+        flips=sbox_flips,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bytewise_kernel_and_scalar(self, count, seed, key, flips):
+        sbox = flipped_sbox(flips)
+        pts = random_plaintexts(count, np.random.default_rng(seed))
+        cts = aes128_encrypt_batch(pts, key, sbox)
+        assert cts.shape == (count, 16) and cts.dtype == np.uint8
+        assert np.array_equal(cts, aes128_encrypt_batch_reference(pts, key, sbox))
+        scalar = AES(key, sbox_provider=lambda: sbox)
+        for i in range(count):
+            assert bytes(cts[i]) == scalar.encrypt_block(bytes(pts[i]))
+
+    @given(
+        count=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        key=keys16,
+        flips=sbox_flips,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_list_and_non_contiguous_inputs(self, count, seed, key, flips):
+        sbox = flipped_sbox(flips)
+        pts = random_plaintexts(count, np.random.default_rng(seed))
+        expected = aes128_encrypt_batch_reference(pts, key, sbox)
+        strided = np.repeat(pts, 2, axis=1)[:, ::2]  # column stride 2
+        every_other = np.repeat(pts, 2, axis=0)[::2]  # row stride 32
+        assert not strided.flags["C_CONTIGUOUS"]
+        for variant in (
+            [bytes(row) for row in pts],
+            strided,
+            every_other,
+            np.asfortranarray(pts),
+        ):
+            assert np.array_equal(aes128_encrypt_batch(variant, key, sbox), expected)
+
+    @given(key_a=keys16, key_b=keys16)
+    @settings(max_examples=30, deadline=None)
+    def test_keys_never_share_cached_round_keys(self, key_a, key_b):
+        aes128_encrypt_batch(np.zeros((1, 16), dtype=np.uint8), key_a)
+        aes128_encrypt_batch(np.zeros((1, 16), dtype=np.uint8), key_b)
+        bytes_a, _ = _round_keys(key_a)
+        bytes_b, _ = _round_keys(key_b)
+        assert bytes_a.tobytes() == b"".join(expand_key(key_a))
+        assert bytes_b.tobytes() == b"".join(expand_key(key_b))
+        if key_a != key_b:
+            assert bytes_a is not bytes_b
+            assert not np.shares_memory(bytes_a, bytes_b)
+
+    def test_cached_round_keys_are_read_only(self):
+        rk_bytes, rk_words = _round_keys(KEY)
+        assert not rk_bytes.flags.writeable and not rk_words.flags.writeable
 
 
 class TestBatchAES:

@@ -170,6 +170,64 @@ class TestVictimPlanMemo:
         assert 0 < len(machine.controller._plan_memo) <= 4
 
 
+class TestFlipLogIsolation:
+    """The frozen flip log rides outside the blob; forks never share appends."""
+
+    @pytest.fixture(scope="class")
+    def templated(self):
+        machine = TestVictimPlanMemo._templated_machine()
+        assert machine.controller.flip_log  # non-vacuous: templating flipped bits
+        return machine
+
+    @staticmethod
+    def _flip_again(machine):
+        """Flip the first logged cell back through the controller's flip path."""
+        controller = machine.controller
+        event = controller.flip_log[0]
+        bit = (controller.memory.read(event.phys_addr, 1)[0] >> event.bit_in_byte) & 1
+        return controller._flip(event.bank_key, event.row, event.phys_addr, event.bit_in_byte, bit)
+
+    def _check_isolation(self, snapshot, log):
+        fork_a, _ = snapshot.fork()
+        fork_b, _ = snapshot.fork(seed=3)
+        assert fork_a.controller.flip_log == log
+        assert fork_b.controller.flip_log == log
+        assert fork_a.controller.flip_log is not fork_b.controller.flip_log
+        flip = self._flip_again(fork_a)
+        assert fork_a.controller.flip_log == log + [flip]
+        assert fork_b.controller.flip_log == log
+        assert list(snapshot._flip_log) == log
+        later, _ = snapshot.fork()
+        assert later.controller.flip_log == log
+
+    def test_forks_start_from_the_snapshot_log(self, templated):
+        snapshot = templated.snapshot()
+        fork, _ = snapshot.fork()
+        log = templated.controller.flip_log
+        assert fork.controller.flip_log == log
+        # The frozen events are shared, not copied.
+        assert all(a is b for a, b in zip(fork.controller.flip_log, snapshot._flip_log))
+
+    def test_appends_stay_in_their_fork(self, templated):
+        self._check_isolation(templated.snapshot(), list(templated.controller.flip_log))
+
+    def test_appends_stay_in_their_fork_after_shipping(self, templated):
+        snapshot = templated.snapshot()
+        shipped = MachineSnapshot.from_bytes(snapshot.to_bytes())
+        self._check_isolation(shipped, list(templated.controller.flip_log))
+
+    def test_live_machine_appends_do_not_reach_the_snapshot(self, templated):
+        log = list(templated.controller.flip_log)
+        fork, _ = templated.snapshot().fork()
+        snapshot = fork.snapshot()
+        self._flip_again(fork)
+        assert list(snapshot._flip_log) == log
+        assert snapshot.fork()[0].controller.flip_log == log
+
+    def test_flip_events_stay_out_of_the_blob(self, templated):
+        assert b"FlipEvent" not in templated.snapshot()._blob
+
+
 class TestEventCoreIntegration:
     def test_refresh_dispatches_through_dram_queue(self):
         machine = Machine(MachineConfig.small(seed=0))
