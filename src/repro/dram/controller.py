@@ -15,10 +15,31 @@ The controller is the single entry point for DRAM traffic.  It
   flips directly to :class:`~repro.dram.memory.PhysicalMemory`, logging a
   :class:`FlipEvent` for each.  The victims of a set of aggressor rows are
   a static **victim plan** per (bank, aggressor rows): the neighbouring
-  rows that hold weak cells, with their populations, row bases and
-  coupling-weighted neighbour lists.  Plans are memoised, kept out of
-  snapshots and shared by forks; an evaluation is then one weighted sum
-  over the bank's window counters per victim.
+  rows that hold weak cells, with their populations, row bases,
+  coupling-weighted neighbour lists and one flat record per weak cell.
+  Plans are memoised, kept out of snapshots and shared by forks; an
+  evaluation is then one weighted sum over the bank's window counters per
+  victim.
+
+Before any victim work an evaluation asks the **no-flip certificate**
+(:meth:`MemoryController._certifies`) whether a flip is possible at all.
+Its exactness rests on four facts:
+
+* every weak cell's threshold is clipped to at least
+  ``FlipModelConfig.threshold_min`` when it is drawn (``WeakCellMap``), and
+  a plan's own minimum threshold bounds its cells from below;
+* a victim's disturbance is a sum of coupling factors times its
+  neighbours' window counts, so it is at most the summed factors times the
+  largest count within coupling reach;
+* the bound reads the live bank counters and ``threshold_scale`` at the
+  instant of the evaluation, so a hammer earlier in the same window is
+  honoured; counts grow only through activations, and TRR only ever lowers
+  them (``TrrState.observe`` returns the count or its remainder);
+* the disturbance is a float sum of at most four products, so the bound
+  carries a relative margin far above its rounding error.
+
+When the bound stays below the threshold no cell can arm, so skipping the
+evaluation changes nothing.
 
 Besides the single-access path there are two closed-form paths:
 
@@ -27,7 +48,9 @@ Besides the single-access path there are two closed-form paths:
   instead of O(rounds) Python work.  It preserves the two properties that
   make hammering subtle: aggressor pairs must share a bank to force
   activations, and activation counts are clipped to what fits in each
-  refresh window;
+  refresh window.  What it derives from the address list alone (mapping,
+  bank grouping, per-row counts, victim plans) is a **hammer layout**,
+  memoised next to the victim plans;
 * the **row run** (:meth:`MemoryController.access_row_run`) serves the
   cache misses of one page as back-to-back accesses to one row: at most
   one activation, then row hits.  The kernel uses it only while
@@ -41,11 +64,12 @@ Besides the single-access path there are two closed-form paths:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 from repro.dram.bank import Bank
 from repro.dram.ecc import EccConfig, EccState
-from repro.dram.flipmodel import FlipModelConfig, RowPopulation, WeakCell, WeakCellMap
+from repro.dram.flipmodel import FlipModelConfig, RowPopulation, WeakCellMap
 from repro.dram.trr import TrrConfig, TrrState
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.mapping import AddressMapping
@@ -56,7 +80,7 @@ from repro.sim.clock import SimClock
 from repro.sim.errors import ConfigError
 from repro.sim.events import EventScheduler
 from repro.sim.rng import RngStreams
-from repro.sim.units import PAGE_SHIFT
+from repro.sim.units import PAGE_SHIFT, PAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -109,10 +133,44 @@ class _Victim(NamedTuple):
 
     row: int
     population: RowPopulation
-    cells: tuple[WeakCell, ...]
+    #: One flat ``(threshold, phys addr, pfn, page offset, bit, charged
+    #: value)`` record per weak cell, in bit-index order.
+    cells: tuple[tuple[int, int, int, int, int, int], ...]
     row_base: int
     min_threshold: int
-    neighbours: tuple[tuple[int, float], ...]
+    #: ``(row, coupling factor)`` of each neighbour, flattened and padded
+    #: with ``(-1, 0.0)`` to four neighbours (see :meth:`_victim_plan`).
+    neighbours: tuple[int, float, int, float, int, float, int, float]
+
+
+class _Plan(NamedTuple):
+    """The victims of one (bank, aggressor rows) pair, with its certificate inputs."""
+
+    victims: tuple[_Victim, ...]
+    #: Every neighbour row of every victim: the counters their disturbance reads.
+    reach: tuple[int, ...]
+    #: The lowest weak-cell threshold over all victims.
+    min_threshold: int
+
+
+class _HammerLayout(NamedTuple):
+    """What :meth:`MemoryController._hammer` derives from its address list alone."""
+
+    #: ``(bank key, row)`` of each bank that holds one distinct row.
+    static: tuple[tuple[tuple[int, int, int], int], ...]
+    #: ``(bank key, ((row, activations per round), ...), plan or None)`` of
+    #: each bank that holds two or more distinct rows.
+    active: tuple[tuple[tuple[int, int, int], tuple[tuple[int, int], ...], _Plan | None], ...]
+    #: Accesses per round that activate a row (all of them in active banks).
+    activating: int
+    #: Accesses per round that hit an open row (all of them in static banks).
+    hitting: int
+
+
+# Relative slack on the certificate's bound: a disturbance is a float sum of
+# at most four products, whose rounding error is about 1e-15 of the exact sum.
+_MARGIN = 1.0 + 1e-9
+_ZEROS = repeat(0)
 
 
 class MemoryController:
@@ -159,8 +217,21 @@ class MemoryController:
         # Victim rows checked per flip evaluation: +-1 always, +-2 when the
         # distance-2 coupling is non-zero.
         self._max_coupling_distance = 2 if flip_config.coupling_distance2 > 0 else 1
-        # (bank key, aggressor rows) -> victim plan; see _victim_plan.
-        self._plan_memo: dict[tuple, tuple[_Victim, ...]] = {}
+        # The no-flip certificate (see _certifies): an activation of row r
+        # can only move the disturbance of victims whose neighbours lie
+        # within _reach rows of r, and no victim sums more coupling than
+        # _coupling_sum.
+        self._reach = 2 * self._max_coupling_distance
+        self._coupling_sum = 2 * flip_config.coupling_adjacent
+        if self._max_coupling_distance == 2:
+            self._coupling_sum += 2 * flip_config.coupling_distance2
+        # Victim evaluations the certificate skipped (telemetry only:
+        # sim.shortcut.certified_evaluations).
+        self.certified_evaluations = 0
+        # (bank key, aggressor rows) -> victim plan (None: no victims), see
+        # _victim_plan; and hammer address tuple -> hammer layout, see
+        # _hammer_layout.  The two key shapes never collide.
+        self._plan_memo: dict[tuple, _Plan | _HammerLayout | None] = {}
         # Refresh is a self-rescheduling tick on the "dram" scheduler queue.
         self._events = events or EventScheduler(clock)
         self._refresh_handle = None
@@ -214,6 +285,10 @@ class MemoryController:
             "dram.trr.tracker_misses", unit="events",
             help="aggressors evicted from the TRR tracker unsampled",
         )
+        certified_evaluations = metrics.gauge(
+            "sim.shortcut.certified_evaluations", unit="evaluations",
+            help="victim evaluations skipped by the no-flip certificate",
+        )
         ecc_corrected = metrics.gauge(
             "dram.ecc.corrected_bits", unit="bits", help="bits ECC corrected away"
         )
@@ -246,6 +321,7 @@ class MemoryController:
             trr = self.trr_stats()
             trr_refreshes.set(trr["neighbor_refreshes"])
             trr_misses.set(trr["tracker_misses"])
+            certified_evaluations.set(self.certified_evaluations)
             ecc = self.ecc_stats()
             ecc_corrected.set(ecc["corrected_bits"])
             ecc_uncorrectable.set(ecc["uncorrectable_events"])
@@ -356,30 +432,37 @@ class MemoryController:
     _VECTOR_MIN_CELLS = 16
 
     def __getstate__(self) -> dict:
-        # Victim plans are pure functions of the geometry, the mapping and
-        # the weak-cell map: keep them out of snapshots; forks re-attach the
-        # parent's memo by reference instead (see MachineSnapshot).
+        # Victim plans and hammer layouts are pure functions of the
+        # geometry, the mapping and the weak-cell map: keep them out of
+        # snapshots; forks re-attach the parent's memo by reference instead
+        # (see MachineSnapshot).
         state = self.__dict__.copy()
         state["_plan_memo"] = {}
         return state
 
     def _victim_plan(
         self, key: tuple[int, int, int], aggressor_rows: tuple[int, ...]
-    ) -> tuple[_Victim, ...]:
+    ) -> _Plan | None:
         """The victims of ``aggressor_rows`` in bank ``key`` that hold weak cells.
 
         Victims are every row within coupling distance of an aggressor,
-        sorted.  Each carries its neighbours with their coupling factors in
-        the order ``row-1, row+1, row-2, row+2``, which fixes the order of
-        the disturbance sum.  ``row_base + byte_offset`` stands in for a
-        per-cell ``to_phys``: the column field occupies the low
-        physical-address bits in every mapping, so adding the byte offset
-        to the row base is exact.
+        sorted; None when none of them holds a weak cell.  Each carries its
+        neighbours with their coupling factors in the order ``row-1, row+1,
+        row-2, row+2``, which fixes the order of the disturbance sum, and
+        one flat record per weak cell.  Neighbours are padded to four with
+        ``(-1, 0.0)``, so the sum is one expression: row -1 has no counter,
+        and adding a 0.0 term leaves a non-negative float sum unchanged.
+        ``row_base + byte_offset`` stands in for a per-cell ``to_phys``: the
+        column field occupies the low physical-address bits in every
+        mapping, so adding the byte offset to the row base is exact.  Each
+        victim row's address range is checked here, once, so the per-cell
+        scan reads memory unchecked.
         """
         memo_key = (key, aggressor_rows)
-        plan = self._plan_memo.get(memo_key)
-        if plan is not None:
-            return plan
+        try:
+            return self._plan_memo[memo_key]
+        except KeyError:
+            pass
         rows = self.geometry.rows_per_bank
         config = self.weak_cells.config
         distances = range(1, self._max_coupling_distance + 1)
@@ -397,56 +480,128 @@ class MemoryController:
             population = self.weak_cells.row_population(flat, victim)
             if population is None:
                 continue
-            neighbours = tuple(
+            neighbours = [
                 (row, couplings[distance - 1])
                 for distance in distances
                 if couplings[distance - 1] > 0.0
                 for row in (victim - distance, victim + distance)
                 if 0 <= row < rows
+            ]
+            neighbours += [(-1, 0.0)] * (4 - len(neighbours))
+            row_base = self.mapping.row_base_phys(*key, victim)
+            self.memory.check_range(row_base, self.geometry.row_bytes)
+            addrs = (row_base + population.byte_offset).tolist()
+            cells = tuple(
+                (threshold, addr, addr >> PAGE_SHIFT, addr & (PAGE_SIZE - 1), bit, charged)
+                for threshold, addr, bit, charged in zip(
+                    population.threshold.tolist(),
+                    addrs,
+                    population.bit_in_byte.tolist(),
+                    population.charged.tolist(),
+                )
             )
             plan_rows.append(_Victim(
                 victim,
                 population,
-                self.weak_cells.cells_in_row(flat, victim),
-                self.mapping.row_base_phys(*key, victim),
+                cells,
+                row_base,
                 population.min_threshold,
-                neighbours,
+                tuple(value for neighbour in neighbours for value in neighbour),
             ))
-        plan = tuple(plan_rows)
+        plan = None
+        if plan_rows:
+            plan = _Plan(
+                tuple(plan_rows),
+                tuple(sorted({
+                    row for victim in plan_rows for row in victim.neighbours[::2] if row >= 0
+                })),
+                min(victim.min_threshold for victim in plan_rows),
+            )
         if len(self._plan_memo) >= self._MEMO_LIMIT:
             self._plan_memo.clear()
         self._plan_memo[memo_key] = plan
         return plan
 
-    def _evaluate_around(
-        self, key: tuple[int, int, int], aggressor_rows: tuple[int, ...]
-    ) -> list[FlipEvent]:
-        """Flip every armed weak cell near the aggressors whose threshold is met.
+    def _certifies(self, activations: dict[int, int], rows, threshold: int) -> bool:
+        """True if no victim reading only ``rows``' counters can reach ``threshold``.
+
+        The no-flip certificate.  A victim's disturbance is a sum of coupling
+        factors times its neighbours' window counts, so it is at most
+        ``_coupling_sum`` times the largest live count among ``rows``.  When
+        that bound, with :data:`_MARGIN` for float rounding, stays below
+        ``threshold * threshold_scale``, where ``threshold`` is at most every
+        victim cell's own threshold, no cell can arm and the evaluation would
+        flip nothing.
+        """
+        live = max(map(activations.get, rows, _ZEROS), default=0) if activations else 0
+        return self._coupling_sum * live * _MARGIN < threshold * self.threshold_scale
+
+    def _evaluate_around(self, key: tuple[int, int, int], row: int) -> list[FlipEvent]:
+        """Flip every armed weak cell near the just activated ``row``.
 
         A victim's disturbance is the coupling-weighted sum of its
-        neighbours' activations in the current window.  Dense rows and ECC
-        modules run the threshold test as one vector compare over the row's
-        columnar population; sparse rows (the common case) keep a scalar
-        loop.
+        neighbours' activations in the current window.  The no-flip
+        certificate (:meth:`_certifies`) runs first, over the counters
+        within ``_reach`` rows of ``row`` and the module's threshold floor:
+        every weak cell's threshold is clipped to at least
+        ``FlipModelConfig.threshold_min`` when it is drawn.  If it holds, no
+        plan is looked up or walked.
         """
-        plan = self._victim_plan(key, aggressor_rows)
-        if not plan:
-            return []
         activations = self.bank(key).activations
+        reach = self._reach
+        if self._certifies(
+            activations, range(row - reach, row + reach + 1), self.weak_cells.config.threshold_min
+        ):
+            self.certified_evaluations += 1
+            return []
+        plan = self._victim_plan(key, (row,))
+        return [] if plan is None else self._walk_plan(key, plan.victims, activations)
+
+    def _evaluate_plan(self, key: tuple[int, int, int], plan: _Plan) -> list[FlipEvent]:
+        """Flip every armed weak cell of a hammer's plan, unless its certificate holds.
+
+        The certificate reads the plan's reach and compares against its
+        lowest threshold, which is tighter than the module's floor.
+        """
+        activations = self.bank(key).activations
+        if self._certifies(activations, plan.reach, plan.min_threshold):
+            self.certified_evaluations += 1
+            return []
+        return self._walk_plan(key, plan.victims, activations)
+
+    def _walk_plan(
+        self, key: tuple[int, int, int], victims: tuple[_Victim, ...], activations: dict[int, int]
+    ) -> list[FlipEvent]:
+        """Apply the flips of every victim whose disturbance arms a cell.
+
+        Dense rows and ECC modules run the threshold test as one vector
+        compare over the row's columnar population
+        (:meth:`_apply_flips_vector`).  Sparse rows (the common case) scan
+        their flat cell records here; each armed cell's bit is read from the
+        live memory at that instant, since a flip earlier in the scan may
+        have rewritten its byte, and forks share plans but not memory.
+        """
         scale = self.threshold_scale
+        count = activations.get
+        scalar = self.ecc is None
+        dense = self._VECTOR_MIN_CELLS
+        frame_bit = self.memory.frame_bit
         flips: list[FlipEvent] = []
-        for row, population, cells, row_base, min_threshold, neighbours in plan:
-            disturbance = 0.0
-            for neighbour, factor in neighbours:
-                disturbance += factor * activations.get(neighbour, 0)
+        for row, population, cells, row_base, min_threshold, neighbours in victims:
+            n1, f1, n2, f2, n3, f3, n4, f4 = neighbours
+            disturbance = (
+                f1 * count(n1, 0) + f2 * count(n2, 0) + f3 * count(n3, 0) + f4 * count(n4, 0)
+            )
             if disturbance <= 0.0 or min_threshold * scale > disturbance:
                 continue
-            if self.ecc is None and len(cells) <= self._VECTOR_MIN_CELLS:
-                flips.extend(self._apply_flips_scalar(key, row, row_base, cells, disturbance))
-            else:
+            if not scalar or len(cells) > dense:
                 flips.extend(
                     self._apply_flips_vector(key, row, row_base, population, disturbance)
                 )
+                continue
+            for threshold, addr, pfn, offset, bit, charged in cells:
+                if threshold * scale <= disturbance and frame_bit(pfn, offset, bit) == charged:
+                    flips.append(self._flip(key, row, addr, bit, charged))
         return flips
 
     def _apply_flips_vector(
@@ -497,29 +652,6 @@ class MemoryController:
         self._m_flips.inc()
         self.obs.tracer.instant("dram.flip", "dram", phys_addr=addr, bit=bit, row=row)
         return event
-
-    def _apply_flips_scalar(
-        self,
-        key: tuple[int, int, int],
-        victim_row: int,
-        row_base: int,
-        cells,
-        disturbance: float,
-    ) -> list[FlipEvent]:
-        """Per-cell evaluation for sparse rows (no ECC)."""
-        flips: list[FlipEvent] = []
-        memory = self.memory
-        scale = self.threshold_scale
-        for cell in cells:
-            if cell.threshold * scale > disturbance:
-                continue
-            addr = row_base + cell.byte_offset
-            bit = cell.bit_in_byte
-            old = memory.get_bit(addr, bit)
-            if old != cell.charged_value:
-                continue
-            flips.append(self._flip(key, victim_row, addr, bit, old))
-        return flips
 
     def _apply_flips_ecc(
         self,
@@ -597,11 +729,16 @@ class MemoryController:
         return list(zip(keys, row.tolist()))
 
     def access_row(self, key: tuple[int, int, int], row: int, count: int) -> bool:
-        """:meth:`access_row_run` on an already mapped (bank key, row)."""
+        """:meth:`access_row_run` on an already mapped (bank key, row).
+
+        An activation evaluates the row's neighbours through
+        :meth:`_evaluate_around`, whose no-flip certificate skips the victim
+        work when no cell near the row can reach its threshold.
+        """
         activated = self.bank(key).access_run(row, count)
         if activated:
             self.clock.advance(self.timing.t_rc_ns)
-            self._evaluate_around(key, (row,))
+            self._evaluate_around(key, row)
             self.clock.advance((count - 1) * self.timing.t_cas_ns)
         else:
             self.clock.advance(count * self.timing.t_cas_ns)
@@ -637,36 +774,65 @@ class MemoryController:
         self._m_hammer_acts.observe(result.activations)
         return result
 
-    def _hammer(self, phys_addrs: list[int], rounds: int) -> HammerResult:
-        self._pump_timed()
+    def _hammer_layout(self, phys_addrs: list[int]) -> _HammerLayout:
+        """The bank layout of a hammer's address list, memoised per address tuple.
 
-        dram_addrs = [self.mapping.to_dram(p) for p in phys_addrs]
+        Maps every address once, groups the rows by bank in first-appearance
+        order, counts each row's accesses per round (a row repeated in the
+        list, as in eviction-set bursts, keeps its count) and builds each
+        multi-row bank's victim plan.  Layouts are pure functions of the
+        mapping and the weak-cell map, like victim plans, so they live in
+        the plan memo, keyed by the address tuple: bounded, kept out of
+        pickles and shared with forks.
+        """
+        memo_key = tuple(phys_addrs)
+        layout = self._plan_memo.get(memo_key)
+        if layout is not None:
+            return layout
         by_bank: dict[tuple[int, int, int], list[int]] = {}
-        for addr in dram_addrs:
+        for phys in phys_addrs:
+            addr = self.mapping.to_dram(phys)
             by_bank.setdefault(addr.bank_key(), []).append(addr.row)
-
-        # Per-round cost and per-round activation counts per bank.
-        activations_per_round: dict[tuple[int, int, int], dict[int, int]] = {}
-        ns_per_round = 0
-        static_activations = 0
+        static = []
+        active = []
+        activating = hitting = 0
         for key, rows in by_bank.items():
-            distinct = set(rows)
-            if len(distinct) >= 2:
+            if len(set(rows)) >= 2:
                 per_row: dict[int, int] = {}
                 for row in rows:
                     per_row[row] = per_row.get(row, 0) + 1
-                activations_per_round[key] = per_row
-                ns_per_round += len(rows) * self.timing.t_rc_ns
+                active.append((key, tuple(per_row.items()), self._victim_plan(key, tuple(per_row))))
+                activating += len(rows)
             else:
-                # A single row per bank opens once and then row-hits forever.
-                only_row = rows[0]
-                bank = self.bank(key)
-                if bank.access(only_row):
-                    static_activations += 1
-                ns_per_round += len(rows) * self.timing.t_cas_ns
+                static.append((key, rows[0]))
+                hitting += len(rows)
+        layout = _HammerLayout(tuple(static), tuple(active), activating, hitting)
+        if len(self._plan_memo) >= self._MEMO_LIMIT:
+            self._plan_memo.clear()
+        self._plan_memo[memo_key] = layout
+        return layout
+
+    def _hammer(self, phys_addrs: list[int], rounds: int) -> HammerResult:
+        """The hammer loop over the address list's compiled layout.
+
+        A bank holding a single row opens it once and then row-hits
+        forever; every access to a bank holding two or more distinct rows
+        activates.  Each window chunk bulk-activates the active rows, then
+        evaluates each active bank's plan (:meth:`_evaluate_plan`), whose
+        certificate skips the victim work while the chunk's counts cannot
+        reach the plan's lowest threshold.
+        """
+        self._pump_timed()
+        layout = self._hammer_layout(phys_addrs)
+        ns_per_round = (
+            layout.activating * self.timing.t_rc_ns + layout.hitting * self.timing.t_cas_ns
+        )
+        total_activations = 0
+        for key, row in layout.static:
+            if self.bank(key).access(row):
+                total_activations += 1
 
         total_flips: list[FlipEvent] = []
-        total_activations = static_activations
         rounds_left = rounds
         elapsed = 0
         while rounds_left > 0:
@@ -676,15 +842,16 @@ class MemoryController:
                 chunk = min(rounds_left, max(1, remaining_ns // ns_per_round))
             else:
                 chunk = rounds_left
-            for key, per_row in activations_per_round.items():
+            for key, per_row, _ in layout.active:
                 bank = self.bank(key)
-                for row, count in per_row.items():
+                for row, count in per_row:
                     bank.bulk_activate(row, count * chunk)
-                    total_activations += count * chunk
+            total_activations += layout.activating * chunk
             self.clock.advance(chunk * ns_per_round)
             elapsed += chunk * ns_per_round
-            for key, per_row in activations_per_round.items():
-                total_flips.extend(self._evaluate_around(key, tuple(per_row)))
+            for key, _, plan in layout.active:
+                if plan is not None:
+                    total_flips.extend(self._evaluate_plan(key, plan))
             rounds_left -= chunk
             self._pump_timed()
 

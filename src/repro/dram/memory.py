@@ -85,7 +85,8 @@ class PhysicalMemory:
 
     # -- bounds helpers ------------------------------------------------------
 
-    def _check_range(self, addr: int, length: int) -> None:
+    def check_range(self, addr: int, length: int) -> None:
+        """Raise :class:`ConfigError` unless ``[addr, addr + length)`` is in the module."""
         if length < 0:
             raise ConfigError(f"length must be non-negative, got {length}")
         if addr < 0 or addr + length > self.total_bytes:
@@ -185,7 +186,7 @@ class PhysicalMemory:
 
     def read(self, addr: int, length: int) -> bytes:
         """Read ``length`` bytes starting at physical address ``addr``."""
-        self._check_range(addr, length)
+        self.check_range(addr, length)
         out = bytearray()
         remaining = length
         cursor = addr
@@ -204,7 +205,7 @@ class PhysicalMemory:
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` starting at physical address ``addr``."""
-        self._check_range(addr, len(data))
+        self.check_range(addr, len(data))
         self._notify(addr, len(data))
         cursor = addr
         view = memoryview(data)
@@ -219,7 +220,7 @@ class PhysicalMemory:
 
     def read_byte(self, addr: int) -> int:
         """Read a single byte."""
-        self._check_range(addr, 1)
+        self.check_range(addr, 1)
         frame = self._frames.get(addr >> PAGE_SHIFT)
         if frame is None:
             return 0
@@ -229,7 +230,7 @@ class PhysicalMemory:
         """Write a single byte (value 0..255)."""
         if not 0 <= value <= 0xFF:
             raise ConfigError(f"byte value {value} out of range [0, 255]")
-        self._check_range(addr, 1)
+        self.check_range(addr, 1)
         self._notify(addr, 1)
         frame = self._frame_for_write(addr >> PAGE_SHIFT)
         frame[addr & (PAGE_SIZE - 1)] = value
@@ -242,6 +243,15 @@ class PhysicalMemory:
             raise ConfigError(f"bit index {bit} out of range [0, 7]")
         return (self.read_byte(addr) >> bit) & 1
 
+    def frame_bit(self, pfn: int, offset: int, bit: int) -> int:
+        """Bit ``bit`` of byte ``offset`` in frame ``pfn``, without a range check.
+
+        The controller's per-cell victim scan reads through here; its victim
+        plans range-check every cell once, when they are built.
+        """
+        frame = self._frames.get(pfn)
+        return 0 if frame is None else (frame.data.item(offset) >> bit) & 1
+
     def gather_bits(self, addrs: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """Vector form of :meth:`get_bit`: bit ``bits[i]`` of byte ``addrs[i]``.
 
@@ -252,8 +262,8 @@ class PhysicalMemory:
         bits = np.asarray(bits, dtype=np.int64)
         if addrs.size == 0:
             return np.zeros(0, dtype=np.uint8)
-        self._check_range(int(addrs.min()), 1)
-        self._check_range(int(addrs.max()), 1)
+        self.check_range(int(addrs.min()), 1)
+        self.check_range(int(addrs.max()), 1)
         pfns = addrs >> PAGE_SHIFT
         offsets = addrs & (PAGE_SIZE - 1)
         values = np.zeros(addrs.shape, dtype=np.int64)
@@ -291,7 +301,7 @@ class PhysicalMemory:
         """
         if value not in (0, 1):
             raise ConfigError(f"bit value must be 0 or 1, got {value}")
-        self._check_range(addr, 1)
+        self.check_range(addr, 1)
         frame = self._frame_for_write(addr >> PAGE_SHIFT)
         offset = addr & (PAGE_SIZE - 1)
         if value:
@@ -305,7 +315,7 @@ class PhysicalMemory:
         """Fill frame ``pfn`` with a repeated byte ``pattern``."""
         if not 0 <= pattern <= 0xFF:
             raise ConfigError(f"pattern byte {pattern} out of range")
-        self._check_range(pfn << PAGE_SHIFT, PAGE_SIZE)
+        self.check_range(pfn << PAGE_SHIFT, PAGE_SIZE)
         self._notify(pfn << PAGE_SHIFT, PAGE_SIZE)
         old = self._frames.get(pfn)
         if old is not None:
@@ -314,7 +324,7 @@ class PhysicalMemory:
 
     def clear_frame(self, pfn: int) -> None:
         """Reset frame ``pfn`` to zeros and drop its backing storage."""
-        self._check_range(pfn << PAGE_SHIFT, PAGE_SIZE)
+        self.check_range(pfn << PAGE_SHIFT, PAGE_SIZE)
         self._notify(pfn << PAGE_SHIFT, PAGE_SIZE)
         frame = self._frames.pop(pfn, None)
         if frame is not None:
@@ -322,6 +332,6 @@ class PhysicalMemory:
 
     def frame_snapshot(self, pfn: int) -> bytes:
         """Immutable copy of the 4 KiB frame ``pfn``."""
-        self._check_range(pfn << PAGE_SHIFT, PAGE_SIZE)
+        self.check_range(pfn << PAGE_SHIFT, PAGE_SIZE)
         frame = self._frames.get(pfn)
         return frame.data.tobytes() if frame is not None else _ZERO_PAGE

@@ -521,8 +521,12 @@ class Kernel:
         (:meth:`~repro.dram.cache.CpuCache.access_pages`), which stops
         before the first page that would hit.  Each page is then one row run
         on its mapped bank and row, at the instant its page run would start,
-        and its bytes are read or stored right after it.  Returns 0 when
-        the stream does not apply; the caller then serves one page itself.
+        and its bytes are read or stored right after it.  A row run that
+        activates evaluates its neighbours only when the controller's no-flip
+        certificate cannot rule a flip out
+        (:meth:`~repro.dram.controller.MemoryController.access_row`).
+        Returns 0 when the stream does not apply; the caller then serves one
+        page itself.
         """
         config = self.cache.config
         lines = PAGE_SIZE // config.line_size
@@ -670,6 +674,16 @@ class Kernel:
                 evicted += 1
         return evicted
 
+    @staticmethod
+    def _hammer_target_pa(task: Task, va: int) -> int:
+        """The physical address of a resident hammer target, in one page-table walk."""
+        try:
+            return task.mm.page_table.translate(va)
+        except SegmentationFault:
+            raise FaultError(
+                f"hammer target va {va:#x} not resident; store data to it first"
+            ) from None
+
     def sys_hammer(
         self,
         pid: int,
@@ -699,13 +713,7 @@ class Kernel:
         if not vas:
             raise ConfigError("hammer needs at least one aggressor address")
         self._pump_chaos("hammer", pid)
-        pas = []
-        for va in vas:
-            if not task.mm.page_table.is_mapped(page_align_down(va)):
-                raise FaultError(
-                    f"hammer target va {va:#x} not resident; store data to it first"
-                )
-            pas.append(task.mm.page_table.translate(va))
+        pas = [self._hammer_target_pa(task, va) for va in vas]
         if flush:
             for pa in pas:
                 self.cache.flush(pa)
@@ -778,16 +786,8 @@ class Kernel:
                 f"choose 'sequential' or 'interleave'"
             )
         self._pump_chaos("hammer", pid)
-
-        def _translate(va: int) -> int:
-            if not task.mm.page_table.is_mapped(page_align_down(va)):
-                raise FaultError(
-                    f"hammer target va {va:#x} not resident; store data to it first"
-                )
-            return task.mm.page_table.translate(va)
-
-        aggressor_pas = [_translate(va) for va in aggressor_vas]
-        member_pas = [[_translate(va) for va in vas] for vas in eviction_vas]
+        aggressor_pas = [self._hammer_target_pa(task, va) for va in aggressor_vas]
+        member_pas = [[self._hammer_target_pa(task, va) for va in vas] for vas in eviction_vas]
 
         # One round's access order, each entry tagged aggressor/traversal.
         sequence: list[tuple[int, bool]] = []

@@ -169,6 +169,27 @@ class TestVictimPlanMemo:
         machine = self._templated_machine()
         assert 0 < len(machine.controller._plan_memo) <= 4
 
+    def test_warm_and_cold_memo_forks_hammer_alike(self):
+        """The memo also holds each hammer's layout, keyed by its address
+        tuple.  A fork on the parent's warm memo and a shipped fork with a
+        cold one end every template's re-hammer in the same state."""
+        machine = Machine(vulnerable_config())
+        pid = machine.kernel.spawn("templater").pid
+        config = TemplatorConfig(buffer_bytes=MIB, batch_pairs=8)
+        templates = Templator(machine.kernel, pid, config).run().templates[:4]
+        assert templates
+        snapshot = machine.snapshot()
+        states = []
+        for fork in (snapshot.fork()[0], MachineSnapshot.from_bytes(snapshot.to_bytes()).fork()[0]):
+            warm = len(fork.controller._plan_memo)
+            for template in templates:
+                fork.kernel.sys_hammer(pid, list(template.aggressor_vas), 650_000)
+            controller = fork.controller
+            states.append((list(controller.flip_log), fork.clock.now_ns, controller.stats()))
+            assert warm or controller._plan_memo  # the cold fork rebuilt its layouts
+        assert states[0] == states[1]
+        assert len(states[0][0]) > len(machine.controller.flip_log)  # the re-hammers flipped
+
 
 class TestFlipLogIsolation:
     """The frozen flip log rides outside the blob; forks never share appends."""

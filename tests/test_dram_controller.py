@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.dram.controller import FlipEvent, MemoryController
+from repro.dram.controller import FlipEvent, HammerResult, MemoryController
 from repro.dram.ecc import EccConfig
 from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMAddress, DRAMGeometry
@@ -287,8 +287,55 @@ class ReferenceController(MemoryController):
 
     Every call rebuilds the victim set of the aggressors and, per victim,
     looks up its population, sums its neighbours' activations and applies
-    the flips.  The plan-based controller must produce the same flip log.
+    the flips, sparse rows through the per-cell ``WeakCell`` loop.  It
+    shares no fast path: it runs no no-flip certificate, builds no victim
+    plan and maps every hammer's addresses afresh.  The plan-based
+    controller must produce the same flip log and DRAM state.
     """
+
+    def _hammer(self, phys_addrs, rounds):
+        self._pump_timed()
+        by_bank: dict = {}
+        for phys in phys_addrs:
+            addr = self.mapping.to_dram(phys)
+            by_bank.setdefault(addr.bank_key(), []).append(addr.row)
+        activations_per_round: dict = {}
+        ns_per_round = 0
+        static_activations = 0
+        for key, rows in by_bank.items():
+            if len(set(rows)) >= 2:
+                per_row: dict = {}
+                for row in rows:
+                    per_row[row] = per_row.get(row, 0) + 1
+                activations_per_round[key] = per_row
+                ns_per_round += len(rows) * self.timing.t_rc_ns
+            else:
+                if self.bank(key).access(rows[0]):
+                    static_activations += 1
+                ns_per_round += len(rows) * self.timing.t_cas_ns
+        flips: list[FlipEvent] = []
+        activations = static_activations
+        rounds_left = rounds
+        elapsed = 0
+        while rounds_left > 0:
+            window_end = (self.current_refresh_epoch() + 1) * self.effective_refw_ns()
+            remaining_ns = window_end - self.clock.now_ns
+            if ns_per_round > 0:
+                chunk = min(rounds_left, max(1, remaining_ns // ns_per_round))
+            else:
+                chunk = rounds_left
+            for key, per_row in activations_per_round.items():
+                bank = self.bank(key)
+                for row, count in per_row.items():
+                    bank.bulk_activate(row, count * chunk)
+                    activations += count * chunk
+            self.clock.advance(chunk * ns_per_round)
+            elapsed += chunk * ns_per_round
+            for key, per_row in activations_per_round.items():
+                flips.extend(self._evaluate_rows(key, tuple(per_row)))
+            rounds_left -= chunk
+            self._pump_timed()
+        return HammerResult(rounds, rounds * len(phys_addrs), activations, elapsed, flips)
 
     def _coupling(self, distance: int) -> float:
         if distance == 1:
@@ -307,6 +354,18 @@ class ReferenceController(MemoryController):
                 if 0 <= row < self.geometry.rows_per_bank:
                     total += factor * bank.activations_in_window(row)
         return total
+
+    def _apply_flips_scalar(self, key, victim_row, row_base, cells, disturbance):
+        flips: list[FlipEvent] = []
+        for cell in cells:
+            if cell.threshold * self.threshold_scale > disturbance:
+                continue
+            addr = row_base + cell.byte_offset
+            old = self.memory.get_bit(addr, cell.bit_in_byte)
+            if old != cell.charged_value:
+                continue
+            flips.append(self._flip(key, victim_row, addr, cell.bit_in_byte, old))
+        return flips
 
     def _evaluate_victim_row(self, key, victim_row: int) -> list[FlipEvent]:
         bank = self.bank(key)
@@ -342,7 +401,10 @@ class ReferenceController(MemoryController):
             )
         ]
 
-    def _evaluate_around(self, key, aggressor_rows) -> list[FlipEvent]:
+    def _evaluate_around(self, key, row) -> list[FlipEvent]:
+        return self._evaluate_rows(key, (row,))
+
+    def _evaluate_rows(self, key, aggressor_rows) -> list[FlipEvent]:
         victims: set[int] = set()
         for row in aggressor_rows:
             for distance in range(1, self._max_coupling_distance + 1):
@@ -361,8 +423,12 @@ EDGE_ROWS = [0, 1, 2, 3, 5, 500, 502, GEO.rows_per_bank - 3, GEO.rows_per_bank -
 VICTIM_ROWS = sorted(
     {row + d for row in EDGE_ROWS for d in range(-2, 3)} & set(range(GEO.rows_per_bank))
 )
+# First rows of the (row, row + 2) pairs a "prime" op hammers.
+PRIME_ROWS = [0, 1, 3, 500, GEO.rows_per_bank - 3]
 
-_row_sets = st.lists(st.sampled_from(EDGE_ROWS), min_size=2, max_size=3, unique=True)
+# Rows may repeat, as in eviction-set bursts: a repeated row keeps its
+# per-round count, and a list of one distinct row never activates.
+_row_sets = st.lists(st.sampled_from(EDGE_ROWS), min_size=2, max_size=4)
 _plan_ops = st.lists(
     st.one_of(
         st.tuples(
@@ -371,6 +437,21 @@ _plan_ops = st.lists(
         ),
         st.tuples(
             st.just("access"), st.integers(0, 1), st.sampled_from(EDGE_ROWS), st.integers(1, 64)
+        ),
+        # A stream: one row run of ``count`` accesses per (bank, row), in order.
+        st.tuples(
+            st.just("stream"),
+            st.lists(
+                st.tuples(st.integers(0, 1), st.sampled_from(VICTIM_ROWS)),
+                min_size=2, max_size=12,
+            ),
+            st.integers(1, 64),
+        ),
+        # Hammer a pair to ``margin`` rounds short of lifting the victim
+        # between them to the scaled threshold floor.
+        st.tuples(
+            st.just("prime"), st.integers(0, 1), st.sampled_from(PRIME_ROWS),
+            st.integers(0, 12),
         ),
         st.tuples(
             st.just("arm"), st.integers(0, 1), st.sampled_from(VICTIM_ROWS),
@@ -382,31 +463,52 @@ _plan_ops = st.lists(
     max_size=12,
 )
 
-
-class TestVictimPlansMatchReference:
-    """Victim plans against the per-victim evaluation they replaced."""
-
-    @given(
-        mapping=st.sampled_from([LinearMapping, XorBankMapping]),
-        coupling_distance2=st.sampled_from([0.0, 0.3]),
-        trr=st.booleans(),
-        ecc=st.booleans(),
-        threshold_scale=st.sampled_from([1.0, 0.6, 1.5]),
-        density=st.sampled_from([3.0, 24.0]),
-        seed=st.integers(0, 3),
-        ops=_plan_ops,
-    )
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_flip_logs_agree(
-        self, mapping, coupling_distance2, trr, ecc, threshold_scale, density, seed, ops
-    ):
-        flip_config = FlipModelConfig(
+_flip_configs = st.one_of(
+    st.builds(
+        lambda density, coupling_distance2: FlipModelConfig(
             weak_cells_per_row_mean=density,
             threshold_mean=150_000,
             threshold_sd=40_000,
             threshold_min=40_000,
             coupling_distance2=coupling_distance2,
-        )
+        ),
+        density=st.sampled_from([3.0, 24.0]),
+        coupling_distance2=st.sampled_from([0.0, 0.3]),
+    ),
+    st.just(FlipModelConfig.highly_vulnerable()),
+)
+
+
+def _dram_state(controller) -> dict:
+    """Everything an evaluation or a stream can change, telemetry aside."""
+    return {
+        "flips": list(controller.flip_log),
+        "clock": controller.clock.now_ns,
+        "ecc": controller.ecc_stats(),
+        "stats": controller.stats(),
+        "trr": controller.trr_stats(),
+        "banks": {
+            key: (bank.open_row, dict(bank.activations))
+            for key, bank in controller._banks.items()
+        },
+    }
+
+
+class TestVictimPlansMatchReference:
+    """Victim plans, hammer layouts and the no-flip certificate against the
+    per-victim evaluation they replaced."""
+
+    @given(
+        mapping=st.sampled_from([LinearMapping, XorBankMapping]),
+        flip_config=_flip_configs,
+        trr=st.booleans(),
+        ecc=st.booleans(),
+        threshold_scale=st.sampled_from([1.0, 0.6, 1.5]),
+        seed=st.integers(0, 3),
+        ops=_plan_ops,
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_flip_logs_agree(self, mapping, flip_config, trr, ecc, threshold_scale, seed, ops):
         twins = []
         for cls in (MemoryController, ReferenceController):
             controller = cls(
@@ -428,9 +530,7 @@ class TestVictimPlansMatchReference:
             for controller in twins:
                 _apply_plan_op(controller, op)
         fast, reference = twins
-        assert fast.flip_log == reference.flip_log
-        assert fast.clock.now_ns == reference.clock.now_ns
-        assert fast.ecc_stats() == reference.ecc_stats()
+        assert _dram_state(fast) == _dram_state(reference)
 
 
 def _apply_plan_op(controller, op) -> None:
@@ -444,7 +544,122 @@ def _apply_plan_op(controller, op) -> None:
         controller.access(phys)
         if count > 1:
             controller.access_row_run(phys, count)
+    elif kind == "stream":
+        rows, count = args
+        _stream(controller, [((0, 0, bank), row) for bank, row in rows], count)
+    elif kind == "prime":
+        bank, row, margin = args
+        _prime(controller, bank, row, margin)
     elif kind == "arm":
         arm_row(controller, *args)
     else:
         controller.clock.advance(args[0])
+
+
+def _stream(controller, bank_rows, count) -> None:
+    """Serve a stream as the kernel does: one row run per page."""
+    for key, row in bank_rows:
+        controller.access_row(key, row, count)
+
+
+def _prime(controller, bank, row, margin) -> None:
+    """Hammer rows ``row`` and ``row + 2`` to ``margin`` rounds short of
+    lifting the victim between them to the scaled threshold floor."""
+    floor = controller.weak_cells.config.threshold_min * controller.threshold_scale
+    rounds = max(1, int(floor / (2 * controller.weak_cells.config.coupling_adjacent)) - margin)
+    controller.hammer(same_bank_pair(controller, bank=bank, rows=(row, row + 2)), rounds)
+
+
+# Thresholds drawn around the floor: over a third of the cells sit on it.
+# Adjacent coupling only, so the certificate's bound is tight: a victim
+# between two rows at ``c`` activations each reads exactly ``2 * c``.
+FLOOR_HEAVY = FlipModelConfig(
+    weak_cells_per_row_mean=8.0, threshold_mean=45_000, threshold_sd=30_000,
+    threshold_min=40_000, coupling_distance2=0.0,
+)
+
+
+class TestNoFlipCertificate:
+    """What the certificate assumes and where it engages or refuses."""
+
+    def test_every_threshold_is_clipped_to_the_floor(self):
+        """The certificate's bound compares against ``threshold_min``: a
+        threshold drawn below it must come out clipped to it."""
+        controller = make_controller(flip_config=FLOOR_HEAVY)
+        thresholds = [
+            cell.threshold
+            for row in range(64)
+            for cell in controller.weak_cells.cells_in_row(0, row)
+        ]
+        assert min(thresholds) == FLOOR_HEAVY.threshold_min
+
+    @staticmethod
+    def _twins(flip_config, rows):
+        twins = [
+            cls(
+                geometry=GEO, mapping=LinearMapping(GEO), timing=DRAMTiming(),
+                flip_config=flip_config, rng=RngStreams(0), clock=SimClock(),
+            )
+            for cls in (MemoryController, ReferenceController)
+        ]
+        for twin in twins:
+            for row in rows:
+                arm_row(twin, 0, row)
+        return twins
+
+    @pytest.mark.parametrize("margin, flips", [(0, True), (1, False)])
+    def test_hammer_exactly_to_the_floor_flips(self, margin, flips):
+        """The victim between two rows hammered ``floor / 2`` times reads
+        exactly the floor and must flip; one round less and the plan's
+        certificate holds."""
+        twins = self._twins(FLOOR_HEAVY, range(97, 104))
+        for twin in twins:
+            _prime(twin, 0, 99, margin)
+        fast, reference = twins
+        assert bool(fast.flip_log) is flips
+        assert (fast.certified_evaluations > 0) is not flips
+        assert _dram_state(fast) == _dram_state(reference)
+
+    def test_access_reads_two_coupling_distances(self):
+        """An access to row 100 re-evaluates victim 102, whose neighbour 103
+        was hammered: the single-row certificate must read the counters up
+        to four rows away."""
+        twins = self._twins(make_controller().weak_cells.config, range(100, 108))
+        phys = twins[0].mapping.to_phys(DRAMAddress(0, 0, 0, 100, 0))
+        for twin in twins:
+            twin.hammer(same_bank_pair(twin, rows=(103, 105)), 400_000)
+            arm_row(twin, 0, 102)
+            before = len(twin.flip_log)
+            twin.access(phys)
+            assert len(twin.flip_log) > before
+        assert _dram_state(twins[0]) == _dram_state(twins[1])
+
+    def test_quiet_accesses_skip_the_victims(self):
+        controller = make_controller()
+        phys = controller.mapping.to_phys(DRAMAddress(0, 0, 0, 100, 0))
+        controller.access(phys)
+        assert controller.certified_evaluations == 1
+        _prime(controller, 0, 99, 0)
+        before = controller.certified_evaluations
+        controller.access(phys)  # row 100 sits between the primed rows
+        assert controller.certified_evaluations == before
+
+    def test_primed_stream_flips_and_an_idle_bank_stream_is_skipped(self):
+        """A stream that alternates the primed rows pushes the victim
+        between them over the floor, which the certificate can only see
+        by reading the live counts the priming hammer left; every
+        activation of a stream in an idle bank is certified."""
+        near = [((0, 0, 0), row) for _ in range(4) for row in (99, 101)]
+        far = [((0, 0, 1), row) for row in (300, 302, 304)]
+        twins = self._twins(FLOOR_HEAVY, range(95, 106))
+        for twin in twins:
+            _prime(twin, 0, 99, 2)
+            before = len(twin.flip_log)
+            _stream(twin, near, 64)
+            assert len(twin.flip_log) > before  # the primed stream flipped cells
+        fast, reference = twins
+        skipped = fast.certified_evaluations
+        for twin in twins:
+            _stream(twin, far, 64)
+        assert fast.certified_evaluations - skipped == len(far)
+        assert _dram_state(fast) == _dram_state(reference)

@@ -406,6 +406,45 @@ class TestStreamsMatchPerLineLoop:
         memory = fast.controller.memory
         assert any(memory.get_bit(addr, bit) != (0x55 >> bit) & 1 for addr, bit in cells)
 
+    @pytest.mark.parametrize("mapping, pages", [("linear", (2, 34)), ("xor", (2, 38))])
+    def test_primed_victims_flip_in_page_order(self, mapping, pages):
+        """A hammer leaves victims one stream away from flipping: the read
+        stream's own activations push them over.  The no-flip certificate
+        must not skip those evaluations, so the flips follow page order as
+        on the per-line loop; on the read of the untouched buffer before the
+        hammer it skips every one."""
+        config = replace(PLAIN, mapping=mapping, flip_model=DENSE)
+        skipped = []  # (activations, evaluations skipped) of each read, per machine
+
+        def read(machine, pid, va):
+            controller = machine.controller
+            activations = controller.total_activations()
+            certified = controller.certified_evaluations
+            data = _read_all(machine, pid, va)
+            skipped.append((
+                controller.total_activations() - activations,
+                controller.certified_evaluations - certified,
+            ))
+            return data
+
+        def script(machine, pid, va):
+            _flush_buffer(machine, pid, va)
+            quiet = read(machine, pid, va)
+            # A fresh refresh window, so the hammer alone primes the victims.
+            machine.clock.advance_to(machine.events.next_due_ns("dram"))
+            machine.kernel.sys_hammer(pid, [va + page * PAGE_SIZE for page in pages], 80)
+            _flush_buffer(machine, pid, va)
+            before = len(machine.controller.flip_log)
+            data = read(machine, pid, va)
+            return quiet, data, machine.controller.flip_log[before:]
+
+        _, (_, _, flips), (streams, _) = _twins(config, script)
+        assert streams == 2 and flips
+        for activations, certified in skipped[0::2]:  # the quiet reads
+            assert activations > 0 and certified == activations
+        for activations, certified in skipped[1::2]:  # the primed reads
+            assert certified < activations
+
     @pytest.mark.parametrize("mapping", ["linear", "xor"])
     @pytest.mark.parametrize("trr", [False, True])
     @pytest.mark.parametrize("ecc", [False, True])
