@@ -1,4 +1,4 @@
-"""Campaign-service smoke driver: kill -9 resume and shard-merge parity.
+"""Campaign-service smoke driver: kill -9 resume parity.
 
 Shells out to the real CLI (``python -m repro attack --checkpoint ...``)
 so the whole stack — argument parsing, service wiring, journal fsyncs,
@@ -10,9 +10,6 @@ the crash-safety contract from docs/CAMPAIGNS.md:
   complete), resume it with ``--resume``, and require the resumed
   digest to be bit-identical to an uninterrupted run of the same
   campaign in a fresh directory.
-* ``shard`` — run every ``--shard i/N`` partition into one directory,
-  ``--merge-shards``, and require the merged digest to match the same
-  uninterrupted unsharded run.
 
 Used two ways: CI invokes it directly as a smoke step, and
 ``tests/test_parallel_service.py`` wraps it in pytest so the contract
@@ -125,53 +122,18 @@ def smoke_kill_resume(
     return 0
 
 
-def smoke_shard(
-    directory: Path, attempts: int, chaos: str, shards: int, modality: str
-) -> int:
-    reference = _baseline(
-        directory, attempts=attempts, chaos=chaos, modality=modality
-    )
-    print(f"unsharded digest:     {reference}")
-
-    shard_dir = directory / f"{shards}way"
-    for index in range(shards):
-        _run_json(_cli(
-            ["--shard", f"{index}/{shards}"],
-            shard_dir, attempts=attempts, chaos=chaos, modality=modality,
-        ))
-        print(f"shard {index}/{shards} complete")
-    payload = _run_json(_cli(
-        ["--merge-shards"], shard_dir, attempts=attempts, chaos=chaos,
-        modality=modality,
-    ))
-    digest = payload["digest"]
-    print(f"merged digest:        {digest}")
-    if digest != reference:
-        print(f"FAIL: {shards}-way merged digest differs from the serial run")
-        return 1
-    print(f"PASS: {shards}-way shard merge is bit-identical to the serial run")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("kill-resume", "shard"))
+    parser.add_argument("mode", choices=("kill-resume",))
     parser.add_argument("--dir", required=True, type=Path,
                         help="scratch directory for checkpoints")
     parser.add_argument("--attempts", type=int, default=4)
     parser.add_argument("--chaos", default="steal")
-    parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--modality", default="explframe",
                         help="attack modality to drive (docs/ATTACKS.md)")
     args = parser.parse_args(argv)
     args.dir.mkdir(parents=True, exist_ok=True)
-    if args.mode == "kill-resume":
-        return smoke_kill_resume(
-            args.dir, args.attempts, args.chaos, args.modality
-        )
-    return smoke_shard(
-        args.dir, args.attempts, args.chaos, args.shards, args.modality
-    )
+    return smoke_kill_resume(args.dir, args.attempts, args.chaos, args.modality)
 
 
 if __name__ == "__main__":

@@ -277,22 +277,14 @@ def _cmd_attack_campaign(
     identical for every worker count (docs/CAMPAIGNS.md).
 
     ``--checkpoint DIR`` routes execution through the campaign service:
-    attempts are journaled as they complete, ``--resume`` continues an
-    interrupted run, ``--shard i/N`` runs one interleaved partition, and
-    ``--merge-shards`` folds completed shard journals into the serial
-    digest.
+    attempts are journaled as they complete and ``--resume`` continues
+    an interrupted run to the same digest.
     """
     from repro.attack.orchestrator import AttackCampaign
     from repro.sim.errors import ConfigError
 
-    if args.checkpoint is None:
-        for flag, name in (
-            (args.resume, "--resume"),
-            (args.shard != "0/1", "--shard"),
-            (args.merge_shards, "--merge-shards"),
-        ):
-            if flag:
-                raise ConfigError(f"{name} requires --checkpoint DIR")
+    if args.resume and args.checkpoint is None:
+        raise ConfigError("--resume requires --checkpoint DIR")
     campaign = AttackCampaign(
         _vulnerable_config(args.seed, args.density),
         args.campaign,
@@ -307,17 +299,11 @@ def _cmd_attack_campaign(
     if args.checkpoint is None:
         result = campaign.run()
     else:
-        from repro.parallel.service import CampaignService, Shard, merge_shards
+        from repro.parallel.service import CampaignService
 
-        if args.merge_shards:
-            result = merge_shards(args.checkpoint, campaign=campaign)
-        else:
-            result = CampaignService(
-                campaign,
-                args.checkpoint,
-                shard=Shard.parse(args.shard),
-                resume=args.resume,
-            ).run()
+        result = CampaignService(
+            campaign, args.checkpoint, resume=args.resume
+        ).run()
     if args.json:
         import json
 
@@ -574,19 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --checkpoint: continue an interrupted campaign from the "
         "journal instead of refusing to touch it",
-    )
-    attack.add_argument(
-        "--shard",
-        metavar="I/N",
-        default="0/1",
-        help="with --checkpoint: run only attempt indices congruent to I "
-        "mod N (default 0/1 = the whole campaign)",
-    )
-    attack.add_argument(
-        "--merge-shards",
-        action="store_true",
-        help="with --checkpoint: merge completed shard journals in DIR "
-        "into the serial campaign digest instead of running attempts",
     )
     from repro.sim.chaos import CHAOS_PROFILES
 

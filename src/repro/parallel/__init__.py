@@ -4,28 +4,24 @@
 (:meth:`~repro.attack.orchestrator.AttackCampaign.iter_attempts`) from a
 process pool when ``workers > 1``; :mod:`repro.parallel.service` is the
 checkpointed campaign service that journals that stream (resumable,
-shardable, streaming).  Both implement the execution contract in
+streaming).  Both implement the execution contract in
 ``docs/CAMPAIGNS.md``.
 """
 
 from repro.parallel.pool import iter_pooled, make_pool_block, register_pool_metrics
 from repro.parallel.service import (
     CampaignService,
-    Shard,
     campaign_config_hash,
     make_service_block,
-    merge_shards,
     register_service_metrics,
 )
 
 __all__ = [
     "CampaignService",
-    "Shard",
     "campaign_config_hash",
     "iter_pooled",
     "make_pool_block",
     "make_service_block",
-    "merge_shards",
     "register_pool_metrics",
     "register_service_metrics",
 ]

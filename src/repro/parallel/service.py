@@ -1,4 +1,4 @@
-"""Resumable, sharded campaign service: crash-safe checkpoints, streaming results.
+"""Resumable campaign service: crash-safe checkpoints, streaming results.
 
 An in-memory :meth:`~repro.attack.orchestrator.AttackCampaign.run` is
 one-shot: a crash, an OOM kill or a preempted host discards every
@@ -6,8 +6,9 @@ attempt already simulated.  :class:`CampaignService` consumes the same
 attempt stream
 (:meth:`~repro.attack.orchestrator.AttackCampaign.iter_attempts`) but
 journals each outcome instead of collecting it, which turns a campaign
-into a restartable service with four properties, none of which changes
-a single result bit (docs/CAMPAIGNS.md is the contract):
+into a restartable service — one campaign per checkpoint directory —
+with three properties, none of which changes a single result bit
+(docs/CAMPAIGNS.md is the contract):
 
 * **Checkpointed** — every completed attempt is appended to a CRC-framed
   JSONL *journal* and fsync'd, alongside an atomically-replaced
@@ -15,11 +16,6 @@ a single result bit (docs/CAMPAIGNS.md is the contract):
   digest and progress.  ``kill -9`` at any instant loses at most the
   attempt being written; resume re-runs it and the final digest is
   bit-identical to an uninterrupted run.
-* **Shardable** — ``shard=i/N`` owns attempt indices ``i, i+N, i+2N,
-  ...``.  N independent invocations (different hosts, different times)
-  each journal their own shard; :func:`merge_shards` folds the journals
-  back into the exact serial digest and
-  :func:`~repro.obs.metrics.merge_metric_states`-merged metrics block.
 * **Streaming** — attempt reports are journaled and *released*, never
   accumulated; pooled dispatch keeps a bounded in-flight window
   (:func:`~repro.parallel.pool.iter_pooled`), so RSS is near-constant
@@ -51,28 +47,29 @@ torn records) lands in the result's ``service`` block — the
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import sys
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry, MetricStateAccumulator
-from repro.sim.errors import CheckpointError, ConfigError, WorkerLostError
+from repro.sim.errors import CheckpointError, WorkerLostError
 
 __all__ = [
     "CampaignService",
-    "Shard",
     "campaign_config_hash",
     "make_service_block",
-    "merge_shards",
     "register_service_metrics",
 ]
 
 MANIFEST_VERSION = 1
+
+# "0of1" names the one shard of the retired multi-host split; the names
+# stay so a checkpoint written then still resumes, byte-identically.
+JOURNAL_NAME = "journal-0of1.jsonl"
+MANIFEST_NAME = "manifest-0of1.json"
 
 # The journal is the durable record of progress (resume scans it, never
 # the manifest's advisory `completed` counter), so the manifest's
@@ -85,63 +82,15 @@ MANIFEST_REFRESH_EVERY = 64
 WORKER_RETRIES = 2
 
 
-# -- sharding ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One of N interleaved partitions of a campaign's attempt indices.
-
-    Shard ``i/N`` owns every attempt index congruent to ``i`` mod ``N``
-    — a pure function of the index, so any subset of shards can run
-    anywhere, in any order, and still tile the campaign exactly.
-    """
-
-    index: int = 0
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ConfigError(f"shard count must be at least 1, got {self.count}")
-        if not 0 <= self.index < self.count:
-            raise ConfigError(
-                f"shard index must be in [0, {self.count}), got {self.index}"
-            )
-
-    @classmethod
-    def parse(cls, spec: str) -> Shard:
-        """Parse the CLI form ``"i/N"`` (e.g. ``"0/4"``)."""
-        try:
-            index_text, count_text = spec.split("/", 1)
-            return cls(index=int(index_text), count=int(count_text))
-        except ValueError as exc:
-            raise ConfigError(
-                f"shard spec {spec!r} is not of the form 'i/N'"
-            ) from exc
-
-    @property
-    def spec(self) -> str:
-        return f"{self.index}/{self.count}"
-
-    @property
-    def tag(self) -> str:
-        """Filesystem-safe name fragment (``0of4``)."""
-        return f"{self.index}of{self.count}"
-
-    def indices(self, attempts: int) -> range:
-        """The attempt indices this shard owns, ascending."""
-        return range(self.index, attempts, self.count)
-
-
 def campaign_config_hash(campaign) -> str:
     """Hash of everything that determines campaign *results*.
 
     One fixed tuple: the machine config, attempt count, modality, attack
     and orchestrator configs, scenario and chaos knobs — frozen data with
-    deterministic reprs.  Engine choices with zero result consequences
-    (workers, shard) are deliberately excluded: a
-    campaign checkpointed on 4 workers may resume on 1, or sharded
-    differently, without tripping the mismatch check.
+    deterministic reprs.  The worker count, an engine choice with zero
+    result consequences, is deliberately excluded: a campaign
+    checkpointed on 4 workers may resume on 1 without tripping the
+    mismatch check.
     """
     description = repr((
         campaign.base_config,
@@ -213,44 +162,6 @@ def scan_journal(path) -> tuple[dict[int, int], int, int]:
     return offsets, valid_end, torn
 
 
-def _read_record(fh, offset: int, index: int, path) -> dict:
-    """Re-read one validated record during the finalize pass."""
-    fh.seek(offset)
-    record = decode_line(fh.readline())
-    if record is None or record["index"] != index:
-        raise CheckpointError(
-            f"{path}: record for attempt {index} at byte {offset} changed "
-            "under the service while finalizing"
-        )
-    return record
-
-
-def _report_json(record: dict) -> bytes:
-    """The attempt's canonical report JSON, byte-identical to ``to_json()``."""
-    return json.dumps(
-        record["report"], sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-
-
-def _fold_records(records) -> tuple[str, dict, int]:
-    """Fold journal records, in attempt-index order, into a campaign summary.
-
-    Returns ``(digest, merged metrics, successes)``: the digest is the
-    SHA-256 over every report's canonical JSON plus a newline, exactly as
-    an in-memory campaign computes it.
-    """
-    hasher = hashlib.sha256()
-    accumulator = MetricStateAccumulator()
-    successes = 0
-    for record in records:
-        hasher.update(_report_json(record))
-        hasher.update(b"\n")
-        accumulator.add(record["state"])
-        if record["report"]["success"]:
-            successes += 1
-    return hasher.hexdigest(), accumulator.result(), successes
-
-
 def _write_json_atomic(path: Path, payload: dict) -> None:
     """Durably replace ``path``: write temp, fsync, rename, fsync the dir."""
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -278,7 +189,7 @@ def register_service_metrics(registry):
     return {
         "journaled": registry.counter(
             "campaign.service.attempts_journaled", unit="attempts",
-            help="attempt reports appended to the shard journal this run",
+            help="attempt reports appended to the journal this run",
         ),
         "resumed": registry.counter(
             "campaign.service.attempts_resumed", unit="attempts",
@@ -298,15 +209,12 @@ def register_service_metrics(registry):
         ),
         "journal_bytes": registry.gauge(
             "campaign.service.journal_bytes", unit="bytes",
-            help="size of the shard journal after the run",
+            help="size of the journal after the run",
         ),
         "window": registry.gauge(
             "campaign.service.inflight_window", unit="attempts",
-            help="bound on attempts in flight over the pool",
-        ),
-        "shard_attempts": registry.gauge(
-            "campaign.service.shard_attempts", unit="attempts",
-            help="attempt indices owned by this shard",
+            help="bound on attempts in flight: 2 x pool workers, 1 serial, "
+            "0 when nothing ran",
         ),
     }
 
@@ -320,7 +228,6 @@ def make_service_block(
     workers_lost: int,
     journal_bytes: int,
     window: int,
-    shard_attempts: int,
 ) -> dict:
     """The ``service`` result block: a snapshot of the campaign.service.* family."""
     registry = MetricsRegistry(enabled=True)
@@ -332,7 +239,6 @@ def make_service_block(
     handles["workers_lost"].inc(workers_lost)
     handles["journal_bytes"].set(journal_bytes)
     handles["window"].set(window)
-    handles["shard_attempts"].set(shard_attempts)
     return registry.snapshot()
 
 
@@ -340,31 +246,23 @@ def make_service_block(
 
 
 class CampaignService:
-    """Checkpointed execution of one campaign shard (see module docstring).
+    """Checkpointed execution of one campaign (see module docstring).
 
-    ``run()`` is idempotent: a fresh directory runs the shard from
+    ``run()`` is idempotent: a fresh directory runs the campaign from
     attempt zero; an interrupted checkpoint (with ``resume=True``)
     continues from the last valid journal record; a completed checkpoint
     just re-finalizes from the journal without running anything.  The
     returned :class:`~repro.attack.orchestrator.CampaignResult` is
     summary-only (reports live in the journal) and its digest is
-    bit-identical to the in-memory engines' for the same shard.
+    bit-identical to the in-memory engines'.
     """
 
-    def __init__(
-        self,
-        campaign,
-        checkpoint_dir,
-        *,
-        shard: Shard | None = None,
-        resume: bool = False,
-    ):
+    def __init__(self, campaign, checkpoint_dir, *, resume: bool = False):
         self.campaign = campaign
         self.directory = Path(checkpoint_dir)
-        self.shard = shard or Shard()
         self.resume = resume
-        self.journal_path = self.directory / f"journal-{self.shard.tag}.jsonl"
-        self.manifest_path = self.directory / f"manifest-{self.shard.tag}.json"
+        self.journal_path = self.directory / JOURNAL_NAME
+        self.manifest_path = self.directory / MANIFEST_NAME
         self._counters = {
             "journaled": 0, "resumed": 0, "torn": 0,
             "worker_retries": 0, "workers_lost": 0,
@@ -399,8 +297,6 @@ class CampaignService:
             # Advisory (the config hash is the authority): which attack
             # modality wrote this checkpoint, for humans reading the dir.
             "modality": self.campaign.modality,
-            "shard": self.shard.spec,
-            "journal": self.journal_path.name,
             "completed": completed,
             "status": status,
             "digest": digest,
@@ -409,7 +305,7 @@ class CampaignService:
     # -- execution ---------------------------------------------------------------
 
     def run(self):
-        """Run (or resume) this shard to completion; summary-only result."""
+        """Run (or resume) the campaign to completion; summary-only result."""
         campaign = self.campaign
         self.directory.mkdir(parents=True, exist_ok=True)
         config_hash = campaign_config_hash(campaign)
@@ -420,9 +316,9 @@ class CampaignService:
         if self.journal_path.exists() or self.manifest_path.exists():
             if not self.resume:
                 raise CheckpointError(
-                    f"{self.directory} already holds a checkpoint for shard "
-                    f"{self.shard.spec}; pass resume=True (--resume) to "
-                    "continue it, or point the service at a fresh directory"
+                    f"{self.directory} already holds a checkpoint; pass "
+                    "resume=True (--resume) to continue it, or point the "
+                    "service at a fresh directory"
                 )
             manifest = self._load_manifest()
             if manifest.get("config_hash") != config_hash:
@@ -442,17 +338,10 @@ class CampaignService:
                     with open(self.journal_path, "r+b") as fh:
                         fh.truncate(valid_end)
 
-        indices = list(self.shard.indices(campaign.attempts))
-        owned = set(indices)
-        stray = sorted(set(offsets) - owned)
-        if stray:
-            raise CheckpointError(
-                f"{self.journal_path} holds attempts {stray[:4]}... outside "
-                f"shard {self.shard.spec} — was the checkpoint created with a "
-                "different shard spec?"
-            )
         self._counters["resumed"] = len(offsets)
-        remaining = [index for index in indices if index not in offsets]
+        remaining = [
+            index for index in range(campaign.attempts) if index not in offsets
+        ]
 
         self._write_manifest(
             config_hash=config_hash, snapshot_digest=snapshot_digest,
@@ -475,8 +364,6 @@ class CampaignService:
                     file=sys.stderr,
                 )
         wall_by_pid: dict[int, int] = {}
-        # The journal is opened even when nothing remains, so a shard that
-        # owns no attempts still leaves an (empty) journal for the merge.
         with open(self.journal_path, "ab") as journal_fh:
             journal_fh.seek(0, os.SEEK_END)
             for index, report, state, pid, wall_ns in self._execute(
@@ -497,7 +384,7 @@ class CampaignService:
                         completed=len(offsets), status="running",
                     )
 
-        result = self._finalize(indices, offsets, wall_by_pid)
+        result = self._finalize(offsets, wall_by_pid)
         self._write_manifest(
             config_hash=config_hash, snapshot_digest=snapshot_digest,
             completed=len(offsets), status="complete", digest=result.digest(),
@@ -537,28 +424,60 @@ class CampaignService:
 
     # -- finalize ----------------------------------------------------------------
 
-    def _finalize(self, indices, offsets, wall_by_pid):
-        """Second pass over the journal: digest + merged metrics, in order."""
+    def _finalize(self, offsets, wall_by_pid):
+        """Second pass over the journal: digest + merged metrics, in order.
+
+        The digest is the SHA-256 over every report's canonical JSON plus
+        a newline, in attempt-index order, exactly as an in-memory
+        campaign computes it.
+        """
         from repro.attack.orchestrator import CampaignResult
 
         campaign = self.campaign
-        missing = [index for index in indices if index not in offsets]
+        missing = [
+            index for index in range(campaign.attempts) if index not in offsets
+        ]
         if missing:
             raise CheckpointError(
                 f"{self.journal_path}: attempts {missing[:4]}... were never "
-                "journaled; the shard did not complete"
+                "journaled; the campaign did not complete"
             )
+        hasher = hashlib.sha256()
+        accumulator = MetricStateAccumulator()
+        successes = 0
         with open(self.journal_path, "rb") as fh:
-            digest, metrics, successes = _fold_records(
-                _read_record(fh, offsets[index], index, self.journal_path)
-                for index in indices
-            )
+            for index in range(campaign.attempts):
+                fh.seek(offsets[index])
+                record = decode_line(fh.readline())
+                if record is None or record["index"] != index:
+                    raise CheckpointError(
+                        f"{self.journal_path}: record for attempt {index} at "
+                        f"byte {offsets[index]} changed under the service "
+                        "while finalizing"
+                    )
+                hasher.update(json.dumps(
+                    record["report"], sort_keys=True, separators=(",", ":")
+                ).encode("utf-8"))
+                hasher.update(b"\n")
+                accumulator.add(record["state"])
+                if record["report"]["success"]:
+                    successes += 1
         pool_block = campaign._pool_block(
-            owned=len(indices),
+            owned=campaign.attempts,
             dispatched=self._counters["journaled"] + self._counters["worker_retries"],
             completed=self._counters["journaled"],
             wall_by_pid=wall_by_pid,
         )
+        # The in-flight bound this run used: iter_pooled keeps two
+        # attempts per pool worker, and it starts no more workers than
+        # there are attempts to run (every one of them is journaled).
+        ran = self._counters["journaled"]
+        if not ran:
+            window = 0
+        elif campaign.workers > 1:
+            window = 2 * min(campaign.workers, ran)
+        else:
+            window = 1
         service_block = make_service_block(
             journaled=self._counters["journaled"],
             resumed=self._counters["resumed"],
@@ -566,125 +485,16 @@ class CampaignService:
             worker_retries=self._counters["worker_retries"],
             workers_lost=self._counters["workers_lost"],
             journal_bytes=self.journal_path.stat().st_size,
-            # The in-flight bound iter_pooled derives from the worker count.
-            window=2 * max(1, campaign.workers),
-            shard_attempts=len(indices),
+            window=window,
         )
         return CampaignResult(
             reports=(),
-            metrics=metrics,
+            metrics=accumulator.result(),
             pool=pool_block,
             service=service_block,
             summary={
-                "attempts": len(indices),
+                "attempts": campaign.attempts,
                 "successes": successes,
-                "digest": digest,
+                "digest": hasher.hexdigest(),
             },
         )
-
-
-# -- shard merge -------------------------------------------------------------------
-
-
-def merge_shards(checkpoint_dir, campaign=None):
-    """Fold every shard journal in ``checkpoint_dir`` into one result.
-
-    Walks attempt indices ``0..attempts-1`` in order, reading each
-    record from the journal of the shard that owns it (``index mod N``),
-    so the digest and the merged metrics block come out exactly as an
-    unsharded serial run's.  Every shard must be present and complete;
-    pass ``campaign`` to additionally pin the config hash.
-    """
-    from repro.attack.orchestrator import CampaignResult
-
-    directory = Path(checkpoint_dir)
-    manifests = {}
-    for path in sorted(directory.glob("manifest-*.json")):
-        with open(path, "rb") as fh:
-            try:
-                manifest = json.loads(fh.read())
-            except ValueError as exc:
-                raise CheckpointError(f"{path} is not valid JSON: {exc}") from exc
-        shard = Shard.parse(manifest["shard"])
-        manifests[shard] = manifest
-    if not manifests:
-        raise CheckpointError(f"{directory} holds no shard manifests to merge")
-
-    counts = {shard.count for shard in manifests}
-    if len(counts) != 1:
-        raise CheckpointError(
-            f"{directory} mixes shard counts {sorted(counts)}; every shard "
-            "must come from the same i/N partitioning"
-        )
-    count = counts.pop()
-    present = {shard.index for shard in manifests}
-    absent = sorted(set(range(count)) - present)
-    if absent:
-        raise CheckpointError(
-            f"{directory} is missing shards {absent} of {count}; run them "
-            "before merging"
-        )
-
-    hashes = {manifest["config_hash"] for manifest in manifests.values()}
-    attempts_seen = {manifest["attempts"] for manifest in manifests.values()}
-    if len(hashes) != 1 or len(attempts_seen) != 1:
-        raise CheckpointError(
-            f"{directory} mixes campaigns (config hashes {sorted(hashes)}); "
-            "shards of different campaigns cannot merge"
-        )
-    config_hash = hashes.pop()
-    attempts = attempts_seen.pop()
-    if campaign is not None:
-        expected = campaign_config_hash(campaign)
-        if expected != config_hash:
-            raise CheckpointError(
-                f"{directory}: shard checkpoints were created by a different "
-                f"campaign configuration (config hash {config_hash[:12]}… != "
-                f"{expected[:12]}…)"
-            )
-        if campaign.attempts != attempts:
-            raise CheckpointError(
-                f"{directory}: shards cover {attempts} attempts, campaign "
-                f"expects {campaign.attempts}"
-            )
-    by_index: dict[int, tuple] = {}
-    journal_bytes = 0
-    torn_total = 0
-    with contextlib.ExitStack() as handles:
-        for shard, manifest in manifests.items():
-            path = directory / manifest["journal"]
-            offsets, _valid_end, torn = scan_journal(path)
-            torn_total += torn
-            owned = set(shard.indices(attempts))
-            missing = sorted(owned - set(offsets))
-            if missing:
-                raise CheckpointError(
-                    f"{path}: shard {shard.spec} never journaled attempts "
-                    f"{missing[:4]}...; resume it to completion before merging"
-                )
-            journal_bytes += path.stat().st_size
-            handle = handles.enter_context(open(path, "rb"))
-            for index in owned:
-                by_index[index] = (handle, offsets[index], path)
-
-        digest, metrics, successes = _fold_records(
-            _read_record(handle, offset, index, path)
-            for index, (handle, offset, path) in sorted(by_index.items())
-        )
-
-    service_block = make_service_block(
-        journaled=0, resumed=attempts, torn=torn_total,
-        worker_retries=0, workers_lost=0,
-        journal_bytes=journal_bytes, window=0, shard_attempts=attempts,
-    )
-    return CampaignResult(
-        reports=(),
-        metrics=metrics,
-        pool=None,
-        service=service_block,
-        summary={
-            "attempts": attempts,
-            "successes": successes,
-            "digest": digest,
-        },
-    )

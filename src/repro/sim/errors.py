@@ -63,9 +63,8 @@ class CheckpointError(ReproError):
 
     Raised by the campaign service when a checkpoint exists but resume
     was not requested, when the manifest's config hash does not match the
-    campaign being run, when a journal is corrupted beyond its torn tail
-    (an invalid record *followed by* valid ones), or when a shard merge
-    finds the shard set incomplete or inconsistent.
+    campaign being run, or when a journal is corrupted beyond its torn
+    tail (an invalid record *followed by* valid ones).
     """
 
 

@@ -246,8 +246,6 @@ class TestCheckpointFlags:
         "extra, flag",
         [
             (["--resume"], "--resume"),
-            (["--shard", "1/2"], "--shard"),
-            (["--merge-shards"], "--merge-shards"),
         ],
     )
     def test_service_flags_require_checkpoint(self, capsys, extra, flag):
@@ -265,6 +263,8 @@ class TestCheckpointFlags:
             ["--window", "4"],
             ["--worker-retries", "5"],
             ["--trace-format", "jsonl"],
+            ["--shard", "1/2"],
+            ["--merge-shards"],
         ],
         ids=lambda extra: extra[0],
     )

@@ -1,11 +1,11 @@
-"""Campaign service: crash-safe checkpoints, sharding, worker-loss retry.
+"""Campaign service: crash-safe checkpoints, resume, worker-loss retry.
 
-The contract under test (docs/CAMPAIGNS.md): checkpointing, resuming,
-sharding and worker loss are engine events, never result events.  A
-service run's digest must equal the in-memory engines' digest for the
-same campaign; a ``kill -9`` mid-run, a torn trailing journal record, a
-died pool worker or an i/N shard split must all resume/merge back to
-that exact digest.  Framing, manifest and config-hash plumbing get unit
+The contract under test (docs/CAMPAIGNS.md): checkpointing, resuming
+and worker loss are engine events, never result events.  A service
+run's digest must equal the in-memory engines' digest for the same
+campaign; a ``kill -9`` mid-run, a torn trailing journal record, a died
+pool worker or a checkpoint written by an older release must all resume
+back to that exact digest.  Framing, manifest and config-hash plumbing get unit
 tests; the end-to-end crash path runs through the subprocess smoke
 driver (scripts/service_smoke.py) against the real CLI.
 """
@@ -30,16 +30,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel import service as service_module
 from repro.parallel.service import (
     CampaignService,
-    Shard,
     campaign_config_hash,
     decode_line,
     encode_record,
     make_service_block,
-    merge_shards,
     register_service_metrics,
     scan_journal,
 )
-from repro.sim.errors import CheckpointError, ConfigError, WorkerLostError
+from repro.sim.errors import CheckpointError, WorkerLostError
 from repro.sim.units import MIB
 
 FAST = ExplFrameConfig(
@@ -68,34 +66,6 @@ def make_faultprobe_campaign(attempts=4, seed=7, **kwargs):
         vulnerable_config(seed), attempts, attack_config=FAST_PROBE,
         modality="faultprobe", **kwargs
     )
-
-
-# -- sharding ----------------------------------------------------------------------
-
-
-class TestShard:
-    def test_parse_round_trips_spec_and_tag(self):
-        shard = Shard.parse("2/4")
-        assert (shard.index, shard.count) == (2, 4)
-        assert shard.spec == "2/4"
-        assert shard.tag == "2of4"
-
-    def test_default_shard_owns_everything(self):
-        assert list(Shard().indices(5)) == [0, 1, 2, 3, 4]
-
-    def test_interleaved_indices_tile_the_campaign(self):
-        attempts = 10
-        tiles = [list(Shard(i, 3).indices(attempts)) for i in range(3)]
-        assert tiles[0] == [0, 3, 6, 9]
-        assert tiles[1] == [1, 4, 7]
-        assert sorted(index for tile in tiles for index in tile) == list(
-            range(attempts)
-        )
-
-    @pytest.mark.parametrize("spec", ["", "3", "a/b", "1/0", "2/2", "-1/2"])
-    def test_bad_specs_are_config_errors(self, spec):
-        with pytest.raises(ConfigError):
-            Shard.parse(spec)
 
 
 class TestConfigHash:
@@ -198,13 +168,12 @@ class TestServiceTelemetry:
             "campaign.service.workers_lost",
             "campaign.service.journal_bytes",
             "campaign.service.inflight_window",
-            "campaign.service.shard_attempts",
         }
 
     def test_make_service_block_shape(self):
         block = make_service_block(
             journaled=3, resumed=1, torn=1, worker_retries=2, workers_lost=1,
-            journal_bytes=4096, window=4, shard_attempts=4,
+            journal_bytes=4096, window=4,
         )
         assert block["campaign.service.attempts_journaled"] == 3
         assert block["campaign.service.attempts_resumed"] == 1
@@ -213,16 +182,6 @@ class TestServiceTelemetry:
         assert block["campaign.service.workers_lost"] == 1
         assert block["campaign.service.journal_bytes"] == 4096
         assert block["campaign.service.inflight_window"] == 4
-        assert block["campaign.service.shard_attempts"] == 4
-
-
-# -- construction validation -------------------------------------------------------
-
-
-class TestServiceValidation:
-    def test_merge_of_empty_directory_is_a_checkpoint_error(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no shard manifests"):
-            merge_shards(tmp_path)
 
 
 # -- worker death plumbing ---------------------------------------------------------
@@ -334,6 +293,8 @@ class TestServiceParity:
         assert result.reports == ()  # streaming: reports live in the journal
         assert result.service["campaign.service.attempts_journaled"] == 4
         assert result.service["campaign.service.attempts_resumed"] == 0
+        # A serial run has no pool: one attempt is in flight at a time.
+        assert result.service["campaign.service.inflight_window"] == 1
 
     def test_existing_checkpoint_without_resume_is_refused(self, tmp_path):
         CampaignService(make_campaign(attempts=4), tmp_path).run()
@@ -349,6 +310,7 @@ class TestServiceParity:
         assert result.metrics == reference["metrics"]
         assert result.service["campaign.service.attempts_journaled"] == 0
         assert result.service["campaign.service.attempts_resumed"] == 4
+        assert result.service["campaign.service.inflight_window"] == 0
 
     def test_torn_tail_is_truncated_and_rerun_to_the_same_digest(
         self, tmp_path, reference
@@ -372,6 +334,47 @@ class TestServiceParity:
         assert resumed.service["campaign.service.attempts_resumed"] == 3
         assert resumed.service["campaign.service.attempts_journaled"] == 1
 
+    def test_pooled_resume_reports_the_window_its_pool_used(
+        self, tmp_path, reference
+    ):
+        service = CampaignService(make_campaign(attempts=4), tmp_path)
+        service.run()
+        journal = service.journal_path
+        journal.write_bytes(b"".join(journal.read_bytes().splitlines(True)[:2]))
+
+        resumed = CampaignService(
+            make_campaign(attempts=4, workers=4), tmp_path, resume=True
+        ).run()
+        assert resumed.digest() == reference["digest"]
+        assert resumed.service["campaign.service.attempts_resumed"] == 2
+        # Two attempts left start two workers, each with two in flight.
+        assert resumed.service["campaign.service.inflight_window"] == 4
+
+    def test_checkpoint_with_retired_manifest_keys_still_resumes(
+        self, tmp_path, reference
+    ):
+        # Older releases wrote the manifest with "shard" and "journal"
+        # keys under these same file names; such a checkpoint must
+        # resume to the same digest.
+        CampaignService(make_campaign(attempts=4), tmp_path).run()
+        manifest_path = tmp_path / "manifest-0of1.json"
+        journal = tmp_path / "journal-0of1.jsonl"
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(
+            shard="0/1", journal="journal-0of1.jsonl",
+            completed=1, status="running", digest=None,
+        )
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+        journal.write_bytes(journal.read_bytes().splitlines(True)[0])
+
+        resumed = CampaignService(
+            make_campaign(attempts=4), tmp_path, resume=True
+        ).run()
+        assert resumed.digest() == reference["digest"]
+        assert resumed.metrics == reference["metrics"]
+        assert resumed.service["campaign.service.attempts_resumed"] == 1
+        assert resumed.service["campaign.service.attempts_journaled"] == 3
+
     def test_config_hash_mismatch_refuses_to_mix_results(self, tmp_path):
         CampaignService(make_campaign(attempts=4), tmp_path).run()
         with pytest.raises(CheckpointError, match="different campaign config"):
@@ -389,8 +392,6 @@ class TestServiceParity:
             "snapshot_digest": None,
             "attempts": 4,
             "modality": "explframe",
-            "shard": "0/1",
-            "journal": "journal-0of1.jsonl",
             "completed": 0,
             "status": "running",
             "digest": None,
@@ -412,33 +413,6 @@ class TestServiceParity:
                 assert rebuilt.to_json() == json.dumps(
                     record["report"], sort_keys=True, separators=(",", ":")
                 )
-
-
-@pytest.mark.slow
-class TestShardMergeParity:
-    # 4 attempts over 5 shards leaves shard 4/5 with no attempts.
-    @pytest.mark.parametrize("shards", [2, 4, 5])
-    def test_merge_reproduces_the_serial_digest(
-        self, tmp_path, reference, shards
-    ):
-        for index in range(shards):
-            shard = Shard(index, shards)
-            result = CampaignService(
-                make_campaign(attempts=4), tmp_path, shard=shard
-            ).run()
-            assert result.attempts == len(shard.indices(4))
-        merged = merge_shards(tmp_path, campaign=make_campaign(attempts=4))
-        assert merged.digest() == reference["digest"]
-        assert merged.metrics == reference["metrics"]
-        assert merged.attempts == 4
-        assert merged.successes == reference["successes"]
-
-    def test_missing_shard_blocks_the_merge(self, tmp_path):
-        CampaignService(
-            make_campaign(attempts=4), tmp_path, shard=Shard(0, 2)
-        ).run()
-        with pytest.raises(CheckpointError, match="missing shards"):
-            merge_shards(tmp_path)
 
 
 # -- the real CLI under kill -9 ----------------------------------------------------
