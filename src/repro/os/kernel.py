@@ -535,12 +535,12 @@ class Kernel:
         controller = self.controller
         if controller.geometry.row_bytes < PAGE_SIZE:
             return 0
-        entries = task.mm.page_table.entries(va, pages)
+        table = task.mm.page_table
         pfns: dict[int, None] = {}
-        for entry in entries:
-            if (data is not None and not entry.writable) or entry.pfn in pfns:
+        for pfn in table.frames(va, pages, write=data is not None):
+            if pfn in pfns:
                 break
-            pfns[entry.pfn] = None
+            pfns[pfn] = None
         end = self._span_end_ns(len(pfns) * lines)
         refw = controller.effective_refw_ns()
         if (
@@ -552,17 +552,15 @@ class Kernel:
         pas = np.fromiter(pfns, np.int64, len(pfns)) << PAGE_SHIFT
         served = self.cache.access_pages(pas, lines)
         memory = controller.memory
+        table.touch(va, served, write=data is not None)
         activations = 0
-        for index, (key, row) in enumerate(controller.bank_rows(pas[:served])):
-            entry = entries[index]
-            entry.accessed = True
+        for index, ((key, row), pfn) in enumerate(zip(controller.bank_rows(pas[:served]), pfns)):
             activations += controller.access_row(key, row, lines)
             if data is None:
-                out.append(memory.frame_snapshot(entry.pfn))
+                out.append(memory.frame_snapshot(pfn))
             else:
-                entry.dirty = True
                 page = data[index * PAGE_SIZE : (index + 1) * PAGE_SIZE]
-                memory.write(entry.pfn << PAGE_SHIFT, page)
+                memory.write(pfn << PAGE_SHIFT, page)
         if served:
             self.stats.streams += 1
             self.stats.stream_lines += served * lines

@@ -240,6 +240,11 @@ class EventScheduler:
             heap = self._queues.get(queue)
             if not heap:
                 return 0
+            # The common case: a live head that is not due yet.  A
+            # cancelled head takes the loop below, which skims it.
+            due, _, event = heap[0]
+            if due > self.clock.now_ns and not event.cancelled:
+                return 0
             while heap:
                 self._skim(heap)
                 if not heap:

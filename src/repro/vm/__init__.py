@@ -1,7 +1,9 @@
 """Virtual memory: page tables, VMAs, address spaces and pagemap.
 
 Implements the virtual-memory side of the paper's Section II: fixed-size
-pages mapped to physical frames through multi-level page tables, plus the
+pages mapped to physical frames through x86-64 page tables (48-bit
+canonical addresses; the leaves are stored flat, one packed int per page,
+see :mod:`repro.vm.pagetable`), plus the
 ``/proc/<pid>/pagemap`` interface whose privilege gating (PFNs hidden from
 non-CAP_SYS_ADMIN readers since Linux 4.0) motivates the whole attack.
 """

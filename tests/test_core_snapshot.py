@@ -249,6 +249,68 @@ class TestFlipLogIsolation:
         assert b"FlipEvent" not in templated.snapshot()._blob
 
 
+class TestPageTableIsolation:
+    """Page tables are plain values in the blob; forks never share them."""
+
+    PAGES = 8
+
+    @pytest.fixture(scope="class")
+    def warm(self):
+        """A machine with dirty, clean and unpopulated pages in one task."""
+        machine = Machine(MachineConfig.small(seed=0))
+        kernel = machine.kernel
+        pid = kernel.spawn("tenant").pid
+        dirty = kernel.sys_mmap(pid, self.PAGES * PAGE_SIZE)
+        kernel.mem_write(pid, dirty, b"\x5a" * (self.PAGES // 2) * PAGE_SIZE)
+        clean = kernel.sys_mmap(pid, self.PAGES * PAGE_SIZE, populate=True)
+        return machine, pid, dirty, clean
+
+    @staticmethod
+    def _table(machine, pid):
+        return list(machine.kernel.task(pid).mm.page_table.walk())
+
+    def _check_isolation(self, snapshot, pid, dirty, clean, before):
+        fork_a, _ = snapshot.fork()
+        fork_b, _ = snapshot.fork(seed=3)
+        kernel = fork_a.kernel
+        kernel.mem_read(pid, clean, PAGE_SIZE)  # sets an accessed bit
+        kernel.mem_write(pid, clean + PAGE_SIZE, b"\x01")  # accessed and dirty
+        kernel.mem_write(pid, dirty + (self.PAGES - 1) * PAGE_SIZE, b"\x02")  # a new mapping
+        kernel.sys_munmap(pid, dirty, PAGE_SIZE)  # a removed mapping
+        changed = self._table(fork_a, pid)
+        assert changed != before
+        bits = {va: (entry.accessed, entry.dirty) for va, entry in changed}
+        assert bits[clean] == (True, False) and bits[clean + PAGE_SIZE] == (True, True)
+        assert dirty not in bits and dirty + (self.PAGES - 1) * PAGE_SIZE in bits
+        assert self._table(fork_b, pid) == before
+        assert self._table(snapshot.fork()[0], pid) == before
+
+    def test_fork_changes_stay_in_their_fork(self, warm):
+        machine, pid, dirty, clean = warm
+        before = self._table(machine, pid)
+        assert any(entry.dirty for _, entry in before)
+        assert any(not entry.accessed for _, entry in before)
+        self._check_isolation(machine.snapshot(), pid, dirty, clean, before)
+        assert self._table(machine, pid) == before
+
+    def test_fork_changes_stay_in_their_fork_after_shipping(self, warm):
+        machine, pid, dirty, clean = warm
+        before = self._table(machine, pid)
+        shipped = MachineSnapshot.from_bytes(machine.snapshot().to_bytes())
+        self._check_isolation(shipped, pid, dirty, clean, before)
+
+    def test_live_machine_changes_do_not_reach_the_snapshot(self, warm):
+        machine, pid, dirty, clean = warm
+        fork, _ = machine.snapshot().fork()
+        before = self._table(fork, pid)
+        snapshot = fork.snapshot()
+        fork.kernel.mem_write(pid, clean + 2 * PAGE_SIZE, b"\x03")
+        assert self._table(snapshot.fork()[0], pid) == before
+
+    def test_no_entry_objects_in_the_blob(self, warm):
+        assert b"PageTableEntry" not in warm[0].snapshot()._blob
+
+
 class TestEventCoreIntegration:
     def test_refresh_dispatches_through_dram_queue(self):
         machine = Machine(MachineConfig.small(seed=0))

@@ -107,6 +107,59 @@ class TestDispatchOrdering:
         assert rec.log == []
 
 
+class TestQueueDispatchFastPath:
+    """``dispatch_due(queue)`` returns at once when the head is live and
+    not due, but still skims a cancelled head first."""
+
+    def test_live_head_not_yet_due_leaves_the_heap_alone(self):
+        events = make_scheduler(start_ns=10)
+        rec = Recorder()
+        events.schedule("later", 20, rec.cb("later"), queue="dram")
+        heap = list(events._queues["dram"])
+        assert events.dispatch_due("dram") == 0
+        assert events._queues["dram"] == heap
+        assert events.dispatched_total == 0
+
+    def test_cancelled_due_head_above_a_live_future_event_is_skimmed(self):
+        events = make_scheduler(start_ns=10)
+        rec = Recorder()
+        stale = events.schedule("stale", 10, rec.cb("stale"), queue="dram")
+        events.schedule("later", 20, rec.cb("later"), queue="dram")
+        events.cancel(stale)
+        assert events.dispatch_due("dram") == 0
+        assert [event.name for _, _, event in events._queues["dram"]] == ["later"]
+        assert events.next_due_ns("dram") == 20
+        events.clock.advance_to(20)
+        assert events.dispatch_due("dram") == 1
+        assert rec.log == [("later", 20)]
+        assert events.stats() == {
+            "scheduled": 2, "dispatched": 1, "cancelled": 1, "pending": 0,
+        }
+
+    def test_a_due_event_behind_a_cancelled_head_still_fires(self):
+        events = make_scheduler(start_ns=10)
+        rec = Recorder()
+        stale = events.schedule("stale", 10, rec.cb("stale"), queue="dram")
+        events.schedule("due", 10, rec.cb("due"), queue="dram")
+        stale.cancel()
+        assert events.dispatch_due("dram") == 1
+        assert rec.log == [("due", 10)]
+
+    def test_dispatch_counters_match_a_full_drain(self):
+        """The fast path fires nothing and counts nothing."""
+        events = make_scheduler()
+        obs = Observability()
+        events.bind_obs(obs)
+        rec = Recorder()
+        events.schedule("tick", 10, rec.cb("tick"), queue="dram", period_ns=10)
+        for now in range(0, 45, 3):
+            events.clock.advance_to(now)
+            events.dispatch_due("dram")
+        assert [at for _, at in rec.log] == [12, 21, 30, 42]
+        snapshot = obs.metrics.snapshot()
+        assert snapshot["sim.events.dispatched{queue=dram}"] == 4
+
+
 class TestRecurring:
     def test_recurring_re_arms_each_period(self):
         events = make_scheduler()
