@@ -663,8 +663,8 @@ class CampaignResult:
     ``digest()`` hashes every attempt's canonical report JSON, in order —
     the equality witness that every worker count and every engine (in
     memory, pooled, checkpointed) produce literally the same attacks.
-    ``metrics`` (the per-attempt registries merged with
-    :func:`~repro.obs.metrics.merge_metric_states`), ``pool`` (worker-pool
+    ``metrics`` (the per-attempt registries folded, in attempt order, by
+    a :class:`~repro.obs.metrics.MetricStateAccumulator`), ``pool`` (worker-pool
     stats: wall times, pids) and ``service`` (checkpoint journal stats)
     ride outside the digest — the first is order-deterministic, the
     latter two are host noise.
@@ -823,11 +823,16 @@ class AttackCampaign:
         return machine, attack, candidates
 
     def _warm_snapshot(self):
-        """Warm once and freeze (machine + attack + candidates) for forking."""
+        """Warm once and freeze (machine + attack + candidates) for forking.
+
+        The warm machine ends once frozen: only its snapshot is forked.
+        """
         machine, attack, candidates = self._warm()
-        return machine.snapshot(
+        snapshot = machine.snapshot(
             extras={"attack": attack, "candidates": candidates}
         )
+        machine.close()
+        return snapshot
 
     def _run_attempt(self, snapshot, index: int):
         """Run attempt ``index``: the campaign's one unit of work.
@@ -835,26 +840,32 @@ class AttackCampaign:
         Forks ``snapshot``, reseeds, attaches the per-attempt chaos plan
         (if any) and orchestrates.  The ordering is identical in every
         engine, which is what keeps the digest worker-count-independent.
-        Returns ``(index, report, metrics_state, pid, wall_ns)``; the
-        last two are host telemetry.
+        Once the report and the metrics state are taken the fork is
+        closed (:meth:`~repro.core.machine.Machine.close`), so reference
+        counting frees it, private frames and all, before the next
+        attempt forks.  Returns ``(index, report, metrics_state, pid,
+        wall_ns)``; the last two are host telemetry.
         """
         start = time.perf_counter_ns()
         machine, extras = snapshot.fork()
-        attack, candidates = extras["attack"], extras["candidates"]
-        seed = self._attempt_seed(index)
-        machine.rng.reseed(seed)
-        if self.chaos_profile != "none":
-            from repro.sim.chaos import ChaosEngine, chaos_plan_for_attempt
+        try:
+            attack, candidates = extras["attack"], extras["candidates"]
+            seed = self._attempt_seed(index)
+            machine.rng.reseed(seed)
+            if self.chaos_profile != "none":
+                from repro.sim.chaos import ChaosEngine, chaos_plan_for_attempt
 
-            plan = chaos_plan_for_attempt(
-                self.chaos_profile, seed, self.chaos_intensity
+                plan = chaos_plan_for_attempt(
+                    self.chaos_profile, seed, self.chaos_intensity
+                )
+                ChaosEngine(machine.kernel, plan)
+            orchestrator = AttackOrchestrator(
+                attack, self.orchestrator_config, candidates=candidates
             )
-            ChaosEngine(machine.kernel, plan)
-        orchestrator = AttackOrchestrator(
-            attack, self.orchestrator_config, candidates=candidates
-        )
-        report = orchestrator.run()
-        state = machine.obs.metrics.export_state()
+            report = orchestrator.run()
+            state = machine.obs.metrics.export_state()
+        finally:
+            machine.close()
         return index, report, state, os.getpid(), time.perf_counter_ns() - start
 
     def iter_attempts(self, indices, *, snapshot_blob: bytes | None = None):
@@ -914,19 +925,32 @@ class AttackCampaign:
         )
 
     def run(self) -> CampaignResult:
-        """Execute every attempt; returns the ordered, in-memory result."""
-        from repro.obs.metrics import merge_metric_states
+        """Execute every attempt; returns the ordered, in-memory result.
 
-        outcomes: list = [None] * self.attempts
+        Reports are kept (the result holds them).  Metrics states are
+        not: each is folded into one
+        :class:`~repro.obs.metrics.MetricStateAccumulator` in attempt
+        order as soon as every earlier attempt's state has been folded,
+        so only the states a pool delivers ahead of their turn wait in
+        memory, not one dump per attempt.
+        """
+        from repro.obs.metrics import MetricStateAccumulator
+
+        reports: list = [None] * self.attempts
+        accumulator = MetricStateAccumulator()
+        early: dict[int, dict] = {}
         wall_by_pid: dict[int, int] = {}
         for index, report, state, pid, wall_ns in self.iter_attempts(
             range(self.attempts)
         ):
-            outcomes[index] = (report, state)
+            reports[index] = report
+            early[index] = state
+            while accumulator.sources in early:
+                accumulator.add(early.pop(accumulator.sources))
             wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
         return CampaignResult(
-            reports=tuple(report for report, _ in outcomes),
-            metrics=merge_metric_states([state for _, state in outcomes]),
+            reports=tuple(reports),
+            metrics=accumulator.result(),
             pool=self._pool_block(
                 owned=self.attempts,
                 dispatched=self.attempts,

@@ -2,10 +2,11 @@
 
 Besides construction, this module owns the machine's *lifecycle*
 operations: driving the event scheduler (:meth:`Machine.run_until` /
-:meth:`Machine.step`) and cloning warm state
+:meth:`Machine.step`), cloning warm state
 (:meth:`Machine.snapshot` / :meth:`Machine.fork`) so a campaign can
 fan out from one templated machine instead of rebuilding and
-re-templating per attempt.
+re-templating per attempt, and ending a machine (:meth:`Machine.close`)
+so it is freed as soon as its run is over.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ class MachineSnapshot:
     events: each fork gets a fresh list over them, so it shares the
     events but appends its own flips privately, and unpickling a fork
     never rebuilds the templating history.
+
+    The snapshot owns no live machine: the one it froze can be closed
+    at once, and each fork should be closed (:meth:`Machine.close`) when
+    its run is over, so reference counting returns its frame claims
+    immediately instead of leaving the fork for the cyclic GC.
     """
 
     def __init__(self, machine: "Machine", extras=None):
@@ -362,6 +368,23 @@ class Machine:
         """
         machine, _ = MachineSnapshot(self).fork(seed=seed)
         return machine
+
+    def close(self) -> None:
+        """End the machine: let reference counting free its whole graph.
+
+        Pending events hold bound methods of the components that own
+        them, metric collectors close over the components they read, and
+        a chaos engine and its kernel point at each other; each is a
+        reference cycle that would leave a finished machine (with its
+        private CoW frames) for the cyclic GC.  Closing cancels every
+        pending event and drops its callback, drops the metric
+        collectors and detaches the chaos engine.  Take the report and
+        ``obs.metrics.export_state()`` first: a closed machine does not
+        run.
+        """
+        self.events.close()
+        self.obs.metrics.close()
+        self.kernel.chaos = None
 
     @property
     def num_cpus(self) -> int:

@@ -23,11 +23,12 @@ Campaign fan-out adds a fourth concern: *mergeability*.  Every attempt of
 an :class:`~repro.attack.orchestrator.AttackCampaign` runs on a forked
 machine with its own registry, so a campaign-level view needs the
 per-attempt registries combined.  :meth:`MetricsRegistry.export_state`
-dumps the raw (pre-cumulative) values and :func:`merge_metric_states`
-folds any number of such dumps into one block — counters summed,
-histograms added bucket-wise, gauges listed per source in order — with a
-result that depends only on the dump order, never on which process or
-worker produced each dump (see docs/CAMPAIGNS.md).
+dumps the raw (pre-cumulative) values and a
+:class:`MetricStateAccumulator` folds such dumps, one at a time, into
+one block — counters summed, histograms added bucket-wise, gauges listed
+per source in order — with a result that depends only on the dump order,
+never on which process or worker produced each dump (see
+docs/CAMPAIGNS.md).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
-    "merge_metric_states",
 ]
 
 
@@ -250,6 +250,16 @@ class MetricsRegistry:
         if self.enabled:
             self._collectors.append(fn)
 
+    def close(self) -> None:
+        """Drop every collector (the registry's owner has ended).
+
+        A collector closes over the components it reads, which point back
+        at this registry through their hub; dropping them breaks that
+        cycle.  Values already exported are unaffected, and later reads
+        return the last values without re-collecting.
+        """
+        self._collectors.clear()
+
     # -- reading ------------------------------------------------------
 
     def collect(self) -> None:
@@ -271,7 +281,7 @@ class MetricsRegistry:
         return out
 
     def export_state(self) -> dict:
-        """Raw, mergeable dump of every family (see :func:`merge_metric_states`).
+        """Raw, mergeable dump of every family (see :class:`MetricStateAccumulator`).
 
         Unlike :meth:`snapshot`, histogram buckets come out *per-bucket*
         (not cumulative) so two dumps can be added bucket-wise.  The dump
@@ -344,17 +354,26 @@ def _render_histogram(buckets: Sequence, bucket_counts: Sequence, count, total):
 class MetricStateAccumulator:
     """Streaming fold over :meth:`MetricsRegistry.export_state` dumps.
 
-    :func:`merge_metric_states` needs every state in memory at once; a
-    streaming campaign service that journals and releases each attempt
-    cannot afford that.  The accumulator ingests one dump at a time
-    (:meth:`add`, in attempt order) and renders the identical merged
-    block on :meth:`result` — ``merge_metric_states(states)`` is defined
-    as ``add`` in a loop, so the two can never drift apart.
+    Dumps are added one at a time (:meth:`add`, in attempt order), so a
+    campaign holds one merged block rather than one dump per attempt.
+    The result depends only on that order, never on which worker
+    produced each dump:
+
+    - counters: summed across every state where the instance appears;
+    - histograms: bucket counts added bucket-wise (bucket bounds must
+      agree across states), rendered cumulatively like a live snapshot;
+    - gauges: one value per source state, in order, ``None`` where the
+      instance is absent — a point-in-time value has no meaningful sum.
     """
 
     def __init__(self) -> None:
         self._families: dict[str, dict] = {}
         self._count = 0
+
+    @property
+    def sources(self) -> int:
+        """Number of states added so far."""
+        return self._count
 
     def add(self, state: dict) -> None:
         """Fold one exported state into the accumulator (order matters)."""
@@ -428,24 +447,3 @@ class MetricStateAccumulator:
                 "instances": instances,
             }
         return out
-
-
-def merge_metric_states(states: Sequence[dict]) -> dict:
-    """Fold :meth:`MetricsRegistry.export_state` dumps into one block.
-
-    ``states`` is ordered (campaign attempt order); the result depends
-    only on that order, never on which worker produced each dump:
-
-    - counters: summed across every state where the instance appears;
-    - histograms: bucket counts added bucket-wise (bucket bounds must
-      agree across states), rendered cumulatively like a live snapshot;
-    - gauges: one value per source state, in order, ``None`` where the
-      instance is absent — a point-in-time value has no meaningful sum.
-
-    Equivalent to one :class:`MetricStateAccumulator` pass; use the
-    accumulator directly when the states arrive as a stream.
-    """
-    accumulator = MetricStateAccumulator()
-    for state in states:
-        accumulator.add(state)
-    return accumulator.result()

@@ -33,10 +33,22 @@ from repro.ciphers.aes import expand_key
 from repro.ciphers.aes_tables import AES_RCON, AES_SBOX
 from repro.sim.errors import FaultError
 
+#: ``256 * position`` per ciphertext column: one bincount covers all 16.
+_POSITION_BASE = np.arange(16, dtype=np.intp) * 256
+
+#: ``log2(n)`` bits for ``n`` missing values, a full 8 bits for none yet.
+_LOG2_BITS = [float(np.log2(n)) if n else 8.0 for n in range(257)]
+
 
 @dataclass
 class PfaState:
-    """Incremental per-position byte-value counters over faulty ciphertexts."""
+    """Incremental per-position byte-value counters over faulty ciphertexts.
+
+    A batch is counted by one ``bincount`` over ``value + 256 * position``
+    and the missing sets are read off one ``counts == 0`` mask; the
+    per-position loops they replace are the oracle in
+    ``tests/pfa_reference.py``.
+    """
 
     counts: np.ndarray = field(
         default_factory=lambda: np.zeros((16, 256), dtype=np.int64)
@@ -53,9 +65,13 @@ class PfaState:
             data = np.asarray(ciphertexts, dtype=np.uint8)
             if data.ndim != 2 or data.shape[1] != 16:
                 raise FaultError(f"ciphertexts must be (N, 16), got {data.shape}")
-        for position in range(16):
-            self.counts[position] += np.bincount(data[:, position], minlength=256)
+        flat = (data + _POSITION_BASE).ravel()
+        self.counts += np.bincount(flat, minlength=16 * 256).reshape(16, 256)
         self.total += data.shape[0]
+
+    def missing_counts(self) -> list[int]:
+        """How many byte values are still unseen, per position."""
+        return np.count_nonzero(self.counts == 0, axis=1).tolist()
 
     def missing_values(self, position: int) -> list[int]:
         """Byte values never observed at ``position`` so far."""
@@ -67,7 +83,7 @@ class PfaState:
 
     def candidates_per_position(self) -> list[int]:
         """Number of still-possible key values per byte position."""
-        return [len(self.missing_values(position)) for position in range(16)]
+        return self.missing_counts()
 
     def log2_keyspace(self) -> float:
         """log2 of the remaining key space implied by the missing sets.
@@ -75,14 +91,13 @@ class PfaState:
         Positions with no missing value yet contribute a full 8 bits.
         """
         total = 0.0
-        for position in range(16):
-            remaining = len(self.missing_values(position))
-            total += float(np.log2(remaining)) if remaining else 8.0
+        for remaining in self.missing_counts():
+            total += _LOG2_BITS[remaining]
         return total
 
     def is_unique(self) -> bool:
         """True when every position has exactly one missing value."""
-        return all(len(self.missing_values(p)) == 1 for p in range(16))
+        return all(remaining == 1 for remaining in self.missing_counts())
 
 
 def expected_remaining_candidates(n_ciphertexts: int) -> float:
@@ -189,7 +204,7 @@ def saturated_for_faults(state: PfaState, t: int) -> bool:
     """True when every position's missing set has shrunk to exactly ``t``."""
     if t <= 0:
         raise FaultError(f"fault count must be positive, got {t}")
-    return all(len(state.missing_values(p)) == t for p in range(16))
+    return all(remaining == t for remaining in state.missing_counts())
 
 
 def recover_k10_unknown_fault(state: PfaState) -> list[tuple[int, bytes]]:

@@ -33,6 +33,12 @@ The scheduler deep-copies cleanly — callbacks must be *bound methods* of
 simulation objects so that :meth:`~repro.core.machine.Machine.fork`
 rebinds them to the copied instances (a closure would keep pointing at
 the original machine).
+
+A bound method points back at its component, which points at the
+scheduler, so a pending event is a reference cycle.
+:meth:`EventScheduler.close` drops the callback of every pending event,
+so an ended machine is freed by reference counting rather than left for
+the cyclic GC.
 """
 
 from __future__ import annotations
@@ -328,6 +334,18 @@ class EventScheduler:
             fired += 1
         self.clock.advance_to(target_ns)
         return fired
+
+    def close(self) -> None:
+        """End the scheduler: cancel every pending event and drop its callback.
+
+        Called when a machine ends (:meth:`~repro.core.machine.Machine.close`);
+        handles held elsewhere read inactive, and nothing fires again.
+        """
+        for heap in self._queues.values():
+            for _, _, event in heap:
+                event.cancelled = True
+                event.callback = None
+        self._queues.clear()
 
     # -- introspection ----------------------------------------------------------
 

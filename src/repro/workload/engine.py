@@ -37,12 +37,19 @@ _MAX_RECORDED_ARRIVALS = 4096
 
 
 class _Tenant:
-    """Runtime state of one tenant (spec + victim + counters)."""
+    """Runtime state of one tenant (spec + victim + counters).
 
-    def __init__(self, engine: "WorkloadEngine", spec: TenantSpec, key: bytes):
-        self.engine = engine
+    A tenant points at its machine, never back at its engine: the engine
+    holds its tenants, so a back-pointer would make every workload a
+    reference cycle that outlives the machine it ran on.
+    """
+
+    def __init__(self, machine, spec: TenantSpec, key: bytes, *, is_target: bool):
+        self.machine = machine
         self.spec = spec
         self.key = key
+        self.is_target = is_target
+        self.epoch_ns = 0
         self.victim: CipherVictim | None = None
         self.queue = 0
         self.issued = 0
@@ -57,18 +64,37 @@ class _Tenant:
     def name(self) -> str:
         return self.spec.name
 
-    @property
-    def is_target(self) -> bool:
-        return self.name == self.engine.scenario.target
+    def bind_obs(self, obs, encryptions) -> None:
+        """Register this tenant's metrics; ``encryptions`` is its role's counter."""
+        self.obs = obs
+        metrics = obs.metrics
+        labels = {"tenant": self.name}
+        self._m_issued = metrics.counter(
+            "workload.tenant.requests_issued", labels=labels,
+            unit="requests", help="encryption requests arriving per tenant",
+        )
+        self._m_served = metrics.counter(
+            "workload.tenant.requests_served", labels=labels,
+            unit="requests", help="requests served by the tenant's victim",
+        )
+        self._m_dropped = metrics.counter(
+            "workload.tenant.requests_dropped", labels=labels,
+            unit="requests", help="arrivals shed because the queue was full",
+        )
+        self._m_queue_depth = metrics.gauge(
+            "workload.tenant.queue_depth", labels=labels,
+            unit="requests", help="requests waiting unserved",
+        )
+        self._m_encryptions = encryptions
 
     # RNG streams are re-fetched on every draw: ``RngStreams.reseed()``
     # (campaign attempts) invalidates memoized streams, and a cached
     # generator would silently keep the old seed.
     def _arrival_rng(self):
-        return self.engine.machine.rng.stream(f"workload.arrivals/{self.name}")
+        return self.machine.rng.stream(f"workload.arrivals/{self.name}")
 
     def _payload_rng(self):
-        return self.engine.machine.rng.stream(f"workload.payload/{self.name}")
+        return self.machine.rng.stream(f"workload.payload/{self.name}")
 
     def _draw_delay_ns(self) -> int:
         spec = self.spec
@@ -77,12 +103,13 @@ class _Tenant:
         u = self._arrival_rng().random()
         return max(1, round(mean * (1.0 - span + 2.0 * span * u)))
 
-    def schedule_first(self) -> None:
-        self.next_due_ns = self.engine.epoch_ns + self._draw_delay_ns()
+    def schedule_first(self, epoch_ns: int) -> None:
+        self.epoch_ns = epoch_ns
+        self.next_due_ns = epoch_ns + self._draw_delay_ns()
         self._arm()
 
     def _arm(self) -> None:
-        self.engine.machine.events.schedule(
+        self.machine.events.schedule(
             f"workload.request.{self.name}",
             self.next_due_ns,
             self._on_fire,
@@ -104,7 +131,7 @@ class _Tenant:
 
     def _catch_up(self) -> None:
         """Materialise every arrival due by now — pure accounting."""
-        clock = self.engine.machine.clock
+        clock = self.machine.clock
         while self.next_due_ns <= clock.now_ns:
             self._record_arrival(self.next_due_ns)
             self.next_due_ns += self._draw_delay_ns()
@@ -112,35 +139,34 @@ class _Tenant:
     def _record_arrival(self, due_ns: int) -> None:
         spec = self.spec
         if len(self.arrival_offsets) < _MAX_RECORDED_ARRIVALS:
-            self.arrival_offsets.append(due_ns - self.engine.epoch_ns)
+            self.arrival_offsets.append(due_ns - self.epoch_ns)
         self.issued += spec.burst
-        self.engine._m_issued[self.name].inc(spec.burst)
+        self._m_issued.inc(spec.burst)
         accepted = min(spec.burst, spec.max_queue - self.queue)
         if accepted < spec.burst:
             lost = spec.burst - accepted
             self.dropped += lost
-            self.engine._m_dropped[self.name].inc(lost)
+            self._m_dropped.inc(lost)
         self.queue += accepted
-        self.engine.obs.tracer.instant(
+        self.obs.tracer.instant(
             "workload.request", "workload", tenant=self.name, queue=self.queue
         )
 
     def _serve(self) -> None:
         spec, victim = self.spec, self.victim
-        kernel = self.engine.kernel
+        kernel = self.machine.kernel
         if spec.sleeps and victim.task.state is TaskState.SLEEPING:
             kernel.sys_wake(victim.pid)
         block = 8 if spec.cipher == "present" else 16
         rng = self._payload_rng()
-        role = "target" if self.is_target else "noise"
         while self.queue:
             self.queue -= 1
             for _ in range(spec.payload_blocks):
                 victim.encrypt(bytes(rng.randrange(256) for _ in range(block)))
             self.blocks_encrypted += spec.payload_blocks
             self.served += 1
-            self.engine._m_served[self.name].inc()
-            self.engine._m_encryptions[role].inc(spec.payload_blocks)
+            self._m_served.inc()
+            self._m_encryptions.inc(spec.payload_blocks)
         if spec.sleeps:
             kernel.sys_sleep(victim.pid)
 
@@ -152,7 +178,7 @@ class _Tenant:
         interference is real churn, not a no-op push-pop.
         """
         spec = self.spec
-        kernel = self.engine.kernel
+        kernel = self.machine.kernel
         pid = self.victim.pid
         previous = self._scratch_va
         length = spec.scratch_pages * PAGE_SIZE
@@ -180,7 +206,9 @@ class WorkloadEngine:
         self.tenants: dict[str, _Tenant] = {}
         for spec in scenario.tenants:
             key = spec.resolve_key(machine.rng.stream(f"workload.key/{spec.name}"))
-            self.tenants[spec.name] = _Tenant(self, spec, key)
+            self.tenants[spec.name] = _Tenant(
+                machine, spec, key, is_target=spec.name == scenario.target
+            )
         self.started = False
         self.epoch_ns = 0
         self.bind_obs(machine.obs)
@@ -204,40 +232,20 @@ class WorkloadEngine:
         """Attach an observability hub (re-run on machine fork)."""
         self.obs = obs
         metrics = obs.metrics
-        self._m_issued = {}
-        self._m_served = {}
-        self._m_dropped = {}
-        depth_gauges = {}
-        for name in self.tenants:
-            labels = {"tenant": name}
-            self._m_issued[name] = metrics.counter(
-                "workload.tenant.requests_issued", labels=labels,
-                unit="requests", help="encryption requests arriving per tenant",
-            )
-            self._m_served[name] = metrics.counter(
-                "workload.tenant.requests_served", labels=labels,
-                unit="requests", help="requests served by the tenant's victim",
-            )
-            self._m_dropped[name] = metrics.counter(
-                "workload.tenant.requests_dropped", labels=labels,
-                unit="requests", help="arrivals shed because the queue was full",
-            )
-            depth_gauges[name] = metrics.gauge(
-                "workload.tenant.queue_depth", labels=labels,
-                unit="requests", help="requests waiting unserved",
-            )
-        self._m_encryptions = {
+        encryptions = {
             role: metrics.counter(
                 "workload.tenant.encryptions", labels={"role": role},
                 unit="blocks", help="blocks encrypted, target vs background noise",
             )
             for role in ("target", "noise")
         }
-        tenants = self.tenants
+        tenants = tuple(self.tenants.values())
+        for tenant in tenants:
+            tenant.bind_obs(obs, encryptions["target" if tenant.is_target else "noise"])
 
         def _collect() -> None:
-            for name, gauge in depth_gauges.items():
-                gauge.set(tenants[name].queue)
+            for tenant in tenants:
+                tenant._m_queue_depth.set(tenant.queue)
 
         metrics.add_collector(_collect)
 
@@ -265,7 +273,7 @@ class WorkloadEngine:
             tenant.victim = victim
         self.epoch_ns = self.machine.clock.now_ns
         for tenant in self.tenants.values():
-            tenant.schedule_first()
+            tenant.schedule_first(self.epoch_ns)
 
     def attach_target(self, victim: TargetVictim) -> None:
         """Hand the target tenant the victim the attack just steered.
@@ -309,9 +317,9 @@ class WorkloadEngine:
         tenant.issued += 1
         tenant.served += 1
         tenant.blocks_encrypted += 1
-        self._m_issued[tenant.name].inc()
-        self._m_served[tenant.name].inc()
-        self._m_encryptions["target"].inc()
+        tenant._m_issued.inc()
+        tenant._m_served.inc()
+        tenant._m_encryptions.inc()
         return ciphertext
 
     def next_target_arrival_ns(self) -> int:

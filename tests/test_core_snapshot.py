@@ -14,10 +14,12 @@ Two claims are under test:
 
 import gc
 import hashlib
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
+from repro.attack.evictframe import EvictFrameConfig
 from repro.attack.explframe import ExplFrameConfig
 from repro.attack.orchestrator import AttackCampaign, AttackOrchestrator
 from repro.attack.templating import Templator, TemplatorConfig
@@ -29,10 +31,39 @@ from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMGeometry
 from repro.sim.chaos import ChaosEngine, chaos_profile
 from repro.sim.units import MIB, MS, PAGE_SIZE
+from repro.workload import scenario_preset
 
 FAST = ExplFrameConfig(
     templator=TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 )
+
+
+@contextmanager
+def collector_off():
+    """Run the body with the cyclic GC off: only reference counting frees."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def repro_garbage() -> list[str]:
+    """Names of the ``repro`` types a full collection finds unreachable."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return sorted(
+            f"{type(obj).__module__}.{type(obj).__qualname__}"
+            for obj in gc.garbage
+            if type(obj).__module__.startswith("repro.")
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def vulnerable_config(seed=7):
@@ -113,11 +144,12 @@ class TestCowSnapshots:
         snapshot = machine.snapshot()
         frame = snapshot._frames[0]
         base_refs = frame.refs
-        fork, _ = snapshot.fork()
-        assert frame.refs == base_refs + 1
-        del fork
-        gc.collect()  # the machine graph is cyclic; force collection
-        assert frame.refs == base_refs
+        with collector_off():
+            fork, _ = snapshot.fork()
+            assert frame.refs == base_refs + 1
+            fork.close()
+            del fork
+            assert frame.refs == base_refs
 
     def test_ship_round_trip_of_partially_materialised_store(self):
         machine = Machine(MachineConfig.small(seed=0))
@@ -382,3 +414,54 @@ class TestCampaignForkEquivalence:
         result = campaign.run()
         assert result.successes == 2
         assert result.digest() == hasher.hexdigest()
+
+
+class TestMachineClose:
+    def test_close_cancels_every_pending_event(self):
+        machine = Machine(MachineConfig.small(seed=0))
+        handle = machine.controller._refresh_handle
+        assert machine.events.pending() > 0 and handle.active
+        machine.close()
+        assert machine.events.pending() == 0
+        assert not handle.active
+        assert machine.run_until(machine.clock.now_ns + 10 * MS) == 0
+
+    def test_exported_state_survives_close(self):
+        machine = Machine(MachineConfig.small(seed=0))
+        machine.controller.memory.write(0, b"x")
+        state = machine.obs.metrics.export_state()
+        machine.close()
+        assert machine.obs.metrics.export_state()["sim.clock_ns"] == state["sim.clock_ns"]
+
+
+@pytest.mark.slow
+class TestAttemptsEnd:
+    """A finished attempt and the warm machine are freed by refcount alone."""
+
+    CAMPAIGNS = {
+        "explframe": lambda: AttackCampaign(vulnerable_config(), 1, attack_config=FAST),
+        "faultprobe": lambda: AttackCampaign(
+            vulnerable_config(), 1, attack_config=FAST, modality="faultprobe"
+        ),
+        "evictframe-duet": lambda: AttackCampaign(
+            vulnerable_config(),
+            1,
+            attack_config=EvictFrameConfig(templator=FAST.templator),
+            modality="evictframe",
+            scenario=scenario_preset("duet"),
+        ),
+        "explframe-storm": lambda: AttackCampaign(
+            vulnerable_config(), 1, attack_config=FAST, chaos_profile="storm"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+    def test_attempt_leaves_no_cyclic_garbage(self, name):
+        campaign = self.CAMPAIGNS[name]()
+        with collector_off():
+            snapshot = campaign._warm_snapshot()
+            assert repro_garbage() == []
+            index, report, state, _, _ = campaign._run_attempt(snapshot, 0)
+            assert repro_garbage() == []
+        assert index == 0 and state
+        assert report.seed == campaign._attempt_seed(0)

@@ -25,8 +25,8 @@ from repro.obs.metrics import (
     NULL_HISTOGRAM,
     MetricsRegistry,
     MetricStateAccumulator,
-    merge_metric_states,
 )
+from repro.parallel import pool as pool_module
 from repro.parallel.pool import make_pool_block, register_pool_metrics
 from repro.sim.chaos import chaos_plan_for_attempt
 from repro.sim.errors import ConfigError
@@ -43,6 +43,14 @@ def vulnerable_config(seed=7):
         geometry=DRAMGeometry.small(),
         flip_model=FlipModelConfig.highly_vulnerable(),
     )
+
+
+def merge(states):
+    """Fold ``states``, in order, the way a campaign run does."""
+    accumulator = MetricStateAccumulator()
+    for state in states:
+        accumulator.add(state)
+    return accumulator.result()
 
 
 class TestMergeMetricStates:
@@ -62,7 +70,7 @@ class TestMergeMetricStates:
             self._registry(counter=2).export_state(),
             self._registry(counter=5).export_state(),
         ]
-        merged = merge_metric_states(states)
+        merged = merge(states)
         assert merged["sources"] == 2
         assert merged["families"]["t.count"]["instances"]["t.count"] == 7
 
@@ -72,7 +80,7 @@ class TestMergeMetricStates:
             self._registry().export_state(),  # gauge absent here
             self._registry(gauge=9).export_state(),
         ]
-        merged = merge_metric_states(states)
+        merged = merge(states)
         assert merged["families"]["t.level"]["instances"]["t.level"] == [3, None, 9]
 
     def test_histograms_add_bucket_wise(self):
@@ -80,7 +88,7 @@ class TestMergeMetricStates:
             self._registry(observations=(5, 50)).export_state(),
             self._registry(observations=(500,)).export_state(),
         ]
-        value = merge_metric_states(states)["families"]["t.size"]["instances"]["t.size"]
+        value = merge(states)["families"]["t.size"]["instances"]["t.size"]
         assert value["count"] == 3
         assert value["sum"] == 555
         assert value["buckets"] == {"le_10": 1, "le_100": 2, "le_inf": 3}
@@ -91,7 +99,7 @@ class TestMergeMetricStates:
         b = MetricsRegistry(enabled=True)
         b.gauge("t.mixed").set(1)
         with pytest.raises(ConfigError, match="cannot merge"):
-            merge_metric_states([a.export_state(), b.export_state()])
+            merge([a.export_state(), b.export_state()])
 
     def test_histogram_bucket_mismatch_is_rejected(self):
         a = MetricsRegistry(enabled=True)
@@ -99,28 +107,41 @@ class TestMergeMetricStates:
         b = MetricsRegistry(enabled=True)
         b.histogram("t.size", buckets=(1, 2)).observe(1)
         with pytest.raises(ConfigError, match="bucket bounds differ"):
-            merge_metric_states([a.export_state(), b.export_state()])
+            merge([a.export_state(), b.export_state()])
 
     def test_merge_matches_single_registry_snapshot_semantics(self):
         """Merging one state renders exactly like the live snapshot."""
         registry = self._registry(counter=3, gauge=4, observations=(5, 500))
-        merged = merge_metric_states([registry.export_state()])
+        merged = merge([registry.export_state()])
         live = registry.snapshot()
         families = merged["families"]
         assert families["t.count"]["instances"]["t.count"] == live["t.count"]
         assert families["t.size"]["instances"]["t.size"] == live["t.size"]
 
-    def test_streaming_accumulator_is_identical_to_batch_merge(self):
-        """MetricStateAccumulator folds one-at-a-time to the same block."""
+    def test_streaming_fold_renders_the_whole_block(self):
+        """One state at a time, the accumulator renders every family."""
         states = [
             self._registry(counter=2, gauge=1, observations=(5,)).export_state(),
             self._registry(counter=3, observations=(50, 500)).export_state(),
             self._registry(gauge=9).export_state(),
         ]
         accumulator = MetricStateAccumulator()
-        for state in states:
+        for count, state in enumerate(states):
+            assert accumulator.sources == count
             accumulator.add(state)
-        assert accumulator.result() == merge_metric_states(states)
+        assert accumulator.result() == {
+            "sources": 3,
+            "families": {
+                "t.count": {"kind": "counter", "unit": "items",
+                            "instances": {"t.count": 5}},
+                "t.level": {"kind": "gauge", "unit": "items",
+                            "instances": {"t.level": [1, None, 9]}},
+                "t.size": {"kind": "histogram", "unit": "b", "instances": {
+                    "t.size": {"count": 3, "sum": 555, "buckets": {
+                        "le_10": 1, "le_100": 2, "le_inf": 3}},
+                }},
+            },
+        }
 
 
 class TestSnapshotPickling:
@@ -213,6 +234,40 @@ class TestPooledCampaignParity:
         # The in-memory serial run reports its one worker's wall time,
         # like the checkpointed serial run does.
         assert serial.pool["campaign.pool.worker_wall_ns{worker=0}"] > 0
+
+    def test_out_of_order_completions_merge_in_attempt_order(self, monkeypatch):
+        """A pool that delivers attempts out of order still merges them in
+        attempt order: the run holds early states until their turn."""
+        config = vulnerable_config(seed=7)
+        delivered = []
+        real_iter_pooled = pool_module.iter_pooled
+
+        def rotated(campaign, indices, **kwargs):
+            outcomes = sorted(real_iter_pooled(campaign, indices, **kwargs))
+            for outcome in outcomes[1:] + outcomes[:1]:
+                delivered.append(outcome[0])
+                yield outcome
+
+        def run(**kwargs):
+            return AttackCampaign(
+                config, 3, attack_config=FAST, chaos_profile="steal", **kwargs
+            ).run()
+
+        serial = run()
+        # Per-attempt chaos makes some gauge differ across attempts, so a
+        # merge in delivery order would show.
+        gauges = [
+            values
+            for family in serial.metrics["families"].values()
+            if family["kind"] == "gauge"
+            for values in family["instances"].values()
+        ]
+        assert any(values != values[1:] + values[:1] for values in gauges)
+        monkeypatch.setattr(pool_module, "iter_pooled", rotated)
+        pooled = run(workers=2)
+        assert delivered == [1, 2, 0]
+        assert pooled.digest() == serial.digest()
+        assert pooled.metrics == serial.metrics
 
     def test_chaos_campaign_digest_is_worker_independent(self):
         config = vulnerable_config(seed=7)

@@ -21,6 +21,7 @@ from repro.pfa.pfa import (
     saturated_for_faults,
 )
 from repro.sim.errors import FaultError
+from tests.pfa_reference import ReferencePfaState
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 SPEC = FaultSpec(index=0x42, bit=3)
@@ -84,6 +85,58 @@ class TestPfaState:
             for position in range(16)
         )
         assert hits >= 12  # statistics, not exact at 6000 samples
+
+
+@st.composite
+def ciphertext_batches(draw):
+    """Batches over an alphabet missing ``excluded`` values per position.
+
+    With ``cover`` one batch holds every allowed value at every position,
+    so the missing sets shrink to exactly the excluded values (unique when
+    one is excluded); without it they are whatever the random rows leave.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    excluded = draw(st.integers(0, 3))
+    allowed = [rng.permutation(256)[excluded:] for _ in range(16)]
+    batches = []
+    for rows in draw(st.lists(st.integers(0, 400), min_size=1, max_size=4)):
+        columns = [column[rng.integers(0, len(column), rows)] for column in allowed]
+        batch = np.stack(columns, axis=1).astype(np.uint8).reshape(rows, 16)
+        batches.append(batch if draw(st.booleans()) else [bytes(row) for row in batch])
+    if draw(st.booleans()):
+        width = 256 - excluded
+        batches.append(np.stack(
+            [rng.permutation(column) for column in allowed], axis=1
+        ).astype(np.uint8).reshape(width, 16))
+    return batches
+
+
+class TestVectorisedMatchesPerPositionLoops:
+    """One bincount and one missing mask equal the per-position loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=ciphertext_batches(), v_star=st.integers(0, 255))
+    def test_counts_missing_sets_and_keys_agree(self, batches, v_star):
+        state, reference = PfaState(), ReferencePfaState()
+        for batch in batches:
+            state.update(batch)
+            reference.update(batch)
+            assert np.array_equal(state.counts, reference.counts)
+            assert state.total == reference.total
+            for position in range(16):
+                assert state.missing_values(position) == reference.missing_values(position)
+            assert state.candidates_per_position() == reference.candidates_per_position()
+            assert state.log2_keyspace() == reference.log2_keyspace()
+            assert state.is_unique() == reference.is_unique()
+            assert recover_k10_known_fault(state, v_star) == [
+                [missing ^ v_star for missing in reference.missing_values(position)]
+                for position in range(16)
+            ]
+            remaining = reference.candidates_per_position()[0]
+            assert saturated_for_faults(state, max(1, remaining)) == all(
+                len(reference.missing_values(p)) == max(1, remaining)
+                for p in range(16)
+            )
 
 
 class TestExpectedCurve:
