@@ -18,8 +18,8 @@ any of this landed).  One table, three claims:
   measurably faster and flip-for-flip identical; the sparse campaign
   model (~0.5 cells/row) must not regress — both are reported,
 * digests: a 2-attempt campaign run serial and on 4 ship workers must
-  both equal the baseline's pre-CoW digest — the refactor is invisible
-  to the attack, bit for bit.
+  both equal the T10 golden in ``goldens.json``, the pre-CoW digest —
+  the refactor is invisible to the attack, bit for bit.
 
 The baseline timings came from this host class; cross-host comparisons
 are indicative only, which is why the hard gates are the (host-relative)
@@ -38,6 +38,7 @@ MIN_DENSE_SPEEDUP = 1.2
 MAX_SPARSE_REGRESSION = 1.15  # sparse loop may not get >15% slower
 
 BASELINE_PATH = Path(__file__).resolve().parent / "results" / "t10_cow_baseline.json"
+GOLDENS_PATH = Path(__file__).resolve().parent / "goldens.json"
 
 #: Dense flip model: enough weak cells per row that the vector path runs.
 DENSE_MODEL = dict(
@@ -167,6 +168,7 @@ def test_t10_cow_fork_and_flip_vectorization(benchmark):
     from repro.analysis.tabulate import format_table, write_results
 
     baseline = json.loads(BASELINE_PATH.read_text())
+    golden = json.loads(GOLDENS_PATH.read_text())["T10"]["digest"]
 
     fork = measure_fork()
     sparse_s = measure_hammer_sparse(fork["snapshot"])
@@ -204,7 +206,7 @@ def test_t10_cow_fork_and_flip_vectorization(benchmark):
         ],
     ]
     digest_rows = [
-        [mode, digest[:16], str(digest == baseline["digest_2_attempts_serial"])]
+        [mode, digest[:16], str(digest == golden)]
         for mode, digest in digests.items()
     ]
     table = "\n\n".join(
@@ -247,8 +249,8 @@ def test_t10_cow_fork_and_flip_vectorization(benchmark):
     # Claim 3: none of it is visible to the attack — every execution mode
     # still produces the exact pre-CoW campaign digest.
     for mode, digest in digests.items():
-        assert digest == baseline["digest_2_attempts_serial"], (
-            f"{mode} digest {digest} diverged from the pre-CoW baseline"
+        assert digest == golden, (
+            f"{mode} digest {digest} diverged from the T10 golden (pre-CoW)"
         )
 
     snapshot = fork["snapshot"]

@@ -18,10 +18,12 @@ docs/SCENARIOS.md):
 * fidelity — eviction accuracy (aggressor accesses that actually went
   to DRAM) and the wasted activations the traversal itself causes;
 * the digest gates — the evictframe duet campaign digest must be
-  bit-identical serial vs a 2-worker pool, the explframe 2-attempt
-  digest must still equal the checked-in T10 baseline, and the
-  faultprobe duet digest must still open with the T13 golden prefix
-  (adding a modality must not perturb the other modalities' bytes).
+  bit-identical serial vs a 2-worker pool and equal the T14 golden, the
+  explframe 2-attempt digest must still equal the T10 golden, and the
+  faultprobe duet digest the T13 golden (adding a modality must not
+  perturb the other modalities' bytes).  The goldens live in
+  ``benchmarks/goldens.json``; tests/test_goldens.py asserts the same
+  three campaigns in tier-1.
 """
 
 from __future__ import annotations
@@ -33,12 +35,7 @@ from pathlib import Path
 SEED = 7
 ATTEMPTS = 4
 
-T10_BASELINE_PATH = (
-    Path(__file__).resolve().parent / "results" / "t10_cow_baseline.json"
-)
-#: First 16 hex chars of the checked-in T13 faultprobe duet digest
-#: (benchmarks/results/t13_faultprobe.txt).
-T13_GOLDEN_PREFIX = "a7fc446a60ac0121"
+GOLDENS_PATH = Path(__file__).resolve().parent / "goldens.json"
 
 
 def _fast_templator():
@@ -149,9 +146,11 @@ def test_t14_evictframe_vs_explframe(benchmark):
     overheads = eviction_overheads(evict["metrics"])
     digests = digest_parity()
     t10_digest = explframe_t10_digest()
-    t10_golden = json.loads(T10_BASELINE_PATH.read_text())[
-        "digest_2_attempts_serial"
-    ]
+    goldens = {
+        name: entry["digest"]
+        for name, entry in json.loads(GOLDENS_PATH.read_text()).items()
+        if name != "notes"
+    }
 
     modality_rows = [
         [
@@ -175,12 +174,12 @@ def test_t14_evictframe_vs_explframe(benchmark):
         [mode, digest[:16], str(digest == digests["serial"])]
         for mode, digest in digests.items()
     ] + [
-        ["explframe T10 2-attempt", t10_digest[:16], str(t10_digest == t10_golden)],
-        [
-            "faultprobe T13 duet",
-            probe["digest"][:16],
-            str(probe["digest"].startswith(T13_GOLDEN_PREFIX)),
-        ],
+        [f"{label} golden", digest[:16], str(digest == goldens[name])]
+        for name, label, digest in (
+            ("T14", "evictframe T14 duet", digests["serial"]),
+            ("T10", "explframe T10 2-attempt", t10_digest),
+            ("T13", "faultprobe T13 duet", probe["digest"]),
+        )
     ]
     table = "\n\n".join(
         [
@@ -209,7 +208,7 @@ def test_t14_evictframe_vs_explframe(benchmark):
                 digest_rows,
                 title=(
                     "T14: digest gates — evictframe serial vs 2 workers, plus "
-                    "the T10/T13 goldens under the new registry"
+                    "the T14/T10/T13 goldens (benchmarks/goldens.json)"
                 ),
             ),
         ]
@@ -234,11 +233,10 @@ def test_t14_evictframe_vs_explframe(benchmark):
         "pooled evictframe duet campaign digest diverged from serial"
     )
     # Claim 4: registering the modality perturbs no other modality's
-    # bytes — the T10 and T13 goldens hold verbatim.
-    assert t10_digest == t10_golden, "explframe T10 baseline digest changed"
-    assert probe["digest"].startswith(T13_GOLDEN_PREFIX), (
-        "faultprobe T13 duet digest changed"
-    )
+    # bytes — the T14, T10 and T13 goldens hold verbatim.
+    assert digests["serial"] == goldens["T14"], "evictframe T14 duet digest changed"
+    assert t10_digest == goldens["T10"], "explframe T10 digest changed"
+    assert probe["digest"] == goldens["T13"], "faultprobe T13 duet digest changed"
 
     evict_campaign = _campaign("evictframe")
     benchmark.pedantic(

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 # cross-modality contract); reports and budgets here are built from it.
 from repro.attack.base import FailureClass, StageFailure
 from repro.core.results import FlipTemplate
+from repro.obs.metrics import MetricStateAccumulator
 from repro.sim.errors import ConfigError, TemplatingExhaustedError
 from repro.sim.rng import derive_seed
 from repro.sim.units import MS, SECOND
@@ -286,8 +287,8 @@ class AttackRunReport:
         Derived keys (``stage_sim_time_ns``, ``failure_classes``) are
         recomputed from the reconstructed fields, so
         ``from_dict(r.to_dict()).to_json() == r.to_json()`` byte for
-        byte.  The campaign service does not need it: it hashes the
-        journaled report dicts directly.
+        byte.  The campaign service's finalize pass rebuilds every
+        journaled report with it, so both engines digest ``to_json()``.
         """
         final_failure = data.get("final_failure")
         return cls(
@@ -658,60 +659,37 @@ class AttackOrchestrator:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Outcome of an N-attempt campaign.
+    """Outcome of an N-attempt campaign, as a :class:`CampaignFold` built it.
 
-    ``digest()`` hashes every attempt's canonical report JSON, in order —
-    the equality witness that every worker count and every engine (in
-    memory, pooled, checkpointed) produce literally the same attacks.
-    ``metrics`` (the per-attempt registries folded, in attempt order, by
-    a :class:`~repro.obs.metrics.MetricStateAccumulator`), ``pool`` (worker-pool
-    stats: wall times, pids) and ``service`` (checkpoint journal stats)
-    ride outside the digest — the first is order-deterministic, the
-    latter two are host noise.
-
-    A streaming campaign-service run journals and *releases* each report
-    instead of holding it (docs/CAMPAIGNS.md); such a result carries
-    ``reports=()`` plus a ``summary`` block (``attempts``, ``successes``,
-    ``digest`` — computed from the journal in attempt order) that the
-    accessors below fall back to, so digest comparisons work identically
-    whether the reports are in memory or on disk.
+    ``digest()`` is the SHA-256 over every attempt's canonical report
+    JSON, in attempt order: the equality witness that every worker
+    count and every engine (in memory, pooled, checkpointed) produce
+    literally the same attacks.  ``reports`` holds the reports of an
+    in-memory run and is empty for a checkpointed one, whose reports
+    live in the journal (docs/CAMPAIGNS.md).  ``metrics`` (the
+    per-attempt registries folded in attempt order), ``pool`` (worker
+    pool stats: wall times, pids) and ``service`` (checkpoint journal
+    stats) ride outside the digest: the first is order-deterministic,
+    the other two are host noise.
     """
 
-    reports: tuple[AttackRunReport, ...]
+    attempts: int
+    successes: int
+    sha256: str
+    reports: tuple[AttackRunReport, ...] = ()
     metrics: dict | None = None
     pool: dict | None = None
     service: dict | None = None
-    summary: dict | None = None
-
-    @property
-    def attempts(self) -> int:
-        """Number of attack attempts run."""
-        if self.summary is not None:
-            return self.summary["attempts"]
-        return len(self.reports)
-
-    @property
-    def successes(self) -> int:
-        """Attempts that recovered the key."""
-        if self.summary is not None:
-            return self.summary["successes"]
-        return sum(1 for report in self.reports if report.success)
 
     def digest(self) -> str:
         """SHA-256 over the concatenated canonical report JSONs."""
-        if self.summary is not None:
-            return self.summary["digest"]
-        hasher = hashlib.sha256()
-        for report in self.reports:
-            hasher.update(report.to_json().encode("utf-8"))
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        return self.sha256
 
     def to_dict(self) -> dict:
         out = {
             "attempts": self.attempts,
             "successes": self.successes,
-            "digest": self.digest(),
+            "digest": self.sha256,
             "reports": [report.to_dict() for report in self.reports],
         }
         if self.metrics is not None:
@@ -721,6 +699,42 @@ class CampaignResult:
         if self.service is not None:
             out["service"] = self.service
         return out
+
+
+class CampaignFold:
+    """Folds attempt outcomes into one :class:`CampaignResult`, in attempt order.
+
+    The one place a campaign's digest, successes and merged metrics are
+    computed: :meth:`AttackCampaign.run` adds live outcomes, the campaign
+    service its journal pass.  Adds may come in any order; only the
+    outcomes that arrive ahead of their turn wait here.
+    """
+
+    def __init__(self) -> None:
+        self._hasher = hashlib.sha256()
+        self._metrics = MetricStateAccumulator()
+        self._successes = 0
+        self._early: dict[int, tuple[str, bool, dict]] = {}
+
+    def add(self, index: int, report_json: str, success: bool, state: dict) -> None:
+        """Take attempt ``index``'s canonical report JSON, success and metrics state."""
+        self._early[index] = (report_json, success, state)
+        while self._metrics.sources in self._early:
+            report_json, success, state = self._early.pop(self._metrics.sources)
+            self._hasher.update(report_json.encode("utf-8"))
+            self._hasher.update(b"\n")
+            self._successes += bool(success)
+            self._metrics.add(state)
+
+    def result(self, **blocks) -> CampaignResult:
+        """The folded result; ``blocks`` are ``reports``, ``pool`` and ``service``."""
+        return CampaignResult(
+            attempts=self._metrics.sources,
+            successes=self._successes,
+            sha256=self._hasher.hexdigest(),
+            metrics=self._metrics.result(),
+            **blocks,
+        )
 
 
 class AttackCampaign:
@@ -876,8 +890,8 @@ class AttackCampaign:
         (:mod:`repro.parallel.service`) journals it.  With ``workers ==
         1`` the attempts run here, in ``indices`` order, forking one warm
         snapshot.  With ``workers > 1`` they run on a process pool with at
-        most ``2 * workers`` in flight, yielded in
-        completion order; a died worker raises
+        most :func:`~repro.parallel.pool.inflight_window` in flight, yielded
+        in completion order; a died worker raises
         :class:`~repro.sim.errors.WorkerLostError`.
 
         ``snapshot_blob`` is warm state the caller already pickled with
@@ -927,30 +941,25 @@ class AttackCampaign:
     def run(self) -> CampaignResult:
         """Execute every attempt; returns the ordered, in-memory result.
 
-        Reports are kept (the result holds them).  Metrics states are
-        not: each is folded into one
-        :class:`~repro.obs.metrics.MetricStateAccumulator` in attempt
-        order as soon as every earlier attempt's state has been folded,
-        so only the states a pool delivers ahead of their turn wait in
-        memory, not one dump per attempt.
+        Reports are kept (the result holds them).  Every outcome is also
+        added to one :class:`CampaignFold` as it arrives, which digests
+        and merges metrics in attempt order, so only the outcomes a pool
+        delivers ahead of their turn wait in memory, not one metrics
+        dump per attempt.  A died pool worker raises
+        :class:`~repro.sim.errors.WorkerLostError`; only the campaign
+        service retries.
         """
-        from repro.obs.metrics import MetricStateAccumulator
-
         reports: list = [None] * self.attempts
-        accumulator = MetricStateAccumulator()
-        early: dict[int, dict] = {}
+        fold = CampaignFold()
         wall_by_pid: dict[int, int] = {}
         for index, report, state, pid, wall_ns in self.iter_attempts(
             range(self.attempts)
         ):
             reports[index] = report
-            early[index] = state
-            while accumulator.sources in early:
-                accumulator.add(early.pop(accumulator.sources))
+            fold.add(index, report.to_json(), report.success, state)
             wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
-        return CampaignResult(
+        return fold.result(
             reports=tuple(reports),
-            metrics=accumulator.result(),
             pool=self._pool_block(
                 owned=self.attempts,
                 dispatched=self.attempts,

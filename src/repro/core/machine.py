@@ -51,42 +51,44 @@ def _rebind_extras(extras, obs) -> None:
 
 
 class _SnapshotPickler(pickle.Pickler):
-    """Pickler that detaches the three pieces a snapshot must not copy.
+    """Pickler that leaves a snapshot's shared state out of the blob.
 
-    The live observability hub is replaced by :data:`NOOP_OBS` (forks get a
-    fresh hub), and the machine's CoW frame table and the controller's
-    flip log are swapped for persistent references: page payloads are
-    *shared* with the snapshot, and the frozen flip events are shared by
-    every fork, instead of being serialised into the blob.
+    Every object in ``shared`` (token -> live object) pickles as its
+    token, a persistent id: the observability hub, the machine's CoW
+    frame table, the controller's flip log and the three memo caches.
+    :class:`_SnapshotUnpickler` hands each fork its view of them.
     """
 
-    def __init__(self, file, obs, frames, flip_log):
+    def __init__(self, file, shared: dict):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._tokens = {id(obs): "obs", id(frames): "frames", id(flip_log): "flip_log"}
+        self._tokens = {id(obj): token for token, obj in shared.items()}
 
     def persistent_id(self, obj):
         return self._tokens.get(id(obj))
 
 
 class _SnapshotUnpickler(pickle.Unpickler):
-    """Counterpart of :class:`_SnapshotPickler` for forking/rehydration."""
+    """Counterpart of :class:`_SnapshotPickler`: resolves tokens for one fork."""
 
-    def __init__(self, file, frames, flip_log):
+    def __init__(self, file, snapshot: "MachineSnapshot"):
         super().__init__(file)
-        self._frames = frames
-        self._flip_log = flip_log
+        self._snapshot = snapshot
 
     def persistent_load(self, pid):
+        snapshot = self._snapshot
         if pid == "obs":
             return NOOP_OBS
         if pid == "frames":
             # The fork co-owns every frozen frame payload; it privatises a
             # frame only when it first writes to it (copy-on-write).
-            return PhysicalMemory.bump_refs(self._frames)
+            return PhysicalMemory.bump_refs(snapshot._frames)
         if pid == "flip_log":
             # A fresh list over the shared, frozen events: the fork appends
             # its own flips without touching the snapshot or its siblings.
-            return list(self._flip_log)
+            return list(snapshot._flip_log)
+        if pid in snapshot._memos:
+            # Shared by reference: every fork fills the same memo.
+            return snapshot._memos[pid]
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
@@ -100,16 +102,15 @@ class MachineSnapshot:
     neither the snapshot nor its forks copy page payloads: forks share
     them copy-on-write, making fork() O(1) in module size.
 
-    The observability hub is *not* part of the state: it is detached
-    during serialisation and every fork gets a fresh one, so
-    metrics/traces never alias between forks.  The weak-cell memo caches
-    and the controller's victim-plan memo ride outside the frozen blob and
-    are shared by reference across forks — they are pure functions of the
-    build seed and the machine's shape.  The controller's flip log rides
-    outside the blob too, as a tuple of the (frozen) snapshot-time
-    events: each fork gets a fresh list over them, so it shares the
-    events but appends its own flips privately, and unpickling a fork
-    never rebuilds the templating history.
+    One table of persistent ids keeps shared state out of the frozen
+    blob; the unpickler resolves each token per fork.  The observability
+    hub becomes :data:`NOOP_OBS` (every fork then gets a fresh hub, so
+    metrics never alias), the frame table the snapshot's frames, and the
+    flip log a fresh list over the frozen snapshot-time events (a fork
+    appends its own flips privately).  The weak-cell and victim-plan
+    memos, pure functions of the build seed and the machine's shape,
+    become the snapshot's own dicts, shared by every fork; a snapshot
+    rehydrated with :meth:`from_bytes` starts one fresh set.
 
     The snapshot owns no live machine: the one it froze can be closed
     at once, and each fork should be closed (:meth:`Machine.close`) when
@@ -118,19 +119,22 @@ class MachineSnapshot:
     """
 
     def __init__(self, machine: "Machine", extras=None):
-        memory = machine.controller.memory
-        live_frames = memory._frames
-        self._frames = memory.share_frames()
-        weak = machine.controller.weak_cells
-        self._weak_memo = weak._memo
-        self._pop_memo = weak._pop_memo
-        self._plan_memo = machine.controller._plan_memo
-        live_log = machine.controller.flip_log
-        self._flip_log = tuple(live_log)
+        controller = machine.controller
+        weak = controller.weak_cells
+        self._memos = {
+            "weak_memo": weak._memo,
+            "pop_memo": weak._pop_memo,
+            "plan_memo": controller._plan_memo,
+        }
+        self._frames = controller.memory.share_frames()
+        self._flip_log = tuple(controller.flip_log)
         buffer = io.BytesIO()
-        _SnapshotPickler(buffer, machine.obs, live_frames, live_log).dump(
-            (machine, extras)
-        )
+        _SnapshotPickler(buffer, {
+            "obs": machine.obs,
+            "frames": controller.memory._frames,
+            "flip_log": controller.flip_log,
+            **self._memos,
+        }).dump((machine, extras))
         self._blob = buffer.getvalue()
 
     def __del__(self):
@@ -147,13 +151,7 @@ class MachineSnapshot:
         events) is untouched — hardware does not change identity when an
         experiment re-rolls its dice.
         """
-        machine, extras = _SnapshotUnpickler(
-            io.BytesIO(self._blob), self._frames, self._flip_log
-        ).load()
-        weak = machine.controller.weak_cells
-        weak._memo = self._weak_memo
-        weak._pop_memo = self._pop_memo
-        machine.controller._plan_memo = self._plan_memo
+        machine, extras = _SnapshotUnpickler(io.BytesIO(self._blob), self).load()
         machine._rebind_obs()
         _rebind_extras(extras, machine.obs)
         if seed is not None:
@@ -188,10 +186,9 @@ class MachineSnapshot:
         state = pickle.loads(blob)
         snapshot = cls.__new__(cls)
         snapshot._frames = PhysicalMemory.unpack_frames(state["pfns"], state["payload"])
-        # Memo caches are regenerated on demand in the receiving process.
-        snapshot._weak_memo = {}
-        snapshot._pop_memo = {}
-        snapshot._plan_memo = {}
+        # The memos do not travel: this snapshot's forks share one fresh
+        # set and regenerate entries on demand.
+        snapshot._memos = {"weak_memo": {}, "pop_memo": {}, "plan_memo": {}}
         snapshot._blob = state["blob"]
         snapshot._flip_log = state["flip_log"]
         return snapshot

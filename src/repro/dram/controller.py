@@ -431,15 +431,6 @@ class MemoryController:
     # Python loop only once a row holds a few dozen cells.
     _VECTOR_MIN_CELLS = 16
 
-    def __getstate__(self) -> dict:
-        # Victim plans and hammer layouts are pure functions of the
-        # geometry, the mapping and the weak-cell map: keep them out of
-        # snapshots; forks re-attach the parent's memo by reference instead
-        # (see MachineSnapshot).
-        state = self.__dict__.copy()
-        state["_plan_memo"] = {}
-        return state
-
     def _victim_plan(
         self, key: tuple[int, int, int], aggressor_rows: tuple[int, ...]
     ) -> _Plan | None:
@@ -783,7 +774,7 @@ class MemoryController:
         multi-row bank's victim plan.  Layouts are pure functions of the
         mapping and the weak-cell map, like victim plans, so they live in
         the plan memo, keyed by the address tuple: bounded, kept out of
-        pickles and shared with forks.
+        snapshots and shared with forks.
         """
         memo_key = tuple(phys_addrs)
         layout = self._plan_memo.get(memo_key)

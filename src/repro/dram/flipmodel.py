@@ -181,15 +181,6 @@ class WeakCellMap:
         self._memo: dict[tuple[int, int], tuple[WeakCell, ...]] = {}
         self._pop_memo: dict[tuple[int, int], RowPopulation | None] = {}
 
-    def __getstate__(self) -> dict:
-        # The memo caches are pure functions of (master seed, coordinates):
-        # drop them when pickling so snapshots stay compact; forks re-attach
-        # a shared live cache instead (see MachineSnapshot).
-        state = self.__dict__.copy()
-        state["_memo"] = {}
-        state["_pop_memo"] = {}
-        return state
-
     def cells_in_row(self, flat_bank: int, row: int) -> tuple[WeakCell, ...]:
         """Weak cells of the given row, sorted by bit index."""
         if not 0 <= flat_bank < self.geometry.total_banks:

@@ -276,7 +276,7 @@ class ZonedPageFrameAllocator:
 
     # -- free ------------------------------------------------------------------
 
-    def free_pages_block(self, pfn: int, order: int, cpu: int, use_pcp: bool = True) -> None:
+    def free_pages(self, pfn: int, order: int, cpu: int, use_pcp: bool = True) -> None:
         """Free ``2**order`` frames headed by ``pfn``.
 
         Order-0 frees with ``use_pcp`` return to the freeing CPU's cache of
@@ -292,10 +292,6 @@ class ZonedPageFrameAllocator:
                     f"block [{pfn:#x}, {pfn + (1 << order):#x}) straddles a zone boundary"
                 )
             zone.buddy.free(pfn, order)
-
-    def free_pages(self, pfn: int, order: int, cpu: int, use_pcp: bool = True) -> None:
-        """Alias of :meth:`free_pages_block` (the kernel-facing name)."""
-        self.free_pages_block(pfn, order, cpu, use_pcp=use_pcp)
 
     # -- pressure handling ------------------------------------------------------
 

@@ -118,13 +118,7 @@ class Histogram:
         self.sum += value
 
     def snapshot_value(self):
-        cumulative: dict[str, int] = {}
-        running = 0
-        for bound, n in zip(self.buckets, self.bucket_counts):
-            running += n
-            cumulative[f"le_{bound}"] = running
-        cumulative["le_inf"] = running + self.bucket_counts[-1]
-        return {"count": self.count, "sum": self.sum, "buckets": cumulative}
+        return _render_histogram(self.buckets, self.bucket_counts, self.count, self.sum)
 
 
 class _NullCounter:
@@ -342,6 +336,7 @@ _HEADER = ("metric", "kind", "value", "unit")
 
 
 def _render_histogram(buckets: Sequence, bucket_counts: Sequence, count, total):
+    """Cumulative ``le_<bound>`` buckets plus ``le_inf``, as every snapshot shows them."""
     cumulative: dict[str, int] = {}
     running = 0
     for bound, n in zip(buckets, bucket_counts):

@@ -12,7 +12,6 @@ from repro.parallel.pool import iter_pooled, make_pool_block, register_pool_metr
 from repro.parallel.service import (
     CampaignService,
     campaign_config_hash,
-    make_service_block,
     register_service_metrics,
 )
 
@@ -21,7 +20,6 @@ __all__ = [
     "campaign_config_hash",
     "iter_pooled",
     "make_pool_block",
-    "make_service_block",
     "register_pool_metrics",
     "register_service_metrics",
 ]

@@ -49,6 +49,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.errors import WorkerLostError
 
 __all__ = [
+    "inflight_window",
     "iter_pooled",
     "make_pool_block",
     "register_pool_metrics",
@@ -130,6 +131,16 @@ def make_pool_block(
 # -- campaign dispatch -------------------------------------------------------------
 
 
+def inflight_window(workers: int, attempts: int) -> int:
+    """Attempts in flight when ``attempts`` run on ``workers``: two per pool
+    worker (a pool starts at most one per attempt), one serial, 0 for none."""
+    if not attempts:
+        return 0
+    if workers <= 1:
+        return 1
+    return 2 * min(workers, attempts)
+
+
 def _campaign_init(campaign, snapshot_blob) -> None:
     """Pool initializer: stage the campaign's warm state in this worker."""
     from repro.core.machine import MachineSnapshot
@@ -148,7 +159,7 @@ def iter_pooled(campaign, indices, *, snapshot_blob: bytes):
 
     Runs ``indices`` on ``min(campaign.workers, len(indices))`` worker
     processes, each forking the shipped ``snapshot_blob``.  At most
-    ``2 * workers`` attempts are submitted at a time, and each outcome
+    :func:`inflight_window` attempts are submitted at a time, and each outcome
     is yielded — and released — as soon as its future completes, so
     memory stays bounded by that window, not the campaign size.  Yield
     order is completion order; callers that need attempt order (the
@@ -162,8 +173,8 @@ def iter_pooled(campaign, indices, *, snapshot_blob: bytes):
     indices = list(indices)
     if not indices:
         return
-    workers = max(1, min(campaign.workers, len(indices)))
-    window = 2 * workers
+    workers = min(campaign.workers, len(indices))
+    window = inflight_window(campaign.workers, len(indices))
     remaining = iter(indices)
     pending: dict = {}
     pool = ProcessPoolExecutor(

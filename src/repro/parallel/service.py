@@ -19,9 +19,11 @@ with three properties, none of which changes a single result bit
 * **Streaming** — attempt reports are journaled and *released*, never
   accumulated; pooled dispatch keeps a bounded in-flight window
   (:func:`~repro.parallel.pool.iter_pooled`), so RSS is near-constant
-  in campaign size.  The returned
-  :class:`~repro.attack.orchestrator.CampaignResult` carries a
-  ``summary`` block (digest, counts) instead of report objects.
+  in campaign size.  The finalize pass reads the journal back through
+  the same :class:`~repro.attack.orchestrator.CampaignFold` an
+  in-memory run uses, so the returned
+  :class:`~repro.attack.orchestrator.CampaignResult` has the same
+  digest, successes and metrics, with ``reports=()``.
 * **Worker-loss tolerant** — a died pool worker surfaces as
   :class:`~repro.sim.errors.WorkerLostError`; the service rebuilds the
   pool (re-using the already-pickled warm snapshot) and re-dispatches
@@ -41,8 +43,9 @@ re-run; an invalid record *followed by* a valid one means real
 corruption and raises :class:`~repro.sim.errors.CheckpointError`.
 
 Everything host-dependent about a service run (journal bytes, retries,
-torn records) lands in the result's ``service`` block — the
-``campaign.service.*`` metric family in docs/OBSERVABILITY.md.
+torn records) lands in the result's ``service`` block: a snapshot of
+the ``campaign.service.*`` metric family (docs/OBSERVABILITY.md), which
+each run registers on its own registry and increments live.
 """
 
 from __future__ import annotations
@@ -54,13 +57,12 @@ import sys
 import zlib
 from pathlib import Path
 
-from repro.obs.metrics import MetricsRegistry, MetricStateAccumulator
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.errors import CheckpointError, WorkerLostError
 
 __all__ = [
     "CampaignService",
     "campaign_config_hash",
-    "make_service_block",
     "register_service_metrics",
 ]
 
@@ -219,29 +221,6 @@ def register_service_metrics(registry):
     }
 
 
-def make_service_block(
-    *,
-    journaled: int,
-    resumed: int,
-    torn: int,
-    worker_retries: int,
-    workers_lost: int,
-    journal_bytes: int,
-    window: int,
-) -> dict:
-    """The ``service`` result block: a snapshot of the campaign.service.* family."""
-    registry = MetricsRegistry(enabled=True)
-    handles = register_service_metrics(registry)
-    handles["journaled"].inc(journaled)
-    handles["resumed"].inc(resumed)
-    handles["torn"].inc(torn)
-    handles["worker_retries"].inc(worker_retries)
-    handles["workers_lost"].inc(workers_lost)
-    handles["journal_bytes"].set(journal_bytes)
-    handles["window"].set(window)
-    return registry.snapshot()
-
-
 # -- the service -------------------------------------------------------------------
 
 
@@ -252,9 +231,11 @@ class CampaignService:
     attempt zero; an interrupted checkpoint (with ``resume=True``)
     continues from the last valid journal record; a completed checkpoint
     just re-finalizes from the journal without running anything.  The
-    returned :class:`~repro.attack.orchestrator.CampaignResult` is
-    summary-only (reports live in the journal) and its digest is
-    bit-identical to the in-memory engines'.
+    returned :class:`~repro.attack.orchestrator.CampaignResult` holds no
+    reports (they live in the journal); its digest, successes and
+    metrics come from the one fold both engines use, so they are
+    bit-identical to an in-memory run's.  A died pool worker is
+    retried here, up to ``WORKER_RETRIES`` times per attempt.
     """
 
     def __init__(self, campaign, checkpoint_dir, *, resume: bool = False):
@@ -263,10 +244,6 @@ class CampaignService:
         self.resume = resume
         self.journal_path = self.directory / JOURNAL_NAME
         self.manifest_path = self.directory / MANIFEST_NAME
-        self._counters = {
-            "journaled": 0, "resumed": 0, "torn": 0,
-            "worker_retries": 0, "workers_lost": 0,
-        }
 
     # -- manifest ----------------------------------------------------------------
 
@@ -305,8 +282,11 @@ class CampaignService:
     # -- execution ---------------------------------------------------------------
 
     def run(self):
-        """Run (or resume) the campaign to completion; summary-only result."""
+        """Run (or resume) the campaign to completion; the result holds no reports."""
         campaign = self.campaign
+        # This run's campaign.service.* family, incremented live.
+        self._registry = MetricsRegistry(enabled=True)
+        self._metrics = register_service_metrics(self._registry)
         self.directory.mkdir(parents=True, exist_ok=True)
         config_hash = campaign_config_hash(campaign)
         offsets: dict[int, int] = {}
@@ -331,14 +311,14 @@ class CampaignService:
             snapshot_digest = manifest.get("snapshot_digest")
             if self.journal_path.exists():
                 offsets, valid_end, torn = scan_journal(self.journal_path)
-                self._counters["torn"] = torn
+                self._metrics["torn"].inc(torn)
                 if torn:
                     # Drop the torn tail on disk too, so appended records
                     # don't concatenate into the partial line.
                     with open(self.journal_path, "r+b") as fh:
                         fh.truncate(valid_end)
 
-        self._counters["resumed"] = len(offsets)
+        self._metrics["resumed"].inc(len(offsets))
         remaining = [
             index for index in range(campaign.attempts) if index not in offsets
         ]
@@ -364,6 +344,7 @@ class CampaignService:
                     file=sys.stderr,
                 )
         wall_by_pid: dict[int, int] = {}
+        journaled = self._metrics["journaled"]
         with open(self.journal_path, "ab") as journal_fh:
             journal_fh.seek(0, os.SEEK_END)
             for index, report, state, pid, wall_ns in self._execute(
@@ -376,8 +357,8 @@ class CampaignService:
                 os.fsync(journal_fh.fileno())
                 offsets[index] = offset
                 wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
-                self._counters["journaled"] += 1
-                if self._counters["journaled"] % MANIFEST_REFRESH_EVERY == 0:
+                journaled.inc()
+                if journaled.value % MANIFEST_REFRESH_EVERY == 0:
                     self._write_manifest(
                         config_hash=config_hash,
                         snapshot_digest=snapshot_digest,
@@ -405,11 +386,11 @@ class CampaignService:
                     yield outcome
                 return
             except WorkerLostError as exc:
-                self._counters["workers_lost"] += 1
+                self._metrics["workers_lost"].inc()
                 lost = exc.attempt
                 if lost is not None and lost not in completed:
                     retries[lost] = retries.get(lost, 0) + 1
-                    self._counters["worker_retries"] += 1
+                    self._metrics["worker_retries"].inc()
                     if retries[lost] > WORKER_RETRIES:
                         raise WorkerLostError(
                             f"attempt {lost} crashed its worker "
@@ -425,13 +406,16 @@ class CampaignService:
     # -- finalize ----------------------------------------------------------------
 
     def _finalize(self, offsets, wall_by_pid):
-        """Second pass over the journal: digest + merged metrics, in order.
+        """Second pass over the journal, in attempt order, through a
+        :class:`~repro.attack.orchestrator.CampaignFold`.
 
-        The digest is the SHA-256 over every report's canonical JSON plus
-        a newline, in attempt-index order, exactly as an in-memory
-        campaign computes it.
+        Each journaled report is rebuilt with
+        :meth:`~repro.attack.orchestrator.AttackRunReport.from_dict`, so
+        the fold digests the same canonical ``to_json()`` bytes an
+        in-memory campaign does.
         """
-        from repro.attack.orchestrator import CampaignResult
+        from repro.attack.orchestrator import AttackRunReport, CampaignFold
+        from repro.parallel.pool import inflight_window
 
         campaign = self.campaign
         missing = [
@@ -442,9 +426,7 @@ class CampaignService:
                 f"{self.journal_path}: attempts {missing[:4]}... were never "
                 "journaled; the campaign did not complete"
             )
-        hasher = hashlib.sha256()
-        accumulator = MetricStateAccumulator()
-        successes = 0
+        fold = CampaignFold()
         with open(self.journal_path, "rb") as fh:
             for index in range(campaign.attempts):
                 fh.seek(offsets[index])
@@ -455,46 +437,18 @@ class CampaignService:
                         f"byte {offsets[index]} changed under the service "
                         "while finalizing"
                     )
-                hasher.update(json.dumps(
-                    record["report"], sort_keys=True, separators=(",", ":")
-                ).encode("utf-8"))
-                hasher.update(b"\n")
-                accumulator.add(record["state"])
-                if record["report"]["success"]:
-                    successes += 1
-        pool_block = campaign._pool_block(
-            owned=campaign.attempts,
-            dispatched=self._counters["journaled"] + self._counters["worker_retries"],
-            completed=self._counters["journaled"],
-            wall_by_pid=wall_by_pid,
-        )
-        # The in-flight bound this run used: iter_pooled keeps two
-        # attempts per pool worker, and it starts no more workers than
-        # there are attempts to run (every one of them is journaled).
-        ran = self._counters["journaled"]
-        if not ran:
-            window = 0
-        elif campaign.workers > 1:
-            window = 2 * min(campaign.workers, ran)
-        else:
-            window = 1
-        service_block = make_service_block(
-            journaled=self._counters["journaled"],
-            resumed=self._counters["resumed"],
-            torn=self._counters["torn"],
-            worker_retries=self._counters["worker_retries"],
-            workers_lost=self._counters["workers_lost"],
-            journal_bytes=self.journal_path.stat().st_size,
-            window=window,
-        )
-        return CampaignResult(
-            reports=(),
-            metrics=accumulator.result(),
-            pool=pool_block,
-            service=service_block,
-            summary={
-                "attempts": campaign.attempts,
-                "successes": successes,
-                "digest": hasher.hexdigest(),
-            },
+                report = AttackRunReport.from_dict(record["report"])
+                fold.add(index, report.to_json(), report.success, record["state"])
+        metrics = self._metrics
+        ran = metrics["journaled"].value
+        metrics["journal_bytes"].set(self.journal_path.stat().st_size)
+        metrics["window"].set(inflight_window(campaign.workers, ran))
+        return fold.result(
+            pool=campaign._pool_block(
+                owned=campaign.attempts,
+                dispatched=ran + metrics["worker_retries"].value,
+                completed=ran,
+                wall_by_pid=wall_by_pid,
+            ),
+            service=self._registry.snapshot(),
         )

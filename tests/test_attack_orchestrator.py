@@ -1,10 +1,14 @@
 """Orchestrator: config validation, recovery under chaos, determinism."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig
 from repro.attack.orchestrator import (
     AttackOrchestrator,
+    CampaignFold,
     FailureClass,
     OrchestratorConfig,
     RetryPolicy,
@@ -13,6 +17,7 @@ from repro.attack.templating import TemplatorConfig
 from repro.core.machine import Machine, MachineConfig
 from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMGeometry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.chaos import ChaosEngine, chaos_profile
 from repro.sim.errors import ConfigError, TemplatingExhaustedError
 from repro.sim.units import MIB, MS
@@ -165,3 +170,60 @@ class TestTemplatingExhaustedError:
             attack.template_until_usable()
         assert excinfo.value.campaigns == 2
         assert excinfo.value.flips_found == 0
+
+
+# -- the campaign fold -------------------------------------------------------------
+
+
+def _outcome(index, counter, gauge, observations, success):
+    """One synthetic attempt outcome: canonical report JSON, success, metrics state."""
+    registry = MetricsRegistry(enabled=True)
+    registry.counter("t.count", unit="items").inc(counter)
+    if gauge is not None:
+        registry.gauge("t.level", unit="items").set(gauge)
+    histogram = registry.histogram("t.size", buckets=(10, 100), unit="b")
+    for value in observations:
+        histogram.observe(value)
+    report_json = f'{{"index":{index},"success":{"true" if success else "false"}}}'
+    return index, report_json, success, registry.export_state()
+
+
+_OUTCOME_FIELDS = st.tuples(
+    st.integers(0, 50),
+    st.one_of(st.none(), st.integers(-5, 5)),
+    st.lists(st.integers(0, 500), max_size=3),
+    st.booleans(),
+)
+
+
+class TestCampaignFold:
+    """Both engines fold through :class:`CampaignFold`; arrival order is noise."""
+
+    @staticmethod
+    def _fold(outcomes):
+        fold = CampaignFold()
+        for outcome in outcomes:
+            fold.add(*outcome)
+        return fold.result()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fields=st.lists(_OUTCOME_FIELDS, min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_any_arrival_order_folds_like_attempt_order(self, fields, data):
+        outcomes = [_outcome(index, *field) for index, field in enumerate(fields)]
+        arrival = data.draw(st.permutations(outcomes))
+        in_order, shuffled = self._fold(outcomes), self._fold(arrival)
+        assert shuffled.digest() == in_order.digest()
+        assert shuffled.successes == in_order.successes
+        assert shuffled.metrics == in_order.metrics
+        # The digest is the documented one: sha256 over report JSON + "\n",
+        # in attempt order.
+        expected = hashlib.sha256(
+            "".join(outcome[1] + "\n" for outcome in outcomes).encode("utf-8")
+        ).hexdigest()
+        assert in_order.digest() == expected
+        assert in_order.attempts == len(outcomes)
+        assert in_order.successes == sum(outcome[2] for outcome in outcomes)
+        assert in_order.reports == ()

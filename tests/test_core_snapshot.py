@@ -166,7 +166,8 @@ class TestCowSnapshots:
 
 
 class TestVictimPlanMemo:
-    """The controller's victim-plan memo is shared by forks, never pickled."""
+    """The memos (victim plans, weak cells, row populations) are shared by
+    forks through the snapshot's persistent ids, never pickled."""
 
     @staticmethod
     def _templated_machine():
@@ -195,6 +196,26 @@ class TestVictimPlanMemo:
         assert fork_b.controller._plan_memo is memo
         shipped, _ = MachineSnapshot.from_bytes(snapshot.to_bytes()).fork()
         assert shipped.controller._plan_memo == {}
+
+    def test_shipped_snapshot_carries_no_memos_and_its_forks_share_one_fresh_set(self):
+        machine = self._templated_machine()
+
+        def memos(m):
+            weak = m.controller.weak_cells
+            return weak._memo, weak._pop_memo, m.controller._plan_memo
+
+        parent = memos(machine)
+        assert all(parent)  # non-vacuous: templating filled all three
+        snapshot = machine.snapshot()
+        assert all(a is b for a, b in zip(memos(snapshot.fork()[0]), parent))
+        shipped = MachineSnapshot.from_bytes(snapshot.to_bytes())
+        fork_a, _ = shipped.fork()
+        fork_b, _ = shipped.fork(seed=3)
+        for memo_a, memo_b, memo_parent in zip(memos(fork_a), memos(fork_b), parent):
+            assert memo_a == {}
+            assert memo_a is memo_b
+            assert memo_a is not memo_parent
+        assert len({id(memo) for memo in memos(fork_a)}) == 3
 
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(MemoryController, "_MEMO_LIMIT", 4)

@@ -162,14 +162,3 @@ class TestRowPopulation:
         cell_map = make_map(FlipModelConfig.highly_vulnerable(), seed=7)
         a = cell_map.row_population(0, 5)
         assert cell_map.row_population(0, 5) is a
-
-    def test_memo_caches_dropped_on_pickle(self):
-        import pickle
-
-        cell_map = make_map(FlipModelConfig.highly_vulnerable(), seed=7)
-        cell_map.cells_in_row(0, 5)
-        cell_map.row_population(0, 5)
-        clone = pickle.loads(pickle.dumps(cell_map))
-        assert clone._memo == {} and clone._pop_memo == {}
-        # Regenerated populations are equal: pure function of seed + coords.
-        assert clone.cells_in_row(0, 5) == cell_map.cells_in_row(0, 5)

@@ -33,7 +33,6 @@ from repro.parallel.service import (
     campaign_config_hash,
     decode_line,
     encode_record,
-    make_service_block,
     register_service_metrics,
     scan_journal,
 )
@@ -170,18 +169,21 @@ class TestServiceTelemetry:
             "campaign.service.inflight_window",
         }
 
-    def test_make_service_block_shape(self):
-        block = make_service_block(
-            journaled=3, resumed=1, torn=1, worker_retries=2, workers_lost=1,
-            journal_bytes=4096, window=4,
+    def test_service_block_of_a_real_run(self, tmp_path):
+        registry = MetricsRegistry(enabled=True)
+        register_service_metrics(registry)
+        service = CampaignService(make_campaign(attempts=2), tmp_path)
+        block = service.run().service
+        assert set(block) == set(registry.snapshot())
+        assert block["campaign.service.attempts_journaled"] == 2
+        assert block["campaign.service.attempts_resumed"] == 0
+        assert block["campaign.service.torn_records_dropped"] == 0
+        assert block["campaign.service.worker_retries"] == 0
+        assert block["campaign.service.workers_lost"] == 0
+        assert block["campaign.service.journal_bytes"] == (
+            service.journal_path.stat().st_size
         )
-        assert block["campaign.service.attempts_journaled"] == 3
-        assert block["campaign.service.attempts_resumed"] == 1
-        assert block["campaign.service.torn_records_dropped"] == 1
-        assert block["campaign.service.worker_retries"] == 2
-        assert block["campaign.service.workers_lost"] == 1
-        assert block["campaign.service.journal_bytes"] == 4096
-        assert block["campaign.service.inflight_window"] == 4
+        assert block["campaign.service.inflight_window"] == 1
 
 
 # -- worker death plumbing ---------------------------------------------------------
@@ -349,6 +351,28 @@ class TestServiceParity:
         assert resumed.service["campaign.service.attempts_resumed"] == 2
         # Two attempts left start two workers, each with two in flight.
         assert resumed.service["campaign.service.inflight_window"] == 4
+
+    def test_journal_with_a_hole_resumes_on_two_workers(self, tmp_path, reference):
+        # Attempt 2 is missing between journaled neighbours, as a pooled
+        # run killed while attempt 2 was still in flight leaves it.
+        service = CampaignService(make_campaign(attempts=4), tmp_path)
+        service.run()
+        journal = service.journal_path
+        lines = journal.read_bytes().splitlines(True)
+        journal.write_bytes(b"".join(lines[i] for i in (0, 1, 3)))
+        manifest = json.loads(service.manifest_path.read_text())
+        manifest.update(completed=3, status="running", digest=None)
+        service.manifest_path.write_text(json.dumps(manifest))
+
+        resumed = CampaignService(
+            make_campaign(attempts=4, workers=2), tmp_path, resume=True
+        ).run()
+        assert resumed.digest() == reference["digest"]
+        assert resumed.metrics == reference["metrics"]
+        assert resumed.successes == reference["successes"]
+        assert resumed.service["campaign.service.attempts_resumed"] == 3
+        assert resumed.service["campaign.service.attempts_journaled"] == 1
+        assert sorted(scan_journal(journal)[0]) == [0, 1, 2, 3]
 
     def test_checkpoint_with_retired_manifest_keys_still_resumes(
         self, tmp_path, reference
