@@ -1,7 +1,9 @@
 """Benchmark-suite fixtures.
 
-Every experiment builds fresh machines from fixed seeds, so the tables in
-``benchmarks/results/`` are reproducible run-to-run.
+Every experiment builds fresh machines from fixed seeds, so its table is
+reproducible run-to-run.  A run writes it to the git-ignored
+``benchmarks/results/latest/``; the checked-in ``benchmarks/results/*.txt``
+are the record and change only by a deliberate copy from there.
 """
 
 from __future__ import annotations

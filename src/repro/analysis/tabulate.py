@@ -1,8 +1,9 @@
 """Plain-text table rendering and result persistence.
 
 The benchmarks print each experiment's table to stdout *and* write it
-under ``benchmarks/results/`` so the numbers survive pytest's output
-capturing and can be diffed across runs.
+under the git-ignored ``benchmarks/results/latest/``, to survive pytest's
+output capturing.  The checked-in ``benchmarks/results/*.txt`` are the
+record; a deliberate re-measure copies a table over from there.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ def format_table(
 
 
 def results_dir() -> str:
-    """The benchmarks/results directory (created on demand)."""
+    """The benchmarks/results/latest directory (created on demand)."""
     here = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(__file__))))
-    path = os.path.join(here, "benchmarks", "results")
+    path = os.path.join(here, "benchmarks", "results", "latest")
     os.makedirs(path, exist_ok=True)
     return path
 

@@ -141,11 +141,15 @@ class TargetVictim(Protocol):
     Any modality's steer stage produces one of these;
     :meth:`repro.workload.engine.WorkloadEngine.attach_target` accepts
     them structurally (``CipherVictim`` is the canonical implementation).
+    ``fetch_tables`` serves a block nobody reads: ``encrypt``'s table
+    fetches without its rounds.
     """
 
     pid: int
 
     def encrypt(self, block: bytes) -> bytes: ...
+
+    def fetch_tables(self) -> None: ...
 
 
 class AttackRun(Protocol):

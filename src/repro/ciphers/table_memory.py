@@ -57,10 +57,6 @@ class MemorySBox:
         """Fetch the table as the cipher would see it right now."""
         return self.kernel.mem_read(self.pid, self.va, self.size)
 
-    def provider(self):
-        """A zero-argument callable for the cipher constructors."""
-        return self.read
-
     def is_intact(self) -> bool:
         """True when the in-memory table still equals what was installed."""
         if self._reference is None:
@@ -126,11 +122,6 @@ class CipherVictim:
         """Victim's pid."""
         return self.task.pid
 
-    @property
-    def table_size(self) -> int:
-        """Size of the (last-round) substitution table stored in memory."""
-        return 16 if self.cipher_kind == "present" else 256
-
     def _read_te(self) -> bytes:
         return self.kernel.mem_read(self.pid, self._te_va, 4096)
 
@@ -156,18 +147,18 @@ class CipherVictim:
             self._context = AesTTable(
                 self.key,
                 te_provider=self._read_te,
-                sbox_provider=self.sbox.provider(),
+                sbox_provider=self.sbox.read,
             )
             return self.sbox.pfn
         base_va = self.kernel.sys_mmap(self.pid, PAGE_SIZE, name="cipher-table")
         table_va = base_va + self.table_offset
-        self.sbox = MemorySBox(self.kernel, self.pid, table_va, self.table_size)
         clean = AES_SBOX if self.cipher_kind == "aes" else PRESENT_SBOX
+        self.sbox = MemorySBox(self.kernel, self.pid, table_va, len(clean))
         self.sbox.install(clean)
         if self.cipher_kind == "aes":
-            self._context = AES(self.key, sbox_provider=self.sbox.provider())
+            self._context = AES(self.key, sbox_provider=self.sbox.read)
         else:
-            self._context = Present(self.key, sbox_provider=self.sbox.provider())
+            self._context = Present(self.key, sbox_provider=self.sbox.read)
         return self.sbox.pfn
 
     def _require_ready(self):
@@ -179,6 +170,14 @@ class CipherVictim:
         self._require_ready()
         self.encryptions += 1
         return self._context.encrypt_block(plaintext)
+
+    def fetch_tables(self) -> None:
+        """:meth:`encrypt`'s table fetches, in order, without its (pure) rounds."""
+        self._require_ready()
+        self.encryptions += 1
+        if self._te_va is not None:
+            self._read_te()
+        self.sbox.read()
 
     def encrypt_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Encrypt ``count`` random blocks (AES variants), vectorised.
@@ -193,17 +192,14 @@ class CipherVictim:
         self._require_ready()
         if self.cipher_kind == "present":
             raise ConfigError("batch encryption is implemented for AES only")
+        plaintexts = random_plaintexts(count, rng)
+        self.encryptions += count
         if self.cipher_kind == "aes_ttable" and self._read_te() != AES_TE_TABLES:
-            plaintexts = random_plaintexts(count, rng)
-            self.encryptions += count
             return np.frombuffer(
                 b"".join(self._context.encrypt_block(bytes(p)) for p in plaintexts),
                 dtype=np.uint8,
             ).reshape(-1, 16)
-        sbox = self.sbox.read()
-        plaintexts = random_plaintexts(count, rng)
-        self.encryptions += count
-        return aes128_encrypt_batch(plaintexts, self.key, sbox)
+        return aes128_encrypt_batch(plaintexts, self.key, self.sbox.read())
 
     def table_is_faulty(self) -> bool:
         """True once the in-memory table differs from the clean one."""

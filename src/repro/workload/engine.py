@@ -13,10 +13,10 @@ victim: the attack creates one per steering attempt and hands it over
 via :meth:`WorkloadEngine.attach_target`, so the target's traffic is
 served by whichever process the attacker is currently steering against.
 
-Serving a request costs simulated time (table reads through the memory
-hierarchy) and — when ``scratch_pages > 0`` — churns the CPU's page
-frame cache: each request maps fresh scratch and frees the *previous*
-request's, the noisy-neighbour interference the T12 bench measures.
+Serving a request costs simulated time (each block's table fetches, as
+one encryption makes them) and — when ``scratch_pages > 0`` — churns the
+CPU's page frame cache: each request maps fresh scratch and frees the
+*previous* request's, the noisy-neighbour interference T12 measures.
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ class _Tenant:
     def _arrival_rng(self):
         return self.machine.rng.stream(f"workload.arrivals/{self.name}")
 
-    def _payload_rng(self):
-        return self.machine.rng.stream(f"workload.payload/{self.name}")
-
     def _draw_delay_ns(self) -> int:
         spec = self.spec
         mean = spec.mean_interarrival_ns
@@ -153,20 +150,23 @@ class _Tenant:
         )
 
     def _serve(self) -> None:
+        """Serve the queue: every payload block is one ``victim.fetch_tables()``.
+
+        Nothing reads an organic ciphertext; probes, whose ciphertexts are
+        read, encrypt through :meth:`WorkloadEngine.probe_target`.
+        """
         spec, victim = self.spec, self.victim
         kernel = self.machine.kernel
         if spec.sleeps and victim.task.state is TaskState.SLEEPING:
             kernel.sys_wake(victim.pid)
-        block = 8 if spec.cipher == "present" else 16
-        rng = self._payload_rng()
-        while self.queue:
-            self.queue -= 1
-            for _ in range(spec.payload_blocks):
-                victim.encrypt(bytes(rng.randrange(256) for _ in range(block)))
-            self.blocks_encrypted += spec.payload_blocks
-            self.served += 1
-            self._m_served.inc()
-            self._m_encryptions.inc(spec.payload_blocks)
+        served, self.queue = self.queue, 0
+        blocks = served * spec.payload_blocks
+        for _ in range(blocks):
+            victim.fetch_tables()
+        self.served += served
+        self.blocks_encrypted += blocks
+        self._m_served.inc(served)
+        self._m_encryptions.inc(blocks)
         if spec.sleeps:
             kernel.sys_sleep(victim.pid)
 
@@ -289,7 +289,7 @@ class WorkloadEngine:
         if not isinstance(victim, TargetVictim):
             raise ConfigError(
                 f"target victim {victim!r} does not implement the "
-                "TargetVictim protocol (pid + encrypt)"
+                "TargetVictim protocol (pid, encrypt, fetch_tables)"
             )
         tenant = self.target
         previous = tenant.victim
@@ -301,13 +301,13 @@ class WorkloadEngine:
             self.kernel.sys_exit(previous.pid)
 
     def probe_target(self, plaintext: bytes) -> bytes:
-        """Encrypt one block through the target tenant's serving path.
+        """Encrypt one block on the target tenant's victim; return the ciphertext.
 
         The FAULT+PROBE response-discrepancy oracle: a probe is one more
         request the target serves (counted in its issued/served/encryption
         totals), not a side-channel call behind the engine's back — so
         probing traffic shows up in tenant summaries and metrics exactly
-        like organic load.
+        like organic load, whose blocks only fetch the tables.
         """
         tenant = self.target
         victim = tenant.victim
@@ -322,12 +322,6 @@ class WorkloadEngine:
         tenant._m_encryptions.inc()
         return ciphertext
 
-    def next_target_arrival_ns(self) -> int:
-        """Absolute due time of the target's next request."""
-        if not self.started:
-            raise ConfigError("workload not started")
-        return self.target.next_due_ns
-
     def await_target_window(self) -> int:
         """Run background traffic up to just before the target's next request.
 
@@ -336,7 +330,9 @@ class WorkloadEngine:
         churn the page frame cache meanwhile), and the target's allocation
         happens at the window's edge.
         """
-        due = self.next_target_arrival_ns()
+        if not self.started:
+            raise ConfigError("workload not started")
+        due = self.target.next_due_ns
         if due - 1 > self.machine.clock.now_ns:
             self.machine.run_until(due - 1)
         return due

@@ -41,7 +41,8 @@ class TenantSpec:
     tenant's private RNG stream, so one tenant's schedule never perturbs
     another's.  ``burst`` requests arrive per event; at most
     ``max_queue`` wait unserved (extra arrivals are dropped and
-    counted).  ``scratch_pages`` models per-request working memory: each
+    counted); each serves ``payload_blocks`` blocks, every one fetching
+    the cipher's tables.  ``scratch_pages`` models per-request working memory: each
     request maps that many fresh pages and frees the *previous*
     request's — the page-frame-cache churn that makes noisy neighbours
     dangerous to steering.  ``cpu=None`` leaves placement to the
