@@ -1,144 +1,102 @@
 #!/usr/bin/env python
-"""Cross-check docs/OBSERVABILITY.md against the live telemetry.
+"""Cross-check docs/OBSERVABILITY.md against the declared telemetry.
 
-Builds a small machine with every instrumented component attached (so
-all metric families and span emission sites register), then verifies in
-both directions:
+Metric families are declared once, in ``repro.obs.schema.SCHEMA``; span
+names are whatever ``src/`` emits.  The check verifies, in both
+directions:
 
-* every metric family in the registry appears in the doc's tables;
-* every metric name documented actually exists in the registry;
-* every span/instant name emitted in ``src/`` appears in the doc, and
-  every documented span name is emitted somewhere in ``src/``.
+* every declared metric family has a row in the doc's metric tables,
+  and every documented metric is declared;
+* each row's kind and unit columns match the declaration;
+* every declared name is used as a string literal somewhere in ``src/``
+  outside the schema module, so a stale declaration cannot linger;
+* every span/instant name emitted in ``src/`` appears in the doc's
+  trace-event table, and every documented span name is emitted.
 
 Run from the repo root: ``PYTHONPATH=src python -m scripts.check_telemetry_docs``.
-Exits 1 on any mismatch (CI runs this as the docs check).
+Exits 1 on any mismatch (CI and the tier-1 suite run this as the docs check).
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DOC = REPO / "docs" / "OBSERVABILITY.md"
+SRC = REPO / "src" / "repro"
+SCHEMA_MODULE = SRC / "obs" / "schema.py"
 
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.attack.evictframe import EvictFrameAttack, EvictFrameConfig  # noqa: E402
-from repro.attack.explframe import ExplFrameAttack, ExplFrameConfig  # noqa: E402
-from repro.attack.faultprobe import FaultProbeAttack  # noqa: E402
-from repro.attack.orchestrator import (  # noqa: E402
-    AttackOrchestrator,
-    OrchestratorConfig,
-)
-from repro.attack.templating import TemplatorConfig  # noqa: E402
-from repro.core import Machine, MachineConfig  # noqa: E402
-from repro.defense.watchdog import WatchdogConfig  # noqa: E402
-from repro.parallel.pool import register_pool_metrics  # noqa: E402
-from repro.parallel.service import register_service_metrics  # noqa: E402
-from repro.sim.chaos import ChaosEngine, chaos_profile  # noqa: E402
-from repro.sim.units import MIB  # noqa: E402
-from repro.workload import WorkloadEngine, scenario_preset  # noqa: E402
+from repro.obs.schema import SCHEMA  # noqa: E402
 
-# Backticked dotted names in doc table rows ("| `dram.flips` | ...").
-_DOC_NAME = re.compile(r"^\|\s*`([a-z_][a-z0-9_.]+)`\s*\|", re.MULTILINE)
+# Doc table rows: backticked dotted name, then the kind and third columns
+# ("| `dram.flips` | counter | flips | ...").
+_DOC_ROW = re.compile(
+    r"^\|\s*`([a-z_][a-z0-9_.]+)`\s*\|\s*([^|]*?)\s*\|\s*([^|]*?)\s*\|", re.MULTILINE
+)
 # Emission sites: tracer.span("name"...) / .instant / .complete across
 # line breaks ("name" is always the first string literal after the paren).
 _EMIT = re.compile(r"tracer\.(?:span|instant|complete)\(\s*\n?\s*\"([a-z_.]+)\"")
+_STRING_LITERAL = re.compile(r"\"([a-z_][a-z0-9_.]+)\"")
 
 
-def registered_families() -> set[str]:
-    config = replace(MachineConfig.small(seed=0), watchdog=WatchdogConfig())
-    machine = Machine(config)
-    ChaosEngine(machine.kernel, chaos_profile("none"))
-    attack = ExplFrameAttack(
-        machine,
-        config=ExplFrameConfig(
-            templator=TemplatorConfig(buffer_bytes=2 * MIB)
-        ),
-    )
-    AttackOrchestrator(attack, OrchestratorConfig())
-    # The campaign.pool.* and campaign.service.* families live on
-    # result-side registries (campaign results carry their snapshots),
-    # not on any machine component — attach them here so the doc
-    # cross-check covers them.
-    register_pool_metrics(machine.obs.metrics)
-    register_service_metrics(machine.obs.metrics)
-    # The workload.tenant.* family registers when a scenario's engine
-    # binds; the duet preset covers every instrument in the family.
-    WorkloadEngine(machine, scenario_preset("duet")).start()
-    # Drive past one scheduler tick so lazily-created per-queue families
-    # (sim.events.dispatched{queue=...}) register.
-    machine.run_until(machine.scheduler.TIMESLICE_NS)
-    families = set(machine.obs.metrics.family_names())
-    # The attack.faultprobe.* family binds only when that modality is
-    # built; use a second machine so its shared attack.* instruments
-    # don't double-register on the first.
-    probe_machine = Machine(MachineConfig.small(seed=0))
-    FaultProbeAttack(
-        probe_machine,
-        config=ExplFrameConfig(
-            templator=TemplatorConfig(buffer_bytes=2 * MIB)
-        ),
-    )
-    families.update(
-        name
-        for name in probe_machine.obs.metrics.family_names()
-        if name.startswith("attack.faultprobe.")
-    )
-    # Same story for the attack.evict.* family (evictframe modality).
-    evict_machine = Machine(MachineConfig.small(seed=0))
-    EvictFrameAttack(
-        evict_machine,
-        config=EvictFrameConfig(
-            templator=TemplatorConfig(buffer_bytes=2 * MIB)
-        ),
-    )
-    families.update(
-        name
-        for name in evict_machine.obs.metrics.family_names()
-        if name.startswith("attack.evict.")
-    )
-    return families
+def _sources() -> dict[Path, str]:
+    return {path: path.read_text(encoding="utf-8") for path in SRC.rglob("*.py")}
 
 
-def emitted_span_names() -> set[str]:
+def emitted_span_names(sources: dict[Path, str]) -> set[str]:
     names = set()
-    for path in (REPO / "src" / "repro").rglob("*.py"):
-        if path.parent.name == "obs":
-            continue
-        names.update(_EMIT.findall(path.read_text(encoding="utf-8")))
+    for path, text in sources.items():
+        if path.parent.name != "obs":
+            names.update(_EMIT.findall(text))
+    return names
+
+
+def used_metric_names(sources: dict[Path, str]) -> set[str]:
+    """Dotted string literals in ``src/`` outside the schema module."""
+    names = set()
+    for path, text in sources.items():
+        if path != SCHEMA_MODULE:
+            names.update(_STRING_LITERAL.findall(text))
     return names
 
 
 def main() -> int:
-    doc_names = set(_DOC_NAME.findall(DOC.read_text(encoding="utf-8")))
-    families = registered_families()
-    spans = emitted_span_names()
-
-    doc_metrics = {n for n in doc_names if "." in n and n not in spans}
-    doc_spans = doc_names & spans | {
-        n for n in doc_names if n not in families and n not in doc_metrics
-    }
+    text = DOC.read_text(encoding="utf-8")
+    trace_part, _, metric_part = text.partition("## Metric families")
+    doc_spans = {row[0] for row in _DOC_ROW.findall(trace_part)}
+    doc_metrics = {name: (kind, unit) for name, kind, unit in _DOC_ROW.findall(metric_part)}
+    sources = _sources()
+    spans = emitted_span_names(sources)
+    used = used_metric_names(sources)
 
     problems = []
     # The CoW frame-store gauges are collector-backed and easy to lose in a
-    # refactor of MemoryController.bind_obs; pin the family explicitly.
-    cow_family = {name for name in families if name.startswith("dram.memory.cow.")}
+    # refactor of MemoryController's collector; pin the family explicitly.
+    cow_family = {name for name in SCHEMA if name.startswith("dram.memory.cow.")}
     if len(cow_family) < 4:
         problems.append(
-            "the dram.memory.cow.* family (4 gauges) is no longer registered; "
+            "the dram.memory.cow.* family (4 gauges) is no longer declared; "
             f"found only {sorted(cow_family)}"
         )
-    for missing in sorted(families - doc_names):
-        problems.append(f"metric {missing!r} is registered but not documented")
-    for stale in sorted(doc_metrics - families):
-        problems.append(f"doc lists metric {stale!r} which is not registered")
-    for missing in sorted(spans - doc_names):
+    for missing in sorted(SCHEMA.keys() - doc_metrics.keys()):
+        problems.append(f"metric {missing!r} is declared but not documented")
+    for stale in sorted(doc_metrics.keys() - SCHEMA.keys()):
+        problems.append(f"doc lists metric {stale!r} which is not declared")
+    for name in sorted(SCHEMA.keys() & doc_metrics.keys()):
+        spec, (kind, unit) = SCHEMA[name], doc_metrics[name]
+        if kind.split()[0] != spec.kind:
+            problems.append(f"metric {name!r}: doc kind {kind!r}, declared {spec.kind!r}")
+        if unit != spec.unit:
+            problems.append(f"metric {name!r}: doc unit {unit!r}, declared {spec.unit!r}")
+    for unused in sorted(SCHEMA.keys() - used):
+        problems.append(f"metric {unused!r} is declared but never used in src/")
+    for missing in sorted(spans - doc_spans):
         problems.append(f"span {missing!r} is emitted but not documented")
-    for stale in sorted(doc_spans - spans - families):
+    for stale in sorted(doc_spans - spans):
         problems.append(f"doc lists span {stale!r} which is never emitted")
 
     if problems:
@@ -147,7 +105,7 @@ def main() -> int:
             print(f"  - {problem}")
         return 1
     print(
-        f"telemetry contract OK: {len(families)} metric families, "
+        f"telemetry contract OK: {len(SCHEMA)} metric families, "
         f"{len(spans)} span names documented"
     )
     return 0

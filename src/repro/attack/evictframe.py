@@ -143,34 +143,13 @@ class EvictFrameAttack(ExplFrameAttack):
         probes, and the two numbers that separate eviction-based from
         flush-based hammering (accuracy numerator/denominator, waste)."""
         super()._bind_modality_metrics(metrics)
-        self._m_sets = metrics.counter(
-            "attack.evict.sets_derived", unit="sets",
-            help="eviction sets derived and timing-verified",
-        )
-        self._m_set_lines = metrics.counter(
-            "attack.evict.set_lines", unit="lines",
-            help="lines enrolled across derived eviction sets",
-        )
-        self._m_probe_reads = metrics.counter(
-            "attack.evict.probe_reads", unit="reads",
-            help="loads issued while timing-verifying candidate sets",
-        )
-        self._m_evict_rounds = metrics.counter(
-            "attack.evict.rounds", unit="rounds",
-            help="flush-free hammer rounds issued",
-        )
-        self._m_agg_accesses = metrics.counter(
-            "attack.evict.aggressor_accesses", unit="accesses",
-            help="aggressor accesses issued by eviction hammering",
-        )
-        self._m_agg_evictions = metrics.counter(
-            "attack.evict.aggressor_evictions", unit="accesses",
-            help="aggressor accesses that reached DRAM (accuracy numerator)",
-        )
-        self._m_wasted = metrics.counter(
-            "attack.evict.wasted_activations", unit="activations",
-            help="row activations spent on eviction-set lines, not aggressors",
-        )
+        self._m_sets = metrics.counter("attack.evict.sets_derived")
+        self._m_set_lines = metrics.counter("attack.evict.set_lines")
+        self._m_probe_reads = metrics.counter("attack.evict.probe_reads")
+        self._m_evict_rounds = metrics.counter("attack.evict.rounds")
+        self._m_agg_accesses = metrics.counter("attack.evict.aggressor_accesses")
+        self._m_agg_evictions = metrics.counter("attack.evict.aggressor_evictions")
+        self._m_wasted = metrics.counter("attack.evict.wasted_activations")
 
     # -- eviction-set derivation ---------------------------------------------------
 

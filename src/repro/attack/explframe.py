@@ -178,25 +178,11 @@ class ExplFrameAttack:
 
     def _bind_shared_metrics(self, metrics) -> None:
         """Counters for the template/steer front half (every modality)."""
-        self._m_campaigns = metrics.counter(
-            "attack.template.campaigns", unit="campaigns",
-            help="templating passes over fresh buffers",
-        )
-        self._m_flips = metrics.counter(
-            "attack.template.flips", unit="flips",
-            help="repeatable flips found while templating",
-        )
-        self._m_usable = metrics.counter(
-            "attack.template.usable", unit="templates",
-            help="templates armed against the victim table",
-        )
-        self._m_steer_attempts = metrics.counter(
-            "attack.steer.attempts", unit="attempts", help="steering rounds staged"
-        )
-        self._m_steer_hits = metrics.counter(
-            "attack.steer.successes", unit="attempts",
-            help="steering rounds where the victim received the staged frame",
-        )
+        self._m_campaigns = metrics.counter("attack.template.campaigns")
+        self._m_flips = metrics.counter("attack.template.flips")
+        self._m_usable = metrics.counter("attack.template.usable")
+        self._m_steer_attempts = metrics.counter("attack.steer.attempts")
+        self._m_steer_hits = metrics.counter("attack.steer.successes")
 
     def _bind_modality_metrics(self, metrics) -> None:
         """Modality-specific instruments (subclasses override).
@@ -206,10 +192,7 @@ class ExplFrameAttack:
         metrics snapshot even at zero, and the explframe ``--json``
         report bytes are a compatibility contract.
         """
-        self._m_ciphertexts = metrics.counter(
-            "attack.pfa.ciphertexts", unit="ciphertexts",
-            help="faulty ciphertexts consumed by fault analysis",
-        )
+        self._m_ciphertexts = metrics.counter("attack.pfa.ciphertexts")
 
     @property
     def hammer_rounds_total(self) -> int:

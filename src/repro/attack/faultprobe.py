@@ -100,22 +100,10 @@ class FaultProbeAttack(ExplFrameAttack):
         """FAULT+PROBE instruments (no ``attack.pfa.*`` here — registered
         families show up at zero in every snapshot, and each modality's
         snapshot must only carry its own)."""
-        self._m_probes = metrics.counter(
-            "attack.faultprobe.probes", unit="probes",
-            help="oracle responses collected (reference + post-hammer)",
-        )
-        self._m_discrepancies = metrics.counter(
-            "attack.faultprobe.discrepancies", unit="probes",
-            help="probe rounds whose responses diverged from the reference",
-        )
-        self._m_bits = metrics.counter(
-            "attack.faultprobe.bits_recovered", unit="bits",
-            help="distinct table bit positions with a probe verdict",
-        )
-        self._m_bits_correct = metrics.counter(
-            "attack.faultprobe.bits_correct", unit="bits",
-            help="probe verdicts matching ground truth (scoring)",
-        )
+        self._m_probes = metrics.counter("attack.faultprobe.probes")
+        self._m_discrepancies = metrics.counter("attack.faultprobe.discrepancies")
+        self._m_bits = metrics.counter("attack.faultprobe.bits_recovered")
+        self._m_bits_correct = metrics.counter("attack.faultprobe.bits_correct")
 
     # -- templating filter --------------------------------------------------------
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 # cross-modality contract); reports and budgets here are built from it.
 from repro.attack.base import FailureClass, StageFailure
 from repro.core.results import FlipTemplate
-from repro.obs.metrics import MetricStateAccumulator
+from repro.obs.metrics import MetricStateAccumulator, metric_key
 from repro.sim.errors import ConfigError, TemplatingExhaustedError
 from repro.sim.rng import derive_seed
 from repro.sim.units import MS, SECOND
@@ -360,28 +360,17 @@ class AttackOrchestrator:
         stage_names = tuple(attack.stage_names())
         failure_classes = tuple(attack.failure_classes())
         self._m_attempts = {
-            stage: metrics.counter(
-                "attack.stage.attempts", labels={"stage": stage},
-                unit="attempts", help="stage attempts by stage name",
-            )
+            stage: metrics.counter("attack.stage.attempts", labels={"stage": stage})
             for stage in (*stage_names, "budget")
         }
         self._m_failures = {
             failure_class.value: metrics.counter(
-                "attack.stage.failures", labels={"class": failure_class.value},
-                unit="failures", help="classified stage failures",
+                "attack.stage.failures", labels={"class": failure_class.value}
             )
             for failure_class in failure_classes
         }
-        self._m_recoveries = metrics.counter(
-            "attack.recoveries", unit="recoveries",
-            help="recovery strategies applied between attempts",
-        )
-        self._m_stage_dur = metrics.histogram(
-            "attack.stage.duration_ns",
-            buckets=(MS, 10 * MS, 100 * MS, SECOND, 10 * SECOND, 100 * SECOND),
-            unit="ns", help="sim-time duration of each stage attempt",
-        )
+        self._m_recoveries = metrics.counter("attack.recoveries")
+        self._m_stage_dur = metrics.histogram("attack.stage.duration_ns")
 
     # -- bookkeeping -------------------------------------------------------------
 
@@ -864,6 +853,7 @@ class AttackCampaign:
         machine, extras = snapshot.fork()
         try:
             attack, candidates = extras["attack"], extras["candidates"]
+            attack.bind_obs(machine.obs)
             seed = self._attempt_seed(index)
             machine.rng.reseed(seed)
             if self.chaos_profile != "none":
@@ -923,20 +913,22 @@ class AttackCampaign:
         """The ``campaign.pool.*`` block of a run over ``owned`` attempts.
 
         ``wall_by_pid`` sums each process's attempt wall time; workers
-        are numbered 0..N-1 in pid order.
+        are numbered 0..N-1 in pid order.  Keys are sorted as a registry
+        snapshot sorts them.  Host wall times and worker partitioning are
+        not deterministic, so the block stays outside the digest.
         """
-        from repro.parallel.pool import make_pool_block
-
-        return make_pool_block(
-            workers=min(self.workers, max(1, owned)),
-            mode="serial" if self.workers == 1 else "ship",
-            dispatched=dispatched,
-            completed=completed,
-            worker_wall_ns={
-                worker: wall_by_pid[pid]
-                for worker, pid in enumerate(sorted(wall_by_pid))
-            },
-        )
+        mode = "serial" if self.workers == 1 else "ship"
+        walls = {
+            metric_key("campaign.pool.worker_wall_ns", {"worker": str(worker)}): wall_by_pid[pid]
+            for worker, pid in enumerate(sorted(wall_by_pid))
+        }
+        return {
+            "campaign.pool.attempts_completed": completed,
+            "campaign.pool.attempts_dispatched": dispatched,
+            metric_key("campaign.pool.mode", {"mode": mode}): 1,
+            **dict(sorted(walls.items())),
+            "campaign.pool.workers": min(self.workers, max(1, owned)),
+        }
 
     def run(self) -> CampaignResult:
         """Execute every attempt; returns the ordered, in-memory result.

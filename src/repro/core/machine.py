@@ -33,23 +33,6 @@ from repro.sim.rng import RngStreams
 from repro.sim.units import PAGE_SIZE
 
 
-def _rebind_extras(extras, obs) -> None:
-    """Re-attach a fresh observability hub to forked companion objects."""
-    if extras is None:
-        return
-    if isinstance(extras, (list, tuple)):
-        for item in extras:
-            _rebind_extras(item, obs)
-        return
-    if isinstance(extras, dict):
-        for item in extras.values():
-            _rebind_extras(item, obs)
-        return
-    bind = getattr(extras, "bind_obs", None)
-    if callable(bind):
-        bind(obs)
-
-
 class _SnapshotPickler(pickle.Pickler):
     """Pickler that leaves a snapshot's shared state out of the blob.
 
@@ -149,11 +132,12 @@ class MachineSnapshot:
         independent but reproducible random future; its materialised
         state (weak-cell map, memory contents, allocator lists, pending
         events) is untouched — hardware does not change identity when an
-        experiment re-rolls its dice.
+        experiment re-rolls its dice.  The machine gets a fresh hub; objects
+        in ``extras`` come back bound to :data:`NOOP_OBS` until their owner
+        re-binds them (``attack.bind_obs(machine.obs)``).
         """
         machine, extras = _SnapshotUnpickler(io.BytesIO(self._blob), self).load()
         machine._rebind_obs()
-        _rebind_extras(extras, machine.obs)
         if seed is not None:
             machine.rng.reseed(seed)
         return machine, extras
@@ -296,7 +280,7 @@ class Machine:
         if self.kernel.chaos is not None:
             self.kernel.chaos.bind_obs(self.obs)
         self.cache.bind_obs(self.obs)
-        self._register_cache_metrics()
+        self.obs.metrics.add_collector(self._metric_values)
 
     def _rebind_obs(self) -> None:
         """Give a forked machine its own fresh observability hub."""
@@ -305,30 +289,15 @@ class Machine:
         )
         self._bind_obs_chain()
 
-    def _register_cache_metrics(self) -> None:
-        """CPU-cache counters, sourced at snapshot time (hot path untouched)."""
-        metrics = self.obs.metrics
-        hits = metrics.gauge(
-            "cpu_cache.hits", unit="accesses", help="CPU cache hits"
-        )
-        misses = metrics.gauge(
-            "cpu_cache.misses", unit="accesses", help="CPU cache misses"
-        )
-        flushes = metrics.gauge(
-            "cpu_cache.flushes", unit="lines", help="clflush evictions"
-        )
-        sim_now = metrics.gauge(
-            "sim.clock_ns", unit="ns", help="current simulated time"
-        )
-        cache, clock = self.cache, self.clock
-
-        def _collect() -> None:
-            hits.set(cache.hits)
-            misses.set(cache.misses)
-            flushes.set(cache.flushes)
-            sim_now.set(clock.now_ns)
-
-        metrics.add_collector(_collect)
+    def _metric_values(self) -> dict:
+        """CPU-cache counters and the clock, read at snapshot time."""
+        cache = self.cache
+        return {
+            "cpu_cache.hits": cache.hits,
+            "cpu_cache.misses": cache.misses,
+            "cpu_cache.flushes": cache.flushes,
+            "sim.clock_ns": self.clock.now_ns,
+        }
 
     # -- the event loop --------------------------------------------------------
 

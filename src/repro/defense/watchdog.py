@@ -103,14 +103,8 @@ class HammerWatchdog:
     def bind_obs(self, obs) -> None:
         """Attach an observability hub (see docs/OBSERVABILITY.md)."""
         self.obs = obs
-        self._m_scans = obs.metrics.counter(
-            "defense.watchdog.scans", unit="scans",
-            help="periodic ledger scans by the hammering watchdog",
-        )
-        self._m_alerts = obs.metrics.counter(
-            "defense.watchdog.alerts", unit="alerts",
-            help="hammer-grade activation bursts flagged",
-        )
+        self._m_scans = obs.metrics.counter("defense.watchdog.scans")
+        self._m_alerts = obs.metrics.counter("defense.watchdog.alerts")
 
     def bind_events(self, events, ledger: ActivationLedger, period_ns: int | None = None) -> None:
         """Scan ``ledger`` periodically on the machine's event scheduler.

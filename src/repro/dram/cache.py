@@ -271,31 +271,16 @@ class CpuCache:
         Collector-sourced so the per-access hot path stays untouched: the
         counters above are plain ints, read out only at snapshot time.
         """
-        metrics = obs.metrics
-        hits = metrics.gauge(
-            "dram.cache.hits", unit="accesses", help="cache hits served"
-        )
-        misses = metrics.gauge(
-            "dram.cache.misses", unit="accesses", help="cache misses (reached DRAM)"
-        )
-        evictions = metrics.gauge(
-            "dram.cache.evictions", unit="lines", help="LRU capacity evictions"
-        )
-        hit_rate = metrics.gauge(
-            "dram.cache.hit_rate", unit="ratio", help="lifetime hit rate"
-        )
-        occupancy = metrics.gauge(
-            "dram.cache.occupancy", unit="lines", help="valid lines held"
-        )
+        obs.metrics.add_collector(self._metric_values)
 
-        def _collect() -> None:
-            hits.set(self.hits)
-            misses.set(self.misses)
-            evictions.set(self.evictions)
-            hit_rate.set(self.hit_rate)
-            occupancy.set(self.occupancy())
-
-        metrics.add_collector(_collect)
+    def _metric_values(self) -> dict:
+        return {
+            "dram.cache.hits": self.hits,
+            "dram.cache.misses": self.misses,
+            "dram.cache.evictions": self.evictions,
+            "dram.cache.hit_rate": self.hit_rate,
+            "dram.cache.occupancy": self.occupancy(),
+        }
 
     def __repr__(self) -> str:
         return (

@@ -248,90 +248,33 @@ class MemoryController:
         """
         self.obs = obs
         metrics = obs.metrics
-        self._m_refresh = metrics.counter(
-            "dram.refresh.windows", unit="windows",
-            help="refresh-window rollovers (bank activation counters reset)",
-        )
-        self._m_flips = metrics.counter(
-            "dram.flips", unit="flips", help="disturbance bit flips applied"
-        )
-        self._m_hammer_calls = metrics.counter(
-            "dram.hammer.calls", unit="calls", help="hammer fast-path invocations"
-        )
-        self._m_hammer_rounds = metrics.counter(
-            "dram.hammer.rounds", unit="rounds", help="hammer rounds executed"
-        )
-        self._m_hammer_acts = metrics.histogram(
-            "dram.hammer.activations_per_call",
-            buckets=(0, 100, 1_000, 10_000, 100_000, 1_000_000),
-            unit="activations", help="activation count of each hammer call",
-        )
-        acts = metrics.gauge(
-            "dram.activations", unit="activations",
-            help="lifetime row activations across banks",
-        )
-        hits = metrics.gauge(
-            "dram.row_buffer.hits", unit="accesses",
-            help="accesses served from an open row",
-        )
-        banks = metrics.gauge(
-            "dram.banks_touched", unit="banks", help="banks with live state"
-        )
-        trr_refreshes = metrics.gauge(
-            "dram.trr.neighbor_refreshes", unit="rows",
-            help="TRR victim-row refreshes",
-        )
-        trr_misses = metrics.gauge(
-            "dram.trr.tracker_misses", unit="events",
-            help="aggressors evicted from the TRR tracker unsampled",
-        )
-        certified_evaluations = metrics.gauge(
-            "sim.shortcut.certified_evaluations", unit="evaluations",
-            help="victim evaluations skipped by the no-flip certificate",
-        )
-        ecc_corrected = metrics.gauge(
-            "dram.ecc.corrected_bits", unit="bits", help="bits ECC corrected away"
-        )
-        ecc_uncorrectable = metrics.gauge(
-            "dram.ecc.uncorrectable_events", unit="events",
-            help="multi-bit words ECC let through",
-        )
-        cow_materialized = metrics.gauge(
-            "dram.memory.cow.materialized_frames", unit="frames",
-            help="frames with backing storage in this machine's store",
-        )
-        cow_shared = metrics.gauge(
-            "dram.memory.cow.shared_frames", unit="frames",
-            help="materialised frames whose payload is shared with a snapshot or fork",
-        )
-        cow_copied = metrics.gauge(
-            "dram.memory.cow.copied_frames", unit="frames",
-            help="frames privatised by a copy-on-write fault",
-        )
-        cow_shares = metrics.gauge(
-            "dram.memory.cow.shares", unit="events",
-            help="times this store's frame table was shared out (snapshot/fork)",
-        )
+        self._m_refresh = metrics.counter("dram.refresh.windows")
+        self._m_flips = metrics.counter("dram.flips")
+        self._m_hammer_calls = metrics.counter("dram.hammer.calls")
+        self._m_hammer_rounds = metrics.counter("dram.hammer.rounds")
+        self._m_hammer_acts = metrics.histogram("dram.hammer.activations_per_call")
+        metrics.add_collector(self._metric_values)
 
-        def _collect() -> None:
-            stats = self.stats()
-            acts.set(stats["activations"])
-            hits.set(stats["row_hits"])
-            banks.set(stats["banks_touched"])
-            trr = self.trr_stats()
-            trr_refreshes.set(trr["neighbor_refreshes"])
-            trr_misses.set(trr["tracker_misses"])
-            certified_evaluations.set(self.certified_evaluations)
-            ecc = self.ecc_stats()
-            ecc_corrected.set(ecc["corrected_bits"])
-            ecc_uncorrectable.set(ecc["uncorrectable_events"])
-            memory = self.memory
-            cow_materialized.set(memory.materialized_frames())
-            cow_shared.set(memory.shared_frames())
-            cow_copied.set(memory.cow_copies)
-            cow_shares.set(memory.cow_shares)
-
-        metrics.add_collector(_collect)
+    def _metric_values(self) -> dict:
+        """The collector-sourced ``dram.*`` gauges and the certificate count."""
+        stats = self.stats()
+        trr = self.trr_stats()
+        ecc = self.ecc_stats()
+        memory = self.memory
+        return {
+            "dram.activations": stats["activations"],
+            "dram.row_buffer.hits": stats["row_hits"],
+            "dram.banks_touched": stats["banks_touched"],
+            "dram.trr.neighbor_refreshes": trr["neighbor_refreshes"],
+            "dram.trr.tracker_misses": trr["tracker_misses"],
+            "sim.shortcut.certified_evaluations": self.certified_evaluations,
+            "dram.ecc.corrected_bits": ecc["corrected_bits"],
+            "dram.ecc.uncorrectable_events": ecc["uncorrectable_events"],
+            "dram.memory.cow.materialized_frames": memory.materialized_frames(),
+            "dram.memory.cow.shared_frames": memory.shared_frames(),
+            "dram.memory.cow.copied_frames": memory.cow_copies,
+            "dram.memory.cow.shares": memory.cow_shares,
+        }
 
     # -- bank/refresh plumbing ---------------------------------------------
 

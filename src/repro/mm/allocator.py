@@ -82,79 +82,38 @@ class ZonedPageFrameAllocator:
         """
         self.obs = obs
         metrics = obs.metrics
-        self._m_pcp_hit = metrics.counter(
-            "mm.pcp.hits", unit="allocations",
-            help="order-0 allocations served from a non-empty per-CPU cache",
-        )
-        self._m_pcp_miss = metrics.counter(
-            "mm.pcp.misses", unit="allocations",
-            help="order-0 allocations that forced a PCP refill from the buddy",
-        )
-        self._m_buddy = metrics.counter(
-            "mm.buddy.direct_allocs", unit="allocations",
-            help="allocations routed straight to the buddy (order>0 or PCP bypass)",
-        )
-        self._m_failed = metrics.counter(
-            "mm.alloc.failures", unit="allocations",
-            help="requests no zone of any node could satisfy",
-        )
-        self._m_drains = metrics.counter(
-            "mm.pcp.drains", unit="calls", help="explicit PCP drain operations"
-        )
-        self._m_drained = metrics.counter(
-            "mm.pcp.drained_frames", unit="frames",
-            help="frames returned to the buddy by drains",
-        )
-        free = metrics.gauge(
-            "mm.free_pages", unit="frames", help="free frames across all nodes"
-        )
-        served = metrics.gauge(
-            "mm.pcp.served_from_cache", unit="allocations",
-            help="PCP allocations served without touching the buddy",
-        )
-        refills = metrics.gauge(
-            "mm.pcp.refills", unit="batches", help="PCP batch refills from the buddy"
-        )
-        spills = metrics.gauge(
-            "mm.pcp.spills", unit="batches",
-            help="PCP overflows spilled back to the buddy",
-        )
-        splits = metrics.gauge(
-            "mm.buddy.splits", unit="blocks", help="buddy block splits"
-        )
-        merges = metrics.gauge(
-            "mm.buddy.merges", unit="blocks", help="buddy block coalesces"
-        )
-        kswapd_wakes = metrics.gauge(
-            "mm.kswapd.wakeups", unit="wakeups", help="kswapd wake requests"
-        )
-        kswapd_runs = metrics.gauge(
-            "mm.kswapd.runs", unit="runs", help="kswapd reclaim passes"
-        )
-        kswapd_reclaimed = metrics.gauge(
-            "mm.kswapd.reclaimed_pages", unit="frames",
-            help="frames reclaimed by kswapd",
-        )
+        self._m_pcp_hit = metrics.counter("mm.pcp.hits")
+        self._m_pcp_miss = metrics.counter("mm.pcp.misses")
+        self._m_buddy = metrics.counter("mm.buddy.direct_allocs")
+        self._m_failed = metrics.counter("mm.alloc.failures")
+        self._m_drains = metrics.counter("mm.pcp.drains")
+        self._m_drained = metrics.counter("mm.pcp.drained_frames")
+        metrics.add_collector(self._metric_values)
 
-        def _collect() -> None:
-            stats = self.stats()
-            free.set(stats["free_pages"])
-            served.set(stats["pcp_served_from_cache"])
-            refills.set(stats["pcp_refills"])
-            spills.set(stats["pcp_spills"])
-            split_total = merge_total = 0
-            for node in self.nodes:
-                for zone in node.zones.values():
-                    split_total += zone.buddy.split_count
-                    merge_total += zone.buddy.merge_count
-            splits.set(split_total)
-            merges.set(merge_total)
-            if self.kswapd is not None:
-                kswapd_wakes.set(self.kswapd.wake_count)
-                kswapd_runs.set(self.kswapd.runs)
-                kswapd_reclaimed.set(self.kswapd.reclaimed_pages)
-
-        metrics.add_collector(_collect)
+    def _metric_values(self) -> dict:
+        """The collector-sourced ``mm.*`` gauges."""
+        stats = self.stats()
+        split_total = merge_total = 0
+        for node in self.nodes:
+            for zone in node.zones.values():
+                split_total += zone.buddy.split_count
+                merge_total += zone.buddy.merge_count
+        kswapd = self.kswapd
+        wakes, runs, reclaimed = (
+            (0, 0, 0) if kswapd is None
+            else (kswapd.wake_count, kswapd.runs, kswapd.reclaimed_pages)
+        )
+        return {
+            "mm.free_pages": stats["free_pages"],
+            "mm.pcp.served_from_cache": stats["pcp_served_from_cache"],
+            "mm.pcp.refills": stats["pcp_refills"],
+            "mm.pcp.spills": stats["pcp_spills"],
+            "mm.buddy.splits": split_total,
+            "mm.buddy.merges": merge_total,
+            "mm.kswapd.wakeups": wakes,
+            "mm.kswapd.runs": runs,
+            "mm.kswapd.reclaimed_pages": reclaimed,
+        }
 
     @property
     def node(self) -> NumaNode:

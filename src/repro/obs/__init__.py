@@ -7,9 +7,12 @@ the CLI ``--trace`` flag).  Components receive the hub through a
 ``bind_obs()`` call after construction and default to the module-level
 :data:`NOOP_OBS`, so direct construction in unit tests needs no wiring.
 
-The full telemetry contract — every span name, metric name, label and
-unit — is documented in ``docs/OBSERVABILITY.md`` and cross-checked
-against the live registry by ``scripts/check_telemetry_docs.py``.
+Every metric family is declared once, in :data:`repro.obs.schema.SCHEMA`
+(kind, unit, help, buckets); a registry holds only values, so a forked
+machine's fresh hub builds no per-family objects.  The full telemetry
+contract — every span name, metric name, label and unit — is documented
+in ``docs/OBSERVABILITY.md`` and cross-checked against the schema by
+``scripts/check_telemetry_docs.py``.
 """
 
 from __future__ import annotations

@@ -10,13 +10,18 @@ Design constraints, in order of importance:
    ``if enabled`` branches of its own.
 3. *Zero hot-path cost for high-frequency substrate counters.*  Metrics
    that would require touching the per-access DRAM/cache paths are not
-   incremented live at all; instead the registry supports *collector*
-   callbacks that copy existing substrate counters into metric values at
-   snapshot time.
+   incremented live at all; instead a component registers a *collector*,
+   a bound method that returns ``{instance key: value}`` read from its
+   existing counters, and every read reports those values as gauges.
 
-Identity: a metric is addressed by its family name plus a sorted label
-set, rendered ``name{k=v,...}``.  Re-requesting the same identity returns
-the same instance; requesting it with a different kind raises
+Declaration: every family is declared once, in
+:data:`repro.obs.schema.SCHEMA` (kind, unit, help, buckets), so a
+registry holds only values — one flat ``{instance key: instrument}``
+map plus the last collected values — and a forked machine's fresh
+registry builds no per-family objects.  An instance is addressed by its
+family name plus a sorted label set, rendered ``name{k=v,...}``.
+Re-requesting the same identity returns the same instance; requesting
+an undeclared name, or a declared one as the wrong kind, raises
 :class:`~repro.sim.errors.ConfigError`.
 
 Campaign fan-out adds a fourth concern: *mergeability*.  Every attempt of
@@ -28,22 +33,22 @@ dumps the raw (pre-cumulative) values and a
 one block — counters summed, histograms added bucket-wise, gauges listed
 per source in order — with a result that depends only on the dump order,
 never on which process or worker produced each dump (see
-docs/CAMPAIGNS.md).
+docs/CAMPAIGNS.md).  Dumps are input from outside the program (journal
+records), so the accumulator checks kinds and buckets itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
+from repro.obs.schema import COUNTER, GAUGE, HISTOGRAM, SCHEMA, MetricSpec
 from repro.sim.errors import ConfigError
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricFamily",
     "MetricStateAccumulator",
     "MetricsRegistry",
     "NULL_COUNTER",
@@ -63,50 +68,41 @@ def metric_key(name: str, labels: dict[str, str] | None) -> str:
 class Counter:
     """Monotonically increasing integer (resets only with the machine)."""
 
-    kind = "counter"
-    __slots__ = ("key", "value")
+    kind = COUNTER
+    __slots__ = ("value",)
 
-    def __init__(self, key: str) -> None:
-        self.key = key
+    def __init__(self) -> None:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def snapshot_value(self):
-        return self.value
-
 
 class Gauge:
-    """Point-in-time value, typically refreshed by a collector callback."""
+    """Point-in-time value set by its owner (collectors report theirs directly)."""
 
-    kind = "gauge"
-    __slots__ = ("key", "value")
+    kind = GAUGE
+    __slots__ = ("value",)
 
-    def __init__(self, key: str) -> None:
-        self.key = key
+    def __init__(self) -> None:
         self.value = 0
 
     def set(self, value) -> None:
         self.value = value
 
-    def snapshot_value(self):
-        return self.value
-
 
 class Histogram:
-    """Fixed-bucket histogram (upper bounds chosen at registration).
+    """Fixed-bucket histogram (upper bounds declared in the schema).
 
     ``observe`` costs one bisect over a small tuple plus two adds; bucket
     counts are kept per-bucket and rendered cumulatively at snapshot time
     with an implicit ``+Inf`` overflow bucket.
     """
 
-    kind = "histogram"
-    __slots__ = ("key", "buckets", "bucket_counts", "count", "sum")
+    kind = HISTOGRAM
+    __slots__ = ("buckets", "bucket_counts", "count", "sum")
 
-    def __init__(self, key: str, buckets: tuple) -> None:
-        self.key = key
+    def __init__(self, buckets: tuple) -> None:
         self.buckets = buckets
         self.bucket_counts = [0] * (len(buckets) + 1)
         self.count = 0
@@ -122,7 +118,7 @@ class Histogram:
 
 
 class _NullCounter:
-    kind = "counter"
+    kind = COUNTER
     __slots__ = ()
 
     def inc(self, amount: int = 1) -> None:
@@ -135,7 +131,7 @@ class _NullCounter:
 
 
 class _NullGauge:
-    kind = "gauge"
+    kind = GAUGE
     __slots__ = ()
 
     def set(self, value) -> None:
@@ -146,7 +142,7 @@ class _NullGauge:
 
 
 class _NullHistogram:
-    kind = "histogram"
+    kind = HISTOGRAM
     __slots__ = ()
 
     def observe(self, value) -> None:
@@ -159,87 +155,70 @@ class _NullHistogram:
 NULL_COUNTER = _NullCounter()
 NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
+_NULLS = {COUNTER: NULL_COUNTER, GAUGE: NULL_GAUGE, HISTOGRAM: NULL_HISTOGRAM}
 
 
-@dataclass
-class MetricFamily:
-    """Contract metadata for one metric name (shared across label sets)."""
+def _family(key: str) -> str:
+    """The family name of an instance key (``name{k=v}`` -> ``name``)."""
+    return key.partition("{")[0]
 
-    name: str
-    kind: str
-    unit: str
-    help: str
-    label_keys: tuple[str, ...] = ()
-    buckets: tuple = ()
-    instances: dict = field(default_factory=dict)
+
+def _spec(name: str, kind: str) -> MetricSpec:
+    """``name``'s declared spec, which must be of ``kind``."""
+    spec = SCHEMA.get(name)
+    if spec is None:
+        raise ConfigError(f"metric {name!r} is not declared in repro.obs.schema")
+    if spec.kind != kind:
+        raise ConfigError(f"metric {name!r} is declared as {spec.kind}, requested {kind}")
+    return spec
 
 
 class MetricsRegistry:
-    """Owns every metric family emitted by one :class:`Machine`."""
+    """The values of every metric one :class:`Machine` emits.
+
+    Instruments live in one flat ``{instance key: instrument}`` map;
+    collectors are callables returning ``{instance key: value}`` for
+    declared gauges.  Kinds, units, help and buckets come from
+    :data:`~repro.obs.schema.SCHEMA`.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.families: dict[str, MetricFamily] = {}
+        self._instruments: dict = {}
         self._collectors: list = []
+        self._collected: dict = {}
 
-    # -- registration -------------------------------------------------
+    # -- instruments --------------------------------------------------
 
-    def _register(self, cls, name, labels, unit, help, buckets=()):
-        labels = dict(labels) if labels else None
-        family = self.families.get(name)
-        if family is None:
-            family = MetricFamily(
-                name=name,
-                kind=cls.kind,
-                unit=unit,
-                help=help,
-                label_keys=tuple(sorted(labels)) if labels else (),
-                buckets=buckets,
-            )
-            self.families[name] = family
-        elif family.kind != cls.kind:
-            raise ConfigError(
-                f"metric {name!r} already registered as {family.kind}, "
-                f"requested {cls.kind}"
-            )
+    def _get(self, cls, name, labels):
+        spec = _spec(name, cls.kind)
+        if not self.enabled:
+            return _NULLS[cls.kind]
         key = metric_key(name, labels)
-        metric = family.instances.get(key)
+        metric = self._instruments.get(key)
         if metric is None:
-            if cls is Histogram:
-                metric = Histogram(key, family.buckets)
-            else:
-                metric = cls(key)
-            family.instances[key] = metric
+            metric = Histogram(spec.buckets) if cls is Histogram else cls()
+            self._instruments[key] = metric
         return metric
 
-    def counter(self, name, labels=None, unit="", help=""):
-        """Get-or-create a counter; a null singleton when disabled."""
-        if not self.enabled:
-            return NULL_COUNTER
-        return self._register(Counter, name, labels, unit, help)
+    def counter(self, name, labels=None):
+        """Get-or-create a declared counter; a null singleton when disabled."""
+        return self._get(Counter, name, labels)
 
-    def gauge(self, name, labels=None, unit="", help=""):
-        """Get-or-create a gauge; a null singleton when disabled."""
-        if not self.enabled:
-            return NULL_GAUGE
-        return self._register(Gauge, name, labels, unit, help)
+    def gauge(self, name, labels=None):
+        """Get-or-create a declared gauge; a null singleton when disabled."""
+        return self._get(Gauge, name, labels)
 
-    def histogram(self, name, buckets, labels=None, unit="", help=""):
-        """Get-or-create a histogram; a null singleton when disabled."""
-        if not self.enabled:
-            return NULL_HISTOGRAM
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ConfigError(f"histogram {name!r} buckets must be ascending")
-        return self._register(
-            Histogram, name, labels, unit, help, buckets=tuple(buckets)
-        )
+    def histogram(self, name, labels=None):
+        """Get-or-create a declared histogram; a null singleton when disabled."""
+        return self._get(Histogram, name, labels)
 
     def add_collector(self, fn) -> None:
-        """Register a callback run before every snapshot.
+        """Register ``fn() -> {instance key: value}``, run before every read.
 
-        Collectors copy pre-existing substrate counters (bank activation
-        totals, cache hit counts, ...) into gauges so the simulation's
-        hottest paths carry no live instrumentation at all.
+        Collectors read pre-existing substrate counters (bank activation
+        totals, cache hit counts, ...) and report them as gauges, so the
+        simulation's hottest paths carry no live instrumentation at all.
         """
         if self.enabled:
             self._collectors.append(fn)
@@ -247,32 +226,51 @@ class MetricsRegistry:
     def close(self) -> None:
         """Drop every collector (the registry's owner has ended).
 
-        A collector closes over the components it reads, which point back
-        at this registry through their hub; dropping them breaks that
+        A collector is bound to the component it reads, which points back
+        at this registry through its hub; dropping them breaks that
         cycle.  Values already exported are unaffected, and later reads
-        return the last values without re-collecting.
+        return the last collected values without re-collecting.
         """
         self._collectors.clear()
 
     # -- reading ------------------------------------------------------
 
     def collect(self) -> None:
-        for fn in self._collectors:
-            fn()
+        """Refresh the collected gauge values (kept as they are once closed)."""
+        if self._collectors:
+            collected: dict = {}
+            for fn in self._collectors:
+                collected.update(fn())
+            self._collected = collected
+
+    def _rows(self) -> list:
+        """``(family, key, spec, value)`` per instance, collectors run first.
+
+        Sorted by family, then key; ``value`` is a number, or the
+        :class:`Histogram` itself.
+        """
+        self.collect()
+        rows = []
+        for key, metric in self._instruments.items():
+            name = _family(key)
+            value = metric if metric.kind == HISTOGRAM else metric.value
+            rows.append((name, key, SCHEMA[name], value))
+        for key, value in self._collected.items():
+            name = _family(key)
+            rows.append((name, key, _spec(name, GAUGE), value))
+        rows.sort(key=lambda row: (row[0], row[1]))
+        return rows
 
     def family_names(self) -> list[str]:
-        """Sorted metric family names (the documented contract surface)."""
-        return sorted(self.families)
+        """Sorted names of the families with an instance (the contract surface)."""
+        return sorted({row[0] for row in self._rows()})
 
     def snapshot(self) -> dict:
         """Run collectors, then return ``{instance key: value}`` sorted."""
-        self.collect()
-        out: dict = {}
-        for name in sorted(self.families):
-            family = self.families[name]
-            for key in sorted(family.instances):
-                out[key] = family.instances[key].snapshot_value()
-        return out
+        return {
+            key: value.snapshot_value() if spec.kind == HISTOGRAM else value
+            for _, key, spec, value in self._rows()
+        }
 
     def export_state(self) -> dict:
         """Raw, mergeable dump of every family (see :class:`MetricStateAccumulator`).
@@ -281,41 +279,33 @@ class MetricsRegistry:
         (not cumulative) so two dumps can be added bucket-wise.  The dump
         is plain data — safe to pickle across process boundaries.
         """
-        self.collect()
         out: dict = {}
-        for name in sorted(self.families):
-            family = self.families[name]
-            instances: dict = {}
-            for key in sorted(family.instances):
-                metric = family.instances[key]
-                if family.kind == "histogram":
-                    instances[key] = {
-                        "bucket_counts": list(metric.bucket_counts),
-                        "count": metric.count,
-                        "sum": metric.sum,
-                    }
-                else:
-                    instances[key] = metric.value
-            out[name] = {
-                "kind": family.kind,
-                "unit": family.unit,
-                "help": family.help,
-                "buckets": list(family.buckets),
-                "instances": instances,
-            }
+        for name, key, spec, value in self._rows():
+            family = out.get(name)
+            if family is None:
+                family = out[name] = {
+                    "kind": spec.kind,
+                    "unit": spec.unit,
+                    "help": spec.help,
+                    "buckets": list(spec.buckets),
+                    "instances": {},
+                }
+            if spec.kind == HISTOGRAM:
+                value = {
+                    "bucket_counts": list(value.bucket_counts),
+                    "count": value.count,
+                    "sum": value.sum,
+                }
+            family["instances"][key] = value
         return out
 
     def render_table(self) -> str:
         """Human-readable dump of every instance (used by ``--metrics``)."""
-        self.collect()
         rows = []
-        for name in sorted(self.families):
-            family = self.families[name]
-            for key in sorted(family.instances):
-                value = family.instances[key].snapshot_value()
-                if family.kind == "histogram":
-                    value = f"count={value['count']} sum={value['sum']}"
-                rows.append((key, family.kind, str(value), family.unit))
+        for _, key, spec, value in self._rows():
+            if spec.kind == HISTOGRAM:
+                value = f"count={value.count} sum={value.sum}"
+            rows.append((key, spec.kind, str(value), spec.unit))
         if not rows:
             return "(metrics disabled)"
         widths = [

@@ -148,10 +148,7 @@ class Kernel:
         self.obs = obs
         metrics = obs.metrics
         sys_counter = metrics.counter  # registered per label below
-        self._m_sys_mmap = sys_counter(
-            "os.syscalls", labels={"call": "mmap"}, unit="calls",
-            help="syscall invocations by call name",
-        )
+        self._m_sys_mmap = sys_counter("os.syscalls", labels={"call": "mmap"})
         self._m_sys_munmap = sys_counter("os.syscalls", labels={"call": "munmap"})
         self._m_sys_sleep = sys_counter("os.syscalls", labels={"call": "sleep"})
         self._m_sys_affinity = sys_counter(
@@ -165,45 +162,21 @@ class Kernel:
         self._m_sys_file_read = sys_counter(
             "os.syscalls", labels={"call": "file_read"}
         )
-        self._m_faults = metrics.counter(
-            "os.page_faults", unit="faults", help="write faults served"
-        )
-        self._m_spawns = metrics.counter(
-            "os.tasks.spawned", unit="tasks", help="tasks created"
-        )
-        frames_freed = metrics.gauge(
-            "os.frames_freed", unit="frames", help="frames released by munmap/exit"
-        )
-        syscalls_total = metrics.gauge(
-            "os.syscalls_total", unit="calls", help="syscalls across all call names"
-        )
+        self._m_faults = metrics.counter("os.page_faults")
+        self._m_spawns = metrics.counter("os.tasks.spawned")
+        metrics.add_collector(self._metric_values)
 
-        page_runs = metrics.gauge(
-            "sim.shortcut.page_runs", unit="runs",
-            help="load/store ranges served as one closed-form page run",
-        )
-        page_run_lines = metrics.gauge(
-            "sim.shortcut.page_run_lines", unit="lines",
-            help="cache lines accounted inside page runs",
-        )
-        streams = metrics.gauge(
-            "sim.shortcut.streams", unit="streams",
-            help="whole-page load/store ranges served as one closed-form stream",
-        )
-        stream_lines = metrics.gauge(
-            "sim.shortcut.stream_lines", unit="lines",
-            help="cache lines accounted inside streams",
-        )
-
-        def _collect() -> None:
-            frames_freed.set(self.stats.frames_freed)
-            syscalls_total.set(self.stats.syscalls)
-            page_runs.set(self.stats.page_runs)
-            page_run_lines.set(self.stats.page_run_lines)
-            streams.set(self.stats.streams)
-            stream_lines.set(self.stats.stream_lines)
-
-        metrics.add_collector(_collect)
+    def _metric_values(self) -> dict:
+        """The ``os.*`` and ``sim.shortcut.*`` gauges kept in :class:`KernelStats`."""
+        stats = self.stats
+        return {
+            "os.frames_freed": stats.frames_freed,
+            "os.syscalls_total": stats.syscalls,
+            "sim.shortcut.page_runs": stats.page_runs,
+            "sim.shortcut.page_run_lines": stats.page_run_lines,
+            "sim.shortcut.streams": stats.streams,
+            "sim.shortcut.stream_lines": stats.stream_lines,
+        }
 
     def _pump_chaos(self, hook: str, pid: int) -> None:
         # Timed work parked on the os/defense queues drains first; tenant

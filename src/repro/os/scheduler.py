@@ -36,14 +36,8 @@ class Scheduler:
     def bind_obs(self, obs) -> None:
         """Attach an observability hub (see docs/OBSERVABILITY.md)."""
         self.obs = obs
-        self._m_migrations = obs.metrics.counter(
-            "os.sched.migrations", unit="migrations",
-            help="tasks moved between CPUs",
-        )
-        self._m_ticks = obs.metrics.counter(
-            "os.sched.ticks", unit="ticks",
-            help="timeslice accounting ticks dispatched",
-        )
+        self._m_migrations = obs.metrics.counter("os.sched.migrations")
+        self._m_ticks = obs.metrics.counter("os.sched.ticks")
 
     def bind_events(self, events, timeslice_ns: int | None = None) -> None:
         """Account CPU time on a recurring scheduler tick (queue ``"os"``).

@@ -8,7 +8,7 @@ streaming).  Both implement the execution contract in
 ``docs/CAMPAIGNS.md``.
 """
 
-from repro.parallel.pool import iter_pooled, make_pool_block, register_pool_metrics
+from repro.parallel.pool import iter_pooled
 from repro.parallel.service import (
     CampaignService,
     campaign_config_hash,
@@ -19,7 +19,5 @@ __all__ = [
     "CampaignService",
     "campaign_config_hash",
     "iter_pooled",
-    "make_pool_block",
-    "register_pool_metrics",
     "register_service_metrics",
 ]

@@ -22,9 +22,9 @@ worker is O(1) in module size.
 Per-worker telemetry cannot be deterministic (host wall time, pids), so
 it lives in the result's ``pool`` block — outside both the digest and
 the merged per-attempt ``metrics`` block.  The block's keys are the
-``campaign.pool.*`` family documented in docs/OBSERVABILITY.md and
-registered through :func:`register_pool_metrics` so the telemetry-docs
-checker covers them.
+``campaign.pool.*`` family declared in :mod:`repro.obs.schema` and
+documented in docs/OBSERVABILITY.md;
+:meth:`~repro.attack.orchestrator.AttackCampaign._pool_block` builds it.
 
 Dispatch is *bounded*: :func:`iter_pooled` keeps at most a small
 window of attempts in flight and yields each outcome as it completes, so
@@ -45,14 +45,11 @@ import multiprocessing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.errors import WorkerLostError
 
 __all__ = [
     "inflight_window",
     "iter_pooled",
-    "make_pool_block",
-    "register_pool_metrics",
 ]
 
 # Per-worker-process state, populated by the pool initializer.  Workers
@@ -66,66 +63,6 @@ def _context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-posix platforms
         return multiprocessing.get_context()
-
-
-# -- campaign.pool.* telemetry ----------------------------------------------------
-
-
-def register_pool_metrics(registry, mode: str = "serial", workers_seen=(0,)):
-    """Register the ``campaign.pool.*`` family on ``registry``.
-
-    Returns the live handles; also the single source of truth the
-    telemetry-docs checker uses to learn the family exists.
-    """
-    return {
-        "workers": registry.gauge(
-            "campaign.pool.workers", unit="processes",
-            help="worker processes serving the campaign pool",
-        ),
-        "dispatched": registry.counter(
-            "campaign.pool.attempts_dispatched", unit="attempts",
-            help="attempts submitted to the pool",
-        ),
-        "completed": registry.counter(
-            "campaign.pool.attempts_completed", unit="attempts",
-            help="attempts whose reports were collected",
-        ),
-        "mode": registry.gauge(
-            "campaign.pool.mode", labels={"mode": mode}, unit="flag",
-            help="how warm state reached the workers: serial or ship",
-        ),
-        "worker_wall": {
-            worker: registry.gauge(
-                "campaign.pool.worker_wall_ns",
-                labels={"worker": str(worker)}, unit="ns",
-                help="host wall time each worker spent inside attempts",
-            )
-            for worker in workers_seen
-        },
-    }
-
-
-def make_pool_block(
-    *, workers: int, mode: str, dispatched: int, completed: int, worker_wall_ns: dict
-) -> dict:
-    """The ``pool`` result block: a snapshot of the campaign.pool.* family.
-
-    ``worker_wall_ns`` maps stable worker indices (0..N-1) to summed
-    host-nanosecond attempt time.  The block is informational — host
-    wall times and worker partitioning are not deterministic — and is
-    therefore excluded from the campaign digest.
-    """
-    registry = MetricsRegistry(enabled=True)
-    handles = register_pool_metrics(
-        registry, mode=mode, workers_seen=sorted(worker_wall_ns)
-    )
-    handles["workers"].set(workers)
-    handles["dispatched"].inc(dispatched)
-    handles["completed"].inc(completed)
-    handles["mode"].set(1)
-    for worker, wall_ns in worker_wall_ns.items():
-        handles["worker_wall"][worker].set(wall_ns)
-    return registry.snapshot()
 
 
 # -- campaign dispatch -------------------------------------------------------------

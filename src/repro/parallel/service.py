@@ -183,41 +183,15 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
 
 
 def register_service_metrics(registry):
-    """Register the ``campaign.service.*`` family on ``registry``.
-
-    Returns the live handles; also the single source of truth the
-    telemetry-docs checker uses to learn the family exists.
-    """
+    """The live ``campaign.service.*`` handles on ``registry``, by role."""
     return {
-        "journaled": registry.counter(
-            "campaign.service.attempts_journaled", unit="attempts",
-            help="attempt reports appended to the journal this run",
-        ),
-        "resumed": registry.counter(
-            "campaign.service.attempts_resumed", unit="attempts",
-            help="attempts recovered from the journal instead of re-run",
-        ),
-        "torn": registry.counter(
-            "campaign.service.torn_records_dropped", unit="records",
-            help="corrupt trailing journal records dropped at resume",
-        ),
-        "worker_retries": registry.counter(
-            "campaign.service.worker_retries", unit="retries",
-            help="attempts re-dispatched after their worker died",
-        ),
-        "workers_lost": registry.counter(
-            "campaign.service.workers_lost", unit="failures",
-            help="pool breakages survived by rebuilding the pool",
-        ),
-        "journal_bytes": registry.gauge(
-            "campaign.service.journal_bytes", unit="bytes",
-            help="size of the journal after the run",
-        ),
-        "window": registry.gauge(
-            "campaign.service.inflight_window", unit="attempts",
-            help="bound on attempts in flight: 2 x pool workers, 1 serial, "
-            "0 when nothing ran",
-        ),
+        "journaled": registry.counter("campaign.service.attempts_journaled"),
+        "resumed": registry.counter("campaign.service.attempts_resumed"),
+        "torn": registry.counter("campaign.service.torn_records_dropped"),
+        "worker_retries": registry.counter("campaign.service.worker_retries"),
+        "workers_lost": registry.counter("campaign.service.workers_lost"),
+        "journal_bytes": registry.gauge("campaign.service.journal_bytes"),
+        "window": registry.gauge("campaign.service.inflight_window"),
     }
 
 

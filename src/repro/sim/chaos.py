@@ -382,13 +382,8 @@ class ChaosEngine:
     def bind_obs(self, obs) -> None:
         """Attach an observability hub (re-run on machine fork)."""
         self.obs = obs
-        self._m_fired = obs.metrics.counter(
-            "chaos.events_fired", unit="events",
-            help="chaos events that actually fired",
-        )
-        self._m_pumps = obs.metrics.counter(
-            "chaos.pumps", unit="calls", help="kernel pump-point visits"
-        )
+        self._m_fired = obs.metrics.counter("chaos.events_fired")
+        self._m_pumps = obs.metrics.counter("chaos.pumps")
 
     # -- effect plumbing (used by events) ---------------------------------------
 

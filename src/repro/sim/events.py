@@ -123,32 +123,18 @@ class EventScheduler:
         """Attach an observability hub (see docs/OBSERVABILITY.md)."""
         self.obs = obs
         metrics = obs.metrics
-        self._m_scheduled = metrics.counter(
-            "sim.events.scheduled", unit="events",
-            help="events placed on the scheduler heap",
-        )
-        self._m_cancelled = metrics.counter(
-            "sim.events.cancelled", unit="events",
-            help="scheduled events cancelled before firing",
-        )
+        self._m_scheduled = metrics.counter("sim.events.scheduled")
+        self._m_cancelled = metrics.counter("sim.events.cancelled")
         self._m_dispatched: dict[str, object] = {}
-        pending = metrics.gauge(
-            "sim.events.pending", unit="events",
-            help="events waiting on the scheduler heap",
-        )
+        metrics.add_collector(self._metric_values)
 
-        def _collect() -> None:
-            pending.set(self.pending())
-
-        metrics.add_collector(_collect)
+    def _metric_values(self) -> dict:
+        return {"sim.events.pending": self.pending()}
 
     def _dispatch_counter(self, queue: str):
         counter = self._m_dispatched.get(queue)
         if counter is None:
-            counter = self.obs.metrics.counter(
-                "sim.events.dispatched", labels={"queue": queue}, unit="events",
-                help="events fired, by scheduler queue",
-            )
+            counter = self.obs.metrics.counter("sim.events.dispatched", labels={"queue": queue})
             self._m_dispatched[queue] = counter
         return counter
 

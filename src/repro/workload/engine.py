@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.attack.base import TargetVictim
 from repro.ciphers.table_memory import CipherVictim
+from repro.obs.metrics import metric_key
 from repro.os.task import TaskState
 from repro.sim.errors import ConfigError
 from repro.sim.units import PAGE_SIZE
@@ -69,22 +70,9 @@ class _Tenant:
         self.obs = obs
         metrics = obs.metrics
         labels = {"tenant": self.name}
-        self._m_issued = metrics.counter(
-            "workload.tenant.requests_issued", labels=labels,
-            unit="requests", help="encryption requests arriving per tenant",
-        )
-        self._m_served = metrics.counter(
-            "workload.tenant.requests_served", labels=labels,
-            unit="requests", help="requests served by the tenant's victim",
-        )
-        self._m_dropped = metrics.counter(
-            "workload.tenant.requests_dropped", labels=labels,
-            unit="requests", help="arrivals shed because the queue was full",
-        )
-        self._m_queue_depth = metrics.gauge(
-            "workload.tenant.queue_depth", labels=labels,
-            unit="requests", help="requests waiting unserved",
-        )
+        self._m_issued = metrics.counter("workload.tenant.requests_issued", labels=labels)
+        self._m_served = metrics.counter("workload.tenant.requests_served", labels=labels)
+        self._m_dropped = metrics.counter("workload.tenant.requests_dropped", labels=labels)
         self._m_encryptions = encryptions
 
     # RNG streams are re-fetched on every draw: ``RngStreams.reseed()``
@@ -233,21 +221,19 @@ class WorkloadEngine:
         self.obs = obs
         metrics = obs.metrics
         encryptions = {
-            role: metrics.counter(
-                "workload.tenant.encryptions", labels={"role": role},
-                unit="blocks", help="blocks encrypted, target vs background noise",
-            )
+            role: metrics.counter("workload.tenant.encryptions", labels={"role": role})
             for role in ("target", "noise")
         }
-        tenants = tuple(self.tenants.values())
-        for tenant in tenants:
+        for tenant in self.tenants.values():
             tenant.bind_obs(obs, encryptions["target" if tenant.is_target else "noise"])
+        metrics.add_collector(self._metric_values)
 
-        def _collect() -> None:
-            for tenant in tenants:
-                tenant._m_queue_depth.set(tenant.queue)
-
-        metrics.add_collector(_collect)
+    def _metric_values(self) -> dict:
+        """Each tenant's queue depth (the collector-sourced gauge)."""
+        return {
+            metric_key("workload.tenant.queue_depth", {"tenant": name}): tenant.queue
+            for name, tenant in self.tenants.items()
+        }
 
     def start(self) -> None:
         """Spawn background victims and begin every tenant's stream.

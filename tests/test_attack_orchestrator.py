@@ -17,10 +17,10 @@ from repro.attack.templating import TemplatorConfig
 from repro.core.machine import Machine, MachineConfig
 from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMGeometry
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.chaos import ChaosEngine, chaos_profile
 from repro.sim.errors import ConfigError, TemplatingExhaustedError
 from repro.sim.units import MIB, MS
+from tests.metric_states import metric_state
 
 FAST = TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
 # No recovery: one templating campaign and one try per stage.
@@ -177,15 +177,9 @@ class TestTemplatingExhaustedError:
 
 def _outcome(index, counter, gauge, observations, success):
     """One synthetic attempt outcome: canonical report JSON, success, metrics state."""
-    registry = MetricsRegistry(enabled=True)
-    registry.counter("t.count", unit="items").inc(counter)
-    if gauge is not None:
-        registry.gauge("t.level", unit="items").set(gauge)
-    histogram = registry.histogram("t.size", buckets=(10, 100), unit="b")
-    for value in observations:
-        histogram.observe(value)
+    state = metric_state(counter=counter, gauge=gauge, observations=observations)
     report_json = f'{{"index":{index},"success":{"true" if success else "false"}}}'
-    return index, report_json, success, registry.export_state()
+    return index, report_json, success, state
 
 
 _OUTCOME_FIELDS = st.tuples(

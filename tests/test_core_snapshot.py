@@ -14,6 +14,7 @@ Two claims are under test:
 
 import gc
 import hashlib
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -486,3 +487,34 @@ class TestAttemptsEnd:
             assert repro_garbage() == []
         assert index == 0 and state
         assert report.seed == campaign._attempt_seed(0)
+
+
+@pytest.mark.slow
+class TestForkFootprint:
+    """A fork builds its machine, not its telemetry's declarations."""
+
+    #: A seed-7 explframe fork creates about 250 GC-tracked objects.
+    #: Declaring every metric family per fork (an object and a dict per
+    #: family, plus a gauge handle and a closure cell per collector-sourced
+    #: value) put it at about 460.
+    MAX_OBJECTS = 300
+
+    @staticmethod
+    def _fork(snapshot):
+        machine, extras = snapshot.fork()
+        extras["attack"].bind_obs(machine.obs)
+        return machine
+
+    def test_one_fork_creates_at_most_max_objects(self):
+        snapshot = AttackCampaign(vulnerable_config(), 1, attack_config=FAST)._warm_snapshot()
+        self._fork(snapshot).close()  # first-fork-only caches stay out of the count
+        with collector_off():
+            before = Counter(type(obj) for obj in gc.get_objects())
+            machine = self._fork(snapshot)
+            created = Counter(
+                type(obj) for obj in gc.get_objects() if obj is not before
+            ) - before
+            machine.close()
+        total = sum(created.values())
+        by_type = {kind.__qualname__: n for kind, n in created.most_common(8)}
+        assert total <= self.MAX_OBJECTS, f"{total} objects per fork: {by_type}"

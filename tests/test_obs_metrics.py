@@ -10,6 +10,8 @@ from repro.obs import (
     NULL_HISTOGRAM,
     Observability,
 )
+from repro.obs.metrics import metric_key
+from repro.obs.schema import SCHEMA
 from repro.sim.errors import ConfigError
 from repro.sim.units import PAGE_SIZE
 
@@ -17,86 +19,186 @@ from repro.sim.units import PAGE_SIZE
 class TestCounter:
     def test_inc(self):
         registry = MetricsRegistry()
-        counter = registry.counter("x.events", unit="events")
+        counter = registry.counter("dram.flips")
         counter.inc()
         counter.inc(4)
-        assert registry.snapshot() == {"x.events": 5}
+        assert registry.snapshot() == {"dram.flips": 5}
 
     def test_same_identity_same_instance(self):
         registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
+        assert registry.counter("dram.flips") is registry.counter("dram.flips")
 
     def test_kind_mismatch_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ConfigError):
-            registry.gauge("x")
+        registry.counter("dram.flips")
+        with pytest.raises(ConfigError, match="declared as counter"):
+            registry.gauge("dram.flips")
+        with pytest.raises(ConfigError, match="declared as gauge"):
+            registry.counter("campaign.service.journal_bytes")
+
+    def test_undeclared_name_rejected(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ConfigError, match="not declared"):
+            registry.counter("x.events")
+        with pytest.raises(ConfigError, match="not declared"):
+            registry.histogram("x.sizes")
 
 
 class TestLabels:
     def test_labelled_instances_are_distinct(self):
         registry = MetricsRegistry()
-        a = registry.counter("sys", labels={"call": "mmap"})
-        b = registry.counter("sys", labels={"call": "munmap"})
+        a = registry.counter("os.syscalls", labels={"call": "mmap"})
+        b = registry.counter("os.syscalls", labels={"call": "munmap"})
         assert a is not b
         a.inc(2)
         b.inc(3)
         snap = registry.snapshot()
-        assert snap["sys{call=mmap}"] == 2
-        assert snap["sys{call=munmap}"] == 3
+        assert snap["os.syscalls{call=mmap}"] == 2
+        assert snap["os.syscalls{call=munmap}"] == 3
 
     def test_label_order_is_canonical(self):
         registry = MetricsRegistry()
-        a = registry.counter("m", labels={"b": "2", "a": "1"})
-        b = registry.counter("m", labels={"a": "1", "b": "2"})
+        a = registry.counter("os.syscalls", labels={"b": "2", "a": "1"})
+        b = registry.counter("os.syscalls", labels={"a": "1", "b": "2"})
         assert a is b
+        assert metric_key("os.syscalls", {"b": "2", "a": "1"}) == "os.syscalls{a=1,b=2}"
 
     def test_family_names_deduplicate_labels(self):
         registry = MetricsRegistry()
-        registry.counter("sys", labels={"call": "mmap"})
-        registry.counter("sys", labels={"call": "munmap"})
-        assert registry.family_names() == ["sys"]
+        registry.counter("os.syscalls", labels={"call": "mmap"})
+        registry.counter("os.syscalls", labels={"call": "munmap"})
+        assert registry.family_names() == ["os.syscalls"]
+
+    def test_snapshot_sorts_by_family_then_key(self):
+        """``a.b{..}`` sorts with family ``a.b``, before family ``a.bc``."""
+        registry = MetricsRegistry()
+        registry.counter("sim.events.scheduled")
+        registry.counter("sim.events.dispatched", labels={"queue": "os"})
+        registry.counter("sim.events.dispatched", labels={"queue": "dram"})
+        assert list(registry.snapshot()) == [
+            "sim.events.dispatched{queue=dram}",
+            "sim.events.dispatched{queue=os}",
+            "sim.events.scheduled",
+        ]
 
 
 class TestGauge:
     def test_set(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
+        gauge = registry.gauge("campaign.service.journal_bytes")
         gauge.set(42)
-        assert registry.snapshot()["depth"] == 42
+        assert registry.snapshot()["campaign.service.journal_bytes"] == 42
 
     def test_collector_runs_at_snapshot(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("sourced")
         source = {"value": 0}
-        registry.add_collector(lambda: gauge.set(source["value"]))
+        registry.add_collector(lambda: {"sim.events.pending": source["value"]})
         source["value"] = 7
-        assert registry.snapshot()["sourced"] == 7
+        assert registry.snapshot()["sim.events.pending"] == 7
+
+
+class TestCollectors:
+    """A collector returns ``{instance key: value}`` for declared gauges."""
+
+    @staticmethod
+    def _registry(source):
+        registry = MetricsRegistry()
+        registry.counter("sim.events.scheduled").inc(3)
+        registry.add_collector(
+            lambda: {
+                "sim.events.pending": source["pending"],
+                "dram.cache.hit_rate": source["rate"],
+            }
+        )
+        return registry
+
+    def test_collector_runs_at_every_read(self):
+        source = {"pending": 0, "rate": 0.0}
+        registry = self._registry(source)
+        source["pending"] = 8
+        assert registry.export_state()["sim.events.pending"]["instances"] == {
+            "sim.events.pending": 8
+        }
+        source["pending"] = 9
+        rows = [row.split() for row in registry.render_table().splitlines()]
+        assert ["sim.events.pending", "gauge", "9", "events"] in rows
+
+    def test_values_read_as_gauges_with_schema_metadata(self):
+        source = {"pending": 7, "rate": 0.25}
+        registry = self._registry(source)
+        assert registry.snapshot() == {
+            "dram.cache.hit_rate": 0.25,
+            "sim.events.pending": 7,
+            "sim.events.scheduled": 3,
+        }
+        state = registry.export_state()
+        spec = SCHEMA["sim.events.pending"]
+        assert state["sim.events.pending"] == {
+            "kind": "gauge",
+            "unit": spec.unit,
+            "help": spec.help,
+            "buckets": [],
+            "instances": {"sim.events.pending": 7},
+        }
+        assert state["dram.cache.hit_rate"]["unit"] == "ratio"
+        rows = registry.render_table().splitlines()[2:]
+        assert [row.split() for row in rows] == [
+            ["dram.cache.hit_rate", "gauge", "0.25", "ratio"],
+            ["sim.events.pending", "gauge", "7", "events"],
+            ["sim.events.scheduled", "counter", "3", "events"],
+        ]
+        assert registry.family_names() == [
+            "dram.cache.hit_rate", "sim.events.pending", "sim.events.scheduled",
+        ]
+
+    def test_closed_registry_keeps_the_last_collected_values(self):
+        source = {"pending": 7, "rate": 0.5}
+        registry = self._registry(source)
+        before = registry.export_state()
+        registry.close()
+        source["pending"] = 99
+        assert registry.snapshot()["sim.events.pending"] == 7
+        assert registry.export_state() == before
+
+    def test_undeclared_or_non_gauge_key_rejected(self):
+        for key in ("x.depth", "sim.events.scheduled"):
+            registry = MetricsRegistry()
+            registry.add_collector(lambda key=key: {key: 1})
+            with pytest.raises(ConfigError):
+                registry.snapshot()
 
 
 class TestHistogram:
     def test_buckets_cumulative(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("dur", buckets=(10, 100))
-        for value in (1, 5, 50, 500):
+        histogram = registry.histogram("dram.hammer.activations_per_call")
+        for value in (0, 50, 500, 5_000_000):
             histogram.observe(value)
-        snap = registry.snapshot()["dur"]
+        snap = registry.snapshot()["dram.hammer.activations_per_call"]
         assert snap["count"] == 4
-        assert snap["sum"] == 556
-        assert snap["buckets"] == {"le_10": 2, "le_100": 3, "le_inf": 4}
+        assert snap["sum"] == 5_000_550
+        assert snap["buckets"] == {
+            "le_0": 1, "le_100": 2, "le_1000": 3, "le_10000": 3,
+            "le_100000": 3, "le_1000000": 3, "le_inf": 4,
+        }
 
     def test_buckets_must_ascend(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ConfigError):
-            registry.histogram("bad", buckets=(100, 10))
+        """Declared in the schema: ascending, and only on histograms."""
+        for name, spec in SCHEMA.items():
+            if spec.kind == "histogram":
+                assert spec.buckets and list(spec.buckets) == sorted(spec.buckets), name
+            else:
+                assert spec.buckets == (), name
 
 
 class TestDisabledRegistry:
     def test_returns_null_singletons(self):
         registry = MetricsRegistry(enabled=False)
-        assert registry.counter("x") is NULL_COUNTER
-        assert registry.gauge("y") is NULL_GAUGE
-        assert registry.histogram("z", buckets=(1,)) is NULL_HISTOGRAM
+        assert registry.counter("dram.flips") is NULL_COUNTER
+        assert registry.gauge("campaign.service.journal_bytes") is NULL_GAUGE
+        assert registry.histogram("attack.stage.duration_ns") is NULL_HISTOGRAM
+        with pytest.raises(ConfigError, match="not declared"):
+            registry.counter("x.events")
 
     def test_null_mutators_are_noops(self):
         NULL_COUNTER.inc()
@@ -105,9 +207,13 @@ class TestDisabledRegistry:
 
     def test_snapshot_empty(self):
         registry = MetricsRegistry(enabled=False)
-        registry.counter("x").inc()
+        registry.counter("dram.flips").inc()
+        calls = []
+        registry.add_collector(lambda: calls.append(1) or {"sim.events.pending": 1})
         assert registry.snapshot() == {}
+        assert registry.export_state() == {}
         assert registry.render_table() == "(metrics disabled)"
+        assert calls == []
 
 
 def _small_workload(machine):

@@ -27,10 +27,11 @@ from repro.obs.metrics import (
     MetricStateAccumulator,
 )
 from repro.parallel import pool as pool_module
-from repro.parallel.pool import make_pool_block, register_pool_metrics
+from repro.obs.schema import SCHEMA
 from repro.sim.chaos import chaos_plan_for_attempt
 from repro.sim.errors import ConfigError
 from repro.sim.units import MIB, MS
+from tests.metric_states import metric_state
 
 FAST = ExplFrameConfig(
     templator=TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
@@ -54,39 +55,31 @@ def merge(states):
 
 
 class TestMergeMetricStates:
-    def _registry(self, counter=0, gauge=None, observations=()):
-        registry = MetricsRegistry(enabled=True)
-        if counter:
-            registry.counter("t.count", unit="items").inc(counter)
-        if gauge is not None:
-            registry.gauge("t.level", unit="items").set(gauge)
-        histogram = registry.histogram("t.size", buckets=(10, 100), unit="b")
-        for value in observations:
-            histogram.observe(value)
-        return registry
+    @staticmethod
+    def _state(counter=0, gauge=None, observations=()):
+        return metric_state(
+            counter=counter or None, gauge=gauge, observations=observations
+        )
 
     def test_counters_sum_across_states(self):
-        states = [
-            self._registry(counter=2).export_state(),
-            self._registry(counter=5).export_state(),
-        ]
+        states = [self._state(counter=2), self._state(counter=5)]
         merged = merge(states)
         assert merged["sources"] == 2
         assert merged["families"]["t.count"]["instances"]["t.count"] == 7
 
     def test_gauges_list_one_value_per_source_in_order(self):
         states = [
-            self._registry(gauge=3).export_state(),
-            self._registry().export_state(),  # gauge absent here
-            self._registry(gauge=9).export_state(),
+            self._state(gauge=3),
+            self._state(),  # gauge absent here
+            self._state(gauge=9),
         ]
         merged = merge(states)
         assert merged["families"]["t.level"]["instances"]["t.level"] == [3, None, 9]
 
     def test_histograms_add_bucket_wise(self):
         states = [
-            self._registry(observations=(5, 50)).export_state(),
-            self._registry(observations=(500,)).export_state(),
+            self._state(observations=(5, 50)),
+            self._state(observations=(500,)),
         ]
         value = merge(states)["families"]["t.size"]["instances"]["t.size"]
         assert value["count"] == 3
@@ -94,36 +87,40 @@ class TestMergeMetricStates:
         assert value["buckets"] == {"le_10": 1, "le_100": 2, "le_inf": 3}
 
     def test_kind_conflict_is_rejected(self):
-        a = MetricsRegistry(enabled=True)
-        a.counter("t.mixed").inc()
-        b = MetricsRegistry(enabled=True)
-        b.gauge("t.mixed").set(1)
+        """Journal records are outside input: the fold checks kinds itself."""
+        counter = metric_state(counter=1)
+        gauge = {"t.count": {**metric_state(gauge=1)["t.level"],
+                             "instances": {"t.count": 1}}}
         with pytest.raises(ConfigError, match="cannot merge"):
-            merge([a.export_state(), b.export_state()])
+            merge([counter, gauge])
 
     def test_histogram_bucket_mismatch_is_rejected(self):
-        a = MetricsRegistry(enabled=True)
-        a.histogram("t.size", buckets=(10, 100)).observe(1)
-        b = MetricsRegistry(enabled=True)
-        b.histogram("t.size", buckets=(1, 2)).observe(1)
+        a = metric_state(observations=(1,), buckets=(10, 100))
+        b = metric_state(observations=(1,), buckets=(1, 2))
         with pytest.raises(ConfigError, match="bucket bounds differ"):
-            merge([a.export_state(), b.export_state()])
+            merge([a, b])
 
     def test_merge_matches_single_registry_snapshot_semantics(self):
         """Merging one state renders exactly like the live snapshot."""
-        registry = self._registry(counter=3, gauge=4, observations=(5, 500))
+        registry = MetricsRegistry(enabled=True)
+        registry.counter("dram.flips").inc(3)
+        registry.gauge("campaign.service.journal_bytes").set(4)
+        histogram = registry.histogram("dram.hammer.activations_per_call")
+        for value in (5, 500):
+            histogram.observe(value)
         merged = merge([registry.export_state()])
         live = registry.snapshot()
-        families = merged["families"]
-        assert families["t.count"]["instances"]["t.count"] == live["t.count"]
-        assert families["t.size"]["instances"]["t.size"] == live["t.size"]
+        for name in ("dram.flips", "dram.hammer.activations_per_call"):
+            assert merged["families"][name]["instances"][name] == live[name]
+        gauge = "campaign.service.journal_bytes"
+        assert merged["families"][gauge]["instances"][gauge] == [live[gauge]]
 
     def test_streaming_fold_renders_the_whole_block(self):
         """One state at a time, the accumulator renders every family."""
         states = [
-            self._registry(counter=2, gauge=1, observations=(5,)).export_state(),
-            self._registry(counter=3, observations=(50, 500)).export_state(),
-            self._registry(gauge=9).export_state(),
+            self._state(counter=2, gauge=1, observations=(5,)),
+            self._state(counter=3, observations=(50, 500)),
+            self._state(gauge=9),
         ]
         accumulator = MetricStateAccumulator()
         for count, state in enumerate(states):
@@ -173,22 +170,42 @@ class TestSnapshotPickling:
 
 
 class TestPoolTelemetry:
-    def test_register_pool_metrics_covers_the_documented_family(self):
-        registry = MetricsRegistry(enabled=True)
-        register_pool_metrics(registry)
-        assert set(registry.family_names()) == {
+    @staticmethod
+    def _block(workers=2, wall_by_pid=None):
+        campaign = AttackCampaign(vulnerable_config(), 4, workers=workers)
+        return campaign._pool_block(
+            owned=4, dispatched=4, completed=4,
+            wall_by_pid={4242: 20, 17: 10} if wall_by_pid is None else wall_by_pid,
+        )
+
+    def test_pool_block_covers_the_documented_family(self):
+        assert {key.partition("{")[0] for key in self._block()} == {
             "campaign.pool.workers",
             "campaign.pool.attempts_dispatched",
             "campaign.pool.attempts_completed",
             "campaign.pool.mode",
             "campaign.pool.worker_wall_ns",
         }
-
-    def test_make_pool_block_shape(self):
-        block = make_pool_block(
-            workers=2, mode="ship", dispatched=4, completed=4,
-            worker_wall_ns={0: 10, 1: 20},
+        assert all(
+            SCHEMA[key.partition("{")[0]].kind in ("counter", "gauge")
+            for key in self._block()
         )
+
+    def test_pool_block_reads_like_a_registry_snapshot(self):
+        """Same keys, order and values as the family set on a registry."""
+        block = self._block(wall_by_pid={pid: pid for pid in range(12)})
+        registry = MetricsRegistry(enabled=True)
+        for key, value in block.items():
+            name, _, label = key.partition("{")
+            labels = dict([label.rstrip("}").split("=")]) if label else None
+            if SCHEMA[name].kind == "counter":
+                registry.counter(name, labels).inc(value)
+            else:
+                registry.gauge(name, labels).set(value)
+        assert list(registry.snapshot().items()) == list(block.items())
+
+    def test_pool_block_shape(self):
+        block = self._block()
         assert block["campaign.pool.workers"] == 2
         assert block["campaign.pool.attempts_dispatched"] == 4
         assert block["campaign.pool.attempts_completed"] == 4
