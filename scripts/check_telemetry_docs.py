@@ -7,7 +7,9 @@ directions:
 
 * every declared metric family has a row in the doc's metric tables,
   and every documented metric is declared;
-* each row's kind and unit columns match the declaration;
+* each row's kind and unit columns match the declaration, and its
+  meaning column begins with the declared help string (the help is
+  output: ``export_state()`` and journal ``state`` records carry it);
 * every declared name is used as a string literal somewhere in ``src/``
   outside the schema module, so a stale declaration cannot linger;
 * every span/instant name emitted in ``src/`` appears in the doc's
@@ -36,6 +38,12 @@ from repro.obs.schema import SCHEMA  # noqa: E402
 # ("| `dram.flips` | counter | flips | ...").
 _DOC_ROW = re.compile(
     r"^\|\s*`([a-z_][a-z0-9_.]+)`\s*\|\s*([^|]*?)\s*\|\s*([^|]*?)\s*\|", re.MULTILINE
+)
+# Metric rows: name, kind, unit, labels, meaning.
+_METRIC_ROW = re.compile(
+    r"^\|\s*`([a-z_][a-z0-9_.]+)`\s*\|\s*([^|]*?)\s*\|\s*([^|]*?)\s*\|[^|\n]*\|"
+    r"\s*([^|\n]*?)\s*\|\s*$",
+    re.MULTILINE,
 )
 # Emission sites: tracer.span("name"...) / .instant / .complete across
 # line breaks ("name" is always the first string literal after the paren).
@@ -68,7 +76,10 @@ def main() -> int:
     text = DOC.read_text(encoding="utf-8")
     trace_part, _, metric_part = text.partition("## Metric families")
     doc_spans = {row[0] for row in _DOC_ROW.findall(trace_part)}
-    doc_metrics = {name: (kind, unit) for name, kind, unit in _DOC_ROW.findall(metric_part)}
+    doc_metrics = {
+        name: (kind, unit, meaning)
+        for name, kind, unit, meaning in _METRIC_ROW.findall(metric_part)
+    }
     sources = _sources()
     spans = emitted_span_names(sources)
     used = used_metric_names(sources)
@@ -87,11 +98,16 @@ def main() -> int:
     for stale in sorted(doc_metrics.keys() - SCHEMA.keys()):
         problems.append(f"doc lists metric {stale!r} which is not declared")
     for name in sorted(SCHEMA.keys() & doc_metrics.keys()):
-        spec, (kind, unit) = SCHEMA[name], doc_metrics[name]
+        spec, (kind, unit, meaning) = SCHEMA[name], doc_metrics[name]
         if kind.split()[0] != spec.kind:
             problems.append(f"metric {name!r}: doc kind {kind!r}, declared {spec.kind!r}")
         if unit != spec.unit:
             problems.append(f"metric {name!r}: doc unit {unit!r}, declared {spec.unit!r}")
+        if not meaning.startswith(spec.help):
+            problems.append(
+                f"metric {name!r}: doc meaning {meaning!r} does not begin with "
+                f"the declared help {spec.help!r}"
+            )
     for unused in sorted(SCHEMA.keys() - used):
         problems.append(f"metric {unused!r} is declared but never used in src/")
     for missing in sorted(spans - doc_spans):

@@ -4,21 +4,38 @@ Persistent Fault Analysis consumes thousands of ciphertexts per data
 point; the pure-Python block cipher would dominate every benchmark.  This
 module encrypts whole batches with NumPy, with the same state layout and
 the same pluggable S-box as :mod:`repro.ciphers.aes`, and the same
-T-table round structure: each inner round is one gather of the shifted
-state bytes into a (16, 256) table of Te words, one XOR-reduce of each
-column's four words, and one XOR with the round key.  The final round
-reads the S-box directly.
+T-table round structure, read two bytes at a time.
 
-Both tables are derived from the S-box bytes and cached by them
-(``aes.te_tables``), and the round keys are cached by the key bytes, so a
-fault is a new cache key and a batch never reruns the key schedule.  The
-byte-wise SubBytes/ShiftRows/MixColumns kernel this replaced is the
-oracle in ``tests/cipher_references.py``; the test suite cross-checks
-both against the scalar implementation block for block.
+Output column ``c`` of an inner round is
+``Te0[s[0,c]] ^ Te1[s[1,c+1]] ^ Te2[s[2,c+2]] ^ Te3[s[3,c+3]]`` (column
+indices mod 4; ShiftRows is the column offset).  Each round does one
+``take`` that applies ShiftRows and lays the state out as adjacent byte
+pairs: first the (row 0, row 1) pair of every column of every block, then
+every (row 2, row 3) pair.  Each pair is read as a native ``uint16`` and
+indexes a 65,536-entry ``uint32`` pair table, ``T01[(a, b)] = Te0[a] ^
+Te1[b]`` or ``T23[(a, b)] = Te2[a] ^ Te3[b]``, so a column is two lookups,
+one XOR and the round-key XOR.  This is exact: every byte pair is
+tabulated and XOR is associative, so each lookup is the two Te lookups it
+replaces, already XORed.  The pair tables are laid out as the host reads
+a byte pair (``a | b << 8`` little-endian, ``a << 8 | b`` big-endian), so
+the result does not depend on byte order.  The final round reads the
+S-box directly.
+
+The pair tables are derived from the S-box bytes and cached by them, so a
+fault is a new cache key.  They take 512 KiB per S-box, so the cache
+holds one: a PFA stage's batches all read one faulty table, and a
+rebuild for another S-box costs about 0.08 ms once ``te_tables`` has it.
+The round keys are cached by the key bytes, so a batch never reruns the
+key schedule, and the pair gather is cached per batch size (four sizes,
+128 bytes per block each).  The byte-wise SubBytes/ShiftRows/MixColumns
+kernel is the oracle in ``tests/cipher_references.py``; the test suite
+cross-checks the batch kernel against it and against the scalar
+implementation block for block.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -27,32 +44,55 @@ from repro.ciphers.aes import expand_key, te_tables
 from repro.ciphers.aes_tables import AES_SBOX, SHIFT_ROWS_PERM
 
 _SHIFT = np.array(SHIFT_ROWS_PERM, dtype=np.intp)
-# Flat-table offset of each state position: position r + 4c reads Te_r.
-_LANE_OFFSETS = np.arange(16, dtype=np.intp) * 256
+# Source state position of byte k of the row pair (2h, 2h + 1) of output
+# column c, laid out as [h][c][k] after ShiftRows.
+_PAIR_SOURCES = np.array(
+    [SHIFT_ROWS_PERM[4 * c + 2 * h + k] for h in (0, 1) for c in range(4) for k in (0, 1)],
+    dtype=np.intp,
+).reshape(2, 1, 8)
 
 
-@lru_cache(maxsize=16)
-def _round_tables(sbox: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The flat (16 * 256) Te-lane table and the S-box array for ``sbox``.
+def _pair_table(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``first[a] ^ second[b]`` at the native ``uint16`` read of bytes (a, b)."""
+    high, low = (second, first) if sys.byteorder == "little" else (first, second)
+    table = (high[:, None] ^ low[None, :]).ravel()
+    table.flags.writeable = False
+    return table
 
-    Lane ``j`` is ``Te[j % 4]``, each word stored big-endian in memory, so
-    XOR-reduced column words viewed as bytes are the next flat state.
+
+@lru_cache(maxsize=1)
+def _round_tables(sbox: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The T01 and T23 pair tables and the S-box array for ``sbox``.
+
+    Each Te word is stored big-endian in memory, so XORed column words
+    viewed as bytes are the next flat state.  All three are read-only.
     """
-    te = te_tables(sbox)
-    lanes = np.array([te[j % 4] for j in range(16)], dtype=">u4").view(np.uint32).ravel()
-    lanes.flags.writeable = False
-    return lanes, np.frombuffer(sbox, dtype=np.uint8)
+    te = np.array(te_tables(sbox), dtype=">u4").view(np.uint32)
+    return (
+        _pair_table(te[0], te[1]),
+        _pair_table(te[2], te[3]),
+        np.frombuffer(sbox, dtype=np.uint8),
+    )
 
 
 @lru_cache(maxsize=16)
 def _round_keys(key: bytes) -> tuple[np.ndarray, np.ndarray]:
     """AES-128 round keys for ``key`` as (11, 16) bytes and (11, 4) words.
 
-    The words are views of the bytes in native order, matching the lane
-    table's in-memory layout.  Both arrays are read-only.
+    The words are views of the bytes in native order, matching the pair
+    tables' in-memory layout.  Both arrays are read-only.
     """
     rk_bytes = np.frombuffer(b"".join(expand_key(key)), dtype=np.uint8).reshape(11, 16)
     return rk_bytes, rk_bytes.view(np.uint32)
+
+
+@lru_cache(maxsize=4)
+def _pair_gather(count: int) -> np.ndarray:
+    """Flat indices that shift ``count`` flat states into [half][block][pair].
+
+    Left writeable: ``take`` copies a read-only index array on every call.
+    """
+    return (np.arange(count, dtype=np.intp)[:, None] * 16 + _PAIR_SOURCES).ravel()
 
 
 def aes128_encrypt_batch(
@@ -78,18 +118,19 @@ def aes128_encrypt_batch(
     if len(sbox) != 256:
         raise ValueError(f"S-box must be 256 bytes, got {len(sbox)}")
 
-    lanes, sbox_np = _round_tables(bytes(sbox))
+    t01, t23, sbox_np = _round_tables(bytes(sbox))
     rk_bytes, rk_words = _round_keys(bytes(key))
+    count = len(data)
+    gather = _pair_gather(count)
 
-    state = data ^ rk_bytes[0]
+    flat = (data ^ rk_bytes[0]).ravel()
     for round_index in range(1, 10):
-        words = lanes.take(state[:, _SHIFT] + _LANE_OFFSETS).reshape(-1, 4, 4)
-        columns = words[:, :, 0] ^ words[:, :, 1]
-        columns ^= words[:, :, 2]
-        columns ^= words[:, :, 3]
+        pairs = flat.take(gather).view(np.uint16).reshape(2, count, 4)
+        columns = t01.take(pairs[0])
+        columns ^= t23.take(pairs[1])
         columns ^= rk_words[round_index]
-        state = columns.view(np.uint8).reshape(-1, 16)
-    state = sbox_np.take(state[:, _SHIFT])
+        flat = columns.view(np.uint8).ravel()
+    state = sbox_np.take(flat.reshape(count, 16)[:, _SHIFT])
     state ^= rk_bytes[10]
     return state
 

@@ -219,8 +219,10 @@ class MetricsRegistry:
         Collectors read pre-existing substrate counters (bank activation
         totals, cache hit counts, ...) and report them as gauges, so the
         simulation's hottest paths carry no live instrumentation at all.
+        A collector already registered (an equal bound method, as when a
+        component is re-bound to the same hub) is not added again.
         """
-        if self.enabled:
+        if self.enabled and fn not in self._collectors:
             self._collectors.append(fn)
 
     def close(self) -> None:

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ciphers.aes import AES, expand_key
+from repro.ciphers.aes import AES, expand_key, te_tables
 from repro.ciphers.aes_tables import AES_SBOX
-from repro.ciphers.batch import _round_keys, aes128_encrypt_batch, random_plaintexts
+from repro.ciphers.batch import (
+    _pair_gather,
+    _round_keys,
+    _round_tables,
+    aes128_encrypt_batch,
+    random_plaintexts,
+)
 from repro.ciphers.faults import FaultSpec, apply_fault
 from repro.ciphers.present import PRESENT_SBOX, Present
 from tests.cipher_references import aes128_encrypt_batch_reference
@@ -14,6 +20,10 @@ from tests.cipher_references import aes128_encrypt_batch_reference
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
 keys16 = st.binary(min_size=16, max_size=16)
+# Every PFA batch is 256 blocks; T5 feeds 100, 150, 250 and 500.
+batch_sizes = st.one_of(
+    st.sampled_from([1, 100, 150, 250, 256, 500, 600]), st.integers(1, 600)
+)
 sbox_flips = st.lists(
     st.tuples(st.integers(0, 255), st.integers(0, 7)), min_size=0, max_size=3
 )
@@ -28,10 +38,10 @@ def flipped_sbox(flips: list[tuple[int, int]]) -> bytes:
 
 
 class TestBatchKernelOracle:
-    """The T-table batch kernel equals the byte-wise kernel and scalar AES."""
+    """The pair-table batch kernel equals the byte-wise kernel and scalar AES."""
 
     @given(
-        count=st.integers(min_value=1, max_value=300),
+        count=batch_sizes,
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         key=keys16,
         flips=sbox_flips,
@@ -85,6 +95,51 @@ class TestBatchKernelOracle:
     def test_cached_round_keys_are_read_only(self):
         rk_bytes, rk_words = _round_keys(KEY)
         assert not rk_bytes.flags.writeable and not rk_words.flags.writeable
+
+    @given(flips=sbox_flips)
+    @settings(max_examples=10, deadline=None)
+    def test_cached_round_tables_are_read_only(self, flips):
+        for table in _round_tables(flipped_sbox(flips)):
+            assert not table.flags.writeable
+
+    @given(flips=sbox_flips, index=st.integers(0, 255), bit=st.integers(0, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_one_bit_apart_sboxes_never_share_tables(self, flips, index, bit):
+        sbox_a = flipped_sbox(flips)
+        sbox_b = flipped_sbox([*flips, (index, bit)])
+        tables_a = _round_tables(sbox_a)
+        tables_b = _round_tables(sbox_b)
+        assert tables_a[2].tobytes() == sbox_a and tables_b[2].tobytes() == sbox_b
+        for table_a, table_b in zip(tables_a, tables_b):
+            assert table_a is not table_b
+            assert not np.shares_memory(table_a, table_b)
+        # The faulted entry's pairs differ in both tables it feeds.
+        t01_a, t23_a, _ = tables_a
+        t01_b, t23_b, _ = tables_b
+        assert not np.array_equal(t01_a, t01_b) and not np.array_equal(t23_a, t23_b)
+
+    @given(a=st.integers(0, 255), b=st.integers(0, 255), flips=sbox_flips)
+    @settings(max_examples=60, deadline=None)
+    def test_pair_tables_read_as_native_uint16(self, a, b, flips):
+        # The kernel reads a byte pair (a, b) as a native uint16; building
+        # the index the same way keeps the check byte-order independent.
+        sbox = flipped_sbox(flips)
+        index = int(np.array([a, b], dtype=np.uint8).view(np.uint16)[0])
+        te0, te1, te2, te3 = te_tables(sbox)
+        t01, t23, _ = _round_tables(sbox)
+        assert t01.shape == t23.shape == (1 << 16,) and t01.dtype == np.uint32
+        assert t01[index : index + 1].tobytes() == (te0[a] ^ te1[b]).to_bytes(4, "big")
+        assert t23[index : index + 1].tobytes() == (te2[a] ^ te3[b]).to_bytes(4, "big")
+
+    def test_caches_are_bounded(self):
+        # 512 KiB of pair tables per S-box, 128 bytes of gather per block.
+        assert _round_tables.cache_info().maxsize == 1
+        assert _pair_gather.cache_info().maxsize <= 4
+        for count in (1, 100, 150, 250, 256, 500, 600):
+            aes128_encrypt_batch(np.zeros((count, 16), dtype=np.uint8), KEY)
+        assert _pair_gather.cache_info().currsize <= 4
+        assert _pair_gather(256).nbytes == 256 * 16 * np.dtype(np.intp).itemsize
+        assert sum(table.nbytes for table in _round_tables(AES_SBOX)[:2]) == 512 * 1024
 
 
 class TestBatchAES:

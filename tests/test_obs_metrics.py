@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attack.explframe import ExplFrameAttack
 from repro.core import Machine, MachineConfig
 from repro.obs import (
     MetricsRegistry,
@@ -14,6 +15,7 @@ from repro.obs.metrics import metric_key
 from repro.obs.schema import SCHEMA
 from repro.sim.errors import ConfigError
 from repro.sim.units import PAGE_SIZE
+from repro.workload import WorkloadEngine, scenario_preset
 
 
 class TestCounter:
@@ -160,6 +162,19 @@ class TestCollectors:
         assert registry.snapshot()["sim.events.pending"] == 7
         assert registry.export_state() == before
 
+    def test_collector_registered_twice_runs_once(self):
+        calls = []
+
+        def collect():
+            calls.append(1)
+            return {"sim.events.pending": 4}
+
+        registry = MetricsRegistry()
+        registry.add_collector(collect)
+        registry.add_collector(collect)
+        assert registry.snapshot() == {"sim.events.pending": 4}
+        assert len(calls) == 1
+
     def test_undeclared_or_non_gauge_key_rejected(self):
         for key in ("x.depth", "sim.events.scheduled"):
             registry = MetricsRegistry()
@@ -255,6 +270,23 @@ class TestMachineIntegration:
         assert vars(on.kernel.stats) == vars(off.kernel.stats)
         assert on.clock.now_ns == off.clock.now_ns
         assert on.controller.total_activations() == off.controller.total_activations()
+
+    def test_rebound_tenant_workload_registers_one_collector(self):
+        # The engine binds itself to the machine's hub; the attack re-binds
+        # its tenant workload to the same hub.
+        machine = Machine(MachineConfig.small(seed=7))
+        engine = WorkloadEngine(machine, scenario_preset("duet"))
+        metrics = machine.obs.metrics
+        before = metrics.export_state()
+        ExplFrameAttack(machine, tenant_workload=engine)
+        assert metrics._collectors.count(engine._metric_values) == 1
+        after = metrics.export_state()
+        workload = [name for name in before if name.startswith("workload.")]
+        assert workload and all(after[name] == before[name] for name in workload)
+        assert after["workload.tenant.queue_depth"]["instances"] == {
+            metric_key("workload.tenant.queue_depth", {"tenant": name}): 0
+            for name in sorted(engine.tenants)
+        }
 
     def test_default_observability_hub(self):
         obs = Observability()

@@ -17,6 +17,12 @@ def test_observability_doc_matches_the_schema(capsys):
         ("dram.flips", MetricSpec(COUNTER, "bits", "changed unit"), "doc unit 'flips'"),
         ("dram.flips", MetricSpec("gauge", "flips", "changed kind"), "doc kind 'counter'"),
         ("x.never_used", MetricSpec(COUNTER, "x", "stale"), "never used in src/"),
+        (
+            "dram.flips",
+            MetricSpec(COUNTER, "flips", "bit flips applied"),
+            "doc meaning 'disturbance bit flips applied' does not begin with the "
+            "declared help 'bit flips applied'",
+        ),
     ],
 )
 def test_schema_drift_is_caught(monkeypatch, capsys, name, spec, problem):
