@@ -26,6 +26,7 @@ view.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from repro.attack.base import (
@@ -53,6 +54,13 @@ from repro.sim.units import PAGE_SIZE
 
 #: Ciphertexts per victim encryption batch while collecting for PFA.
 PFA_BATCH = 256
+#: Batches PFA encrypts ahead in one kernel call: its first block, then
+#: each later block.  Any size is exact (batches are still fetched,
+#: counted and stop-tested one at a time); the size only sets how much
+#: host work a stop wastes.  A key becomes unique after 7 to 18 batches
+#: (median 9 over 600 machine seeds), so the first block rarely wastes one.
+PFA_FIRST_BLOCK = 8
+PFA_LATER_BLOCK = 1
 #: First PFA ciphertext budget; each retry of the stage doubles it.
 PFA_LIMIT = 20_000
 #: Hammer passes over a template's aggressors before the re-hammer stage
@@ -363,17 +371,31 @@ class ExplFrameAttack:
     def run_pfa(
         self, victim: CipherVictim, v_star: int, limit: int
     ) -> tuple[bytes | None, int]:
-        """Collect up to ``limit`` faulty ciphertexts and recover the master key.
+        """Collect faulty ciphertexts and recover the master key.
+
+        Ciphertexts come in whole batches of ``PFA_BATCH``, each tested for
+        a unique key, until one is or ``limit`` is reached; the last batch
+        may pass it (20,224 ciphertexts at limit 20,000).  Batches are
+        encrypted ahead in blocks (``PFA_FIRST_BLOCK``, then
+        ``PFA_LATER_BLOCK``), clipped to the batches the limit allows; a
+        stop inside a block leaves the victim and the plaintext stream as
+        the one-batch loop would.
 
         Returns (key or None, ciphertexts consumed).
         """
         rng = self.machine.rng.numpy_stream("attack.plaintexts")
         state = PfaState()
-        while state.total < limit:
-            state.update(victim.encrypt_batch(PFA_BATCH, rng))
-            if state.is_unique():
-                break
-        if not state.is_unique():
+        block = PFA_FIRST_BLOCK
+        unique = False
+        while not unique and state.total < limit:
+            batches = min(block, -(-(limit - state.total) // PFA_BATCH))
+            with closing(victim.encrypt_batches(batches, PFA_BATCH, rng)) as ahead:
+                for ciphertexts in ahead:
+                    state.update(ciphertexts)
+                    if unique := state.is_unique():
+                        break
+            block = PFA_LATER_BLOCK
+        if not unique:
             return None, state.total
         candidates = KeyCandidates(recover_k10_known_fault(state, v_star))
         try:

@@ -17,6 +17,8 @@ the page-frame-cache state in between.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.ciphers.aes import AES
@@ -180,26 +182,85 @@ class CipherVictim:
         self.sbox.read()
 
     def encrypt_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Encrypt ``count`` random blocks (AES variants), vectorised.
+        """Encrypt ``count`` random blocks (AES-128 variants), vectorised.
 
-        The tables are read from memory once for the batch — valid while
-        no new fault lands mid-batch, which the experiment protocols
-        ensure by hammering only between batches.  For the T-table victim
-        the vectorised path is mathematically identical *only while the
-        Te block is clean*, which is verified here (a Te fault falls back
-        to the exact scalar implementation).
+        The one-batch case of :meth:`encrypt_batches`: one plaintext draw,
+        one table fetch for the whole batch (valid while no new fault lands
+        mid-batch, which the experiment protocols ensure by hammering only
+        between batches), then the batch kernel.
+        """
+        (ciphertexts,) = self.encrypt_batches(1, count, rng)
+        return ciphertexts
+
+    def encrypt_batches(
+        self, batches: int, count: int, rng: np.random.Generator
+    ) -> Iterator[np.ndarray]:
+        """Yield ``batches`` batches of ``count`` random blocks' ciphertexts.
+
+        Each yielded batch has the simulated effects of one
+        :meth:`encrypt_batch` call, made when the batch is taken: its
+        ``count`` encryptions and its table fetch (the Te block and its
+        clean check for the T-table victim, then the S-box).  The host work
+        is done ahead: one plaintext draw for every batch and one kernel
+        call under the first fetched S-box.  A later fetch that returns
+        other bytes re-encrypts the remaining batches under them; a faulty
+        Te block sends its batch to the exact scalar implementation, as the
+        batch kernel matches the T-table cipher only while Te is clean.
+
+        A consumer may stop early (``close()`` the generator, or let it be
+        collected): the generator state of ``rng`` is then rewound to the
+        draws of the batches taken, and an untaken batch has no effect.
+        Invalid requests raise :class:`ConfigError` before any draw, fetch
+        or count.
         """
         self._require_ready()
         if self.cipher_kind == "present":
             raise ConfigError("batch encryption is implemented for AES only")
-        plaintexts = random_plaintexts(count, rng)
-        self.encryptions += count
-        if self.cipher_kind == "aes_ttable" and self._read_te() != AES_TE_TABLES:
-            return np.frombuffer(
-                b"".join(self._context.encrypt_block(bytes(p)) for p in plaintexts),
-                dtype=np.uint8,
-            ).reshape(-1, 16)
-        return aes128_encrypt_batch(plaintexts, self.key, self.sbox.read())
+        if len(self.key) != 16:
+            raise ConfigError(
+                f"batch encryption is AES-128 only; key of {len(self.key)} bytes"
+            )
+        if batches <= 0 or count <= 0:
+            raise ConfigError(
+                f"batches and count must be positive, got {batches} and {count}"
+            )
+        return self._encrypt_ahead(batches, count, rng)
+
+    def _encrypt_ahead(
+        self, batches: int, count: int, rng: np.random.Generator
+    ) -> Iterator[np.ndarray]:
+        # One (batches * count, 16) draw equals ``batches`` draws of
+        # (count, 16): the same plaintexts and the same generator state, as
+        # a block's 16 bytes fill whole 32-bit draws.
+        saved = rng.bit_generator.state
+        plaintexts = random_plaintexts(batches * count, rng).reshape(batches, count, 16)
+        started = 0
+        # ciphertexts[i - first] is batch i encrypted under encrypted_under.
+        encrypted_under = ciphertexts = first = None
+        try:
+            for index in range(batches):
+                started += 1
+                self.encryptions += count
+                if self._te_va is not None and self._read_te() != AES_TE_TABLES:
+                    yield np.frombuffer(
+                        b"".join(
+                            self._context.encrypt_block(bytes(p))
+                            for p in plaintexts[index]
+                        ),
+                        dtype=np.uint8,
+                    ).reshape(-1, 16)
+                    continue
+                sbox = self.sbox.read()
+                if sbox != encrypted_under:
+                    ciphertexts = aes128_encrypt_batch(
+                        plaintexts[index:].reshape(-1, 16), self.key, sbox
+                    ).reshape(-1, count, 16)
+                    encrypted_under, first = sbox, index
+                yield ciphertexts[index - first]
+        finally:
+            if started < batches:
+                rng.bit_generator.state = saved
+                random_plaintexts(started * count, rng)
 
     def table_is_faulty(self) -> bool:
         """True once the in-memory table differs from the clean one."""

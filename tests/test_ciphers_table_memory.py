@@ -136,6 +136,34 @@ class TestCipherVictim:
         with pytest.raises(ConfigError):
             CipherVictim(kernel, bytes(16), cipher="des")
 
+    @pytest.mark.parametrize(
+        "key_bytes, batches, count", [(24, 1, 4), (32, 2, 4), (16, 0, 4), (16, 2, 0)]
+    )
+    def test_refused_batch_has_no_effect(self, kernel, key_bytes, batches, count):
+        """The batch path is AES-128 only (a 24- or 32-byte AES victim
+        encrypts block by block); a refused request draws, fetches and
+        counts nothing."""
+        victim = CipherVictim(kernel, bytes(key_bytes), cpu=0)
+        victim.allocate_table_page()
+        rng = np.random.default_rng(0)
+
+        def effects():
+            return (
+                rng.bit_generator.state,
+                victim.encryptions,
+                kernel.clock.now_ns,
+                (kernel.cache.hits, kernel.cache.misses, kernel.cache.evictions),
+                kernel.controller.stats(),
+            )
+
+        before = effects()
+        with pytest.raises(ConfigError):
+            victim.encrypt_batches(batches, count, rng)
+        if batches == 1:
+            with pytest.raises(ConfigError, match="AES-128"):
+                victim.encrypt_batch(count, rng)
+        assert effects() == before
+
 
 class TestTTableVictim:
     def test_two_pages_allocated(self, kernel):
