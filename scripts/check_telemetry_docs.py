@@ -8,8 +8,9 @@ directions:
 * every declared metric family has a row in the doc's metric tables,
   and every documented metric is declared;
 * each row's kind and unit columns match the declaration, and its
-  meaning column begins with the declared help string (the help is
-  output: ``export_state()`` and journal ``state`` records carry it);
+  meaning column begins with the declared help string (no program
+  output carries the help, so the doc row is where a reader finds it,
+  and it must not go stale when the schema's help changes);
 * every declared name is used as a string literal somewhere in ``src/``
   outside the schema module, so a stale declaration cannot linger;
 * every span/instant name emitted in ``src/`` appears in the doc's

@@ -706,7 +706,7 @@ class CampaignFold:
         self._early: dict[int, tuple[str, bool, dict]] = {}
 
     def add(self, index: int, report_json: str, success: bool, state: dict) -> None:
-        """Take attempt ``index``'s canonical report JSON, success and metrics state."""
+        """Take attempt ``index``'s canonical report JSON, success and metrics snapshot."""
         self._early[index] = (report_json, success, state)
         while self._metrics.sources in self._early:
             report_json, success, state = self._early.pop(self._metrics.sources)
@@ -843,7 +843,7 @@ class AttackCampaign:
         Forks ``snapshot``, reseeds, attaches the per-attempt chaos plan
         (if any) and orchestrates.  The ordering is identical in every
         engine, which is what keeps the digest worker-count-independent.
-        Once the report and the metrics state are taken the fork is
+        Once the report and the metrics snapshot are taken the fork is
         closed (:meth:`~repro.core.machine.Machine.close`), so reference
         counting frees it, private frames and all, before the next
         attempt forks.  Returns ``(index, report, metrics_state, pid,
@@ -867,7 +867,7 @@ class AttackCampaign:
                 attack, self.orchestrator_config, candidates=candidates
             )
             report = orchestrator.run()
-            state = machine.obs.metrics.export_state()
+            state = machine.obs.metrics.snapshot()
         finally:
             machine.close()
         return index, report, state, os.getpid(), time.perf_counter_ns() - start

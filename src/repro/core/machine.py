@@ -345,8 +345,8 @@ class Machine:
         private CoW frames) for the cyclic GC.  Closing cancels every
         pending event and drops its callback, drops the metric
         collectors and detaches the chaos engine.  Take the report and
-        ``obs.metrics.export_state()`` first: a closed machine does not
-        run.
+        ``obs.metrics.snapshot()`` first: a closed machine does not run,
+        and its registry keeps reporting the values of its last read.
         """
         self.events.close()
         self.obs.metrics.close()

@@ -27,14 +27,15 @@ an undeclared name, or a declared one as the wrong kind, raises
 Campaign fan-out adds a fourth concern: *mergeability*.  Every attempt of
 an :class:`~repro.attack.orchestrator.AttackCampaign` runs on a forked
 machine with its own registry, so a campaign-level view needs the
-per-attempt registries combined.  :meth:`MetricsRegistry.export_state`
-dumps the raw (pre-cumulative) values and a
-:class:`MetricStateAccumulator` folds such dumps, one at a time, into
-one block — counters summed, histograms added bucket-wise, gauges listed
-per source in order — with a result that depends only on the dump order,
-never on which process or worker produced each dump (see
-docs/CAMPAIGNS.md).  Dumps are input from outside the program (journal
-records), so the accumulator checks kinds and buckets itself.
+per-attempt registries combined.  Each attempt hands over its
+:meth:`MetricsRegistry.snapshot` and a :class:`MetricStateAccumulator`
+folds those snapshots, one at a time, into one block — counters summed,
+histograms added bucket-wise, gauges listed per source in order — with a
+result that depends only on the snapshot order, never on which process
+or worker produced each one (see docs/CAMPAIGNS.md).  Kinds, units and
+buckets come from the schema, not from the snapshots; snapshots are
+input from outside the program (journal records), so the accumulator
+checks every value against its declared family.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ class MetricsRegistry:
 
         A collector is bound to the component it reads, which points back
         at this registry through its hub; dropping them breaks that
-        cycle.  Values already exported are unaffected, and later reads
+        cycle.  Values already read are unaffected, and later reads
         return the last collected values without re-collecting.
         """
         self._collectors.clear()
@@ -274,33 +275,6 @@ class MetricsRegistry:
             for _, key, spec, value in self._rows()
         }
 
-    def export_state(self) -> dict:
-        """Raw, mergeable dump of every family (see :class:`MetricStateAccumulator`).
-
-        Unlike :meth:`snapshot`, histogram buckets come out *per-bucket*
-        (not cumulative) so two dumps can be added bucket-wise.  The dump
-        is plain data — safe to pickle across process boundaries.
-        """
-        out: dict = {}
-        for name, key, spec, value in self._rows():
-            family = out.get(name)
-            if family is None:
-                family = out[name] = {
-                    "kind": spec.kind,
-                    "unit": spec.unit,
-                    "help": spec.help,
-                    "buckets": list(spec.buckets),
-                    "instances": {},
-                }
-            if spec.kind == HISTOGRAM:
-                value = {
-                    "bucket_counts": list(value.bucket_counts),
-                    "count": value.count,
-                    "sum": value.sum,
-                }
-            family["instances"][key] = value
-        return out
-
     def render_table(self) -> str:
         """Human-readable dump of every instance (used by ``--metrics``)."""
         rows = []
@@ -339,98 +313,87 @@ def _render_histogram(buckets: Sequence, bucket_counts: Sequence, count, total):
 
 
 class MetricStateAccumulator:
-    """Streaming fold over :meth:`MetricsRegistry.export_state` dumps.
+    """Streaming fold over :meth:`MetricsRegistry.snapshot` values.
 
-    Dumps are added one at a time (:meth:`add`, in attempt order), so a
-    campaign holds one merged block rather than one dump per attempt.
-    The result depends only on that order, never on which worker
-    produced each dump:
+    Snapshots are added one at a time (:meth:`add`, in attempt order), so
+    a campaign holds one merged block rather than one snapshot per
+    attempt.  Only values are kept; kinds, units and buckets come from
+    :data:`~repro.obs.schema.SCHEMA`.  The result depends only on the
+    order of the adds, never on which worker produced each snapshot:
 
-    - counters: summed across every state where the instance appears;
-    - histograms: bucket counts added bucket-wise (bucket bounds must
-      agree across states), rendered cumulatively like a live snapshot;
-    - gauges: one value per source state, in order, ``None`` where the
+    - counters: summed across every snapshot where the instance appears;
+    - histograms: ``count``, ``sum`` and the cumulative ``le_…`` counts
+      added key-wise, exactly as adding per-bucket counts would;
+    - gauges: one value per source snapshot, in order, ``None`` where the
       instance is absent — a point-in-time value has no meaningful sum.
     """
 
     def __init__(self) -> None:
-        self._families: dict[str, dict] = {}
+        self._values: dict = {}
         self._count = 0
 
     @property
     def sources(self) -> int:
-        """Number of states added so far."""
+        """Number of snapshots added so far."""
         return self._count
 
-    def add(self, state: dict) -> None:
-        """Fold one exported state into the accumulator (order matters)."""
-        index = self._count
-        families = self._families
-        for name, dump in state.items():
-            merged = families.get(name)
-            if merged is None:
-                merged = {
-                    "kind": dump["kind"],
-                    "unit": dump["unit"],
-                    "buckets": list(dump["buckets"]),
-                    "instances": {},
-                }
-                families[name] = merged
-            elif merged["kind"] != dump["kind"]:
-                raise ConfigError(
-                    f"metric {name!r} is {merged['kind']} in one state and "
-                    f"{dump['kind']} in another; cannot merge"
-                )
-            elif (
-                merged["kind"] == "histogram"
-                and merged["buckets"] != list(dump["buckets"])
-            ):
-                raise ConfigError(
-                    f"histogram {name!r} bucket bounds differ across states; "
-                    "cannot merge bucket-wise"
-                )
-            for key, raw in dump["instances"].items():
-                instances = merged["instances"]
-                if merged["kind"] == "counter":
-                    instances[key] = instances.get(key, 0) + raw
-                elif merged["kind"] == "gauge":
-                    values = instances.setdefault(key, [None] * index)
-                    values.extend([None] * (index - len(values)))
-                    values.append(raw)
-                else:
-                    slot = instances.get(key)
-                    if slot is None:
-                        slot = {
-                            "bucket_counts": [0] * len(raw["bucket_counts"]),
-                            "count": 0,
-                            "sum": 0,
-                        }
-                        instances[key] = slot
-                    for i, n in enumerate(raw["bucket_counts"]):
-                        slot["bucket_counts"][i] += n
-                    slot["count"] += raw["count"]
-                    slot["sum"] += raw["sum"]
+    def add(self, snapshot: dict) -> None:
+        """Fold one snapshot in (order matters); a value that does not fit
+        its declared family raises :class:`~repro.sim.errors.ConfigError`."""
+        if type(snapshot) is not dict:
+            raise ConfigError(f"a metrics snapshot must be a dict, not {snapshot!r}")
+        values = self._values
+        for key, value in snapshot.items():
+            spec = SCHEMA.get(_family(key))
+            if spec is None:
+                raise ConfigError(f"metric {key!r} is not declared in repro.obs.schema")
+            merged = values.get(key)
+            if spec.kind == HISTOGRAM and merged is None:
+                merged = _render_histogram(spec.buckets, [0] * (len(spec.buckets) + 1), 0, 0)
+            if not _fits(spec.kind, value, merged):
+                raise ConfigError(f"{spec.kind} {key!r} cannot hold {value!r}")
+            if spec.kind == COUNTER:
+                values[key] = (merged or 0) + value
+            elif spec.kind == GAUGE:
+                values.setdefault(key, {})[self._count] = value
+            else:
+                values[key] = merged
+                merged["count"] += value["count"]
+                merged["sum"] += value["sum"]
+                for bucket, n in value["buckets"].items():
+                    merged["buckets"][bucket] += n
         self._count += 1
 
     def result(self) -> dict:
-        """Render the merged block (callable once all states are added)."""
+        """Render the merged block (callable once all snapshots are added)."""
         out: dict = {"sources": self._count, "families": {}}
-        for name in sorted(self._families):
-            merged = self._families[name]
-            instances: dict = {}
-            for key in sorted(merged["instances"]):
-                raw = merged["instances"][key]
-                if merged["kind"] == "gauge":
-                    raw = raw + [None] * (self._count - len(raw))
-                elif merged["kind"] == "histogram":
-                    raw = _render_histogram(
-                        merged["buckets"], raw["bucket_counts"],
-                        raw["count"], raw["sum"],
-                    )
-                instances[key] = raw
-            out["families"][name] = {
-                "kind": merged["kind"],
-                "unit": merged["unit"],
-                "instances": instances,
-            }
+        for key in sorted(self._values, key=lambda key: (_family(key), key)):
+            name, value = _family(key), self._values[key]
+            spec = SCHEMA[name]
+            if spec.kind == GAUGE:
+                value = [value.get(index) for index in range(self._count)]
+            elif spec.kind == HISTOGRAM:
+                value = {**value, "buckets": dict(value["buckets"])}
+            family = out["families"].setdefault(
+                name, {"kind": spec.kind, "unit": spec.unit, "instances": {}}
+            )
+            family["instances"][key] = value
         return out
+
+
+def _fits(kind: str, value, merged) -> bool:
+    """Whether ``value`` is a snapshot value of ``kind`` (a histogram's
+    keys and bucket names must be ``merged``'s, the declared ones)."""
+    if kind == COUNTER:
+        return type(value) is int
+    if kind == GAUGE:
+        return type(value) in (int, float)
+    return (
+        type(value) is dict
+        and value.keys() == merged.keys()
+        and type(value["count"]) is int
+        and type(value["sum"]) in (int, float)
+        and type(value["buckets"]) is dict
+        and value["buckets"].keys() == merged["buckets"].keys()
+        and all(type(n) is int for n in value["buckets"].values())
+    )

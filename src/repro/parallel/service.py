@@ -36,11 +36,14 @@ Journal format (one record per line, torn-write detectable)::
     <payload-len> <crc32-hex8> <canonical-json-payload>\\n
 
 where the payload is ``{"index": i, "report": AttackRunReport.to_dict(),
-"state": MetricsRegistry.export_state()}`` serialised with sorted keys
+"state": MetricsRegistry.snapshot()}`` serialised with sorted keys
 and compact separators.  A record whose length or CRC does not match —
 the torn tail of a ``kill -9`` mid-write — is dropped and its attempt
 re-run; an invalid record *followed by* a valid one means real
 corruption and raises :class:`~repro.sim.errors.CheckpointError`.
+Journals from older releases hold a per-family ``state`` instead;
+:func:`snapshot_state` rewrites it before the fold, which checks every
+state against the metric schema.
 
 Everything host-dependent about a service run (journal bytes, retries,
 torn records) lands in the result's ``service`` block: a snapshot of
@@ -57,8 +60,9 @@ import sys
 import zlib
 from pathlib import Path
 
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.errors import CheckpointError, WorkerLostError
+from repro.obs.metrics import MetricsRegistry, _render_histogram
+from repro.obs.schema import HISTOGRAM, SCHEMA
+from repro.sim.errors import CheckpointError, ConfigError, WorkerLostError
 
 __all__ = [
     "CampaignService",
@@ -162,6 +166,34 @@ def scan_journal(path) -> tuple[dict[int, int], int, int]:
                 valid_end = offset + len(line)
             offset += len(line)
     return offsets, valid_end, torn
+
+
+def snapshot_state(state):
+    """A journal ``state`` in :meth:`MetricsRegistry.snapshot` form.
+
+    Older releases journaled ``{family: {"kind", "unit", "help",
+    "buckets", "instances"}}`` with per-bucket histogram counts; such a
+    state is flattened to its instances, each histogram rendered
+    cumulatively over its declared buckets.  Any other state is returned
+    as it is, for the fold to check.
+    """
+    if type(state) is not dict or not all(
+        type(family) is dict and "instances" in family for family in state.values()
+    ):
+        return state
+    snapshot = {}
+    try:
+        for name, family in state.items():
+            for key, value in family["instances"].items():
+                if family["kind"] == HISTOGRAM:
+                    buckets, counts = SCHEMA[name].buckets, value["bucket_counts"]
+                    if family["buckets"] != list(buckets) or len(counts) != len(buckets) + 1:
+                        raise ValueError(f"{name!r} differs from its declared buckets")
+                    value = _render_histogram(buckets, counts, value["count"], value["sum"])
+                snapshot[key] = value
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed journal metrics state: {exc!r}") from exc
+    return snapshot
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
@@ -412,7 +444,10 @@ class CampaignService:
                         "while finalizing"
                     )
                 report = AttackRunReport.from_dict(record["report"])
-                fold.add(index, report.to_json(), report.success, record["state"])
+                fold.add(
+                    index, report.to_json(), report.success,
+                    snapshot_state(record["state"]),
+                )
         metrics = self._metrics
         ran = metrics["journaled"].value
         metrics["journal_bytes"].set(self.journal_path.stat().st_size)

@@ -1,33 +1,30 @@
-"""Hand-built ``MetricsRegistry.export_state()`` dumps for fold/merge tests.
+"""Per-attempt metrics snapshots for fold/merge tests.
 
-A registry only hands out families declared in ``repro.obs.schema``, but
-the accumulators fold dumps read back from journals — input from outside
-the program — so their tests build dumps over ad hoc families directly.
+A campaign attempt hands over its registry's ``snapshot()``; these
+helpers build such snapshots over three declared families, one of each
+kind, through a real :class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from repro.obs.metrics import MetricsRegistry
+
+COUNTER_KEY = "dram.flips"
+GAUGE_KEY = "dram.activations"
+HISTOGRAM_KEY = "dram.hammer.activations_per_call"
 
 
-def _family(kind: str, unit: str, buckets, instances: dict) -> dict:
-    return {"kind": kind, "unit": unit, "help": "", "buckets": list(buckets),
-            "instances": instances}
-
-
-def metric_state(*, counter=None, gauge=None, observations=None, buckets=(10, 100)) -> dict:
-    """A dump with ``t.count`` (counter), ``t.level`` (gauge) and ``t.size``
-    (histogram over ``buckets``); a family whose argument is None is absent."""
-    state = {}
+def metric_state(*, counter=None, gauge=None, observations=None) -> dict:
+    """A snapshot with ``COUNTER_KEY`` at ``counter``, ``GAUGE_KEY`` at
+    ``gauge`` and ``HISTOGRAM_KEY`` over ``observations``; a family whose
+    argument is None is absent."""
+    registry = MetricsRegistry()
     if counter is not None:
-        state["t.count"] = _family("counter", "items", (), {"t.count": counter})
+        registry.counter(COUNTER_KEY).inc(counter)
     if gauge is not None:
-        state["t.level"] = _family("gauge", "items", (), {"t.level": gauge})
+        registry.gauge(GAUGE_KEY).set(gauge)
     if observations is not None:
-        bucket_counts = [0] * (len(buckets) + 1)
+        histogram = registry.histogram(HISTOGRAM_KEY)
         for value in observations:
-            bucket_counts[bisect_left(buckets, value)] += 1
-        raw = {"bucket_counts": bucket_counts, "count": len(observations),
-               "sum": sum(observations)}
-        state["t.size"] = _family("histogram", "b", buckets, {"t.size": raw})
-    return state
+            histogram.observe(value)
+    return registry.snapshot()

@@ -256,6 +256,20 @@ class TestCheckpointFlags:
         assert code == 2
         assert f"{flag} requires --checkpoint DIR" in capsys.readouterr().err
 
+    def test_resume_over_a_bad_journal_state_exits_two(self, capsys, tmp_path):
+        from repro.parallel.service import JOURNAL_NAME, decode_line, encode_record
+
+        argv = ["attack", "--seed", "7", "--buffer-mib", "4", "--campaign", "1",
+                "--checkpoint", str(tmp_path), "--json"]
+        assert main(argv) == 0
+        journal = tmp_path / JOURNAL_NAME
+        record = decode_line(journal.read_bytes())
+        record["state"]["dram.flips"] = "many"
+        journal.write_bytes(encode_record(record))  # CRC-valid, bad state
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 2
+        assert "counter 'dram.flips' cannot hold 'many'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "extra",
         [

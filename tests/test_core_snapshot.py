@@ -451,9 +451,9 @@ class TestMachineClose:
     def test_exported_state_survives_close(self):
         machine = Machine(MachineConfig.small(seed=0))
         machine.controller.memory.write(0, b"x")
-        state = machine.obs.metrics.export_state()
+        state = machine.obs.metrics.snapshot()
         machine.close()
-        assert machine.obs.metrics.export_state()["sim.clock_ns"] == state["sim.clock_ns"]
+        assert machine.obs.metrics.snapshot()["sim.clock_ns"] == state["sim.clock_ns"]
 
 
 @pytest.mark.slow

@@ -11,7 +11,7 @@ from repro.obs import (
     NULL_HISTOGRAM,
     Observability,
 )
-from repro.obs.metrics import metric_key
+from repro.obs.metrics import MetricStateAccumulator, metric_key
 from repro.obs.schema import SCHEMA
 from repro.sim.errors import ConfigError
 from repro.sim.units import PAGE_SIZE
@@ -118,9 +118,7 @@ class TestCollectors:
         source = {"pending": 0, "rate": 0.0}
         registry = self._registry(source)
         source["pending"] = 8
-        assert registry.export_state()["sim.events.pending"]["instances"] == {
-            "sim.events.pending": 8
-        }
+        assert registry.snapshot()["sim.events.pending"] == 8
         source["pending"] = 9
         rows = [row.split() for row in registry.render_table().splitlines()]
         assert ["sim.events.pending", "gauge", "9", "events"] in rows
@@ -133,16 +131,16 @@ class TestCollectors:
             "sim.events.pending": 7,
             "sim.events.scheduled": 3,
         }
-        state = registry.export_state()
+        fold = MetricStateAccumulator()
+        fold.add(registry.snapshot())
+        families = fold.result()["families"]
         spec = SCHEMA["sim.events.pending"]
-        assert state["sim.events.pending"] == {
+        assert families["sim.events.pending"] == {
             "kind": "gauge",
             "unit": spec.unit,
-            "help": spec.help,
-            "buckets": [],
-            "instances": {"sim.events.pending": 7},
+            "instances": {"sim.events.pending": [7]},
         }
-        assert state["dram.cache.hit_rate"]["unit"] == "ratio"
+        assert families["dram.cache.hit_rate"]["unit"] == "ratio"
         rows = registry.render_table().splitlines()[2:]
         assert [row.split() for row in rows] == [
             ["dram.cache.hit_rate", "gauge", "0.25", "ratio"],
@@ -156,11 +154,11 @@ class TestCollectors:
     def test_closed_registry_keeps_the_last_collected_values(self):
         source = {"pending": 7, "rate": 0.5}
         registry = self._registry(source)
-        before = registry.export_state()
+        before = registry.snapshot()
         registry.close()
         source["pending"] = 99
         assert registry.snapshot()["sim.events.pending"] == 7
-        assert registry.export_state() == before
+        assert registry.snapshot() == before
 
     def test_collector_registered_twice_runs_once(self):
         calls = []
@@ -226,7 +224,6 @@ class TestDisabledRegistry:
         calls = []
         registry.add_collector(lambda: calls.append(1) or {"sim.events.pending": 1})
         assert registry.snapshot() == {}
-        assert registry.export_state() == {}
         assert registry.render_table() == "(metrics disabled)"
         assert calls == []
 
@@ -277,13 +274,16 @@ class TestMachineIntegration:
         machine = Machine(MachineConfig.small(seed=7))
         engine = WorkloadEngine(machine, scenario_preset("duet"))
         metrics = machine.obs.metrics
-        before = metrics.export_state()
+        before = metrics.snapshot()
         ExplFrameAttack(machine, tenant_workload=engine)
         assert metrics._collectors.count(engine._metric_values) == 1
-        after = metrics.export_state()
-        workload = [name for name in before if name.startswith("workload.")]
-        assert workload and all(after[name] == before[name] for name in workload)
-        assert after["workload.tenant.queue_depth"]["instances"] == {
+        after = metrics.snapshot()
+        workload = [key for key in before if key.startswith("workload.")]
+        assert workload and all(after[key] == before[key] for key in workload)
+        assert {
+            key: value for key, value in after.items()
+            if key.partition("{")[0] == "workload.tenant.queue_depth"
+        } == {
             metric_key("workload.tenant.queue_depth", {"tenant": name}): 0
             for name in sorted(engine.tenants)
         }

@@ -31,7 +31,7 @@ from repro.obs.schema import SCHEMA
 from repro.sim.chaos import chaos_plan_for_attempt
 from repro.sim.errors import ConfigError
 from repro.sim.units import MIB, MS
-from tests.metric_states import metric_state
+from tests.metric_states import COUNTER_KEY, GAUGE_KEY, HISTOGRAM_KEY, metric_state
 
 FAST = ExplFrameConfig(
     templator=TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=8)
@@ -65,7 +65,7 @@ class TestMergeMetricStates:
         states = [self._state(counter=2), self._state(counter=5)]
         merged = merge(states)
         assert merged["sources"] == 2
-        assert merged["families"]["t.count"]["instances"]["t.count"] == 7
+        assert merged["families"][COUNTER_KEY]["instances"][COUNTER_KEY] == 7
 
     def test_gauges_list_one_value_per_source_in_order(self):
         states = [
@@ -74,31 +74,58 @@ class TestMergeMetricStates:
             self._state(gauge=9),
         ]
         merged = merge(states)
-        assert merged["families"]["t.level"]["instances"]["t.level"] == [3, None, 9]
+        assert merged["families"][GAUGE_KEY]["instances"][GAUGE_KEY] == [3, None, 9]
 
     def test_histograms_add_bucket_wise(self):
         states = [
-            self._state(observations=(5, 50)),
+            self._state(observations=(0, 50)),
             self._state(observations=(500,)),
         ]
-        value = merge(states)["families"]["t.size"]["instances"]["t.size"]
+        value = merge(states)["families"][HISTOGRAM_KEY]["instances"][HISTOGRAM_KEY]
         assert value["count"] == 3
-        assert value["sum"] == 555
-        assert value["buckets"] == {"le_10": 1, "le_100": 2, "le_inf": 3}
+        assert value["sum"] == 550
+        assert value["buckets"] == {
+            "le_0": 1, "le_100": 2, "le_1000": 3, "le_10000": 3,
+            "le_100000": 3, "le_1000000": 3, "le_inf": 3,
+        }
 
     def test_kind_conflict_is_rejected(self):
-        """Journal records are outside input: the fold checks kinds itself."""
-        counter = metric_state(counter=1)
-        gauge = {"t.count": {**metric_state(gauge=1)["t.level"],
-                             "instances": {"t.count": 1}}}
-        with pytest.raises(ConfigError, match="cannot merge"):
-            merge([counter, gauge])
+        """Journal records are outside input: each value must fit its declared kind."""
+        histogram = self._state(observations=(5,))[HISTOGRAM_KEY]
+        for key, value in (
+            (COUNTER_KEY, 1.5),
+            (COUNTER_KEY, True),
+            (COUNTER_KEY, [1]),
+            (COUNTER_KEY, histogram),
+            (GAUGE_KEY, "7"),
+            (GAUGE_KEY, None),
+            (GAUGE_KEY, [7]),
+            (HISTOGRAM_KEY, 3),
+        ):
+            with pytest.raises(ConfigError, match="cannot hold"):
+                merge([self._state(counter=1), {key: value}])
+        with pytest.raises(ConfigError, match="must be a dict"):
+            merge([[COUNTER_KEY, 1]])
+
+    def test_undeclared_family_is_rejected(self):
+        for key in ("t.count", "t.count{x=1}"):
+            with pytest.raises(ConfigError, match="not declared"):
+                merge([{key: 1}])
 
     def test_histogram_bucket_mismatch_is_rejected(self):
-        a = metric_state(observations=(1,), buckets=(10, 100))
-        b = metric_state(observations=(1,), buckets=(1, 2))
-        with pytest.raises(ConfigError, match="bucket bounds differ"):
-            merge([a, b])
+        good = self._state(observations=(1,))[HISTOGRAM_KEY]
+        other_bounds = {"count": 1, "sum": 1,
+                        "buckets": {"le_1": 1, "le_2": 1, "le_inf": 1}}
+        missing_bucket = {**good, "buckets": dict(list(good["buckets"].items())[1:])}
+        for bad in (
+            other_bounds,
+            missing_bucket,
+            {"count": 1, "buckets": good["buckets"]},
+            {**good, "min": 1},
+            {**good, "buckets": {**good["buckets"], "le_inf": 1.0}},
+        ):
+            with pytest.raises(ConfigError, match="cannot hold"):
+                merge([{HISTOGRAM_KEY: good}, {HISTOGRAM_KEY: bad}])
 
     def test_merge_matches_single_registry_snapshot_semantics(self):
         """Merging one state renders exactly like the live snapshot."""
@@ -108,7 +135,7 @@ class TestMergeMetricStates:
         histogram = registry.histogram("dram.hammer.activations_per_call")
         for value in (5, 500):
             histogram.observe(value)
-        merged = merge([registry.export_state()])
+        merged = merge([registry.snapshot()])
         live = registry.snapshot()
         for name in ("dram.flips", "dram.hammer.activations_per_call"):
             assert merged["families"][name]["instances"][name] == live[name]
@@ -129,14 +156,18 @@ class TestMergeMetricStates:
         assert accumulator.result() == {
             "sources": 3,
             "families": {
-                "t.count": {"kind": "counter", "unit": "items",
-                            "instances": {"t.count": 5}},
-                "t.level": {"kind": "gauge", "unit": "items",
-                            "instances": {"t.level": [1, None, 9]}},
-                "t.size": {"kind": "histogram", "unit": "b", "instances": {
-                    "t.size": {"count": 3, "sum": 555, "buckets": {
-                        "le_10": 1, "le_100": 2, "le_inf": 3}},
-                }},
+                "dram.activations": {"kind": "gauge", "unit": "activations",
+                                     "instances": {"dram.activations": [1, None, 9]}},
+                "dram.flips": {"kind": "counter", "unit": "flips",
+                               "instances": {"dram.flips": 5}},
+                "dram.hammer.activations_per_call": {
+                    "kind": "histogram", "unit": "activations", "instances": {
+                        "dram.hammer.activations_per_call": {
+                            "count": 3, "sum": 555, "buckets": {
+                                "le_0": 0, "le_100": 2, "le_1000": 3,
+                                "le_10000": 3, "le_100000": 3,
+                                "le_1000000": 3, "le_inf": 3}},
+                    }},
             },
         }
 

@@ -10,8 +10,10 @@ tests; the end-to-end crash path runs through the subprocess smoke
 driver (scripts/service_smoke.py) against the real CLI.
 """
 
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -35,8 +37,10 @@ from repro.parallel.service import (
     encode_record,
     register_service_metrics,
     scan_journal,
+    snapshot_state,
 )
-from repro.sim.errors import CheckpointError, WorkerLostError
+from repro.obs.schema import SCHEMA
+from repro.sim.errors import CheckpointError, ConfigError, WorkerLostError
 from repro.sim.units import MIB
 
 FAST = ExplFrameConfig(
@@ -44,6 +48,7 @@ FAST = ExplFrameConfig(
 )
 # The same config object: only the modality name tells the two apart.
 FAST_PROBE = FAST
+PER_FAMILY_STATE_CHECKPOINT = Path(__file__).parent / "data" / "per_family_state_checkpoint"
 
 
 def vulnerable_config(seed=7):
@@ -149,6 +154,64 @@ class TestJournalFraming:
         )
         with pytest.raises(CheckpointError, match="damaged beyond a torn tail"):
             scan_journal(path)
+
+
+class TestPerFamilyStates:
+    """Older journals hold per-family states; they reach the fold as snapshots."""
+
+    @staticmethod
+    def _registry():
+        registry = MetricsRegistry()
+        registry.counter("dram.flips").inc(3)
+        registry.counter("os.syscalls", {"call": "mmap"}).inc(2)
+        registry.gauge("dram.activations").set(7)
+        histogram = registry.histogram("dram.hammer.activations_per_call")
+        for value in (0, 50, 5_000_000):
+            histogram.observe(value)
+        return registry
+
+    @staticmethod
+    def _per_family(name, kind, instances, buckets=()):
+        spec = SCHEMA[name]
+        return {name: {"kind": kind, "unit": spec.unit, "help": spec.help,
+                       "buckets": list(buckets), "instances": instances}}
+
+    def _old_state(self, buckets=(0, 100, 1_000, 10_000, 100_000, 1_000_000)):
+        histogram = {"bucket_counts": [1, 1, 0, 0, 0, 0, 1], "count": 3,
+                     "sum": 5_000_050}
+        return {
+            **self._per_family("dram.activations", "gauge", {"dram.activations": 7}),
+            **self._per_family("dram.flips", "counter", {"dram.flips": 3}),
+            **self._per_family(
+                "dram.hammer.activations_per_call", "histogram",
+                {"dram.hammer.activations_per_call": histogram}, buckets,
+            ),
+            **self._per_family("os.syscalls", "counter", {"os.syscalls{call=mmap}": 2}),
+        }
+
+    def test_per_family_state_becomes_the_snapshot(self):
+        old = json.loads(json.dumps(self._old_state()))
+        assert snapshot_state(old) == self._registry().snapshot()
+
+    def test_snapshot_state_passes_through(self):
+        for state in (self._registry().snapshot(), [1], {"dram.flips": "x"}):
+            assert snapshot_state(state) is state
+        assert snapshot_state({}) == {}
+
+    def test_per_family_histogram_with_other_buckets_is_rejected(self):
+        with pytest.raises(ConfigError, match="declared buckets"):
+            snapshot_state(self._old_state(buckets=(0, 100)))
+
+    def test_malformed_per_family_state_is_rejected(self):
+        old = self._old_state()
+        old["dram.flips"]["instances"] = [3]
+        with pytest.raises(ConfigError, match="malformed"):
+            snapshot_state(old)
+        old = self._old_state()
+        del old["dram.hammer.activations_per_call"]["instances"][
+            "dram.hammer.activations_per_call"]["sum"]
+        with pytest.raises(ConfigError, match="malformed"):
+            snapshot_state(old)
 
 
 # -- telemetry ---------------------------------------------------------------------
@@ -398,6 +461,31 @@ class TestServiceParity:
         assert resumed.metrics == reference["metrics"]
         assert resumed.service["campaign.service.attempts_resumed"] == 1
         assert resumed.service["campaign.service.attempts_journaled"] == 3
+
+    def test_checkpoint_with_per_family_states_resumes(self, tmp_path):
+        # Checked in as an older release wrote it: make_campaign(attempts=4)
+        # journaled with per-family metric states ({family: {"kind",
+        # "unit", "help", "buckets", "instances"}}), attempt 2's record
+        # dropped and the manifest set back to running.  The digest and
+        # the merged metrics are that release's, pinned here.
+        checkpoint = tmp_path / "checkpoint"
+        shutil.copytree(PER_FAMILY_STATE_CHECKPOINT, checkpoint)
+        resumed = CampaignService(
+            make_campaign(attempts=4, workers=2), checkpoint, resume=True
+        ).run()
+        assert resumed.digest() == (
+            "ea691bdf7f42856f6c87389d4af34856ff02843d2724893d92fd83da8116905d"
+        )
+        assert resumed.successes == 4
+        metrics = json.dumps(resumed.metrics, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(metrics.encode("utf-8")).hexdigest() == (
+            "d511e1baab6c08bdaa662b5e33cbe69072bf75f49d036ce22907d98b5e65c7c8"
+        )
+        assert resumed.metrics["families"]["dram.flips"]["instances"] == {
+            "dram.flips": 8
+        }
+        assert resumed.service["campaign.service.attempts_resumed"] == 3
+        assert resumed.service["campaign.service.attempts_journaled"] == 1
 
     def test_config_hash_mismatch_refuses_to_mix_results(self, tmp_path):
         CampaignService(make_campaign(attempts=4), tmp_path).run()

@@ -94,7 +94,7 @@ def run_scenario_attack(scenario, modality="explframe"):
         "dram": machine.controller.stats(),
         "flip_log": [dataclasses.astuple(event) for event in machine.controller.flip_log],
         "summary": engine.summary(),
-        "metrics": machine.obs.metrics.export_state(),
+        "metrics": machine.obs.metrics.snapshot(),
         "report": report.to_json(),
     }
 
