@@ -16,7 +16,7 @@ unallocated heads and misaligned blocks raise immediately.
 
 from __future__ import annotations
 
-from repro.mm.page import FrameTable, PageFlags
+from repro.mm.page import FREE_BUDDY, FrameTable
 from repro.sim.errors import AllocationError, ConfigError, OutOfMemoryError
 
 MAX_ORDER = 10  # Linux's historical MAX_ORDER - 1: blocks up to 2^10 pages = 4 MiB
@@ -61,6 +61,7 @@ class BuddyAllocator:
 
     def _seed_free_lists(self) -> None:
         """Cover the range with the largest aligned blocks that fit."""
+        self.frames.release(self.start_pfn, self.end_pfn - self.start_pfn)
         pfn = self.start_pfn
         while pfn < self.end_pfn:
             order = self.max_order
@@ -72,14 +73,11 @@ class BuddyAllocator:
     # -- free-list primitives ---------------------------------------------------
 
     def _insert_free_block(self, pfn: int, order: int) -> None:
-        # Every frame of the block is marked free (not just the head), so
+        # Only the head's order is written: every frame of the block is
+        # already FREE_BUDDY with no owner (seeding and free() release the
+        # frames; split-off halves and merged buddies were free blocks), so
         # descriptor state stays the truth for whole-machine invariants.
-        for offset in range(1 << order):
-            frame = self.frames[pfn + offset]
-            if frame.flags is not PageFlags.FREE_BUDDY:
-                frame.mark(PageFlags.FREE_BUDDY)
-            frame.owner_pid = None
-        self.frames[pfn].order = order
+        self.frames.set_order(pfn, order)
         self.free_lists[order][pfn] = None
         self.free_pages += 1 << order
 
@@ -123,12 +121,8 @@ class BuddyAllocator:
             buddy = pfn + (1 << current)
             self._insert_free_block(buddy, current)
             self.split_count += 1
-        for offset in range(1 << order):
-            frame = self.frames[pfn + offset]
-            frame.mark(PageFlags.ALLOCATED)
-            frame.owner_pid = owner_pid
-            frame.alloc_stamp = stamp
-        self.frames[pfn].order = order
+        self.frames.claim(pfn, 1 << order, owner_pid, stamp)
+        self.frames.set_order(pfn, order)
         self.alloc_count += 1
         return pfn
 
@@ -149,10 +143,10 @@ class BuddyAllocator:
             raise AllocationError(f"pfn {pfn:#x} not aligned for order {order}")
         if not self.start_pfn <= pfn < self.end_pfn:
             raise AllocationError(f"pfn {pfn:#x} outside this allocator's range")
-        for offset in range(1 << order):
-            frame = self.frames[pfn + offset]
-            if frame.flags is PageFlags.FREE_BUDDY:
-                raise AllocationError(f"double free of pfn {pfn + offset:#x}")
+        double = self.frames.find_state(FREE_BUDDY, pfn, pfn + (1 << order))
+        if double >= 0:
+            raise AllocationError(f"double free of pfn {double:#x}")
+        self.frames.release(pfn, 1 << order)
         current = order
         while current < self.max_order:
             buddy = self._buddy_of(pfn, current)

@@ -42,6 +42,16 @@ class NumaNode:
                 num_cpus=num_cpus,
                 pcp_config=pcp_config,
             )
+        # Zones never change after construction, so every fallback list is
+        # built once, keyed by the zone it prefers.
+        self._zonelists = {
+            preferred: tuple(
+                self.zones[zone_type]
+                for zone_type in ZONELIST_ORDER[ZONELIST_ORDER.index(preferred):]
+                if zone_type in self.zones
+            )
+            for preferred in self.zones
+        }
 
     def zone(self, zone_type: ZoneType) -> Zone:
         """Look up one zone by type."""
@@ -50,21 +60,17 @@ class NumaNode:
         except (KeyError, TypeError):
             raise ConfigError(f"node {self.node_id} has no zone {zone_type!r}") from None
 
-    def zonelist(self, preferred: ZoneType = ZoneType.NORMAL) -> list[Zone]:
+    def zonelist(self, preferred: ZoneType = ZoneType.NORMAL) -> tuple[Zone, ...]:
         """Fallback-ordered zones for an allocation preferring ``preferred``.
 
         The list starts at the preferred zone and continues *downward*
         through the standard order (a request preferring DMA32 may fall
         back to DMA but never up to NORMAL, matching the kernel).
         """
-        if preferred not in self.zones:
-            raise ConfigError(f"unknown preferred zone {preferred}")
-        start = ZONELIST_ORDER.index(preferred)
-        return [
-            self.zones[zone_type]
-            for zone_type in ZONELIST_ORDER[start:]
-            if zone_type in self.zones
-        ]
+        try:
+            return self._zonelists[preferred]
+        except (KeyError, TypeError):
+            raise ConfigError(f"unknown preferred zone {preferred}") from None
 
     def zone_of_pfn(self, pfn: int) -> Zone:
         """The zone containing frame ``pfn``."""

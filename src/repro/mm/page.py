@@ -14,16 +14,26 @@ allocator.  The descriptor also remembers the owning pid while allocated —
 the experiments use that to ask "who holds this frame now?", which is the
 measurable core of the steering attack.
 
-Storage is columnar: the table keeps one numpy column per field and hands
-out lightweight :class:`PageFrame` views that write through to the columns.
-A 64 MiB module needs 16 K descriptors; as columns they are five small
-arrays instead of 16 K Python objects, which is what makes machine
-snapshots cheap to pickle and fork.
+Storage is columnar and Python-native: a ``bytearray`` each for the state
+code, the history length and the history start, one ``bytearray`` of
+``_HISTORY_DEPTH`` bytes per frame for the history ring, and an
+``array('q')`` each for the order, the owner and the allocation stamp.  A
+64 MiB module needs 16 K descriptors; as columns they are seven flat
+buffers instead of 16 K Python objects, and they pickle as raw bytes,
+which is what makes machine snapshots cheap to pickle and fork.
+
+The allocator writes the columns through :class:`FrameTable`'s pfn-level
+methods (:meth:`~FrameTable.mark`, :meth:`~FrameTable.claim`,
+:meth:`~FrameTable.release`, :meth:`~FrameTable.state`), using the module
+ints :data:`FREE_BUDDY`, :data:`ON_PCP` and :data:`ALLOCATED` as state
+codes.  :class:`PageFrame` is the public per-frame view over the same
+columns, for inspection and tests.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 
 import numpy as np
 
@@ -41,31 +51,17 @@ class PageFlags(enum.Enum):
     ALLOCATED = "allocated"
 
 
-_CODE_OF = {flag: code for code, flag in enumerate(PageFlags)}
+#: State codes as stored in the ``flags`` column (``PageFlags`` order).
+RESERVED, FREE_BUDDY, ON_PCP, ALLOCATED = range(4)
 _FLAG_OF = tuple(PageFlags)
+_CODE_OF = {flag: code for code, flag in enumerate(_FLAG_OF)}
 _NO_OWNER = -1
 
 
-class _Columns:
-    """Column store backing ``total`` page-frame descriptors."""
-
-    __slots__ = ("flags", "order", "owner", "stamp", "history", "hist_len", "hist_start")
-
-    def __init__(self, total: int):
-        self.flags = np.full(total, _CODE_OF[PageFlags.FREE_BUDDY], dtype=np.uint8)
-        self.order = np.zeros(total, dtype=np.int64)
-        self.owner = np.full(total, _NO_OWNER, dtype=np.int64)
-        self.stamp = np.zeros(total, dtype=np.int64)
-        # Bounded per-frame transition history as a ring buffer of flag codes.
-        self.history = np.zeros((total, _HISTORY_DEPTH), dtype=np.uint8)
-        self.hist_len = np.zeros(total, dtype=np.int64)
-        self.hist_start = np.zeros(total, dtype=np.int64)
-
-
 class PageFrame:
-    """Descriptor for one physical page frame (a view into a column store)."""
+    """Descriptor for one physical page frame (a view into a frame table)."""
 
-    __slots__ = ("pfn", "_cols", "_idx")
+    __slots__ = ("pfn", "_table", "_idx")
 
     def __init__(
         self,
@@ -75,85 +71,76 @@ class PageFrame:
         owner_pid: int | None = None,
         alloc_stamp: int = 0,
         *,
-        _columns: _Columns | None = None,
-        _index: int = 0,
+        _table: FrameTable | None = None,
     ):
-        if _columns is None:
-            # Standalone descriptor: back it with a private 1-row store.
-            _columns = _Columns(1)
-            _index = 0
-            _columns.flags[0] = _CODE_OF[flags]
-            _columns.order[0] = order
-            _columns.owner[0] = _NO_OWNER if owner_pid is None else owner_pid
-            _columns.stamp[0] = alloc_stamp
+        index = pfn
+        if _table is None:
+            # Standalone descriptor: back it with a private 1-frame table.
+            _table = FrameTable(1)
+            index = 0
+            _table._flags[0] = _CODE_OF[flags]
+            _table._order[0] = order
+            _table._owner[0] = _NO_OWNER if owner_pid is None else owner_pid
+            _table._stamp[0] = alloc_stamp
         self.pfn = pfn
-        self._cols = _columns
-        self._idx = _index
+        self._table = _table
+        self._idx = index
 
     # -- column-backed fields ------------------------------------------------
 
     @property
     def flags(self) -> PageFlags:
-        return _FLAG_OF[self._cols.flags[self._idx]]
+        return _FLAG_OF[self._table._flags[self._idx]]
 
     @flags.setter
     def flags(self, value: PageFlags) -> None:
-        self._cols.flags[self._idx] = _CODE_OF[value]
+        self._table._flags[self._idx] = _CODE_OF[value]
 
     @property
     def order(self) -> int:
         """Buddy order of the free block this frame heads (head frames only)."""
-        return int(self._cols.order[self._idx])
+        return self._table._order[self._idx]
 
     @order.setter
     def order(self, value: int) -> None:
-        self._cols.order[self._idx] = value
+        self._table._order[self._idx] = value
 
     @property
     def owner_pid(self) -> int | None:
-        owner = self._cols.owner[self._idx]
-        return None if owner == _NO_OWNER else int(owner)
+        owner = self._table._owner[self._idx]
+        return None if owner == _NO_OWNER else owner
 
     @owner_pid.setter
     def owner_pid(self, value: int | None) -> None:
-        self._cols.owner[self._idx] = _NO_OWNER if value is None else value
+        self._table._owner[self._idx] = _NO_OWNER if value is None else value
 
     @property
     def alloc_stamp(self) -> int:
         """Monotonic stamp of the last allocation, for reuse-distance stats."""
-        return int(self._cols.stamp[self._idx])
+        return self._table._stamp[self._idx]
 
     @alloc_stamp.setter
     def alloc_stamp(self, value: int) -> None:
-        self._cols.stamp[self._idx] = value
+        self._table._stamp[self._idx] = value
 
     @property
     def field_history(self) -> list[PageFlags]:
         """The last ``_HISTORY_DEPTH`` pre-transition states, oldest first."""
-        cols, i = self._cols, self._idx
-        start = int(cols.hist_start[i])
-        length = int(cols.hist_len[i])
+        table, i = self._table, self._idx
+        start = table._hist_start[i]
+        ring = table._history[i * _HISTORY_DEPTH:(i + 1) * _HISTORY_DEPTH]
         return [
-            _FLAG_OF[cols.history[i, (start + k) % _HISTORY_DEPTH]] for k in range(length)
+            _FLAG_OF[ring[(start + k) % _HISTORY_DEPTH]] for k in range(table._hist_len[i])
         ]
 
     def mark(self, flags: PageFlags) -> None:
         """Transition to ``flags``, recording the old state in the history."""
-        cols, i = self._cols, self._idx
-        if cols.hist_len[i] < _HISTORY_DEPTH:
-            pos = (cols.hist_start[i] + cols.hist_len[i]) % _HISTORY_DEPTH
-            cols.hist_len[i] += 1
-        else:
-            pos = cols.hist_start[i]
-            cols.hist_start[i] = (pos + 1) % _HISTORY_DEPTH
-        cols.history[i, pos] = cols.flags[i]
-        cols.flags[i] = _CODE_OF[flags]
+        self._table.mark(self._idx, _CODE_OF[flags])
 
     @property
     def is_free(self) -> bool:
         """True when the frame is available (in the buddy or on a pcp list)."""
-        code = self._cols.flags[self._idx]
-        return code == _CODE_OF[PageFlags.FREE_BUDDY] or code == _CODE_OF[PageFlags.ON_PCP]
+        return self._table._flags[self._idx] in (FREE_BUDDY, ON_PCP)
 
     def __repr__(self) -> str:
         return (
@@ -163,28 +150,92 @@ class PageFrame:
 
 
 class FrameTable:
-    """Dense columnar table of page-frame descriptors for a frame range."""
+    """Dense columnar table of page-frame descriptors for a frame range.
+
+    The pfn-level methods are the allocator's write path; they take pfns
+    the caller has already validated against its own range.
+    """
 
     def __init__(self, total_frames: int):
         if total_frames <= 0:
             raise ConfigError(f"total_frames must be positive, got {total_frames}")
         self.total_frames = total_frames
-        self._cols = _Columns(total_frames)
+        self._flags = bytearray([FREE_BUDDY]) * total_frames
+        self._order = array("q", bytes(8 * total_frames))
+        self._owner = array("q", [_NO_OWNER]) * total_frames
+        self._stamp = array("q", bytes(8 * total_frames))
+        # Bounded per-frame transition history as a ring buffer of state
+        # codes: frame ``i`` owns ``_history[i * _HISTORY_DEPTH:][:_HISTORY_DEPTH]``.
+        self._history = bytearray(total_frames * _HISTORY_DEPTH)
+        self._hist_len = bytearray(total_frames)
+        self._hist_start = bytearray(total_frames)
 
     def __getitem__(self, pfn: int) -> PageFrame:
         if not 0 <= pfn < self.total_frames:
             raise ConfigError(f"pfn {pfn} out of range [0, {self.total_frames})")
-        return PageFrame(int(pfn), _columns=self._cols, _index=int(pfn))
+        return PageFrame(int(pfn), _table=self)
 
     def __len__(self) -> int:
         return self.total_frames
 
+    # -- allocator write path ----------------------------------------------------
+
+    def state(self, pfn: int) -> int:
+        """State code of frame ``pfn``."""
+        return self._flags[pfn]
+
+    def find_state(self, code: int, start: int, stop: int) -> int:
+        """First pfn in ``[start, stop)`` in state ``code``, or -1."""
+        return self._flags.find(code, start, stop)
+
+    def mark(self, pfn: int, code: int) -> None:
+        """Move frame ``pfn`` to state ``code``, pushing the old state."""
+        length = self._hist_len[pfn]
+        start = self._hist_start[pfn]
+        if length < _HISTORY_DEPTH:
+            pos = (start + length) % _HISTORY_DEPTH
+            self._hist_len[pfn] = length + 1
+        else:
+            pos = start
+            self._hist_start[pfn] = (start + 1) % _HISTORY_DEPTH
+        self._history[pfn * _HISTORY_DEPTH + pos] = self._flags[pfn]
+        self._flags[pfn] = code
+
+    def claim(self, pfn: int, count: int, owner_pid: int | None, stamp: int) -> None:
+        """Mark ``count`` frames from ``pfn`` ALLOCATED to ``owner_pid`` at ``stamp``."""
+        owner = _NO_OWNER if owner_pid is None else owner_pid
+        for frame in range(pfn, pfn + count):
+            self.mark(frame, ALLOCATED)
+            self._owner[frame] = owner
+            self._stamp[frame] = stamp
+
+    def release(self, pfn: int, count: int, code: int = FREE_BUDDY) -> None:
+        """Move ``count`` frames from ``pfn`` to free state ``code``, unowned.
+
+        A frame already in ``code`` keeps its history; the others push theirs.
+        """
+        flags = self._flags
+        for frame in range(pfn, pfn + count):
+            if flags[frame] != code:
+                self.mark(frame, code)
+        if count == 1:
+            self._owner[pfn] = _NO_OWNER
+        else:
+            self._owner[pfn:pfn + count] = array("q", [_NO_OWNER]) * count
+
+    def set_order(self, pfn: int, order: int) -> None:
+        """Record the order of the free block frame ``pfn`` heads."""
+        self._order[pfn] = order
+
+    # -- inspection ----------------------------------------------------------------
+
     def owned_by(self, pid: int) -> list[int]:
         """All pfns currently allocated to ``pid``."""
-        cols = self._cols
-        mask = (cols.flags == _CODE_OF[PageFlags.ALLOCATED]) & (cols.owner == pid)
-        return [int(pfn) for pfn in np.nonzero(mask)[0]]
+        flags = np.frombuffer(self._flags, dtype=np.uint8)
+        owner = np.frombuffer(self._owner, dtype=np.int64)
+        mask = (flags == ALLOCATED) & (owner == pid)
+        return np.flatnonzero(mask).tolist()
 
     def count_state(self, flags: PageFlags) -> int:
         """Number of frames currently in the given state."""
-        return int(np.count_nonzero(self._cols.flags == _CODE_OF[flags]))
+        return self._flags.count(_CODE_OF[flags])

@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.mm.buddy import BuddyAllocator
-from repro.mm.page import PageFlags
+from repro.mm.page import ALLOCATED, ON_PCP, PageFlags
 from repro.sim.errors import AllocationError, ConfigError, OutOfMemoryError
 
 
@@ -102,10 +102,7 @@ class PerCpuPageCache:
             pfn = self._pages.pop()
         else:
             pfn = self._pages.popleft()
-        frame = self.buddy.frames[pfn]
-        frame.mark(PageFlags.ALLOCATED)
-        frame.owner_pid = owner_pid
-        frame.alloc_stamp = stamp
+        self.buddy.frames.claim(pfn, 1, owner_pid, stamp)
         return pfn
 
     def _refill(self, stamp: int) -> None:
@@ -116,7 +113,7 @@ class PerCpuPageCache:
                 pfn = self.buddy.alloc(0, owner_pid=None, stamp=stamp)
             except OutOfMemoryError:
                 break
-            self.buddy.frames[pfn].mark(PageFlags.ON_PCP)
+            self.buddy.frames.mark(pfn, ON_PCP)
             self._pages.append(pfn)
             pulled += 1
         if pulled == 0:
@@ -131,15 +128,15 @@ class PerCpuPageCache:
         Spills ``batch`` cold frames back to the buddy when the list grows
         past ``high``.
         """
-        frame = self.buddy.frames[pfn]
-        if frame.flags is not PageFlags.ALLOCATED:
-            raise AllocationError(
-                f"pcp free of pfn {pfn:#x} in state {frame.flags.value!r}"
-            )
         if not self.buddy.contains(pfn):
             raise AllocationError(f"pfn {pfn:#x} belongs to a different zone")
-        frame.mark(PageFlags.ON_PCP)
-        frame.owner_pid = None
+        frames = self.buddy.frames
+        state = frames.state(pfn)
+        if state != ALLOCATED:
+            raise AllocationError(
+                f"pcp free of pfn {pfn:#x} in state {tuple(PageFlags)[state].value!r}"
+            )
+        frames.release(pfn, 1, ON_PCP)
         self._pages.append(pfn)
         if len(self._pages) > self.config.high:
             self._spill(self.config.batch)
@@ -150,7 +147,7 @@ class PerCpuPageCache:
             pfn = self._pages.popleft()
             # The buddy's free() validates state itself; flag must be
             # ALLOCATED for its double-free check, so transition first.
-            self.buddy.frames[pfn].mark(PageFlags.ALLOCATED)
+            self.buddy.frames.mark(pfn, ALLOCATED)
             self.buddy.free(pfn, 0)
         self.spills += 1
 

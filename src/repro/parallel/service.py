@@ -418,7 +418,9 @@ class CampaignService:
         Each journaled report is rebuilt with
         :meth:`~repro.attack.orchestrator.AttackRunReport.from_dict`, so
         the fold digests the same canonical ``to_json()`` bytes an
-        in-memory campaign does.
+        in-memory campaign does.  A CRC-valid record without a ``report``
+        or ``state``, or whose report lacks a field, is a
+        :class:`~repro.sim.errors.ConfigError` naming the attempt.
         """
         from repro.attack.orchestrator import AttackRunReport, CampaignFold
         from repro.parallel.pool import inflight_window
@@ -443,11 +445,15 @@ class CampaignService:
                         f"byte {offsets[index]} changed under the service "
                         "while finalizing"
                     )
-                report = AttackRunReport.from_dict(record["report"])
-                fold.add(
-                    index, report.to_json(), report.success,
-                    snapshot_state(record["state"]),
-                )
+                try:
+                    report = AttackRunReport.from_dict(record["report"])
+                    state = record["state"]
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"{self.journal_path}: malformed journal record for "
+                        f"attempt {index}: {exc!r}"
+                    ) from exc
+                fold.add(index, report.to_json(), report.success, snapshot_state(state))
         metrics = self._metrics
         ran = metrics["journaled"].value
         metrics["journal_bytes"].set(self.journal_path.stat().st_size)

@@ -271,6 +271,30 @@ class TestCheckpointFlags:
         assert "counter 'dram.flips' cannot hold 'many'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda record: record.pop("report"),
+            lambda record: record.update(report={"success": True}),
+        ],
+        ids=["missing-report", "report-missing-fields"],
+    )
+    def test_resume_over_a_malformed_journal_report_exits_two(
+        self, capsys, tmp_path, malform
+    ):
+        from repro.parallel.service import JOURNAL_NAME, decode_line, encode_record
+
+        argv = ["attack", "--seed", "7", "--buffer-mib", "4", "--campaign", "1",
+                "--checkpoint", str(tmp_path), "--json"]
+        assert main(argv) == 0
+        journal = tmp_path / JOURNAL_NAME
+        record = decode_line(journal.read_bytes())
+        malform(record)
+        journal.write_bytes(encode_record(record))  # CRC-valid, bad report
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 2
+        assert "malformed journal record for attempt 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "extra",
         [
             ["--stream-out", "out.jsonl"],

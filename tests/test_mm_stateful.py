@@ -8,7 +8,11 @@ checks the global invariants after every step:
 * no frame owned by two tasks;
 * every resident page of every task translates to a frame the allocator
   believes is allocated;
-* rss never exceeds the virtual size.
+* rss never exceeds the virtual size;
+* every frame of every block on a buddy free list is ``FREE_BUDDY`` and
+  every frame on a pcp list is ``ON_PCP``, both with no owner (the buddy
+  allocator relies on this to write only the head of a split-off half
+  or a merged buddy).
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from __future__ import annotations
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 from hypothesis import strategies as st
+import numpy as np
 
 from repro.core import Machine, MachineConfig
-from repro.mm.page import PageFlags
+from repro.mm.page import _NO_OWNER, FREE_BUDDY, ON_PCP, PageFlags
 from repro.sim.errors import OutOfMemoryError
 from repro.sim.units import PAGE_SIZE
 
@@ -127,6 +132,25 @@ class AllocatorStack(RuleBasedStateMachine):
                 frame = self.machine.frames[pfn]
                 assert frame.flags is PageFlags.ALLOCATED
                 assert frame.owner_pid == pid
+
+    @invariant()
+    def free_frames_are_unowned(self):
+        # Whole-table checks over the descriptor columns: one view per frame
+        # would build 16 K views on every step of the 16 K-frame machine.
+        frames = self.machine.frames
+        state = np.frombuffer(frames._flags, dtype=np.uint8)
+        owner = np.frombuffer(frames._owner, dtype=np.int64)
+        buddy_free = np.zeros(len(state), dtype=bool)
+        on_pcp = np.zeros(len(state), dtype=bool)
+        for zone in self.machine.node.zones.values():
+            for order, heads in enumerate(zone.buddy.free_lists):
+                for head in heads:
+                    buddy_free[head:head + (1 << order)] = True
+            for cpu in range(zone.num_cpus):
+                on_pcp[zone.pcp(cpu).snapshot()] = True
+        assert (state[buddy_free] == FREE_BUDDY).all()
+        assert (state[on_pcp] == ON_PCP).all()
+        assert (owner[buddy_free | on_pcp] == _NO_OWNER).all()
 
     @invariant()
     def rss_bounded_by_vsz(self):
