@@ -51,9 +51,16 @@ def expand_key(key: bytes, sbox: bytes = AES_SBOX) -> list[bytes]:
     The S-box is a parameter so experiments can model a fault landing
     *before* key expansion; by default the clean table is used (round keys
     are normally computed once at startup, before the attacker hammers).
+    The schedule is a pure function of the key and S-box bytes, so it is
+    memoised on them (a bounded cache); each call returns a fresh list.
     """
     if len(key) not in _ROUNDS:
         raise InvalidKeySize(f"key must be 16/24/32 bytes, got {len(key)}")
+    return list(_expand_key(bytes(key), bytes(sbox)))
+
+
+@lru_cache(maxsize=64)
+def _expand_key(key: bytes, sbox: bytes) -> tuple[bytes, ...]:
     nk = len(key) // 4
     rounds = _ROUNDS[len(key)]
     words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
@@ -66,11 +73,10 @@ def expand_key(key: bytes, sbox: bytes = AES_SBOX) -> list[bytes]:
         elif nk > 6 and i % nk == 4:
             temp = [sbox[b] for b in temp]
         words.append([a ^ b for a, b in zip(words[i - nk], temp)])
-    round_keys = []
-    for r in range(rounds + 1):
-        chunk = words[4 * r : 4 * r + 4]
-        round_keys.append(bytes(b for word in chunk for b in word))
-    return round_keys
+    return tuple(
+        bytes(b for word in words[4 * r : 4 * r + 4] for b in word)
+        for r in range(rounds + 1)
+    )
 
 
 def _inv_mix_single_column(col: list[int]) -> list[int]:

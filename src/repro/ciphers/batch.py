@@ -19,7 +19,9 @@ tabulated and XOR is associative, so each lookup is the two Te lookups it
 replaces, already XORed.  The pair tables are laid out as the host reads
 a byte pair (``a | b << 8`` little-endian, ``a << 8 | b`` big-endian), so
 the result does not depend on byte order.  The final round reads the
-S-box directly.
+S-box directly; the inner rounds may derive from another S-box
+(``inner_sbox``), which is how the T-table victim's clean Te block meets
+its faulty last-round S-box.
 
 The pair tables are derived from the S-box bytes and cached by them, so a
 fault is a new cache key.  They take 512 KiB per S-box, so the cache
@@ -99,6 +101,8 @@ def aes128_encrypt_batch(
     plaintexts: np.ndarray | list[bytes],
     key: bytes,
     sbox: bytes = AES_SBOX,
+    *,
+    inner_sbox: bytes | None = None,
 ) -> np.ndarray:
     """Encrypt many AES-128 blocks at once.
 
@@ -106,6 +110,10 @@ def aes128_encrypt_batch(
     the result is an (N, 16) uint8 array of ciphertexts.  ``sbox`` may be a
     faulty table — the key schedule still uses the clean S-box, matching
     the persistent-fault timeline (keys expanded before the fault lands).
+    ``sbox`` drives every round unless ``inner_sbox`` is given: the inner
+    rounds' tables then derive from ``inner_sbox`` and only the final
+    round reads ``sbox``, which is the T-table cipher (its Te block in
+    memory, its own S-box in the last round).
     """
     if isinstance(plaintexts, list):
         data = np.frombuffer(b"".join(plaintexts), dtype=np.uint8).reshape(-1, 16)
@@ -115,10 +123,14 @@ def aes128_encrypt_batch(
             raise ValueError(f"plaintexts must be (N, 16), got {data.shape}")
     if len(key) != 16:
         raise ValueError(f"this fast path is AES-128 only; key of {len(key)} bytes")
-    if len(sbox) != 256:
-        raise ValueError(f"S-box must be 256 bytes, got {len(sbox)}")
+    inner = sbox if inner_sbox is None else inner_sbox
+    for table in (sbox, inner):
+        if len(table) != 256:
+            raise ValueError(f"S-box must be 256 bytes, got {len(table)}")
 
-    t01, t23, sbox_np = _round_tables(bytes(sbox))
+    t01, t23, sbox_np = _round_tables(bytes(inner))
+    if inner_sbox is not None:
+        sbox_np = np.frombuffer(bytes(sbox), dtype=np.uint8)
     rk_bytes, rk_words = _round_keys(bytes(key))
     count = len(data)
     gather = _pair_gather(count)

@@ -69,12 +69,12 @@ class MemorySBox:
         """(index, expected, actual) for every corrupted table byte."""
         if self._reference is None:
             raise FaultError("table was never installed")
-        current = self.read()
-        return [
-            (index, expected, actual)
-            for index, (expected, actual) in enumerate(zip(self._reference, current))
-            if expected != actual
-        ]
+        expected = np.frombuffer(self._reference, dtype=np.uint8)
+        actual = np.frombuffer(self.read(), dtype=np.uint8)
+        indices = np.flatnonzero(expected != actual)
+        return list(
+            zip(indices.tolist(), expected[indices].tolist(), actual[indices].tolist())
+        )
 
     @property
     def pfn(self) -> int:
@@ -203,9 +203,10 @@ class CipherVictim:
         clean check for the T-table victim, then the S-box).  The host work
         is done ahead: one plaintext draw for every batch and one kernel
         call under the first fetched S-box.  A later fetch that returns
-        other bytes re-encrypts the remaining batches under them; a faulty
-        Te block sends its batch to the exact scalar implementation, as the
-        batch kernel matches the T-table cipher only while Te is clean.
+        other bytes re-encrypts the remaining batches under them.  For the
+        T-table victim the kernel runs the clean Te block's inner rounds
+        and the fetched S-box in the last round only; a faulty Te block
+        sends its batch to the exact scalar implementation.
 
         A consumer may stop early (``close()`` the generator, or let it be
         collected): the generator state of ``rng`` is then rewound to the
@@ -234,6 +235,10 @@ class CipherVictim:
         # a block's 16 bytes fill whole 32-bit draws.
         saved = rng.bit_generator.state
         plaintexts = random_plaintexts(batches * count, rng).reshape(batches, count, 16)
+        # The T-table victim's inner rounds read its Te block, which is
+        # checked clean before each batch: only its last round reads the
+        # fetched S-box.  The S-box victim reads it in every round.
+        inner_sbox = AES_SBOX if self._te_va is not None else None
         started = 0
         # ciphertexts[i - first] is batch i encrypted under encrypted_under.
         encrypted_under = ciphertexts = first = None
@@ -253,7 +258,8 @@ class CipherVictim:
                 sbox = self.sbox.read()
                 if sbox != encrypted_under:
                     ciphertexts = aes128_encrypt_batch(
-                        plaintexts[index:].reshape(-1, 16), self.key, sbox
+                        plaintexts[index:].reshape(-1, 16), self.key, sbox,
+                        inner_sbox=inner_sbox,
                     ).reshape(-1, count, 16)
                     encrypted_under, first = sbox, index
                 yield ciphertexts[index - first]

@@ -51,20 +51,31 @@ class ActivationLedger:
     """Per-(refresh window, task) DRAM activation counts.
 
     Fed by the kernel on every memory access and hammer syscall; bounded
-    to the most recent windows so long simulations stay cheap.
+    to the most recent windows so long simulations stay cheap: a new
+    window past ``max_windows`` evicts the oldest.  Epochs arrive in
+    ascending order, so the oldest is the first-inserted window and goes
+    in O(1); only a chaos ``refresh_scale`` step can lower the epoch, and
+    after such an out-of-order window the eviction falls back to ``min``.
     """
 
     max_windows: int = 256
     _counts: dict[int, dict[int, int]] = field(default_factory=dict)
+    #: True while windows were opened in ascending epoch order.
+    _ascending: bool = field(default=True, init=False)
 
     def record(self, epoch: int, pid: int, activations: int) -> None:
         """Add ``activations`` attributed to ``pid`` during ``epoch``."""
         if activations <= 0:
             return
-        window = self._counts.setdefault(epoch, {})
+        counts = self._counts
+        window = counts.get(epoch)
+        if window is None:
+            if counts and epoch < next(reversed(counts)):
+                self._ascending = False
+            window = counts[epoch] = {}
+            if len(counts) > self.max_windows:
+                del counts[next(iter(counts)) if self._ascending else min(counts)]
         window[pid] = window.get(pid, 0) + activations
-        if len(self._counts) > self.max_windows:
-            del self._counts[min(self._counts)]
 
     def count(self, epoch: int, pid: int) -> int:
         """Activations by ``pid`` during ``epoch``."""

@@ -14,13 +14,11 @@ allocator.  The descriptor also remembers the owning pid while allocated —
 the experiments use that to ask "who holds this frame now?", which is the
 measurable core of the steering attack.
 
-Storage is columnar and Python-native: a ``bytearray`` each for the state
-code, the history length and the history start, one ``bytearray`` of
-``_HISTORY_DEPTH`` bytes per frame for the history ring, and an
-``array('q')`` each for the order, the owner and the allocation stamp.  A
-64 MiB module needs 16 K descriptors; as columns they are seven flat
-buffers instead of 16 K Python objects, and they pickle as raw bytes,
-which is what makes machine snapshots cheap to pickle and fork.
+Storage is columnar and Python-native: a ``bytearray`` for the state
+code and an ``array('q')`` each for the order, the owner and the
+allocation stamp.  A 64 MiB module needs 16 K descriptors; as columns they
+are four flat buffers instead of 16 K Python objects, and they pickle as
+raw bytes, which is what makes machine snapshots cheap to pickle and fork.
 
 The allocator writes the columns through :class:`FrameTable`'s pfn-level
 methods (:meth:`~FrameTable.mark`, :meth:`~FrameTable.claim`,
@@ -38,8 +36,6 @@ from array import array
 import numpy as np
 
 from repro.sim.errors import ConfigError
-
-_HISTORY_DEPTH = 16
 
 
 class PageFlags(enum.Enum):
@@ -123,18 +119,8 @@ class PageFrame:
     def alloc_stamp(self, value: int) -> None:
         self._table._stamp[self._idx] = value
 
-    @property
-    def field_history(self) -> list[PageFlags]:
-        """The last ``_HISTORY_DEPTH`` pre-transition states, oldest first."""
-        table, i = self._table, self._idx
-        start = table._hist_start[i]
-        ring = table._history[i * _HISTORY_DEPTH:(i + 1) * _HISTORY_DEPTH]
-        return [
-            _FLAG_OF[ring[(start + k) % _HISTORY_DEPTH]] for k in range(table._hist_len[i])
-        ]
-
     def mark(self, flags: PageFlags) -> None:
-        """Transition to ``flags``, recording the old state in the history."""
+        """Transition to ``flags``."""
         self._table.mark(self._idx, _CODE_OF[flags])
 
     @property
@@ -164,11 +150,6 @@ class FrameTable:
         self._order = array("q", bytes(8 * total_frames))
         self._owner = array("q", [_NO_OWNER]) * total_frames
         self._stamp = array("q", bytes(8 * total_frames))
-        # Bounded per-frame transition history as a ring buffer of state
-        # codes: frame ``i`` owns ``_history[i * _HISTORY_DEPTH:][:_HISTORY_DEPTH]``.
-        self._history = bytearray(total_frames * _HISTORY_DEPTH)
-        self._hist_len = bytearray(total_frames)
-        self._hist_start = bytearray(total_frames)
 
     def __getitem__(self, pfn: int) -> PageFrame:
         if not 0 <= pfn < self.total_frames:
@@ -189,38 +170,28 @@ class FrameTable:
         return self._flags.find(code, start, stop)
 
     def mark(self, pfn: int, code: int) -> None:
-        """Move frame ``pfn`` to state ``code``, pushing the old state."""
-        length = self._hist_len[pfn]
-        start = self._hist_start[pfn]
-        if length < _HISTORY_DEPTH:
-            pos = (start + length) % _HISTORY_DEPTH
-            self._hist_len[pfn] = length + 1
-        else:
-            pos = start
-            self._hist_start[pfn] = (start + 1) % _HISTORY_DEPTH
-        self._history[pfn * _HISTORY_DEPTH + pos] = self._flags[pfn]
+        """Move frame ``pfn`` to state ``code``."""
         self._flags[pfn] = code
 
     def claim(self, pfn: int, count: int, owner_pid: int | None, stamp: int) -> None:
         """Mark ``count`` frames from ``pfn`` ALLOCATED to ``owner_pid`` at ``stamp``."""
         owner = _NO_OWNER if owner_pid is None else owner_pid
-        for frame in range(pfn, pfn + count):
-            self.mark(frame, ALLOCATED)
-            self._owner[frame] = owner
-            self._stamp[frame] = stamp
+        if count == 1:
+            self._flags[pfn] = ALLOCATED
+            self._owner[pfn] = owner
+            self._stamp[pfn] = stamp
+        else:
+            self._flags[pfn:pfn + count] = bytes((ALLOCATED,)) * count
+            self._owner[pfn:pfn + count] = array("q", [owner]) * count
+            self._stamp[pfn:pfn + count] = array("q", [stamp]) * count
 
     def release(self, pfn: int, count: int, code: int = FREE_BUDDY) -> None:
-        """Move ``count`` frames from ``pfn`` to free state ``code``, unowned.
-
-        A frame already in ``code`` keeps its history; the others push theirs.
-        """
-        flags = self._flags
-        for frame in range(pfn, pfn + count):
-            if flags[frame] != code:
-                self.mark(frame, code)
+        """Move ``count`` frames from ``pfn`` to free state ``code``, unowned."""
         if count == 1:
+            self._flags[pfn] = code
             self._owner[pfn] = _NO_OWNER
         else:
+            self._flags[pfn:pfn + count] = bytes((code,)) * count
             self._owner[pfn:pfn + count] = array("q", [_NO_OWNER]) * count
 
     def set_order(self, pfn: int, order: int) -> None:

@@ -5,20 +5,42 @@ S-box (scalar and batched), decodes fetched Te blocks through a
 content-keyed cache, and runs PRESENT through byte-indexed tables.  The
 functions here are the direct formulations those replaced — byte-wise
 SubBytes/ShiftRows/MixColumns (one block, and a NumPy batch), word-by-word
-Te parsing, a GF(2^8) Te generator and the bit-by-bit pLayer — and share
-no code with them beyond the key schedules, so equality tests against
-them stay independent checks.
+Te parsing, a GF(2^8) Te generator, the bit-by-bit pLayer and the
+uncached AES key expansion — and share no code with them beyond the
+PRESENT key schedule, so equality tests against them stay independent
+checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ciphers.aes import expand_key
-from repro.ciphers.aes_tables import AES_SBOX, SHIFT_ROWS_PERM, gf_mul
+from repro.ciphers.aes_tables import AES_RCON, AES_SBOX, SHIFT_ROWS_PERM, gf_mul
 from repro.ciphers.present import Present
 
 # -- AES -----------------------------------------------------------------------
+
+
+def expand_key_reference(key: bytes, sbox: bytes = AES_SBOX) -> list[bytes]:
+    """FIPS-197 key expansion as a word loop, recomputed on every call."""
+    if len(key) not in (16, 24, 32):
+        raise ValueError(f"key must be 16/24/32 bytes, got {len(key)}")
+    nk = len(key) // 4
+    rounds = nk + 6
+    words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
+    for i in range(nk, 4 * (rounds + 1)):
+        temp = list(words[i - 1])
+        if i % nk == 0:
+            temp = temp[1:] + temp[:1]
+            temp = [sbox[b] for b in temp]
+            temp[0] ^= AES_RCON[i // nk - 1]
+        elif nk > 6 and i % nk == 4:
+            temp = [sbox[b] for b in temp]
+        words.append([a ^ b for a, b in zip(words[i - nk], temp)])
+    return [
+        bytes(b for word in words[4 * r : 4 * r + 4] for b in word)
+        for r in range(rounds + 1)
+    ]
 
 
 def _mix_single_column(col: list[int]) -> list[int]:
@@ -50,7 +72,7 @@ def aes_encrypt_reference(
     The key schedule uses the clean S-box; ``transient_fault`` XORs
     ``mask`` into flat state byte ``position`` before the final SubBytes.
     """
-    round_keys = expand_key(key)
+    round_keys = expand_key_reference(key)
     rounds = len(round_keys) - 1
     state = [p ^ k for p, k in zip(plaintext, round_keys[0])]
     for round_index in range(1, rounds):
@@ -90,7 +112,7 @@ def aes128_encrypt_batch_reference(
     plaintexts: np.ndarray, key: bytes, sbox: bytes = AES_SBOX
 ) -> np.ndarray:
     """AES-128 over an (N, 16) uint8 array, one byte-wise round at a time."""
-    round_keys = [np.frombuffer(rk, dtype=np.uint8) for rk in expand_key(key)]
+    round_keys = [np.frombuffer(rk, dtype=np.uint8) for rk in expand_key_reference(key)]
     sbox_np = np.frombuffer(bytes(sbox), dtype=np.uint8)
     state = np.asarray(plaintexts, dtype=np.uint8) ^ round_keys[0]
     for round_index in range(1, 10):
@@ -135,7 +157,7 @@ def ttable_encrypt_reference(
     te0, te1, te2, te3 = parse_te_reference(te_raw)
     key_words = [
         [int.from_bytes(rk[4 * c : 4 * c + 4], "big") for c in range(4)]
-        for rk in expand_key(key)
+        for rk in expand_key_reference(key)
     ]
     columns = [
         int.from_bytes(plaintext[4 * c : 4 * c + 4], "big") ^ key_words[0][c]

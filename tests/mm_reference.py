@@ -24,7 +24,6 @@ from repro.mm.page import PageFlags
 from repro.mm.pcp import PcpConfig
 from repro.sim.errors import AllocationError, ConfigError, OutOfMemoryError
 
-_HISTORY_DEPTH = 16
 _CODE_OF = {flag: code for code, flag in enumerate(PageFlags)}
 _FLAG_OF = tuple(PageFlags)
 _NO_OWNER = -1
@@ -33,17 +32,13 @@ _NO_OWNER = -1
 class _Columns:
     """Column store backing ``total`` page-frame descriptors."""
 
-    __slots__ = ("flags", "order", "owner", "stamp", "history", "hist_len", "hist_start")
+    __slots__ = ("flags", "order", "owner", "stamp")
 
     def __init__(self, total: int):
         self.flags = np.full(total, _CODE_OF[PageFlags.FREE_BUDDY], dtype=np.uint8)
         self.order = np.zeros(total, dtype=np.int64)
         self.owner = np.full(total, _NO_OWNER, dtype=np.int64)
         self.stamp = np.zeros(total, dtype=np.int64)
-        # Bounded per-frame transition history as a ring buffer of flag codes.
-        self.history = np.zeros((total, _HISTORY_DEPTH), dtype=np.uint8)
-        self.hist_len = np.zeros(total, dtype=np.int64)
-        self.hist_start = np.zeros(total, dtype=np.int64)
 
 
 class ReferencePageFrame:
@@ -111,27 +106,9 @@ class ReferencePageFrame:
     def alloc_stamp(self, value: int) -> None:
         self._cols.stamp[self._idx] = value
 
-    @property
-    def field_history(self) -> list[PageFlags]:
-        """The last ``_HISTORY_DEPTH`` pre-transition states, oldest first."""
-        cols, i = self._cols, self._idx
-        start = int(cols.hist_start[i])
-        length = int(cols.hist_len[i])
-        return [
-            _FLAG_OF[cols.history[i, (start + k) % _HISTORY_DEPTH]] for k in range(length)
-        ]
-
     def mark(self, flags: PageFlags) -> None:
-        """Transition to ``flags``, recording the old state in the history."""
-        cols, i = self._cols, self._idx
-        if cols.hist_len[i] < _HISTORY_DEPTH:
-            pos = (cols.hist_start[i] + cols.hist_len[i]) % _HISTORY_DEPTH
-            cols.hist_len[i] += 1
-        else:
-            pos = cols.hist_start[i]
-            cols.hist_start[i] = (pos + 1) % _HISTORY_DEPTH
-        cols.history[i, pos] = cols.flags[i]
-        cols.flags[i] = _CODE_OF[flags]
+        """Transition to ``flags``."""
+        self._cols.flags[self._idx] = _CODE_OF[flags]
 
     @property
     def is_free(self) -> bool:

@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ciphers.aes import AES, InvalidKeySize, expand_key
+from repro.ciphers.aes import AES, InvalidKeySize, _expand_key, expand_key
 from repro.ciphers.aes_tables import AES_SBOX
 from repro.ciphers.aes_ttable import AES_TE_TABLES, AesTTable
 from repro.ciphers.faults import FaultSpec, apply_fault
 from repro.ciphers.present import PRESENT_SBOX, Present
+from tests.cipher_references import expand_key_reference
 
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
 KEY128 = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -35,6 +36,53 @@ class TestFipsVectors:
         assert len(expand_key(KEY128)) == 11
         assert len(expand_key(KEY192)) == 13
         assert len(expand_key(KEY256)) == 15
+
+
+sbox_flips = st.lists(st.tuples(st.integers(0, 255), st.integers(0, 7)), max_size=3)
+
+
+def flipped(flips) -> bytes:
+    out = bytearray(AES_SBOX)
+    for index, bit in flips:
+        out[index] ^= 1 << bit
+    return bytes(out)
+
+
+class TestKeyScheduleCache:
+    """``expand_key`` is memoised on (key, S-box) bytes: same answers, fresh lists."""
+
+    @given(
+        key=st.sampled_from([16, 24, 32]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+        flips=sbox_flips,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_uncached_expansion(self, key, flips):
+        sbox = flipped(flips)
+        expected = expand_key_reference(key, sbox)
+        assert expand_key(key, sbox) == expected
+        assert expand_key(bytearray(key), bytearray(sbox)) == expected  # a hit
+
+    def test_returned_list_is_fresh(self):
+        first = expand_key(KEY128)
+        first[10] = bytes(16)
+        first.append(b"extra")
+        assert expand_key(KEY128) == expand_key_reference(KEY128)
+        assert expand_key(KEY128) is not expand_key(KEY128)
+
+    def test_cache_is_bounded(self):
+        maxsize = _expand_key.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(maxsize + 8):
+            expand_key(n.to_bytes(16, "big"))
+        assert _expand_key.cache_info().currsize <= maxsize
+
+    def test_bad_length_makes_no_entry(self):
+        before = _expand_key.cache_info()
+        for length in (0, 15, 20, 33):
+            with pytest.raises(InvalidKeySize):
+                expand_key(bytes(length))
+        after = _expand_key.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 class TestRoundTrips:

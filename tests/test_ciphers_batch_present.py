@@ -15,7 +15,11 @@ from repro.ciphers.batch import (
 )
 from repro.ciphers.faults import FaultSpec, apply_fault
 from repro.ciphers.present import PRESENT_SBOX, Present
-from tests.cipher_references import aes128_encrypt_batch_reference
+from tests.cipher_references import (
+    aes128_encrypt_batch_reference,
+    te_bytes_reference,
+    ttable_encrypt_reference,
+)
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -162,6 +166,18 @@ class TestBatchAES:
         for i in range(4):
             assert bytes(cts[i]) == scalar.encrypt_block(bytes(pts[i]))
 
+    @given(inner=sbox_flips, last=sbox_flips, count=st.integers(1, 40), seed=st.integers(0, 999))
+    @settings(max_examples=20, deadline=None)
+    def test_inner_sbox_splits_the_rounds(self, inner, last, count, seed):
+        # Inner rounds from one S-box, the final round from another: the
+        # T-table cipher with the Te block of ``inner_sbox``.
+        inner_sbox, sbox = flipped_sbox(inner), flipped_sbox(last)
+        pts = random_plaintexts(count, np.random.default_rng(seed))
+        cts = aes128_encrypt_batch(pts, KEY, sbox, inner_sbox=inner_sbox)
+        te_raw = te_bytes_reference(inner_sbox)
+        for pt, ct in zip(pts, cts):
+            assert bytes(ct) == ttable_encrypt_reference(KEY, bytes(pt), te_raw, sbox)
+
     def test_accepts_list_of_blocks(self):
         blocks = [bytes(range(16)), bytes(range(16, 32))]
         cts = aes128_encrypt_batch(blocks, KEY)
@@ -185,6 +201,10 @@ class TestBatchAES:
     def test_sbox_size_validation(self):
         with pytest.raises(ValueError):
             aes128_encrypt_batch(np.zeros((1, 16), dtype=np.uint8), KEY, sbox=bytes(16))
+        with pytest.raises(ValueError):
+            aes128_encrypt_batch(
+                np.zeros((1, 16), dtype=np.uint8), KEY, inner_sbox=bytes(16)
+            )
 
     def test_random_plaintexts_validation(self):
         with pytest.raises(ValueError):

@@ -230,6 +230,22 @@ class TestTTableVictim:
         for i in range(4):
             assert bytes(cts[i]) == victim._context.encrypt_block(bytes(pts[i]))
 
+    def test_sbox_fault_batch_is_the_ttable_cipher(self, kernel):
+        # The inner rounds read the clean Te block and only the last round
+        # reads the faulty S-box, in the batch path as in the scalar cipher.
+        from repro.ciphers.batch import random_plaintexts
+
+        key = bytes(range(16))
+        victim = CipherVictim(kernel, key, cpu=0, cipher="aes_ttable")
+        victim.allocate_table_page()
+        pa = kernel.resolve_pa(victim.pid, victim.sbox.va + 0x42)
+        kernel.controller.memory.flip_bit(pa, 0)
+        cts = victim.encrypt_batch(64, np.random.default_rng(3))
+        pts = random_plaintexts(64, np.random.default_rng(3))
+        assert [bytes(ct) for ct in cts] == [
+            victim._context.encrypt_block(bytes(pt)) for pt in pts
+        ]
+
 
 class TestNoStaleTables:
     """A flip after the first block reaches the very next block: the

@@ -1,6 +1,7 @@
 """The hammering watchdog: ledger accounting, detection, separation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.attack.hammer import Hammerer
 from repro.defense.watchdog import (
@@ -44,6 +45,54 @@ class TestLedger:
         ledger.record(1, 1, 5)
         ledger.record(1, 2, 3)
         assert ledger.totals() == {1: 15, 2: 3}
+
+
+class MinEvictingLedger(ActivationLedger):
+    """The ledger evicting with ``min`` on every overflow, as the oracle."""
+
+    def record(self, epoch: int, pid: int, activations: int) -> None:
+        if activations <= 0:
+            return
+        window = self._counts.setdefault(epoch, {})
+        window[pid] = window.get(pid, 0) + activations
+        if len(self._counts) > self.max_windows:
+            del self._counts[min(self._counts)]
+
+
+# Mostly ascending epochs, as refresh windows arrive, with drops (a chaos
+# ``refresh_scale`` step lowers the epoch) and repeats of a recent one.
+epoch_steps = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 3), st.integers(-12, -1)),
+        st.integers(1, 3),
+        st.integers(-1, 50),
+    ),
+    max_size=120,
+)
+
+
+class TestLedgerEviction:
+    @given(steps=epoch_steps, max_windows=st.integers(1, 8), start=st.integers(0, 20))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_min_eviction(self, steps, max_windows, start):
+        ledger = ActivationLedger(max_windows=max_windows)
+        oracle = MinEvictingLedger(max_windows=max_windows)
+        epoch = start
+        for step, pid, activations in steps:
+            epoch = max(0, epoch + step)
+            ledger.record(epoch, pid, activations)
+            oracle.record(epoch, pid, activations)
+            assert list(ledger._counts.items()) == list(oracle._counts.items())
+        assert ledger.epochs() == oracle.epochs()
+        assert ledger.totals() == oracle.totals()
+
+    def test_out_of_order_window_evicts_the_oldest(self):
+        # Window 5 opens after 11; the overflow at 12 must drop 5, not the
+        # first-inserted 10.
+        ledger = ActivationLedger(max_windows=3)
+        for epoch in (10, 11, 5, 12):
+            ledger.record(epoch, 1, 1)
+        assert ledger.epochs() == [10, 11, 12]
 
 
 class TestWatchdog:

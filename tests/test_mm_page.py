@@ -13,19 +13,6 @@ class TestPageFrame:
         assert frame.owner_pid is None
         assert frame.is_free
 
-    def test_mark_records_history(self):
-        frame = PageFrame(pfn=0)
-        frame.mark(PageFlags.ALLOCATED)
-        frame.mark(PageFlags.ON_PCP)
-        assert frame.flags is PageFlags.ON_PCP
-        assert frame.field_history[-2:] == [PageFlags.FREE_BUDDY, PageFlags.ALLOCATED]
-
-    def test_history_bounded(self):
-        frame = PageFrame(pfn=0)
-        for _ in range(100):
-            frame.mark(PageFlags.ALLOCATED)
-        assert len(frame.field_history) <= 16
-
     def test_is_free_states(self):
         frame = PageFrame(pfn=0)
         frame.mark(PageFlags.ON_PCP)

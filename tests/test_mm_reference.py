@@ -4,9 +4,9 @@ The same operation script runs on a ``FrameTable``/``BuddyAllocator``/
 ``PerCpuPageCache`` stack and on the reference stack of
 ``tests/mm_reference.py`` (numpy columns, one view per frame access, every
 frame of every inserted block re-marked).  After every step both stacks
-must agree on every frame's ``flags``, ``order``, ``owner_pid``,
-``alloc_stamp`` and ``field_history``, on the buddy free lists and on the
-pcp lists.  The ``nightly`` copy runs ten times the examples.
+must agree on every frame's ``flags``, ``order``, ``owner_pid`` and
+``alloc_stamp``, on the buddy free lists and on the pcp lists.  The
+``nightly`` copy runs ten times the examples.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Stack:
 
     def descriptors(self):
         return [
-            (f.flags, f.order, f.owner_pid, f.alloc_stamp, f.field_history)
+            (f.flags, f.order, f.owner_pid, f.alloc_stamp)
             for f in (self.frames[pfn] for pfn in range(TOTAL))
         ]
 

@@ -10,6 +10,7 @@ from repro.ciphers.batch import aes128_encrypt_batch, random_plaintexts
 from repro.ciphers.faults import FaultSpec, apply_fault
 from repro.pfa.pfa import (
     PfaState,
+    _invert_key_schedule_128,
     ciphertexts_to_unique_key,
     disambiguate_with_known_pair,
     expected_remaining_candidates,
@@ -21,7 +22,11 @@ from repro.pfa.pfa import (
     saturated_for_faults,
 )
 from repro.sim.errors import FaultError
-from tests.pfa_reference import ReferencePfaState
+from tests.pfa_reference import (
+    ReferencePfaState,
+    reference_invert_key_schedule_128,
+    reference_recover_k10_known_fault,
+)
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 SPEC = FaultSpec(index=0x42, bit=3)
@@ -137,6 +142,64 @@ class TestVectorisedMatchesPerPositionLoops:
                 len(reference.missing_values(p)) == max(1, remaining)
                 for p in range(16)
             )
+
+
+@st.composite
+def count_matrices(draw):
+    """(16, 256) counts with one zero per row, except drawn rows that hold
+    none, a few or many (up to all 256), and an optional zero moved from
+    one row to another (sixteen zeros, not one per row)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(1, 40, size=(16, 256), dtype=np.int64)
+    zeros = [1] * 16
+    changes = st.tuples(st.integers(0, 15), st.one_of(st.integers(0, 3), st.integers(0, 256)))
+    for row, n in draw(st.lists(changes, max_size=16)):
+        zeros[row] = n
+    move = draw(st.none() | st.tuples(st.integers(0, 15), st.integers(0, 15)))
+    if move is not None and zeros[move[0]] > 0 and zeros[move[1]] < 256:
+        zeros[move[0]] -= 1
+        zeros[move[1]] += 1
+    for row, n in enumerate(zeros):
+        counts[row, rng.choice(256, n, replace=False)] = 0
+    return counts
+
+
+def check_against_per_position_copies(counts, v_star):
+    """The stop test, key recovery and inversion agree with the references."""
+    state, reference = PfaState(), ReferencePfaState()
+    state.counts, reference.counts = counts, counts.copy()
+    assert state.is_unique() == reference.is_unique()
+    candidates = recover_k10_known_fault(state, v_star)
+    assert candidates == reference_recover_k10_known_fault(reference, v_star)
+    if reference.is_unique():
+        k10 = bytes(values[0] for values in candidates)
+        assert invert_key_schedule_128(k10) == reference_invert_key_schedule_128(k10)
+
+
+class TestVectorPathsMatchReferenceCopies:
+    """``is_unique``'s zero-count prefilter, one-``nonzero`` key recovery and
+    the memoised inversion against the per-position formulations."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(counts=count_matrices(), v_star=st.integers(0, 255))
+    def test_agree(self, counts, v_star):
+        check_against_per_position_copies(counts, v_star)
+
+    @pytest.mark.nightly
+    @settings(max_examples=800, deadline=None)
+    @given(counts=count_matrices(), v_star=st.integers(0, 255))
+    def test_agree_wide(self, counts, v_star):
+        check_against_per_position_copies(counts, v_star)
+
+    def test_sixteen_zeros_not_one_per_row(self):
+        # Sixteen zeros in all passes the prefilter; the row test rejects.
+        counts = np.ones((16, 256), dtype=np.int64)
+        counts[np.arange(2, 16), 7] = 0
+        counts[0, [3, 9]] = 0  # row 0 two zeros, row 1 none
+        check_against_per_position_copies(counts, 0x5A)
+        state = PfaState()
+        state.counts = counts
+        assert np.count_nonzero(counts == 0) == 16 and not state.is_unique()
 
 
 class TestExpectedCurve:
@@ -278,3 +341,19 @@ class TestScheduleInversion:
     def test_length_validated(self):
         with pytest.raises(FaultError):
             invert_key_schedule_128(bytes(8))
+
+    @given(k10=st.binary(min_size=16, max_size=16))
+    @settings(max_examples=30, deadline=None)
+    def test_memo_matches_reference(self, k10):
+        expected = reference_invert_key_schedule_128(k10)
+        assert invert_key_schedule_128(k10) == expected
+        assert invert_key_schedule_128(bytearray(k10)) == expected  # a hit
+
+    def test_bad_length_makes_no_entry(self):
+        before = _invert_key_schedule_128.cache_info()
+        for length in (0, 15, 17):
+            with pytest.raises(FaultError, match="round key must be 16 bytes"):
+                invert_key_schedule_128(bytes(length))
+        after = _invert_key_schedule_128.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+        assert after.maxsize is not None

@@ -34,8 +34,9 @@ CIPHERS = ("aes", "aes_ttable")
 FAULT_INDEX = 0x42
 V_STAR = AES_SBOX[FAULT_INDEX]
 #: Machine seeds whose plaintext streams make the one-fault table's key
-#: unique after 7 batches (inside the first block) and after 9 (later).
-SEED_STOP_IN_FIRST_BLOCK = 18
+#: unique after 7 batches (inside the first block), per cipher, and after
+#: 9 (later) for both.
+SEED_STOP_IN_FIRST_BLOCK = {"aes": 18, "aes_ttable": 4}
 SEED_STOP_LATER = 0
 #: One line in one way: every table fetch misses, so each fetch reaches
 #: the controller and runs the events due on its "dram" queue.
@@ -103,7 +104,7 @@ def run_twins(cipher, seed, prepare, limits, cache=None):
 class TestAgainstPerBatchLoop:
     def test_stop_in_first_block(self, cipher):
         ((key, consumed),) = run_twins(
-            cipher, SEED_STOP_IN_FIRST_BLOCK, one_fault, [PFA_LIMIT]
+            cipher, SEED_STOP_IN_FIRST_BLOCK[cipher], one_fault, [PFA_LIMIT]
         )
         assert key is not None
         assert consumed == 7 * PFA_BATCH < PFA_FIRST_BLOCK * PFA_BATCH
@@ -134,7 +135,7 @@ class TestAgainstPerBatchLoop:
     def test_any_block_schedule(self, cipher, first, later, monkeypatch):
         monkeypatch.setattr(explframe, "PFA_FIRST_BLOCK", first)
         monkeypatch.setattr(explframe, "PFA_LATER_BLOCK", later)
-        for seed in (SEED_STOP_IN_FIRST_BLOCK, SEED_STOP_LATER):
+        for seed in (SEED_STOP_IN_FIRST_BLOCK[cipher], SEED_STOP_LATER):
             ((key, _),) = run_twins(cipher, seed, one_fault, [PFA_LIMIT])
             assert key is not None
 
