@@ -56,7 +56,10 @@ def package_version() -> str:
 
     Reads importlib metadata so an installed wheel reports its real
     version; from a source checkout (not installed) the module constant
-    is used.  Trace files record this as their producer version.
+    is used.  The metadata scan costs milliseconds and megabytes, so its
+    two callers resolve it only when the string is printed:
+    ``repro --version`` (the parser's version action) and the producer
+    of an ``attack --trace`` file (``repro.cli._emit_observability``).
     """
     try:
         from importlib.metadata import PackageNotFoundError, version

@@ -397,9 +397,35 @@ def cmd_template(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pfa_key(args: argparse.Namespace, sizes: tuple[int, ...]) -> bytes:
+    """``--key`` as bytes of one of ``sizes``, else the demo key of ``sizes[0]``.
+
+    A key that is not hex or not a size the cipher's PFA path takes is a
+    ConfigError (exit 2), not a traceback from deep inside the cipher.
+    """
+    from repro.sim.errors import ConfigError
+
+    if not args.key:
+        return bytes(range(sizes[0]))
+    try:
+        key = bytes.fromhex(args.key)
+    except ValueError:
+        raise ConfigError(f"--key must be hex, got {args.key!r}") from None
+    if len(key) not in sizes:
+        allowed = " or ".join(str(size) for size in sizes)
+        raise ConfigError(
+            f"--key for --cipher {args.cipher} must be {allowed} bytes, "
+            f"got {len(key)}"
+        )
+    return key
+
+
 def cmd_pfa(args: argparse.Namespace) -> int:
     """Run the offline PFA demo against a software-faulted cipher."""
     if args.cipher == "aes":
+        # The AES batch kernel is AES-128 only.
+        key = _pfa_key(args, (16,))
+
         import numpy as np
 
         from repro.ciphers.aes_tables import AES_SBOX
@@ -411,7 +437,6 @@ def cmd_pfa(args: argparse.Namespace) -> int:
             recover_k10_known_fault,
         )
 
-        key = bytes.fromhex(args.key) if args.key else bytes(range(16))
         faulty = apply_fault(AES_SBOX, FaultSpec(index=args.fault_index, bit=args.bit))
         rng = np.random.default_rng(args.seed)
         consumed, state = ciphertexts_to_unique_key(
@@ -430,7 +455,7 @@ def cmd_pfa(args: argparse.Namespace) -> int:
     from repro.ciphers.present import PRESENT_SBOX, Present
     from repro.pfa.pfa_present import ciphertexts_to_unique_k32, recover_k32_known_fault
 
-    key = bytes.fromhex(args.key) if args.key else bytes(range(10))
+    key = _pfa_key(args, (10, 16))
     table = bytearray(PRESENT_SBOX)
     table[args.fault_index & 0xF] ^= 1 << (args.bit & 0x3)
     cipher = Present(key, sbox_provider=lambda: bytes(table))
@@ -468,18 +493,35 @@ def cmd_procfs(args: argparse.Namespace) -> int:
     return 0
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that reads the package version only when parsed.
+
+    Prints what ``action="version"`` would, ``<prog> <version>``, but
+    calls :func:`repro.package_version` (an installed-metadata scan) at
+    parse time, so runs that never print it never pay for it.
+    """
+
+    def __init__(self, option_strings, dest, help=None):
+        super().__init__(
+            option_strings, dest, nargs=0, default=argparse.SUPPRESS, help=help
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from repro import package_version
+
+        print(f"{parser.prog} {package_version()}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser (one subcommand per entry point)."""
-    from repro import package_version
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ExplFrame reproduction: attacks and diagnostics on a simulated machine",
     )
     parser.add_argument(
         "--version",
-        action="version",
-        version=f"%(prog)s {package_version()}",
+        action=_VersionAction,
         help="print the package version and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)

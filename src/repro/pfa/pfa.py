@@ -16,9 +16,11 @@ which table byte her flip hits — so the known-fault recovery applies; the
 unknown-fault variant (enumerate ``v*`` and cross-check with the doubled
 value ``v'``) is implemented for completeness.
 
-Expected key-space shape: after N ciphertexts the number of values never
-seen at one position is ``1 + 255 * (254/255)^N`` in expectation, so the
-per-byte candidate count decays geometrically and reaches 1 at roughly
+Expected key-space shape: the faulty table's image holds 254 single values
+and one doubled value, so after N ciphertexts the number of values never
+seen at one position is ``1 + 254 * (255/256)^N + (254/256)^N`` in
+expectation (:func:`expected_remaining_candidates`).  The per-byte
+candidate count decays geometrically and reaches 1 at roughly
 N ~ 2000-2600 — the curve published by Zhang et al. that experiment T5
 reproduces.
 

@@ -1,13 +1,17 @@
 """CLI smoke tests (each command exercised through main())."""
 
 import json
-import re
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.attack.evictframe import EvictFrameConfig
 from repro.attack.explframe import ExplFrameConfig
 from repro.attack.registry import get_modality
+from repro import package_version
 from repro.cli import build_parser, main
 
 
@@ -29,9 +33,33 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
-        # Loose match: an installed wheel may report its own metadata
-        # version rather than the source tree's constant.
-        assert re.match(r"repro \d+\.\d+", capsys.readouterr().out)
+        # package_version(), not the source constant: an installed wheel
+        # reports its own metadata version.
+        captured = capsys.readouterr()
+        assert captured.out == f"repro {package_version()}\n"
+        assert captured.err == ""
+
+
+class TestStartup:
+    def test_attack_run_never_imports_packaging_metadata(self):
+        # The version string is resolved only when printed: a run that
+        # never prints it must not pay for the installed-metadata scan.
+        # A fresh interpreter, because pytest itself imports the module.
+        script = (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['attack', '--seed', '7', '--buffer-mib', '4', '--json'])\n"
+            "assert code == 0, code\n"
+            "print('importlib.metadata' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestAttackCommand:
@@ -100,6 +128,7 @@ class TestAttackCommand:
         doc = json.loads(trace.read_text())
         cats = {event.get("cat") for event in doc["traceEvents"]}
         assert {"dram", "mm", "os", "attack", "chaos"} <= cats
+        assert doc["otherData"]["producer"] == f"repro {package_version()}"
 
     def test_json_mode_keeps_stdout_clean(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -390,6 +419,24 @@ class TestPfaCommand:
     def test_present(self, capsys):
         assert main(["pfa", "--cipher", "present", "--seed", "3"]) == 0
         assert "correct:              True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--key", "zz"], "--key must be hex, got 'zz'"),
+            (["--key", "00"], "--key for --cipher aes must be 16 bytes, got 1"),
+            (
+                ["--cipher", "present", "--key", "00"],
+                "--key for --cipher present must be 10 or 16 bytes, got 1",
+            ),
+        ],
+        ids=["not-hex", "aes-not-16-bytes", "present-not-10-or-16-bytes"],
+    )
+    def test_bad_key_exits_two(self, capsys, argv, message):
+        assert main(["pfa", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: {message}\n"
 
 
 class TestTemplateCommand:
