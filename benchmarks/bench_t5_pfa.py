@@ -86,7 +86,6 @@ def test_t5_keyspace_reduction_curve(benchmark):
             lambda n: aes128_encrypt_batch(
                 random_plaintexts(n, trial_rng), KEY, FAULTY
             ),
-            V_STAR,
             batch=128,
         )
         needed.append(count)

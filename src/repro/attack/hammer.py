@@ -175,33 +175,3 @@ class Hammerer:
                 f"wanted {size}"
             )
         return group
-
-    def find_same_bank_pairs(
-        self,
-        base_va: int,
-        pages: int,
-        separation_bytes: int,
-        limit: int | None = None,
-    ) -> list[tuple[int, int]]:
-        """Scan the buffer for same-bank address pairs at a fixed separation.
-
-        Walks candidate pairs ``(va, va + separation_bytes)`` page-row by
-        page-row and keeps those whose timing shows a row conflict.  With a
-        typical row stride and a mostly physically-contiguous buffer most
-        candidates qualify; the probe weeds out the boundary cases where
-        the buddy allocator broke contiguity.
-        """
-        if separation_bytes <= 0 or separation_bytes % PAGE_SIZE:
-            raise ConfigError(
-                f"separation must be a positive page multiple, got {separation_bytes}"
-            )
-        pairs: list[tuple[int, int]] = []
-        span = pages * PAGE_SIZE
-        for offset in range(0, span - separation_bytes, separation_bytes):
-            va_a = base_va + offset
-            va_b = va_a + separation_bytes
-            if self.is_same_bank_pair(va_a, va_b):
-                pairs.append((va_a, va_b))
-                if limit is not None and len(pairs) >= limit:
-                    break
-        return pairs

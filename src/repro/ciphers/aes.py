@@ -230,11 +230,3 @@ class AES:
             state = [unmixed[INV_SHIFT_ROWS_PERM[i]] for i in range(16)]
             state = [AES_INV_SBOX[b] for b in state]
         return bytes(b ^ k for b, k in zip(state, self.round_keys[0]))
-
-    def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
-        """Encrypt a list of blocks, fetching the S-box once per block.
-
-        Each fetch goes to the provider; only the derived T-tables are
-        reused, and only while the fetched bytes are unchanged.
-        """
-        return [self.encrypt_block(p) for p in plaintexts]

@@ -97,11 +97,3 @@ class AesTTable:
         if len(sbox) != 256:
             raise ValueError(f"S-box must be 256 bytes, got {len(sbox)}")
         return encrypt_rounds(plaintext, self.round_key_words, te, sbox)
-
-    def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
-        """Encrypt a list of blocks, fetching both tables once per block.
-
-        Each fetch goes to the providers; only the decoded Te words are
-        reused, and only while the fetched bytes are unchanged.
-        """
-        return [self.encrypt_block(p) for p in plaintexts]

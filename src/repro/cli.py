@@ -422,6 +422,7 @@ def _pfa_key(args: argparse.Namespace, sizes: tuple[int, ...]) -> bytes:
 
 def cmd_pfa(args: argparse.Namespace) -> int:
     """Run the offline PFA demo against a software-faulted cipher."""
+    bit = 3 if args.bit is None else args.bit
     if args.cipher == "aes":
         # The AES batch kernel is AES-128 only.
         key = _pfa_key(args, (16,))
@@ -437,13 +438,13 @@ def cmd_pfa(args: argparse.Namespace) -> int:
             recover_k10_known_fault,
         )
 
-        faulty = apply_fault(AES_SBOX, FaultSpec(index=args.fault_index, bit=args.bit))
+        index = 0x42 if args.fault_index is None else args.fault_index
+        faulty = apply_fault(AES_SBOX, FaultSpec(index=index, bit=bit))
         rng = np.random.default_rng(args.seed)
         consumed, state = ciphertexts_to_unique_key(
-            lambda n: aes128_encrypt_batch(random_plaintexts(n, rng), key, faulty),
-            AES_SBOX[args.fault_index],
+            lambda n: aes128_encrypt_batch(random_plaintexts(n, rng), key, faulty)
         )
-        k10 = bytes(c[0] for c in recover_k10_known_fault(state, AES_SBOX[args.fault_index]))
+        k10 = bytes(c[0] for c in recover_k10_known_fault(state, AES_SBOX[index]))
         master = invert_key_schedule_128(k10)
         print(f"ciphertexts consumed: {consumed}")
         print(f"recovered master key: {master.hex()}")
@@ -454,15 +455,23 @@ def cmd_pfa(args: argparse.Namespace) -> int:
 
     from repro.ciphers.present import PRESENT_SBOX, Present
     from repro.pfa.pfa_present import ciphertexts_to_unique_k32, recover_k32_known_fault
+    from repro.sim.errors import ConfigError
 
     key = _pfa_key(args, (10, 16))
+    index = 2 if args.fault_index is None else args.fault_index
+    if not 0 <= index <= 0xF:
+        raise ConfigError(
+            f"--fault-index for --cipher present must be in [0, 15], got {index}"
+        )
+    if not 0 <= bit <= 3:
+        raise ConfigError(f"--bit for --cipher present must be in [0, 3], got {bit}")
     table = bytearray(PRESENT_SBOX)
-    table[args.fault_index & 0xF] ^= 1 << (args.bit & 0x3)
+    table[index] ^= 1 << bit
     cipher = Present(key, sbox_provider=lambda: bytes(table))
     rng = pyrandom.Random(args.seed)
     pts = [bytes(rng.randrange(256) for _ in range(8)) for _ in range(2000)]
     consumed, state = ciphertexts_to_unique_k32(cipher.encrypt_block, lambda i: pts[i])
-    k32 = recover_k32_known_fault(state, PRESENT_SBOX[args.fault_index & 0xF])
+    k32 = recover_k32_known_fault(state, PRESENT_SBOX[index])
     truth = Present(key).round_keys[31]
     print(f"ciphertexts consumed: {consumed}")
     print(f"recovered K32:        {k32:016x}")
@@ -661,8 +670,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(pfa)
     pfa.add_argument("--cipher", choices=["aes", "present"], default="aes")
     pfa.add_argument("--key", default=None, help="hex key (default: fixed demo key)")
-    pfa.add_argument("--fault-index", type=int, default=0x42)
-    pfa.add_argument("--bit", type=int, default=3)
+    pfa.add_argument(
+        "--fault-index",
+        type=int,
+        default=None,
+        help="S-box entry to fault (default: 0x42 for aes, 2 for present)",
+    )
+    pfa.add_argument(
+        "--bit", type=int, default=None, help="bit of that entry to flip (default: 3)"
+    )
     pfa.set_defaults(func=cmd_pfa)
 
     proc = sub.add_parser("procfs", help="render /proc-style machine views")

@@ -67,10 +67,6 @@ class EccState:
         """The ECC word containing physical byte ``phys``."""
         return phys // self.config.word_bytes
 
-    def is_word_uncorrectable(self, phys: int) -> bool:
-        """True once the word's data has escaped correction."""
-        return self.word_index(phys) in self._uncorrectable_words
-
     def register_flip(self, phys: int, bit: int) -> list[tuple[int, int]]:
         """Account a disturbance flip at (``phys``, ``bit``).
 

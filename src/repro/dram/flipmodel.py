@@ -236,18 +236,3 @@ class WeakCellMap:
             cells.append(WeakCell(bit_index=int(bit), threshold=threshold, true_cell=bool(is_true)))
         cells.sort(key=lambda c: c.bit_index)
         return tuple(cells)
-
-    def weakest_threshold_in_row(self, flat_bank: int, row: int) -> int | None:
-        """Lowest flip threshold present in the row, or None if no weak cell."""
-        cells = self.cells_in_row(flat_bank, row)
-        if not cells:
-            return None
-        return min(c.threshold for c in cells)
-
-    def count_weak_cells(self, flat_bank: int, row_start: int, row_end: int) -> int:
-        """Total weak cells over ``[row_start, row_end)`` of one bank."""
-        if row_start > row_end:
-            raise ConfigError(f"row range [{row_start}, {row_end}) is inverted")
-        return sum(
-            len(self.cells_in_row(flat_bank, row)) for row in range(row_start, row_end)
-        )

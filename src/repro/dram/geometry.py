@@ -96,16 +96,6 @@ class DRAMGeometry:
         self.validate_bank(channel, rank, bank)
         return (channel * self.ranks_per_channel + rank) * self.banks_per_rank + bank
 
-    def unflatten_bank_index(self, flat: int) -> tuple[int, int, int]:
-        """Inverse of :meth:`flat_bank_index`."""
-        if not 0 <= flat < self.total_banks:
-            raise ConfigError(f"flat bank index {flat} out of range [0, {self.total_banks})")
-        bank = flat % self.banks_per_rank
-        rest = flat // self.banks_per_rank
-        rank = rest % self.ranks_per_channel
-        channel = rest // self.ranks_per_channel
-        return channel, rank, bank
-
     def validate_bank(self, channel: int, rank: int, bank: int) -> None:
         """Raise :class:`ConfigError` unless the bank coordinate exists."""
         if not 0 <= channel < self.channels:

@@ -275,17 +275,6 @@ class PhysicalMemory:
             values[mask] = frame.data[offsets[mask]]
         return ((values >> bits) & 1).astype(np.uint8)
 
-    def set_bit(self, addr: int, bit: int, value: int) -> None:
-        """Set bit ``bit`` of the byte at ``addr`` to ``value`` (0 or 1)."""
-        if value not in (0, 1):
-            raise ConfigError(f"bit value must be 0 or 1, got {value}")
-        byte = self.read_byte(addr)
-        if value:
-            byte |= 1 << bit
-        else:
-            byte &= ~(1 << bit)
-        self.write_byte(addr, byte)
-
     def flip_bit(self, addr: int, bit: int) -> int:
         """XOR bit ``bit`` of the byte at ``addr``; returns the new bit value."""
         byte = self.read_byte(addr) ^ (1 << bit)
@@ -310,17 +299,6 @@ class PhysicalMemory:
             frame[offset] &= np.uint8(0xFF ^ (1 << bit))
 
     # -- frame helpers ----------------------------------------------------------
-
-    def fill_frame(self, pfn: int, pattern: int) -> None:
-        """Fill frame ``pfn`` with a repeated byte ``pattern``."""
-        if not 0 <= pattern <= 0xFF:
-            raise ConfigError(f"pattern byte {pattern} out of range")
-        self.check_range(pfn << PAGE_SHIFT, PAGE_SIZE)
-        self._notify(pfn << PAGE_SHIFT, PAGE_SIZE)
-        old = self._frames.get(pfn)
-        if old is not None:
-            old.refs -= 1
-        self._frames[pfn] = _Frame(np.full(PAGE_SIZE, pattern, dtype=np.uint8))
 
     def clear_frame(self, pfn: int) -> None:
         """Reset frame ``pfn`` to zeros and drop its backing storage."""

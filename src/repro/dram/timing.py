@@ -53,16 +53,6 @@ class DRAMTiming:
         return cls(t_rc_ns=47, t_refw_ns=64 * MS, t_cas_ns=14)
 
     @classmethod
-    def ddr4_2400(cls) -> "DRAMTiming":
-        """DDR4-2400 with the same 64 ms refresh window."""
-        return cls(t_rc_ns=45, t_refw_ns=64 * MS, t_cas_ns=13)
-
-    @classmethod
-    def fast_refresh_2x(cls) -> "DRAMTiming":
-        """A 2x refresh-rate mitigation profile (32 ms window)."""
-        return cls.fast_refresh(2)
-
-    @classmethod
     def fast_refresh(cls, factor: int) -> "DRAMTiming":
         """An Nx refresh-rate mitigation profile (64/N ms window).
 

@@ -215,24 +215,6 @@ class ZonedPageFrameAllocator:
         )
         return pfn
 
-    def alloc_page(
-        self,
-        cpu: int,
-        owner_pid: int | None = None,
-        preferred_zone: ZoneType = ZoneType.NORMAL,
-        use_pcp: bool = True,
-    ) -> int:
-        """Convenience order-0 allocation (the common demand-paging case)."""
-        return self.alloc_pages(
-            AllocationRequest(
-                order=0,
-                cpu=cpu,
-                owner_pid=owner_pid,
-                preferred_zone=preferred_zone,
-                use_pcp=use_pcp,
-            )
-        )
-
     # -- free ------------------------------------------------------------------
 
     def free_pages(self, pfn: int, order: int, cpu: int, use_pcp: bool = True) -> None:

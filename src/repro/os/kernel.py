@@ -877,10 +877,6 @@ class Kernel:
 
     # -- helpers used by experiments ---------------------------------------------
 
-    def frame_owner(self, pfn: int) -> int | None:
-        """Pid currently holding frame ``pfn`` (None if free/kernel)."""
-        return self.allocator.zone_of_pfn(pfn).buddy.frames[pfn].owner_pid
-
     def churn(self, pid: int, pages: int) -> None:
         """Background memory activity: map, touch and release ``pages`` pages.
 

@@ -117,11 +117,6 @@ class Scheduler:
         self._check_cpu(cpu)
         return len(self._cpu_tasks[cpu])
 
-    def tasks_on(self, cpu: int) -> list[int]:
-        """Pids currently resident on ``cpu``."""
-        self._check_cpu(cpu)
-        return list(self._cpu_tasks[cpu])
-
     def co_resident(self, a: Task, b: Task) -> bool:
         """True if two tasks share a CPU — the attack's precondition."""
         return a.cpu == b.cpu and a.is_running and b.is_running

@@ -11,19 +11,17 @@ same plaintext and a transient fault, requirements the persistent model
 removes.
 
 :mod:`repro.pfa.keyrank` aggregates per-byte candidate sets into key-space
-sizes and exact enumeration when feasible.
+sizes and reads off the key once one candidate is left per byte.
 """
 
 from repro.pfa.dfa import collect_dfa_pairs, giraud_dfa
-from repro.pfa.keyrank import KeyCandidates, enumerate_keys, log2_keyspace
+from repro.pfa.keyrank import KeyCandidates
 from repro.pfa.pfa import (
     PfaState,
-    disambiguate_with_known_pair,
     expected_remaining_candidates,
     invert_key_schedule_128,
     recover_k10_known_fault,
     recover_k10_known_faults,
-    recover_k10_unknown_fault,
     refine_with_doubled_values,
     saturated_for_faults,
 )
@@ -44,15 +42,11 @@ __all__ = [
     "recover_k32_known_fault",
     "recover_present80_key",
     "collect_dfa_pairs",
-    "disambiguate_with_known_pair",
-    "enumerate_keys",
     "expected_remaining_candidates",
     "giraud_dfa",
     "invert_key_schedule_128",
-    "log2_keyspace",
     "recover_k10_known_fault",
     "recover_k10_known_faults",
-    "recover_k10_unknown_fault",
     "refine_with_doubled_values",
     "saturated_for_faults",
 ]

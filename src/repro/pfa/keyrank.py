@@ -1,8 +1,7 @@
-"""Key-space accounting and enumeration over per-byte candidate sets."""
+"""Key-space accounting over per-byte candidate sets."""
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from repro.sim.errors import FaultError
@@ -45,35 +44,3 @@ class KeyCandidates:
                 f"({self.log2_keyspace:.1f} bits) remain"
             )
         return bytes(values[0] for values in self.per_byte)
-
-    def __iter__(self):
-        """Iterate candidate keys (most useful once the space is small)."""
-        for combo in itertools.product(*self.per_byte):
-            yield bytes(combo)
-
-
-def log2_keyspace(per_byte: list[list[int]]) -> float:
-    """Shorthand: bits of key space in a candidate structure."""
-    return KeyCandidates(per_byte).log2_keyspace
-
-
-def enumerate_keys(
-    candidates: KeyCandidates,
-    check,
-    limit: int = 1 << 20,
-) -> bytes | None:
-    """Search the candidate space for the key accepted by ``check``.
-
-    ``check(key) -> bool`` typically verifies a known plaintext/ciphertext
-    pair.  Refuses spaces larger than ``limit`` (the caller should gather
-    more data instead of brute-forcing).
-    """
-    if candidates.keyspace > limit:
-        raise FaultError(
-            f"candidate space 2^{candidates.log2_keyspace:.1f} exceeds "
-            f"enumeration limit 2^{math.log2(limit):.0f}"
-        )
-    for key in candidates:
-        if check(key):
-            return key
-    return None

@@ -11,10 +11,9 @@ byte ``x``, so:
 
 Collect N faulty ciphertexts, per position count byte values, and the key
 byte falls out of the missing value: ``K10[i] = missing_i ^ v*``.  The
-attacker in ExplFrame *knows* ``v*`` — she templated the page and knows
-which table byte her flip hits — so the known-fault recovery applies; the
-unknown-fault variant (enumerate ``v*`` and cross-check with the doubled
-value ``v'``) is implemented for completeness.
+attacker in ExplFrame knows ``v*``: it templated the page and knows which
+table byte the flip hits, so the known-fault recovery applies and no key
+enumeration is needed.
 
 Expected key-space shape: the faulty table's image holds 254 single values
 and one doubled value, so after N ciphertexts the number of values never
@@ -138,7 +137,7 @@ def recover_k10_known_fault(state: PfaState, v_star: int) -> list[list[int]]:
     """Candidate last-round-key bytes per position, knowing ``v*``.
 
     ``v*`` is the clean value of the corrupted S-box entry — known to the
-    ExplFrame attacker from her flip template.  Returns, per position, the
+    ExplFrame attacker from its flip template.  Returns, per position, the
     list of candidate key bytes ``missing ^ v*`` (singleton once enough
     ciphertexts have been absorbed).
     """
@@ -197,7 +196,7 @@ def refine_with_doubled_values(
     The missing-set relation alone leaves a ``v_i* XOR v_j*`` degeneracy
     when several entries are corrupted.  But each faulty value ``v'``
     appears with *double* frequency at ``v' ^ k``, and the attacker knows
-    the ``v'`` values (she chose the flips).  Candidates are ranked by the
+    the ``v'`` values (it chose the flips).  Candidates are ranked by the
     *smallest* count among their ``{v' ^ k}`` cells — the correct key's
     worst cell is Poisson(2N/256) against Poisson(N/256) for impostors —
     and only the top-ranked candidates (ties kept) survive.  Needs enough
@@ -227,54 +226,6 @@ def saturated_for_faults(state: PfaState, t: int) -> bool:
     if t <= 0:
         raise FaultError(f"fault count must be positive, got {t}")
     return all(remaining == t for remaining in state.missing_counts())
-
-
-def recover_k10_unknown_fault(state: PfaState) -> list[tuple[int, bytes]]:
-    """Candidate (v*, K10) pairs without knowing the fault value.
-
-    Without knowledge of ``v*`` the per-position statistics carry an
-    inherent 256-fold degeneracy: XORing every key byte and ``v*`` with
-    the same constant leaves the observable distribution unchanged.  The
-    analysis therefore reduces the key space to 8 bits (256 candidates,
-    one per ``v*`` guess), exactly as Zhang et al. report for the
-    unknown-fault setting; a single known plaintext/ciphertext pair
-    disambiguates (:func:`disambiguate_with_known_pair`).
-
-    Needs every position saturated (one missing value each); raises
-    otherwise.
-    """
-    if not state.is_unique():
-        raise FaultError(
-            "unknown-fault recovery needs exactly one missing value per "
-            "position; collect more ciphertexts"
-        )
-    missing = [state.missing_values(position)[0] for position in range(16)]
-    return [
-        (v_star, bytes(m ^ v_star for m in missing)) for v_star in range(256)
-    ]
-
-
-def disambiguate_with_known_pair(
-    survivors: list[tuple[int, bytes]],
-    plaintext: bytes,
-    ciphertext: bytes,
-) -> tuple[int, bytes] | None:
-    """Pick the (v*, K10) candidate matching one known clean pair.
-
-    The pair must come from the *unfaulted* cipher (e.g. captured before
-    the attack); each candidate round key is inverted to a master key and
-    test-encrypted.
-    """
-    from repro.ciphers.aes import AES  # local import to avoid a cycle
-
-    for v_star, k10 in survivors:
-        try:
-            master = invert_key_schedule_128(k10)
-        except FaultError:
-            continue
-        if AES(master).encrypt_block(plaintext) == ciphertext:
-            return v_star, k10
-    return None
 
 
 def invert_key_schedule_128(k10: bytes) -> bytes:
@@ -312,7 +263,6 @@ def _invert_key_schedule_128(k10: bytes) -> bytes:
 
 def ciphertexts_to_unique_key(
     encrypt_batch,
-    v_star: int,
     batch: int = 256,
     limit: int = 20_000,
 ) -> tuple[int, PfaState]:
@@ -323,7 +273,6 @@ def ciphertexts_to_unique_key(
     :class:`FaultError` if ``limit`` is reached first — which, on a
     correctly faulted cipher, indicates the fault is not in the live path.
     """
-    del v_star  # uniqueness is a property of the missing sets alone
     state = PfaState()
     while state.total < limit:
         state.update(encrypt_batch(batch))

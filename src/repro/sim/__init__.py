@@ -21,7 +21,6 @@ from repro.sim.chaos import (
 from repro.sim.clock import SimClock
 from repro.sim.errors import (
     AllocationError,
-    CapabilityError,
     ConfigError,
     FaultError,
     OutOfMemoryError,
@@ -48,7 +47,6 @@ from repro.sim.units import (
 __all__ = [
     "AllocationError",
     "CHAOS_PROFILES",
-    "CapabilityError",
     "ChaosEngine",
     "ChaosEvent",
     "ChaosPlan",

@@ -258,13 +258,6 @@ class ChaosPlan:
         """True for the empty (no-adversity) plan."""
         return not self.events
 
-    def describe(self) -> list[str]:
-        """One line per event, in firing-priority order."""
-        return [
-            f"{type(event).__name__}(hook={event.hook}, skip={event.skip}, times={event.times})"
-            for event in self.events
-        ]
-
 
 # Named profiles the CLI and benchmarks expose.  Each is deterministic;
 # ``intensity`` scales how much adversity it injects.

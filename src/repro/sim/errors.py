@@ -38,10 +38,6 @@ class SegmentationFault(ReproError):
         self.pid = pid
 
 
-class CapabilityError(ReproError):
-    """A privileged operation was attempted without the required capability."""
-
-
 class WorkerLostError(ReproError):
     """A pool worker process died while running a campaign attempt.
 

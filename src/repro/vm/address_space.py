@@ -135,13 +135,6 @@ class AddressSpace:
         """PFNs of every resident page, in VA order."""
         return [entry.pfn for _, entry in self.page_table.walk()]
 
-    def mapped_va_of_pfn(self, pfn: int) -> int | None:
-        """Reverse lookup: the VA mapping ``pfn``, or None."""
-        for va, entry in self.page_table.walk():
-            if entry.pfn == pfn:
-                return va
-        return None
-
     def __repr__(self) -> str:
         return (
             f"AddressSpace(vmas={len(self._vmas)}, "

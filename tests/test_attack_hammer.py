@@ -115,7 +115,3 @@ class TestHammering:
         assert machine.controller.total_activations() == activations
         assert hammerer.total_rounds == 0
 
-    def test_find_same_bank_pairs_validates_separation(self, setup):
-        _, _, _, hammerer = setup
-        with pytest.raises(ConfigError):
-            hammerer.find_same_bank_pairs(0, 10, separation_bytes=100)

@@ -98,11 +98,6 @@ class TestRoundTrips:
         aes = AES(key)
         assert aes.decrypt_block(aes.encrypt_block(pt)) == pt
 
-    def test_encrypt_many(self):
-        aes = AES(KEY128)
-        blocks = [bytes([i]) * 16 for i in range(4)]
-        assert aes.encrypt_many(blocks) == [aes.encrypt_block(b) for b in blocks]
-
 
 class TestValidation:
     def test_bad_key_size(self):
@@ -181,8 +176,8 @@ class TestFaultySbox:
             return AES_SBOX
 
         ctx = AesTTable(KEY128, te_provider=te_provider, sbox_provider=sbox_provider)
-        ctx.encrypt_block(PT)
-        ctx.encrypt_many([PT, PT])
+        for _ in range(3):
+            ctx.encrypt_block(PT)
         assert len(te_calls) == len(sbox_calls) == 3
 
 

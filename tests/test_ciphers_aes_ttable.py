@@ -38,11 +38,6 @@ class TestCorrectness:
         te1 = int.from_bytes(AES_TE_TABLES[1024:1028], "big")
         assert te1 == ((te0 >> 8) | ((te0 & 0xFF) << 24)) & 0xFFFFFFFF
 
-    def test_encrypt_many(self):
-        ctx = AesTTable(KEY)
-        blocks = [bytes([i]) * 16 for i in range(3)]
-        assert ctx.encrypt_many(blocks) == [ctx.encrypt_block(b) for b in blocks]
-
 
 class TestValidation:
     def test_key_size(self):

@@ -438,6 +438,23 @@ class TestPfaCommand:
         assert captured.out == ""
         assert captured.err == f"repro: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--fault-index", "300"],
+                "--fault-index for --cipher present must be in [0, 15], got 300",
+            ),
+            (["--bit", "9"], "--bit for --cipher present must be in [0, 3], got 9"),
+        ],
+        ids=["fault-index-past-16-entries", "bit-past-4-bits"],
+    )
+    def test_bad_present_fault_exits_two(self, capsys, argv, message):
+        assert main(["pfa", "--cipher", "present", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: {message}\n"
+
 
 class TestTemplateCommand:
     def test_survey(self, capsys):

@@ -46,7 +46,7 @@ def arm_row(controller, bank, row, pattern=0xFF):
     """Fill every frame of a row so its true cells are armed."""
     base = controller.mapping.row_base_phys(0, 0, bank, row)
     for offset in range(0, GEO.row_bytes, PAGE_SIZE):
-        controller.memory.fill_frame((base + offset) >> 12, pattern)
+        controller.memory.write(base + offset, bytes([pattern]) * PAGE_SIZE)
 
 
 class TestAccessPath:
@@ -159,9 +159,10 @@ class TestFlips:
         assert first.flips
         # Repair the flipped bits, then hammer again: same cells flip.
         for event in first.flips:
-            controller.memory.set_bit(
-                event.phys_addr, event.bit_in_byte, 1 if event.direction_1_to_0 else 0
-            )
+            byte = controller.memory.read_byte(event.phys_addr)
+            mask = 1 << event.bit_in_byte
+            repaired = byte | mask if event.direction_1_to_0 else byte & ~mask
+            controller.memory.write_byte(event.phys_addr, repaired)
         second = controller.hammer(same_bank_pair(controller), 600_000)
         key = lambda e: (e.phys_addr, e.bit_in_byte)
         assert {key(e) for e in first.flips} == {key(e) for e in second.flips}
@@ -215,7 +216,7 @@ class TestFlips:
     def test_double_refresh_rate_suppresses_flips(self):
         """The 2x-refresh mitigation halves the per-window budget."""
         slow = make_controller()
-        fast = make_controller(timing=DRAMTiming.fast_refresh_2x())
+        fast = make_controller(timing=DRAMTiming.fast_refresh(2))
         for c in (slow, fast):
             for row in (98, 100, 102):
                 arm_row(c, 0, row, pattern=0xFF)

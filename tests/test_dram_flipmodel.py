@@ -14,6 +14,11 @@ def make_map(config=None, seed=0):
     return WeakCellMap(GEO, config or FlipModelConfig(), RngStreams(seed))
 
 
+def weak_cells_in_bank0(cell_map, rows):
+    """Weak cells over the first ``rows`` rows of bank 0."""
+    return sum(len(cell_map.cells_in_row(0, row)) for row in range(rows))
+
+
 class TestWeakCell:
     def test_byte_and_bit_decomposition(self):
         cell = WeakCell(bit_index=0x123 * 8 + 5, threshold=100_000, true_cell=True)
@@ -49,29 +54,27 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         config = FlipModelConfig(weak_cells_per_row_mean=5.0)
-        total_a = make_map(config, seed=1).count_weak_cells(0, 0, 50)
         cells_a = [make_map(config, seed=1).cells_in_row(0, r) for r in range(50)]
         cells_b = [make_map(config, seed=2).cells_in_row(0, r) for r in range(50)]
         assert cells_a != cells_b
-        assert total_a == sum(len(c) for c in cells_a)
 
 
 class TestDensity:
     def test_invulnerable_has_no_cells(self):
         cell_map = make_map(FlipModelConfig.invulnerable())
-        assert cell_map.count_weak_cells(0, 0, 200) == 0
+        assert weak_cells_in_bank0(cell_map, 200) == 0
 
     def test_density_scales(self):
         sparse = make_map(FlipModelConfig(weak_cells_per_row_mean=0.05), seed=3)
         dense = make_map(FlipModelConfig(weak_cells_per_row_mean=2.0), seed=3)
         rows = GEO.rows_per_bank
-        assert dense.count_weak_cells(0, 0, rows) > sparse.count_weak_cells(0, 0, rows)
+        assert weak_cells_in_bank0(dense, rows) > weak_cells_in_bank0(sparse, rows)
 
     def test_poisson_mean_roughly_matches(self):
         mean = 1.0
         cell_map = make_map(FlipModelConfig(weak_cells_per_row_mean=mean), seed=4)
         rows = GEO.rows_per_bank
-        count = cell_map.count_weak_cells(0, 0, rows)
+        count = weak_cells_in_bank0(cell_map, rows)
         assert 0.7 * mean * rows < count < 1.3 * mean * rows
 
 
@@ -88,16 +91,6 @@ class TestThresholds:
         for row in range(100):
             for cell in cell_map.cells_in_row(0, row):
                 assert 60_000 <= cell.threshold <= 200_000
-
-    def test_weakest_threshold(self):
-        cell_map = make_map(FlipModelConfig(weak_cells_per_row_mean=3.0), seed=6)
-        for row in range(50):
-            cells = cell_map.cells_in_row(0, row)
-            weakest = cell_map.weakest_threshold_in_row(0, row)
-            if cells:
-                assert weakest == min(c.threshold for c in cells)
-            else:
-                assert weakest is None
 
     def test_cells_sorted_by_bit_index(self):
         cell_map = make_map(FlipModelConfig(weak_cells_per_row_mean=4.0), seed=7)
@@ -131,10 +124,6 @@ class TestValidation:
             cell_map.cells_in_row(GEO.total_banks, 0)
         with pytest.raises(ConfigError):
             cell_map.cells_in_row(0, GEO.rows_per_bank)
-
-    def test_inverted_count_range(self):
-        with pytest.raises(ConfigError):
-            make_map().count_weak_cells(0, 10, 5)
 
 
 class TestRowPopulation:

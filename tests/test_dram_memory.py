@@ -74,14 +74,9 @@ class TestReadWrite:
 
 class TestBitOps:
     def test_get_set(self, mem):
-        mem.set_bit(10, 3, 1)
+        mem.write_byte(10, 0x08)
         assert mem.get_bit(10, 3) == 1
-        assert mem.read_byte(10) == 0x08
-
-    def test_set_zero(self, mem):
-        mem.write_byte(10, 0xFF)
-        mem.set_bit(10, 0, 0)
-        assert mem.read_byte(10) == 0xFE
+        assert mem.get_bit(10, 2) == 0
 
     def test_flip(self, mem):
         assert mem.flip_bit(20, 7) == 1
@@ -92,19 +87,9 @@ class TestBitOps:
     def test_bit_index_validated(self, mem):
         with pytest.raises(ConfigError):
             mem.get_bit(0, 8)
-        with pytest.raises(ConfigError):
-            mem.set_bit(0, 3, 2)
 
 
 class TestFrames:
-    def test_fill_frame(self, mem):
-        mem.fill_frame(2, 0xAA)
-        assert mem.read(2 * PAGE_SIZE, PAGE_SIZE) == bytes([0xAA]) * PAGE_SIZE
-
-    def test_fill_pattern_validated(self, mem):
-        with pytest.raises(ConfigError):
-            mem.fill_frame(0, 300)
-
     def test_snapshot_is_immutable_copy(self, mem):
         mem.write_byte(0, 1)
         snap = mem.frame_snapshot(0)
@@ -170,7 +155,7 @@ class TestCopyOnWrite:
     def test_pack_unpack_round_trip_of_partial_store(self):
         a = PhysicalMemory(16 * PAGE_SIZE)
         a.write(3 * PAGE_SIZE, b"alpha")
-        a.fill_frame(7, 0xAB)
+        a.write(7 * PAGE_SIZE, bytes([0xAB]) * PAGE_SIZE)
         pfns, payload = PhysicalMemory.pack_frames(a._frames)
         b = PhysicalMemory(16 * PAGE_SIZE)
         b._frames = PhysicalMemory.unpack_frames(pfns, payload)

@@ -62,13 +62,13 @@ class TestNode:
 class TestAllocatorFastPath:
     def test_order0_goes_through_pcp(self):
         alloc = make_allocator()
-        alloc.alloc_page(cpu=0)
+        alloc.alloc_pages(AllocationRequest(order=0, cpu=0))
         assert alloc.pcp_allocs == 1
         assert alloc.buddy_allocs == 0
 
     def test_order0_prefers_normal_zone(self):
         alloc = make_allocator()
-        pfn = alloc.alloc_page(cpu=0)
+        pfn = alloc.alloc_pages(AllocationRequest(order=0, cpu=0))
         assert alloc.node.zone_of_pfn(pfn).zone_type is ZoneType.NORMAL
 
     def test_bypass_pcp(self):
@@ -84,14 +84,14 @@ class TestAllocatorFastPath:
 
     def test_owner_tracking(self):
         alloc = make_allocator()
-        pfn = alloc.alloc_page(cpu=0, owner_pid=4242)
+        pfn = alloc.alloc_pages(AllocationRequest(order=0, cpu=0, owner_pid=4242))
         frame = alloc.node.zone_of_pfn(pfn).buddy.frames[pfn]
         assert frame.owner_pid == 4242
 
     def test_stamps_monotonic(self):
         alloc = make_allocator()
-        a = alloc.alloc_page(cpu=0)
-        b = alloc.alloc_page(cpu=0)
+        a = alloc.alloc_pages(AllocationRequest(order=0, cpu=0))
+        b = alloc.alloc_pages(AllocationRequest(order=0, cpu=0))
         frames = alloc.node.zone(ZoneType.NORMAL).buddy.frames
         assert frames[b].alloc_stamp > frames[a].alloc_stamp
 
@@ -120,14 +120,14 @@ class TestFallback:
 class TestFree:
     def test_order0_free_to_pcp(self):
         alloc = make_allocator()
-        pfn = alloc.alloc_page(cpu=0)
+        pfn = alloc.alloc_pages(AllocationRequest(order=0, cpu=0))
         alloc.free_pages(pfn, 0, cpu=0)
         zone = alloc.node.zone_of_pfn(pfn)
         assert zone.pcp(0).holds(pfn)
 
     def test_order0_free_bypass(self):
         alloc = make_allocator()
-        pfn = alloc.alloc_page(cpu=0)
+        pfn = alloc.alloc_pages(AllocationRequest(order=0, cpu=0))
         alloc.free_pages(pfn, 0, cpu=0, use_pcp=False)
         zone = alloc.node.zone_of_pfn(pfn)
         assert not zone.pcp(0).holds(pfn)
@@ -141,7 +141,7 @@ class TestFree:
 
     def test_drain_cpu_caches(self):
         alloc = make_allocator()
-        pfn = alloc.alloc_page(cpu=1)
+        pfn = alloc.alloc_pages(AllocationRequest(order=0, cpu=1))
         alloc.free_pages(pfn, 0, cpu=1)
         moved = alloc.drain_cpu_caches(1)
         assert moved > 0
@@ -161,7 +161,7 @@ class TestKswapdIntegration:
 
     def test_stats_shape(self):
         alloc = make_allocator()
-        alloc.alloc_page(cpu=0)
+        alloc.alloc_pages(AllocationRequest(order=0, cpu=0))
         stats = alloc.stats()
         for key in (
             "pcp_allocs",

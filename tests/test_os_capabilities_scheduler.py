@@ -84,7 +84,6 @@ class TestScheduler:
         sched = self.make()
         sched.place(self.make_task(101, cpu=1))
         assert sched.load(1) == 1
-        assert sched.tasks_on(1) == [101]
 
     def test_double_place_rejected(self):
         sched = self.make()

@@ -114,7 +114,8 @@ class TestMunmapToPcp:
     def test_frame_owner_tracking(self, kernel, task):
         va = kernel.sys_mmap(task.pid, PAGE_SIZE)
         kernel.mem_write(task.pid, va, b"x")
-        assert kernel.frame_owner(kernel.pfn_of(task.pid, va)) == task.pid
+        pfn = kernel.pfn_of(task.pid, va)
+        assert kernel.allocator.zone_of_pfn(pfn).buddy.frames[pfn].owner_pid == task.pid
 
 
 class TestSleepDrain:

@@ -304,16 +304,19 @@ class TestWorkerLoss:
     def test_exhausted_retry_budget_raises_with_journal_intact(
         self, tmp_path, monkeypatch
     ):
-        # A fuse that re-arms forever: crash_index dies on every try —
-        # but slowly, so attempt 0's result lands (and is journaled)
-        # before the pool breaks.
+        # A fuse that re-arms forever: crash_index dies on every try, but
+        # only once attempt 0's record is in the journal, so the failed
+        # run must leave that record behind.
         fuse = tmp_path / "fuse"
         fuse.touch()
 
         class AlwaysCrashing(CrashingCampaign):
             def _run_attempt(self, snapshot, index):
                 if index == self.crash_index:
-                    time.sleep(3)
+                    deadline = time.monotonic() + 120
+                    while 0 not in scan_journal(self.journal_path)[0]:
+                        assert time.monotonic() < deadline, "attempt 0 never journaled"
+                        time.sleep(0.01)
                     os._exit(42)
                 return AttackCampaign._run_attempt(self, snapshot, index)
 
@@ -323,6 +326,7 @@ class TestWorkerLoss:
         )
         monkeypatch.setattr(service_module, "WORKER_RETRIES", 1)
         service = CampaignService(campaign, tmp_path / "ckpt")
+        campaign.journal_path = service.journal_path
         with pytest.raises(WorkerLostError, match="giving up"):
             service.run()
         # Attempt 0's record survived the failed run and resumes cleanly.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ciphers.aes import AES, expand_key
+from repro.ciphers.aes import expand_key
 from repro.ciphers.aes_tables import AES_SBOX
 from repro.ciphers.batch import aes128_encrypt_batch, random_plaintexts
 from repro.ciphers.faults import FaultSpec, apply_fault
@@ -12,12 +12,10 @@ from repro.pfa.pfa import (
     PfaState,
     _invert_key_schedule_128,
     ciphertexts_to_unique_key,
-    disambiguate_with_known_pair,
     expected_remaining_candidates,
     invert_key_schedule_128,
     recover_k10_known_fault,
     recover_k10_known_faults,
-    recover_k10_unknown_fault,
     refine_with_doubled_values,
     saturated_for_faults,
 )
@@ -229,9 +227,7 @@ class TestKnownFaultRecovery:
 
     def test_ciphertexts_to_unique(self):
         rng = np.random.default_rng(3)
-        consumed, state = ciphertexts_to_unique_key(
-            lambda n: faulty_batch(n, rng), V_STAR
-        )
+        consumed, state = ciphertexts_to_unique_key(lambda n: faulty_batch(n, rng))
         # Zhang et al. report ~2000-2600 on average for t=1.
         assert 1000 < consumed < 6000
         assert state.is_unique()
@@ -244,7 +240,7 @@ class TestKnownFaultRecovery:
             return aes128_encrypt_batch(random_plaintexts(n, rng), KEY)
 
         with pytest.raises(FaultError):
-            ciphertexts_to_unique_key(clean_batch, V_STAR, limit=3000)
+            ciphertexts_to_unique_key(clean_batch, limit=3000)
 
 
 class TestMultiFaultRecovery:
@@ -304,29 +300,6 @@ class TestMultiFaultRecovery:
         for position in range(16):
             assert refined[position]
             assert set(refined[position]) <= set(candidates[position])
-
-
-class TestUnknownFaultRecovery:
-    def test_reduces_to_8_bits(self, saturated_state):
-        survivors = recover_k10_unknown_fault(saturated_state)
-        assert len(survivors) == 256
-        k10 = expand_key(KEY)[10]
-        assert any(key == k10 for _, key in survivors)
-
-    def test_requires_saturation(self):
-        with pytest.raises(FaultError):
-            recover_k10_unknown_fault(PfaState())
-
-    def test_disambiguation_with_known_pair(self, saturated_state):
-        survivors = recover_k10_unknown_fault(saturated_state)
-        pt = bytes(16)
-        ct = AES(KEY).encrypt_block(pt)
-        v_star, k10 = disambiguate_with_known_pair(survivors, pt, ct)
-        assert v_star == V_STAR
-        assert k10 == expand_key(KEY)[10]
-
-    def test_disambiguation_returns_none_on_garbage(self):
-        assert disambiguate_with_known_pair([(0, bytes(16))], bytes(16), bytes(16)) is None
 
 
 class TestScheduleInversion:

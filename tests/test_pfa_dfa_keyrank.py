@@ -10,7 +10,7 @@ from repro.pfa.dfa import (
     output_position_of_state_byte,
     pairs_needed_for_unique,
 )
-from repro.pfa.keyrank import KeyCandidates, enumerate_keys, log2_keyspace
+from repro.pfa.keyrank import KeyCandidates
 from repro.sim.errors import FaultError
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -107,11 +107,6 @@ class TestKeyCandidates:
         candidates = KeyCandidates([[5, 5, 5]] + [[0]] * 15)
         assert candidates.keyspace == 1
 
-    def test_iteration_covers_space(self):
-        per_byte = [[0, 1]] + [[0]] * 15
-        keys = list(KeyCandidates(per_byte))
-        assert len(keys) == 2
-
     @given(sizes=st.lists(st.integers(min_value=1, max_value=4), min_size=16, max_size=16))
     @settings(max_examples=20)
     def test_log2_keyspace_matches_product(self, sizes):
@@ -119,22 +114,4 @@ class TestKeyCandidates:
         import math
 
         expected = sum(math.log2(size) for size in sizes)
-        assert abs(log2_keyspace(per_byte) - expected) < 1e-9
-
-
-class TestEnumeration:
-    def test_finds_key(self):
-        true_key = bytes(range(16))
-        per_byte = [[b, b ^ 0xFF] for b in true_key]
-        candidates = KeyCandidates(per_byte)
-        found = enumerate_keys(candidates, lambda k: k == true_key)
-        assert found == true_key
-
-    def test_returns_none_when_absent(self):
-        candidates = KeyCandidates([[0]] * 16)
-        assert enumerate_keys(candidates, lambda k: False) is None
-
-    def test_refuses_huge_spaces(self):
-        per_byte = [list(range(8))] * 16  # 2^48
-        with pytest.raises(FaultError):
-            enumerate_keys(KeyCandidates(per_byte), lambda k: True)
+        assert abs(KeyCandidates(per_byte).log2_keyspace - expected) < 1e-9

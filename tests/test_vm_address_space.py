@@ -133,13 +133,6 @@ class TestLookups:
         mm.attach_frame(vma.start + PAGE_SIZE, 4)
         assert mm.resident_pfns() == [9, 4]
 
-    def test_mapped_va_of_pfn(self):
-        mm = AddressSpace()
-        vma = mm.mmap(PAGE_SIZE)
-        mm.attach_frame(vma.start, 9)
-        assert mm.mapped_va_of_pfn(9) == vma.start
-        assert mm.mapped_va_of_pfn(10) is None
-
     def test_vma_at(self):
         mm = AddressSpace()
         vma = mm.mmap(PAGE_SIZE)
