@@ -48,12 +48,11 @@ KEEP = frozenset(
         # refresh-window scaling in the controller and the watchdog
         # (DESIGN.md's chaos table); plans in the tests compose it.
         "AttackRun", "RefreshJitter",
-        # Reached only from tests, which check little else (42 test ids
+        # Reached only from tests, which check little else (40 test ids
         # between them); ROADMAP item 8 deletes them with those tests.
         "neighbors", "phys_in_cache_set", "format_bytes", "format_time_ns",
         "sparkline", "with_cap", "without_cap", "with_seed", "drain_all_pcp",
-        "co_resident", "unregister_reclaimable", "read_range", "fresh_numpy",
-        "ddr3_4gb",
+        "co_resident", "unregister_reclaimable", "read_range", "ddr3_4gb",
     }
 )
 

@@ -50,7 +50,12 @@ Besides the single-access path there are two closed-form paths:
   activations, and activation counts are clipped to what fits in each
   refresh window.  What it derives from the address list alone (mapping,
   bank grouping, per-row counts, victim plans) is a **hammer layout**,
-  memoised next to the victim plans;
+  memoised next to the victim plans.  A burst that has just crossed a
+  refresh and still spans a whole window is **booked lazily**: its rounds
+  add up in one integer, the bank counters are written only just before a
+  plan walk and at the end, a refresh books only the lifetime totals, and
+  the plans are walked only when the rounds booked in the current window
+  exceed the most this burst has already walked;
 * the **row run** (:meth:`MemoryController.access_row_run`) serves the
   cache misses of one page as back-to-back accesses to one row: at most
   one activation, then row hits.  The kernel uses it only while
@@ -59,6 +64,24 @@ Besides the single-access path there are two closed-form paths:
   multi-page stream maps all its pages in one pass
   (:meth:`MemoryController.bank_rows`) and runs each page's row through
   :meth:`MemoryController.access_row`.
+
+Lazy booking is exact on a module without TRR or ECC, for four reasons:
+
+* no store happens inside a hammer, so no cell is recharged mid-call;
+* ``threshold_scale`` cannot change mid-call (only the refresh tick runs);
+* flips only discharge cells, and each weak cell has its own bit;
+* after a refresh every active row's count is its per-round count times
+  one shared integer, so every victim's disturbance is monotone in the
+  window's rounds (a float product and sum round monotonically).
+
+A walk at no more rounds than an earlier walk of the same burst therefore
+finds every cell it could arm already flipped or not charged, and flips
+nothing.  TRR and ECC modules keep per-chunk booking.  TRR's tracker
+observes and clamps each booking in sequence, so fewer, larger bookings
+change its counts.  On an ECC module a skipped re-walk would only have
+re-registered cells still pending in their word, which
+``EccState.register_flip`` ignores; the argument above does not cover
+that state, and no workload hammers an ECC module across windows.
 """
 
 from __future__ import annotations
@@ -228,6 +251,9 @@ class MemoryController:
         # Victim evaluations the certificate skipped (telemetry only:
         # sim.shortcut.certified_evaluations).
         self.certified_evaluations = 0
+        # Refresh windows a hammer crossed while booking lazily (telemetry
+        # only: sim.shortcut.lazy_windows), see _hammer.
+        self.lazy_windows = 0
         # (bank key, aggressor rows) -> victim plan (None: no victims), see
         # _victim_plan; and hammer address tuple -> hammer layout, see
         # _hammer_layout.  The two key shapes never collide.
@@ -256,7 +282,7 @@ class MemoryController:
         metrics.add_collector(self._metric_values)
 
     def _metric_values(self) -> dict:
-        """The collector-sourced ``dram.*`` gauges and the certificate count."""
+        """The collector-sourced ``dram.*`` gauges and the shortcut counts."""
         stats = self.stats()
         trr = self.trr_stats()
         ecc = self.ecc_stats()
@@ -268,6 +294,7 @@ class MemoryController:
             "dram.trr.neighbor_refreshes": trr["neighbor_refreshes"],
             "dram.trr.tracker_misses": trr["tracker_misses"],
             "sim.shortcut.certified_evaluations": self.certified_evaluations,
+            "sim.shortcut.lazy_windows": self.lazy_windows,
             "dram.ecc.corrected_bits": ecc["corrected_bits"],
             "dram.ecc.uncorrectable_events": ecc["uncorrectable_events"],
             "dram.memory.cow.materialized_frames": memory.materialized_frames(),
@@ -491,13 +518,15 @@ class MemoryController:
         plan = self._victim_plan(key, (row,))
         return [] if plan is None else self._walk_plan(key, plan.victims, activations)
 
-    def _evaluate_plan(self, key: tuple[int, int, int], plan: _Plan) -> list[FlipEvent]:
+    def _evaluate_plan(
+        self, key: tuple[int, int, int], plan: _Plan, activations: dict[int, int]
+    ) -> list[FlipEvent]:
         """Flip every armed weak cell of a hammer's plan, unless its certificate holds.
 
-        The certificate reads the plan's reach and compares against its
-        lowest threshold, which is tighter than the module's floor.
+        ``activations`` are the window counters of bank ``key``.  The
+        certificate reads the plan's reach and compares against its lowest
+        threshold, which is tighter than the module's floor.
         """
-        activations = self.bank(key).activations
         if self._certifies(activations, plan.reach, plan.min_threshold):
             self.certified_evaluations += 1
             return []
@@ -690,7 +719,8 @@ class MemoryController:
         Activation counting is clipped per refresh window: if the loop's
         simulated duration spans a window boundary, the counters reset at
         the boundary exactly as real refresh would, and flips are evaluated
-        once per window chunk.
+        once per window chunk, except for the chunks a lazily booked burst
+        proves flip-free (:meth:`_hammer`).
         """
         if rounds <= 0:
             raise ConfigError(f"rounds must be positive, got {rounds}")
@@ -755,6 +785,16 @@ class MemoryController:
         evaluates each active bank's plan (:meth:`_evaluate_plan`), whose
         certificate skips the victim work while the chunk's counts cannot
         reach the plan's lowest threshold.
+
+        Once a refresh has cleared every counter and the rest of the burst
+        still spans a whole window, a module without TRR or ECC books the
+        burst lazily (module docstring): ``pending`` rounds are written to
+        the banks only just before a plan walk and at the end, a refresh
+        books only their lifetime totals, and plans are walked only when
+        the ``window`` rounds exceed the most this burst has ``walked``.
+        The entry test runs once per refresh crossed, so the one- and
+        two-window hammers of templating, steering and PFA keep per-chunk
+        booking at its old cost.
         """
         self._pump_timed()
         layout = self._hammer_layout(phys_addrs)
@@ -765,29 +805,59 @@ class MemoryController:
         for key, row in layout.static:
             if self.bank(key).access(row):
                 total_activations += 1
+        active = [(self.bank(key), per_row, plan, key) for key, per_row, plan in layout.active]
 
+        clock = self.clock
+        # Only the refresh tick runs inside a hammer, so the window is fixed.
+        refw = self.effective_refw_ns()
+        refreshes = self.refresh_count
+        lazy = False
+        pending = window = walked = 0
         total_flips: list[FlipEvent] = []
         rounds_left = rounds
         elapsed = 0
         while rounds_left > 0:
-            window_end = (self.current_refresh_epoch() + 1) * self.effective_refw_ns()
-            remaining_ns = window_end - self.clock.now_ns
+            window_end = (clock.now_ns // refw + 1) * refw
+            remaining_ns = window_end - clock.now_ns
             if ns_per_round > 0:
                 chunk = min(rounds_left, max(1, remaining_ns // ns_per_round))
             else:
                 chunk = rounds_left
-            for key, per_row, _ in layout.active:
-                bank = self.bank(key)
-                for row, count in per_row:
-                    bank.bulk_activate(row, count * chunk)
             total_activations += layout.activating * chunk
-            self.clock.advance(chunk * ns_per_round)
+            clock.advance(chunk * ns_per_round)
             elapsed += chunk * ns_per_round
-            for key, _, plan in layout.active:
-                if plan is not None:
-                    total_flips.extend(self._evaluate_plan(key, plan))
+            pending += chunk
+            window += chunk
+            if window > walked:
+                for bank, per_row, _, _ in active:
+                    for row, count in per_row:
+                        bank.bulk_activate(row, count * pending)
+                pending = 0
+                for bank, _, plan, key in active:
+                    if plan is not None:
+                        total_flips.extend(self._evaluate_plan(key, plan, bank.activations))
+                if lazy:
+                    walked = window
             rounds_left -= chunk
             self._pump_timed()
+            if self.refresh_count != refreshes:
+                refreshes = self.refresh_count
+                window = 0
+                if lazy:
+                    self.lazy_windows += 1
+                    for bank, per_row, _, _ in active:
+                        bank.total_activations += pending * sum(count for _, count in per_row)
+                    pending = 0
+                else:
+                    lazy = (
+                        rounds_left * ns_per_round >= refw
+                        and self.ecc is None
+                        and not self.trr_config.enabled
+                    )
+        if pending:
+            for bank, per_row, _, _ in active:
+                for row, count in per_row:
+                    bank.bulk_activate(row, count * pending)
 
         return HammerResult(
             rounds=rounds,

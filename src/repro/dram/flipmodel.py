@@ -217,6 +217,14 @@ class WeakCellMap:
         return population
 
     def _generate(self, flat_bank: int, row: int) -> tuple[WeakCell, ...]:
+        """Draw the weak cells of ``(flat_bank, row)`` from a fresh generator.
+
+        The generator is seeded with ``derive_seed(build seed,
+        "dram.cells/<flat_bank>/<row>")``, where the build seed is the
+        machine seed this map was constructed with, so every call for the
+        same row draws the same cells, and a later ``RngStreams.reseed``
+        changes none of them.
+        """
         cfg = self.config
         if cfg.weak_cells_per_row_mean == 0.0:
             return ()

@@ -132,6 +132,9 @@ SCHEMA: dict[str, MetricSpec] = {
     "sim.shortcut.certified_evaluations": MetricSpec(
         GAUGE, "evaluations", "victim evaluations skipped by the no-flip certificate"
     ),
+    "sim.shortcut.lazy_windows": MetricSpec(
+        GAUGE, "windows", "refresh windows a hammer crossed without per-chunk bank writes"
+    ),
     # -- defense -------------------------------------------------------------------
     "defense.watchdog.scans": MetricSpec(
         COUNTER, "scans", "periodic ledger scans by the hammering watchdog"

@@ -57,17 +57,6 @@ class RngStreams:
             self._np_streams[name] = np.random.default_rng(derive_seed(self.master_seed, name))
         return self._np_streams[name]
 
-    def fresh_numpy(self, name: str, *qualifiers: int) -> np.random.Generator:
-        """Return a *new* generator keyed by ``name`` plus integer qualifiers.
-
-        Used for content that must be derivable on demand without storing
-        state — e.g. the weak-cell population of DRAM row ``(bank, row)`` is
-        regenerated identically every time from
-        ``fresh_numpy("dram.cells", bank, row)``.
-        """
-        key = name + "".join(f"/{q}" for q in qualifiers)
-        return np.random.default_rng(derive_seed(self.master_seed, key))
-
     def spawn(self, name: str) -> "RngStreams":
         """Derive a child :class:`RngStreams` (for nested experiment sweeps)."""
         return RngStreams(derive_seed(self.master_seed, f"spawn:{name}"))

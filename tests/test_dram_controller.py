@@ -664,3 +664,125 @@ class TestNoFlipCertificate:
             _stream(twin, far, 64)
         assert fast.certified_evaluations - skipped == len(far)
         assert _dram_state(fast) == _dram_state(reference)
+
+
+# Multi-window bursts: aggressors over three banks (a bank left with one
+# distinct row row-hits), rows repeated as in eviction-set bursts, and a
+# tREFW so short that a window holds tens of rounds, so windows that differ
+# by one round differ by a few percent in every count.
+LAZY_ROWS = [0, 1, 2, 5, 7, 9, 500, 502, GEO.rows_per_bank - 3, GEO.rows_per_bank - 1]
+LAZY_VICTIMS = sorted(
+    {row + d for row in LAZY_ROWS for d in range(-2, 3)} & set(range(GEO.rows_per_bank))
+)
+LAZY_BANKS = (0, 1, 2)
+_bursts = st.tuples(
+    st.just("burst"),
+    st.lists(
+        st.tuples(st.sampled_from(LAZY_BANKS), st.sampled_from(LAZY_ROWS)),
+        min_size=8, max_size=20,
+    ),
+    st.integers(0, 99),  # idle time before it, in percent of a window
+    st.integers(3, 8),   # refresh windows the burst spans at least
+    st.integers(0, 99),  # extra rounds past them
+)
+# A burst first, then bursts and re-armed rows in any order.
+_lazy_ops = st.tuples(
+    _bursts,
+    st.lists(
+        st.one_of(
+            _bursts,
+            st.tuples(
+                st.just("arm"), st.sampled_from(LAZY_BANKS), st.sampled_from(LAZY_VICTIMS),
+                st.sampled_from([0x00, 0xFF, 0x55]),
+            ),
+        ),
+        max_size=4,
+    ),
+).map(lambda ops: [ops[0], *ops[1]])
+# Per-window counts of ten to a few hundred: thresholds around them arm
+# cells in some windows and not in others.
+_lazy_flip_configs = st.builds(
+    lambda density, coupling_distance2: FlipModelConfig(
+        weak_cells_per_row_mean=density,
+        threshold_mean=150,
+        threshold_sd=80,
+        threshold_min=20,
+        coupling_distance2=coupling_distance2,
+    ),
+    density=st.sampled_from([3.0, 24.0]),
+    coupling_distance2=st.sampled_from([0.0, 0.3]),
+)
+
+
+def _burst_rounds(controller, addrs, windows, extra) -> int:
+    """Rounds that make a hammer of ``addrs`` span ``windows`` refresh windows, plus ``extra``."""
+    by_bank: dict = {}
+    for phys in addrs:
+        addr = controller.mapping.to_dram(phys)
+        by_bank.setdefault(addr.bank_key(), []).append(addr.row)
+    timing = controller.timing
+    ns_per_round = sum(
+        len(rows) * (timing.t_rc_ns if len(set(rows)) >= 2 else timing.t_cas_ns)
+        for rows in by_bank.values()
+    )
+    return windows * timing.t_refw_ns // ns_per_round + extra
+
+
+class TestLazyWindowsMatchReference:
+    """Hammers across several refresh windows against the reference, which
+    books and evaluates every window chunk: the lazy booking of a module
+    without TRR or ECC must leave the same flips, clock, counters and
+    lifetime totals, and TRR and ECC modules must keep per-chunk booking."""
+
+    @given(
+        mapping=st.sampled_from([LinearMapping, XorBankMapping]),
+        flip_config=_lazy_flip_configs,
+        refw=st.sampled_from([9_000, 20_000]),
+        trr=st.booleans(),
+        ecc=st.booleans(),
+        threshold_scale=st.sampled_from([1.0, 0.6, 1.5]),
+        seed=st.integers(0, 3),
+        ops=_lazy_ops,
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_bursts_agree(self, mapping, flip_config, refw, trr, ecc, threshold_scale, seed, ops):
+        twins = []
+        for cls in (MemoryController, ReferenceController):
+            controller = cls(
+                geometry=GEO,
+                mapping=mapping(GEO),
+                timing=DRAMTiming(t_refw_ns=refw),
+                flip_config=flip_config,
+                rng=RngStreams(seed),
+                clock=SimClock(),
+                trr_config=TrrConfig.ddr4_like(2, 60) if trr else None,
+                ecc_config=EccConfig.secded64() if ecc else None,
+            )
+            controller.threshold_scale = threshold_scale
+            for bank in LAZY_BANKS:
+                for row in LAZY_VICTIMS:
+                    arm_row(controller, bank, row, 0xFF if row % 3 else 0x00)
+            twins.append(controller)
+        for op in ops:
+            for controller in twins:
+                _apply_lazy_op(controller, op)
+        fast, reference = twins
+        assert _dram_state(fast) == _dram_state(reference)  # refresh count included
+        assert {key: bank.total_activations for key, bank in fast._banks.items()} == {
+            key: bank.total_activations for key, bank in reference._banks.items()
+        }
+        # Every burst spans three windows, so one without TRR or ECC books lazily.
+        assert (fast.lazy_windows > 0) is not (trr or ecc)
+
+
+def _apply_lazy_op(controller, op) -> None:
+    kind, *args = op
+    if kind == "burst":
+        bank_rows, idle, windows, extra = args
+        controller.clock.advance(idle * controller.timing.t_refw_ns // 100)
+        addrs = [
+            controller.mapping.to_phys(DRAMAddress(0, 0, bank, row, 0)) for bank, row in bank_rows
+        ]
+        controller.hammer(addrs, _burst_rounds(controller, addrs, windows, extra))
+    else:
+        arm_row(controller, *args)

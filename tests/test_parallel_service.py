@@ -483,7 +483,7 @@ class TestServiceParity:
         assert resumed.successes == 4
         metrics = json.dumps(resumed.metrics, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(metrics.encode("utf-8")).hexdigest() == (
-            "d511e1baab6c08bdaa662b5e33cbe69072bf75f49d036ce22907d98b5e65c7c8"
+            "27aab2fc6eaa2d17e5e296d02fd29a3e8af1cd1d9207666c11717f32f5415eac"
         )
         assert resumed.metrics["families"]["dram.flips"]["instances"] == {
             "dram.flips": 8

@@ -50,18 +50,6 @@ class TestRngStreams:
         b = RngStreams(9).numpy_stream("cells").integers(0, 100, size=8)
         assert list(a) == list(b)
 
-    def test_fresh_numpy_is_pure(self):
-        streams = RngStreams(11)
-        first = streams.fresh_numpy("dram.cells", 3, 17).integers(0, 1000, size=4)
-        second = streams.fresh_numpy("dram.cells", 3, 17).integers(0, 1000, size=4)
-        assert list(first) == list(second)
-
-    def test_fresh_numpy_qualifier_sensitivity(self):
-        streams = RngStreams(11)
-        a = streams.fresh_numpy("dram.cells", 3, 17).integers(0, 1000, size=4)
-        b = streams.fresh_numpy("dram.cells", 3, 18).integers(0, 1000, size=4)
-        assert list(a) != list(b)
-
     def test_spawn_derives_child(self):
         parent = RngStreams(5)
         child1 = parent.spawn("trial")
