@@ -33,6 +33,7 @@ LATEST = RECORD / "latest"
 #: column of the checked tables is a function of the seeds.
 HOST_TIME_COLUMNS: dict[str, tuple[str, ...]] = {
     "t13_faultprobe": ("wall-clock",),
+    "t14_evictframe": ("wall-clock",),
 }
 
 _STAMP = "# experiment "

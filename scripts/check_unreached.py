@@ -11,9 +11,12 @@ docstrings do not count, and neither do the tests: code that only a test
 calls is not part of the program the tests are meant to check.
 
 Dunder methods are exempt (Python calls them), and so is ``KEEP`` below.
+A ``KEEP`` name that matches no ``def``/``class`` in ``src/repro`` fails the
+check too, so the list cannot outlive the code it keeps.
 
 Run from the repo root: ``python -m scripts.check_unreached``.
-Exits 1 and lists each unreached definition with its file and line.
+Exits 1 and lists each unreached definition with its file and line, and
+each stale ``KEEP`` name.
 """
 
 from __future__ import annotations
@@ -43,16 +46,9 @@ KEEP = frozenset(
         "sys_clflush",
         # Pickler/Unpickler hooks, which the pickle module calls by name.
         "persistent_id", "persistent_load",
-        # Documented extension points: the protocol a new attack modality
-        # implements (docs/ATTACKS.md), and the chaos event that drives the
-        # refresh-window scaling in the controller and the watchdog
-        # (DESIGN.md's chaos table); plans in the tests compose it.
-        "AttackRun", "RefreshJitter",
-        # Reached only from tests, which check little else (40 test ids
-        # between them); ROADMAP item 8 deletes them with those tests.
-        "neighbors", "phys_in_cache_set", "format_bytes", "format_time_ns",
-        "sparkline", "with_cap", "without_cap", "with_seed", "drain_all_pcp",
-        "co_resident", "unregister_reclaimable", "read_range", "ddr3_4gb",
+        # Documented extension point: the protocol a new attack modality
+        # implements (docs/ATTACKS.md).
+        "AttackRun",
     }
 )
 
@@ -126,17 +122,21 @@ def unreached() -> list[str]:
                     node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
                 )
             )
+    defined = {name for name, _, _ in definitions}
     return [
         f"{path.relative_to(REPO)}:{line}: {name}"
         for name, path, line in definitions
         if name not in referenced and name not in KEEP and not _DUNDER.match(name)
-    ]
+    ] + [f"scripts/check_unreached.py: KEEP: {name}" for name in sorted(KEEP - defined)]
 
 
 def main() -> int:
     problems = unreached()
     if problems:
-        print("defined in src/repro but reached only from tests (or not at all):")
+        print(
+            "defined in src/repro but reached only from tests (or not at all),"
+            " or kept but defined nowhere:"
+        )
         for problem in problems:
             print(f"  - {problem}")
         return 1

@@ -5,7 +5,7 @@ EXPERIMENTS.md with consistent formatting and honest uncertainty
 estimates.
 """
 
-from repro.analysis.charts import ascii_chart, sparkline
+from repro.analysis.charts import ascii_chart
 from repro.analysis.stats import (
     binomial_ci,
     mean_and_ci,
@@ -23,7 +23,6 @@ __all__ = [
     "ascii_chart",
     "binomial_ci",
     "failure_breakdown",
-    "sparkline",
     "format_table",
     "mean_and_ci",
     "summarize_rates",

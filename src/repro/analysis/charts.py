@@ -7,24 +7,6 @@ visible without any plotting dependency.
 
 from __future__ import annotations
 
-_BARS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: list[float]) -> str:
-    """One-line bar rendering of a series (empty input -> empty string)."""
-    if not values:
-        return ""
-    low = min(values)
-    high = max(values)
-    span = high - low
-    if span == 0:
-        return _BARS[4] * len(values)
-    out = []
-    for value in values:
-        index = int((value - low) / span * (len(_BARS) - 1))
-        out.append(_BARS[index])
-    return "".join(out)
-
 
 def ascii_chart(
     xs: list[float],

@@ -7,7 +7,7 @@ a :class:`~repro.core.machine.Machine` is a pure function of its config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.dram.cache import CpuCacheConfig
 from repro.dram.flipmodel import FlipModelConfig
@@ -56,10 +56,6 @@ class MachineConfig:
             )
         if self.mapping not in ("linear", "xor"):
             raise ConfigError(f"mapping must be 'linear' or 'xor', got {self.mapping!r}")
-
-    def with_seed(self, seed: int) -> "MachineConfig":
-        """The same machine shape under a different seed (for trial sweeps)."""
-        return replace(self, seed=seed)
 
     # -- presets ---------------------------------------------------------------
 

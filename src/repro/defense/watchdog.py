@@ -52,16 +52,14 @@ class ActivationLedger:
 
     Fed by the kernel on every memory access and hammer syscall; bounded
     to the most recent windows so long simulations stay cheap: a new
-    window past ``max_windows`` evicts the oldest.  Epochs arrive in
-    ascending order, so the oldest is the first-inserted window and goes
-    in O(1); only a chaos ``refresh_scale`` step can lower the epoch, and
-    after such an out-of-order window the eviction falls back to ``min``.
+    window past ``max_windows`` evicts the oldest.  The kernel's epochs
+    never decrease (the refresh window is fixed per machine, see
+    :mod:`repro.dram.controller`), so the oldest window is the
+    first-inserted one and goes in O(1).
     """
 
     max_windows: int = 256
     _counts: dict[int, dict[int, int]] = field(default_factory=dict)
-    #: True while windows were opened in ascending epoch order.
-    _ascending: bool = field(default=True, init=False)
 
     def record(self, epoch: int, pid: int, activations: int) -> None:
         """Add ``activations`` attributed to ``pid`` during ``epoch``."""
@@ -70,11 +68,9 @@ class ActivationLedger:
         counts = self._counts
         window = counts.get(epoch)
         if window is None:
-            if counts and epoch < next(reversed(counts)):
-                self._ascending = False
             window = counts[epoch] = {}
             if len(counts) > self.max_windows:
-                del counts[next(iter(counts)) if self._ascending else min(counts)]
+                del counts[next(iter(counts))]
         window[pid] = window.get(pid, 0) + activations
 
     def count(self, epoch: int, pid: int) -> int:

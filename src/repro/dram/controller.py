@@ -10,7 +10,10 @@ The controller is the single entry point for DRAM traffic.  It
 * rolls the refresh window: a tick on the ``"dram"`` queue of the
   :class:`~repro.sim.events.EventScheduler` fires whenever simulated time
   crosses a ``t_refw_ns`` boundary and resets every bank's activation
-  counters — disturbance cannot accumulate across windows;
+  counters — disturbance cannot accumulate across windows.  The window is
+  fixed per machine: it is ``timing.t_refw_ns`` for the controller's whole
+  life, so the refresh epoch ``now // t_refw_ns`` of the monotone clock
+  never decreases (the kernel's activation ledger relies on this);
 * evaluates the weak-cell model after activations and applies resulting bit
   flips directly to :class:`~repro.dram.memory.PhysicalMemory`, logging a
   :class:`FlipEvent` for each.  The victims of a set of aggressor rows are
@@ -225,16 +228,13 @@ class MemoryController:
             self.ecc = EccState(self.ecc_config)
             self.memory.write_hook = self.ecc.clear_range
         self.weak_cells = WeakCellMap(geometry, flip_config, rng)
-        # Chaos-injection hooks (repro.sim.chaos): ``threshold_scale``
+        # Chaos-injection hook (repro.sim.chaos): ``threshold_scale``
         # multiplies every weak cell's flip threshold (environmental drift —
-        # >1 hardens the module, <1 softens it) and ``refresh_scale``
-        # stretches or shrinks the effective refresh window.  Both stay 1.0
-        # unless a ChaosEngine is driving them, preserving the baseline
-        # behaviour bit-for-bit.
+        # >1 hardens the module, <1 softens it).  It stays 1.0 unless a
+        # ChaosEngine is driving it, preserving the baseline behaviour
+        # bit-for-bit.
         self.threshold_scale = 1.0
-        self._refresh_scale = 1.0
         self._banks: dict[tuple[int, int, int], Bank] = {}
-        self._refresh_epoch = 0
         self.flip_log: list[FlipEvent] = []
         self.refresh_count = 0
         # Victim rows checked per flip evaluation: +-1 always, +-2 when the
@@ -260,7 +260,6 @@ class MemoryController:
         self._plan_memo: dict[tuple, _Plan | _HammerLayout | None] = {}
         # Refresh is a self-rescheduling tick on the "dram" scheduler queue.
         self._events = events or EventScheduler(clock)
-        self._refresh_handle = None
         self._schedule_refresh_tick()
         self.bind_obs(NOOP_OBS)
 
@@ -335,50 +334,24 @@ class MemoryController:
                 misses += bank.trr.tracker_misses
         return {"neighbor_refreshes": refreshes, "tracker_misses": misses}
 
-    @property
-    def refresh_scale(self) -> float:
-        """Chaos-injected stretch/shrink factor on the refresh window."""
-        return self._refresh_scale
-
-    @refresh_scale.setter
-    def refresh_scale(self, value: float) -> None:
-        if value == self._refresh_scale:
-            return
-        self._refresh_scale = value
-        # The pending tick was aimed at the old window boundary.  Re-aim:
-        # if the epoch index already differs under the new window length,
-        # fire at the next pump (due = now).
-        if self._refresh_handle is not None:
-            self._events.cancel(self._refresh_handle)
-        self._schedule_refresh_tick()
-
-    def effective_refw_ns(self) -> int:
-        """The refresh window length after any chaos-injected jitter."""
-        if self._refresh_scale == 1.0:
-            return self.timing.t_refw_ns
-        return max(1, int(self.timing.t_refw_ns * self._refresh_scale))
-
     def _schedule_refresh_tick(self) -> None:
-        refw = self.effective_refw_ns()
-        now = self.clock.now_ns
-        if now // refw != self._refresh_epoch:
-            due = now
-        else:
-            due = (now // refw + 1) * refw
-        self._refresh_handle = self._events.schedule(
-            "dram.refresh.tick", due, self._on_refresh_tick, queue="dram"
-        )
+        """Aim the next tick at the end of the current window.
+
+        Every tick then opens a new epoch, also on a clock that started past
+        its first window (``SimClock(start_ns)``).
+        """
+        refw = self.timing.t_refw_ns
+        due = (self.clock.now_ns // refw + 1) * refw
+        self._events.schedule("dram.refresh.tick", due, self._on_refresh_tick, queue="dram")
 
     def _on_refresh_tick(self, now_ns: int) -> None:
-        self._refresh_handle = None
-        epoch = now_ns // self.effective_refw_ns()
-        if epoch != self._refresh_epoch:
-            for bank in self._banks.values():
-                bank.refresh()
-            self._refresh_epoch = epoch
-            self.refresh_count += 1
-            self._m_refresh.inc()
-            self.obs.tracer.instant("dram.refresh", "dram", epoch=epoch)
+        for bank in self._banks.values():
+            bank.refresh()
+        self.refresh_count += 1
+        self._m_refresh.inc()
+        self.obs.tracer.instant(
+            "dram.refresh", "dram", epoch=now_ns // self.timing.t_refw_ns
+        )
         self._schedule_refresh_tick()
 
     def _pump_timed(self) -> None:
@@ -390,7 +363,7 @@ class MemoryController:
 
     def current_refresh_epoch(self) -> int:
         """Index of the refresh window containing the current time."""
-        return self.clock.now_ns // self.effective_refw_ns()
+        return self.clock.now_ns // self.timing.t_refw_ns
 
     # -- disturbance evaluation ------------------------------------------------
 
@@ -808,8 +781,7 @@ class MemoryController:
         active = [(self.bank(key), per_row, plan, key) for key, per_row, plan in layout.active]
 
         clock = self.clock
-        # Only the refresh tick runs inside a hammer, so the window is fixed.
-        refw = self.effective_refw_ns()
+        refw = self.timing.t_refw_ns
         refreshes = self.refresh_count
         lazy = False
         pending = window = walked = 0

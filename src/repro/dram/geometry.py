@@ -48,8 +48,8 @@ class DRAMGeometry:
 
     The defaults model a deliberately small module (256 MiB) so whole-machine
     experiments run quickly; every parameter scales up to realistic DDR3/DDR4
-    shapes (see :meth:`ddr3_4gb`).  All counts must be powers of two so the
-    physical-address bit slicing in :mod:`repro.dram.mapping` is exact.
+    shapes.  All counts must be powers of two so the physical-address bit
+    slicing in :mod:`repro.dram.mapping` is exact.
     """
 
     channels: int = 1
@@ -124,17 +124,6 @@ class DRAMGeometry:
     def default(cls) -> "DRAMGeometry":
         """The standard experiment module: 256 MiB, one rank of 8 banks."""
         return cls()
-
-    @classmethod
-    def ddr3_4gb(cls) -> "DRAMGeometry":
-        """A realistic single-channel 4 GiB DDR3 shape (2 ranks x 8 banks)."""
-        return cls(
-            channels=1,
-            ranks_per_channel=2,
-            banks_per_rank=8,
-            rows_per_bank=32768,
-            row_bytes=8 * KIB,
-        )
 
     def __str__(self) -> str:
         return (

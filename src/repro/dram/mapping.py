@@ -106,56 +106,6 @@ class AddressMapping(ABC):
         """Physical address of byte 0 of the given row."""
         return self.to_phys(DRAMAddress(channel=channel, rank=rank, bank=bank, row=row, col=0))
 
-    def phys_in_cache_set(
-        self,
-        phys: int,
-        *,
-        line_size: int,
-        sets: int,
-        max_count: int | None = None,
-    ) -> list[int]:
-        """Physical addresses in this module congruent to ``phys``'s cache set.
-
-        The CPU cache is physically indexed, so set membership depends only
-        on the physical address, never on the DRAM mapping: every address
-        ``base + k * line_size * sets`` shares ``phys``'s set (and line
-        offset).  Where those congruent bytes land *in DRAM* — which rows
-        and banks an eviction-set traversal will activate — does depend on
-        the mapping, which is why the helper lives here: callers pair each
-        returned address with :meth:`to_dram` to reason about the wasted
-        activations eviction-based hammering spreads over the module.
-
-        Enumeration is bounded by the module size; ``max_count`` truncates
-        the walk early (eviction sets only need ``ways + slack`` members).
-        """
-        self._check_phys(phys)
-        way_stride = line_size * sets
-        base = phys % way_stride
-        out: list[int] = []
-        for candidate in range(base, self._total_bytes, way_stride):
-            out.append(candidate)
-            if max_count is not None and len(out) >= max_count:
-                break
-        return out
-
-    def neighbors(self, addr: DRAMAddress, distance: int = 1) -> list[DRAMAddress]:
-        """Rows at ``row +/- distance`` in the same bank (in-range only)."""
-        if distance <= 0:
-            raise ConfigError(f"distance must be positive, got {distance}")
-        out = []
-        for row in (addr.row - distance, addr.row + distance):
-            if 0 <= row < self.geometry.rows_per_bank:
-                out.append(
-                    DRAMAddress(
-                        channel=addr.channel,
-                        rank=addr.rank,
-                        bank=addr.bank,
-                        row=row,
-                        col=addr.col,
-                    )
-                )
-        return out
-
 
 class LinearMapping(AddressMapping):
     """Straight bit-slice mapping: the bank field is used verbatim."""

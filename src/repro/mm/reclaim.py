@@ -79,17 +79,6 @@ class Kswapd:
             ReclaimableBlock(pfn=pfn, order=order, on_reclaim=on_reclaim)
         )
 
-    def unregister_reclaimable(self, zone: Zone, pfn: int) -> bool:
-        """Remove a block (e.g. the owner freed it first); True if found."""
-        pool = self._pools.get(zone.name)
-        if not pool:
-            return False
-        for block in pool:
-            if block.pfn == pfn:
-                pool.remove(block)
-                return True
-        return False
-
     def reclaimable_pages(self, zone: Zone) -> int:
         """Pages currently registered as reclaimable in ``zone``."""
         pool = self._pools.get(zone.name, ())

@@ -143,10 +143,6 @@ class Zone:
         """Drain one CPU's cache back to the buddy; returns frames moved."""
         return self.pcp(cpu).drain()
 
-    def drain_all_pcp(self) -> int:
-        """Drain every CPU's cache (like ``drain_all_pages``)."""
-        return sum(pcp.drain() for pcp in self._pcp)
-
     def __repr__(self) -> str:
         return (
             f"Zone({self.name}, pfns [{self.start_pfn:#x}, {self.end_pfn:#x}), "

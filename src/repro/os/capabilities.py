@@ -38,14 +38,6 @@ class CapabilitySet:
         """True if the set contains ``cap``."""
         return cap in self._caps
 
-    def with_cap(self, cap: Capability) -> "CapabilitySet":
-        """A copy of this set additionally holding ``cap``."""
-        return CapabilitySet(self._caps | {cap})
-
-    def without_cap(self, cap: Capability) -> "CapabilitySet":
-        """A copy of this set with ``cap`` dropped."""
-        return CapabilitySet(self._caps - {cap})
-
     def __contains__(self, cap: Capability) -> bool:
         return cap in self._caps
 

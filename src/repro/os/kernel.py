@@ -515,7 +515,7 @@ class Kernel:
                 break
             pfns[pfn] = None
         end = self._span_end_ns(len(pfns) * lines)
-        refw = controller.effective_refw_ns()
+        refw = controller.timing.t_refw_ns
         if (
             len(pfns) * lines <= config.sets
             or end // refw != self.clock.now_ns // refw

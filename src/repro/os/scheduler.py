@@ -117,10 +117,6 @@ class Scheduler:
         self._check_cpu(cpu)
         return len(self._cpu_tasks[cpu])
 
-    def co_resident(self, a: Task, b: Task) -> bool:
-        """True if two tasks share a CPU — the attack's precondition."""
-        return a.cpu == b.cpu and a.is_running and b.is_running
-
     def __repr__(self) -> str:
         loads = {cpu: len(pids) for cpu, pids in enumerate(self._cpu_tasks)}
         return f"Scheduler(loads={loads})"

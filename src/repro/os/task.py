@@ -53,11 +53,6 @@ class Task:
         self.syscall_count = 0
         self.minor_faults = 0
 
-    @property
-    def is_running(self) -> bool:
-        """True while the task is resident on its CPU."""
-        return self.state is TaskState.RUNNING
-
     def __repr__(self) -> str:
         return (
             f"Task(pid={self.pid}, name={self.name!r}, cpu={self.cpu}, "

@@ -5,9 +5,9 @@ named stream derived from a single master seed (:class:`RngStreams`), and
 every timed component reads a shared :class:`SimClock`.  Together they make
 whole-machine runs reproducible bit-for-bit.
 
-:mod:`repro.sim.chaos` injects seeded adversity (threshold drift, refresh
-jitter, allocation pressure, migrations, TRR bursts) into the same
-deterministic framework.
+:mod:`repro.sim.chaos` injects seeded adversity (threshold drift,
+allocation pressure, migrations, TRR bursts) into the same deterministic
+framework.
 """
 
 from repro.sim.chaos import (
@@ -40,8 +40,6 @@ from repro.sim.units import (
     PAGE_SIZE,
     SECOND,
     US,
-    format_bytes,
-    format_time_ns,
 )
 
 __all__ = [
@@ -71,6 +69,4 @@ __all__ = [
     "TemplatingExhaustedError",
     "US",
     "chaos_profile",
-    "format_bytes",
-    "format_time_ns",
 ]

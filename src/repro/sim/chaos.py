@@ -14,8 +14,6 @@ The pieces:
 
   - :class:`ThresholdDrift` (DRAM): scales every weak cell's flip
     threshold, permanently or for a bounded sim-time window;
-  - :class:`RefreshJitter` (DRAM): stretches/shrinks the effective
-    refresh window, changing how much disturbance can accumulate;
   - :class:`AllocationPressure` (MM): a competitor task on the caller's
     CPU churns pages through the per-CPU pageset, draining and refilling
     it and burying any staged frames;
@@ -111,31 +109,6 @@ class ThresholdDrift(ChaosEvent):
         engine.push_threshold_scale(self.scale, self.duration_ns)
         window = "" if self.duration_ns is None else f" for {self.duration_ns} ns"
         return f"flip thresholds x{self.scale:g}{window}"
-
-
-@dataclass(frozen=True)
-class RefreshJitter(ChaosEvent):
-    """DRAM refresh-window jitter: scales the effective tREFW.
-
-    ``scale < 1`` refreshes more often, so less disturbance accumulates
-    per window — the knob a DDR4 pTRR-style doubling of the refresh rate
-    turns.
-    """
-
-    scale: float = 0.5
-    duration_ns: int | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.scale <= 0:
-            raise ConfigError(f"refresh scale must be positive, got {self.scale}")
-        if self.duration_ns is not None and self.duration_ns <= 0:
-            raise ConfigError(f"duration_ns must be positive, got {self.duration_ns}")
-
-    def apply(self, engine: "ChaosEngine", pid: int) -> str:
-        engine.push_refresh_scale(self.scale, self.duration_ns)
-        window = "" if self.duration_ns is None else f" for {self.duration_ns} ns"
-        return f"refresh window x{self.scale:g}{window}"
 
 
 @dataclass(frozen=True)
@@ -363,8 +336,6 @@ class ChaosEngine:
         self._pumping = False
         self._base_threshold_scale = 1.0
         self._threshold_windows: list[tuple[int, float]] = []  # (end_ns, scale)
-        self._base_refresh_scale = 1.0
-        self._refresh_windows: list[tuple[int, float]] = []
         self._competitors: dict[int, int] = {}  # cpu -> competitor pid
         kernel.chaos = self
         self.bind_obs(kernel.obs)
@@ -386,28 +357,15 @@ class ChaosEngine:
             self._base_threshold_scale *= scale
         else:
             self._threshold_windows.append((self.kernel.clock.now_ns + duration_ns, scale))
-        self._apply_scales()
+        self._apply_threshold_scale()
 
-    def push_refresh_scale(self, scale: float, duration_ns: int | None) -> None:
-        """Multiply the refresh-window scale, optionally for a window."""
-        if duration_ns is None:
-            self._base_refresh_scale *= scale
-        else:
-            self._refresh_windows.append((self.kernel.clock.now_ns + duration_ns, scale))
-        self._apply_scales()
-
-    def _apply_scales(self) -> None:
+    def _apply_threshold_scale(self) -> None:
         now = self.kernel.clock.now_ns
         self._threshold_windows = [w for w in self._threshold_windows if w[0] > now]
         scale = self._base_threshold_scale
         for _, factor in self._threshold_windows:
             scale *= factor
         self.kernel.controller.threshold_scale = scale
-        self._refresh_windows = [w for w in self._refresh_windows if w[0] > now]
-        scale = self._base_refresh_scale
-        for _, factor in self._refresh_windows:
-            scale *= factor
-        self.kernel.controller.refresh_scale = scale
 
     def refresh_all_banks(self) -> None:
         """Give every instantiated bank a refresh (resets window counters)."""
@@ -432,8 +390,8 @@ class ChaosEngine:
         self._m_pumps.inc()
         try:
             now = self.kernel.clock.now_ns
-            if self._threshold_windows or self._refresh_windows:
-                self._apply_scales()
+            if self._threshold_windows:
+                self._apply_threshold_scale()
             for state in self._states:
                 event = state.event
                 if state.times_left <= 0:

@@ -19,28 +19,6 @@ MS = 1_000 * US
 SECOND = 1_000 * MS
 
 
-def format_bytes(n: int) -> str:
-    """Render a byte count with a binary suffix (``4.0 KiB``, ``1.5 GiB``)."""
-    if n < 0:
-        raise ValueError(f"byte count must be non-negative, got {n}")
-    for suffix, unit in (("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if n >= unit:
-            return f"{n / unit:.1f} {suffix}"
-    return f"{n} B"
-
-
-def format_time_ns(ns: int) -> str:
-    """Render a nanosecond count with the largest natural suffix."""
-    if ns < 0:
-        raise ValueError(f"time must be non-negative, got {ns}")
-    if ns >= 1_000 * MS:
-        return f"{ns / (1_000 * MS):.3f} s"
-    for suffix, unit in (("ms", MS), ("us", US)):
-        if ns >= unit:
-            return f"{ns / unit:.1f} {suffix}"
-    return f"{ns} ns"
-
-
 def pages_for_bytes(n: int) -> int:
     """Number of base pages needed to hold ``n`` bytes (round up)."""
     if n < 0:

@@ -50,9 +50,3 @@ class Pagemap:
         if not self._caps.has(Capability.CAP_SYS_ADMIN):
             return PagemapEntry(present=True, pfn=0, soft_dirty=entry.dirty)
         return PagemapEntry(present=True, pfn=entry.pfn, soft_dirty=entry.dirty)
-
-    def read_range(self, va: int, length: int) -> list[PagemapEntry]:
-        """Records for every page of [va, va+length)."""
-        start = va & ~(PAGE_SIZE - 1)
-        end = va + length
-        return [self.read(addr) for addr in range(start, end, PAGE_SIZE)]

@@ -2,25 +2,7 @@
 
 import pytest
 
-from repro.analysis.charts import ascii_chart, sparkline
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_constant_series(self):
-        line = sparkline([5.0, 5.0, 5.0])
-        assert len(line) == 3
-        assert len(set(line)) == 1
-
-    def test_monotone_series_uses_extremes(self):
-        line = sparkline([0, 1, 2, 3, 4, 5, 6, 7, 8])
-        assert line[0] == " "  # lowest bucket
-        assert line[-1] == "█"  # highest bucket
-
-    def test_length_preserved(self):
-        assert len(sparkline(list(range(17)))) == 17
+from repro.analysis.charts import ascii_chart
 
 
 class TestAsciiChart:

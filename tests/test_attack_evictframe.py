@@ -1,9 +1,7 @@
 """Eviction-based hammering: derivation, the kernel loop, and the modality.
 
-Covers the evictframe contract from docs/ATTACKS.md layer by layer:
-cache-set congruence enumeration is mapping-independent (the cache is
-physically indexed) while the DRAM rows it lands in are not; a derived
-traversal really evicts the aggressor line (``CpuCache.contains``);
+Covers the evictframe contract from docs/ATTACKS.md layer by layer: a
+derived traversal really evicts the aggressor line (``CpuCache.contains``);
 ``sys_hammer_evict``'s steady-state replay reproduces flips at full
 eviction accuracy while an undersized set is the negative control; and
 evictframe campaigns keep the engine-independence digest contract.
@@ -18,10 +16,9 @@ from repro.attack.evictframe import (
 )
 from repro.attack.templating import TemplatorConfig
 from repro.core import Machine, MachineConfig
-from repro.dram.cache import CpuCache, CpuCacheConfig
+from repro.dram.cache import CpuCacheConfig
 from repro.dram.flipmodel import FlipModelConfig
 from repro.dram.geometry import DRAMGeometry
-from repro.dram.mapping import LinearMapping, XorBankMapping
 from repro.sim.errors import ConfigError, FaultError
 from repro.sim.units import MIB, PAGE_SIZE
 
@@ -68,61 +65,6 @@ class TestConfig:
         text = repr(EvictFrameConfig(evict_slack=3, evict_pattern="interleave"))
         assert "evict_slack=3" in text
         assert "evict_pattern='interleave'" in text
-
-
-class TestCongruenceEnumeration:
-    """``phys_in_cache_set`` against both address mappings."""
-
-    @pytest.mark.parametrize("mapping_cls", [LinearMapping, XorBankMapping])
-    def test_members_share_the_cache_set(self, mapping_cls):
-        geometry = DRAMGeometry.small()
-        mapping = mapping_cls(geometry)
-        cache = CpuCache()
-        phys = 3 * PAGE_SIZE + 128
-        members = mapping.phys_in_cache_set(
-            phys, line_size=cache.config.line_size, sets=cache.config.sets
-        )
-        assert phys in members
-        target = cache.set_index(phys)
-        assert all(cache.set_index(member) == target for member in members)
-
-    @pytest.mark.parametrize("mapping_cls", [LinearMapping, XorBankMapping])
-    def test_enumeration_spans_the_module(self, mapping_cls):
-        geometry = DRAMGeometry.small()
-        mapping = mapping_cls(geometry)
-        cache = CpuCacheConfig()
-        members = mapping.phys_in_cache_set(
-            0, line_size=cache.line_size, sets=cache.sets
-        )
-        assert len(members) == geometry.total_bytes // cache.way_stride
-        assert members[-1] < geometry.total_bytes
-
-    def test_congruence_is_mapping_independent_but_rows_are_not(self):
-        # Same physical members under both mappings (the cache is
-        # physically indexed) — but the DRAM coordinates they activate
-        # differ, which is what the wasted-activation accounting is for.
-        geometry = DRAMGeometry.small()
-        linear, xor = LinearMapping(geometry), XorBankMapping(geometry)
-        cache = CpuCacheConfig()
-        kwargs = dict(line_size=cache.line_size, sets=cache.sets, max_count=16)
-        members_linear = linear.phys_in_cache_set(PAGE_SIZE, **kwargs)
-        members_xor = xor.phys_in_cache_set(PAGE_SIZE, **kwargs)
-        assert members_linear == members_xor
-        banks_linear = [linear.to_dram(m).bank for m in members_linear]
-        banks_xor = [xor.to_dram(m).bank for m in members_xor]
-        assert banks_linear != banks_xor
-
-    def test_max_count_truncates(self):
-        mapping = LinearMapping(DRAMGeometry.small())
-        members = mapping.phys_in_cache_set(0, line_size=64, sets=512, max_count=5)
-        assert len(members) == 5
-
-    def test_out_of_module_address_rejected(self):
-        mapping = LinearMapping(DRAMGeometry.small())
-        with pytest.raises(ConfigError):
-            mapping.phys_in_cache_set(
-                DRAMGeometry.small().total_bytes, line_size=64, sets=512
-            )
 
 
 class TestKernelEvictHammer:

@@ -73,7 +73,7 @@ class TestBackoff:
         machine = Machine(MachineConfig.small(seed=7))
         orchestrator = AttackOrchestrator(ExplFrameAttack(machine))
         controller = machine.controller
-        refw = controller.effective_refw_ns()
+        refw = controller.timing.t_refw_ns
         refreshes, now = controller.refresh_count, machine.clock.now_ns
         orchestrator._backoff(RetryPolicy(1, backoff_base_ns=3 * refw), 0)
         # Refresh ticks fire inside the wait, not only at the next access.

@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from scripts import check_unreached
 
 
@@ -10,7 +12,9 @@ def test_every_definition_is_reached(capsys):
     assert "reachability OK" in capsys.readouterr().out
 
 
-def test_only_program_references_count(monkeypatch, tmp_path):
+@pytest.fixture
+def tmp_package(monkeypatch, tmp_path):
+    """A tiny repo whose ``src/repro`` the check scans instead of ours."""
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text(
@@ -47,6 +51,10 @@ def test_only_program_references_count(monkeypatch, tmp_path):
                 pass
 
 
+            def kept():
+                pass
+
+
             class Holder:
                 def __repr__(self):
                     return f"Holder({in_fstring()})"
@@ -65,5 +73,22 @@ def test_only_program_references_count(monkeypatch, tmp_path):
     )
     monkeypatch.setattr(check_unreached, "REPO", tmp_path)
     monkeypatch.setattr(check_unreached, "SRC", package)
-    reported = [line.rsplit(": ", 1)[1] for line in check_unreached.unreached()]
-    assert reported == ["only_reexported", "only_in_docs", "only_tested"]
+    monkeypatch.setattr(check_unreached, "KEEP", frozenset({"kept"}))
+
+
+def reported() -> list[str]:
+    return [line.rsplit(": ", 1)[1] for line in check_unreached.unreached()]
+
+
+def test_only_program_references_count(tmp_package):
+    assert reported() == ["only_reexported", "only_in_docs", "only_tested"]
+
+
+def test_stale_keep_name_fails(tmp_package, monkeypatch, capsys):
+    monkeypatch.setattr(check_unreached, "KEEP", frozenset({"kept", "deleted_helper"}))
+    assert reported() == [
+        "only_reexported", "only_in_docs", "only_tested", "deleted_helper"
+    ]
+    assert "scripts/check_unreached.py: KEEP: deleted_helper" in check_unreached.unreached()
+    assert check_unreached.main() == 1
+    assert "kept but defined nowhere" in capsys.readouterr().out

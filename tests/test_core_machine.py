@@ -19,11 +19,6 @@ class TestConfig:
         assert MachineConfig.vulnerable().flip_model.weak_cells_per_row_mean > 0.1
         assert MachineConfig.invulnerable().flip_model.weak_cells_per_row_mean == 0.0
 
-    def test_with_seed(self):
-        config = MachineConfig.small(seed=1).with_seed(99)
-        assert config.seed == 99
-        assert config.geometry.total_bytes == 64 * MIB
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             MachineConfig(num_cpus=0)

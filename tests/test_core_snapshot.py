@@ -368,7 +368,7 @@ class TestPageTableIsolation:
 class TestEventCoreIntegration:
     def test_refresh_dispatches_through_dram_queue(self):
         machine = Machine(MachineConfig.small(seed=0))
-        refw = machine.controller.effective_refw_ns()
+        refw = machine.controller.timing.t_refw_ns
         machine.run_until(3 * refw + 1)
         snap = machine.obs.metrics.snapshot()
         assert snap["sim.events.dispatched{queue=dram}"] >= 3
@@ -441,8 +441,8 @@ class TestCampaignForkEquivalence:
 class TestMachineClose:
     def test_close_cancels_every_pending_event(self):
         machine = Machine(MachineConfig.small(seed=0))
-        handle = machine.controller._refresh_handle
-        assert machine.events.pending() > 0 and handle.active
+        handle = machine.events.schedule("probe", 10 * MS, lambda now: None, queue="os")
+        assert machine.events.pending("dram") == 1 and handle.active
         machine.close()
         assert machine.events.pending() == 0
         assert not handle.active

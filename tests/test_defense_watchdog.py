@@ -1,5 +1,7 @@
 """The hammering watchdog: ledger accounting, detection, separation."""
 
+from dataclasses import dataclass, field
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,11 +61,12 @@ class MinEvictingLedger(ActivationLedger):
             del self._counts[min(self._counts)]
 
 
-# Mostly ascending epochs, as refresh windows arrive, with drops (a chaos
-# ``refresh_scale`` step lowers the epoch) and repeats of a recent one.
+# Non-decreasing epochs, as the kernel feeds them (a monotone clock over a
+# fixed refresh window): repeats of the current window, short steps, and
+# jumps past the whole retained history.
 epoch_steps = st.lists(
     st.tuples(
-        st.one_of(st.integers(0, 3), st.integers(-12, -1)),
+        st.one_of(st.just(0), st.integers(1, 3), st.integers(4, 300)),
         st.integers(1, 3),
         st.integers(-1, 50),
     ),
@@ -79,20 +82,53 @@ class TestLedgerEviction:
         oracle = MinEvictingLedger(max_windows=max_windows)
         epoch = start
         for step, pid, activations in steps:
-            epoch = max(0, epoch + step)
+            epoch += step
             ledger.record(epoch, pid, activations)
             oracle.record(epoch, pid, activations)
             assert list(ledger._counts.items()) == list(oracle._counts.items())
         assert ledger.epochs() == oracle.epochs()
         assert ledger.totals() == oracle.totals()
 
-    def test_out_of_order_window_evicts_the_oldest(self):
-        # Window 5 opens after 11; the overflow at 12 must drop 5, not the
-        # first-inserted 10.
-        ledger = ActivationLedger(max_windows=3)
-        for epoch in (10, 11, 5, 12):
-            ledger.record(epoch, 1, 1)
-        assert ledger.epochs() == [10, 11, 12]
+
+@dataclass
+class RecordingLedger(ActivationLedger):
+    """The kernel's ledger, also logging every record it is fed."""
+
+    calls: list = field(default_factory=list)
+
+    def record(self, epoch: int, pid: int, activations: int) -> None:
+        self.calls.append((epoch, pid, activations))
+        super().record(epoch, pid, activations)
+
+
+class TestKernelFeedsAscendingEpochs:
+    """The ledger evicts its first-inserted window; that is the oldest only
+    because the kernel's epochs never decrease."""
+
+    def test_hammers_across_windows_then_ordinary_accesses(self, small_machine):
+        kernel = small_machine.kernel
+        ledger = kernel.ledger = RecordingLedger(max_windows=3)
+        attacker = kernel.spawn("attacker", cpu=0)
+        worker = kernel.spawn("worker", cpu=1)
+        # About five 64 ms refresh windows per burst.
+        hammerer = Hammerer(kernel, attacker.pid, rounds=3_000_000)
+        va = hammerer.map_buffer(1 * MIB)
+        hammerer.fill(va, 256, 0xFF)
+        pair = hammerer.build_bank_group(va, 1 * MIB, 2)
+        for _ in range(2):
+            hammerer.hammer_group(pair)
+            kernel.churn(worker.pid, 64)
+            kernel.sys_file_read(worker.pid, 3, 0, 64 * PAGE_SIZE)
+            hammerer.fill(va, 16, 0xFF)
+
+        epochs = [epoch for epoch, _, _ in ledger.calls]
+        assert epochs == sorted(epochs)
+        assert len(set(epochs)) > 2 * ledger.max_windows
+        assert list(ledger._counts) == sorted(ledger._counts)
+        oracle = MinEvictingLedger(max_windows=ledger.max_windows)
+        for call in ledger.calls:
+            oracle.record(*call)
+        assert list(ledger._counts.items()) == list(oracle._counts.items())
 
 
 class TestWatchdog:

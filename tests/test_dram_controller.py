@@ -319,7 +319,7 @@ class ReferenceController(MemoryController):
         rounds_left = rounds
         elapsed = 0
         while rounds_left > 0:
-            window_end = (self.current_refresh_epoch() + 1) * self.effective_refw_ns()
+            window_end = (self.current_refresh_epoch() + 1) * self.timing.t_refw_ns
             remaining_ns = window_end - self.clock.now_ns
             if ns_per_round > 0:
                 chunk = min(rounds_left, max(1, remaining_ns // ns_per_round))

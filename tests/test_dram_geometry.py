@@ -4,7 +4,7 @@ import pytest
 
 from repro.dram.geometry import DRAMAddress, DRAMGeometry
 from repro.sim.errors import ConfigError
-from repro.sim.units import GIB, KIB, MIB
+from repro.sim.units import KIB, MIB
 
 
 class TestDerivedSizes:
@@ -13,9 +13,6 @@ class TestDerivedSizes:
 
     def test_small_is_64_mib(self):
         assert DRAMGeometry.small().total_bytes == 64 * MIB
-
-    def test_ddr3_preset_is_4_gib(self):
-        assert DRAMGeometry.ddr3_4gb().total_bytes == 4 * GIB
 
     def test_bank_bytes(self):
         geo = DRAMGeometry(rows_per_bank=1024, row_bytes=8 * KIB)

@@ -90,32 +90,6 @@ class TestStructure:
         assert pa0 != pa1
 
 
-class TestNeighbors:
-    def test_interior_row_has_two_neighbors(self, mapping):
-        addr = DRAMAddress(0, 0, 0, 100, 0)
-        rows = sorted(n.row for n in mapping.neighbors(addr))
-        assert rows == [99, 101]
-
-    def test_edge_row_has_one_neighbor(self, mapping):
-        addr = DRAMAddress(0, 0, 0, 0, 0)
-        assert [n.row for n in mapping.neighbors(addr)] == [1]
-
-    def test_distance_two(self, mapping):
-        addr = DRAMAddress(0, 0, 0, 100, 0)
-        rows = sorted(n.row for n in mapping.neighbors(addr, distance=2))
-        assert rows == [98, 102]
-
-    def test_neighbors_keep_bank(self, mapping):
-        addr = DRAMAddress(0, 0, 5, 50, 7)
-        for n in mapping.neighbors(addr):
-            assert n.bank_key() == addr.bank_key()
-            assert n.col == addr.col
-
-    def test_bad_distance(self, mapping):
-        with pytest.raises(ConfigError):
-            mapping.neighbors(DRAMAddress(0, 0, 0, 1, 0), distance=0)
-
-
 class TestErrors:
     def test_out_of_range_phys(self, mapping):
         with pytest.raises(ConfigError):

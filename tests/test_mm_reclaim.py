@@ -27,19 +27,6 @@ class TestRegistration:
         with pytest.raises(ConfigError):
             kswapd.register_reclaimable(zone, 99999, 0)
 
-    def test_unregister(self):
-        zone = make_zone()
-        kswapd = Kswapd()
-        pfn = zone.buddy.alloc(0)
-        kswapd.register_reclaimable(zone, pfn, 0)
-        assert kswapd.unregister_reclaimable(zone, pfn)
-        assert kswapd.reclaimable_pages(zone) == 0
-
-    def test_unregister_missing(self):
-        zone = make_zone()
-        kswapd = Kswapd()
-        assert not kswapd.unregister_reclaimable(zone, 5)
-
 
 class TestWakeRun:
     def test_wake_is_idempotent(self):

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core import Machine, MachineConfig
 from repro.mm.page import _NO_OWNER, FREE_BUDDY, ON_PCP, PageFlags
+from repro.os.task import TaskState
 from repro.sim.errors import OutOfMemoryError
 from repro.sim.units import PAGE_SIZE
 
@@ -51,7 +52,7 @@ class AllocatorStack(RuleBasedStateMachine):
     def mmap_and_touch(self, data, pages):
         pid = data.draw(st.sampled_from(self.tasks))
         task = self.kernel.tasks[pid]
-        if not task.is_running:
+        if task.state is not TaskState.RUNNING:
             return
         try:
             va = self.kernel.sys_mmap(pid, pages * PAGE_SIZE)
@@ -69,7 +70,7 @@ class AllocatorStack(RuleBasedStateMachine):
             return
         pid = data.draw(st.sampled_from(candidates))
         task = self.kernel.tasks[pid]
-        if not task.is_running:
+        if task.state is not TaskState.RUNNING:
             return
         va, pages = self.regions[pid].pop()
         self.kernel.sys_munmap(pid, va, pages * PAGE_SIZE)
@@ -79,7 +80,7 @@ class AllocatorStack(RuleBasedStateMachine):
     def sleep_and_wake(self, data):
         pid = data.draw(st.sampled_from(self.tasks))
         task = self.kernel.tasks[pid]
-        if task.is_running:
+        if task.state is TaskState.RUNNING:
             self.kernel.sys_sleep(pid)
         else:
             self.kernel.sys_wake(pid)
@@ -89,7 +90,7 @@ class AllocatorStack(RuleBasedStateMachine):
     def churn(self, data, pages):
         pid = data.draw(st.sampled_from(self.tasks))
         task = self.kernel.tasks[pid]
-        if not task.is_running:
+        if task.state is not TaskState.RUNNING:
             return
         try:
             self.kernel.churn(pid, pages)
@@ -101,7 +102,7 @@ class AllocatorStack(RuleBasedStateMachine):
     def exit_task(self, data):
         pid = data.draw(st.sampled_from(self.tasks))
         task = self.kernel.tasks[pid]
-        if not task.is_running:
+        if task.state is not TaskState.RUNNING:
             self.kernel.sys_wake(pid)
         self.kernel.sys_exit(pid)
         self.tasks.remove(pid)

@@ -75,16 +75,6 @@ class TestZone:
         assert zone.below_low_watermark()
         assert not zone.above_high_watermark()
 
-    def test_drain_all_pcp(self):
-        zone = make_zone(cpus=2)
-        for cpu in (0, 1):
-            pfn = zone.pcp(cpu).alloc()
-            zone.pcp(cpu).free(pfn)
-        moved = zone.drain_all_pcp()
-        assert moved > 0
-        assert zone.pcp(0).count == 0
-        assert zone.pcp(1).count == 0
-
     def test_name(self):
         assert make_zone().name == "Normal"
 

